@@ -1,7 +1,7 @@
 """Command-line interface: kernel evaluation, table certification, final check.
 
 Exit codes: 0 success, 1 certification/reproduction failure, 2 usage error.
-Outputs are deterministic for a fixed seed and independent of --jobs.
+Outputs are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def cmd_table(args) -> int:
         print(f"table {n}: {len(records)} cells checked, all printed values match")
         return EXIT_OK
 
-    rows, audit = tables.generate_table(n, jobs=args.jobs)
+    rows, audit = tables.generate_table(n)
     csv_rows = []
     for r in rows:
         csv_rows.append([
@@ -248,15 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="certify one table (2..13)")
     p_table.add_argument("number", type=int, choices=range(2, 14))
     p_table.add_argument("--out", default="out")
-    p_table.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_table.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                         help="accepted and ignored; the certificates run single-threaded")
     p_table.add_argument("--seed", type=int, default=0)
     p_table.set_defaults(func=cmd_table)
 
     p_final = sub.add_parser("verify-final", help="run the full W < 1 verification")
     p_final.add_argument("--params", type=str, help="JSON file with L, K, theta, c1, c2")
     p_final.add_argument("--out", default="out")
-    p_final.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_final.add_argument("--seed", type=int, default=0)
     p_final.add_argument("--tol", type=float, help="quadrature tolerance override")
     p_final.set_defaults(func=cmd_verify_final)
     return parser
@@ -266,6 +265,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except FloatingPointError as exc:  # a NaN or inf refused a certificate
+        print(f"FAILED: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,6 +6,12 @@ triangle-weight transforms ``H`` and ``H2``, the zero-sum majorant ``B``,
 the density weight ``w1`` with its reciprocal-integral ``w``, the tail
 coefficient ``C``, and the classic zero-density bound.
 
+``WeightKernel.F`` serves scalar and scattered complex arguments;
+``WeightKernel.re_F_lattice`` evaluates only Re F on an outer product of
+real parts and imaginary parts, the lattices of the sup certificates, from
+a Horner form in 1/z with one exponential per row and one cos/sin pair per
+column.  Both switch to the same series inside SMALL_Z_RADIUS.
+
 All real arithmetic is double precision; quadratures are absolute-tolerance
 adaptive (default 1e-12) and every downstream certification threshold
 carries a margin that absorbs this error budget.
@@ -133,6 +139,61 @@ class WeightKernel:
             out[big] = self._F_direct(z_arr[big])
         if np.isscalar(z) or np.asarray(z).ndim == 0:
             return complex(out[0])
+        return out
+
+    def re_F_lattice(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Re F(-s_i + i t_j) for 1-D s and t, as an (s.size, t.size) array.
+
+        The lattice evaluator behind the sup certificates.  With
+        w = 1/z = conj(z)/(s^2 + t^2) the closed form is F = P(w) + e Q(w),
+
+            P = w (A + w^2 (-B + w (C - 4 w^2))),   Q = w^4 (C + w (8 gamma + 4 w)),
+
+        A = 16 gamma^5/15, B = 8 gamma^3/3, C = 4 gamma^2, and
+        e = exp(-2 gamma z) = exp(2 gamma s) (cos 2 gamma t - i sin 2 gamma t),
+        so the trigonometric factor is computed once per t and the
+        exponential once per s.  Points with |z| < SMALL_Z_RADIUS, z = 0
+        included, take the series value, as in :meth:`F`.
+        """
+        g = self.gamma
+        s = np.asarray(s, dtype=float)
+        t = np.asarray(t, dtype=float)
+        col = s[:, None]
+        phase = np.empty(t.shape, dtype=complex)
+        np.cos(2.0 * g * t, out=phase.real)
+        np.sin(-2.0 * g * t, out=phase.imag)
+        # near z = 0, w overflows (z = 0 gives NaN): those points take the series
+        # value below, and grid_max refuses any other non-finite value
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inv = np.reciprocal(col * col + t * t)
+            w = np.empty(inv.shape, dtype=complex)
+            np.multiply(-col, inv, out=w.real)
+            np.multiply(-t, inv, out=w.imag)
+            w2 = w * w
+            p = w2 * -4.0
+            p += 4.0 * g * g
+            p *= w
+            p -= 8.0 * g**3 / 3.0
+            p *= w2
+            p += 16.0 * g**5 / 15.0
+            p *= w
+            q = w * 4.0
+            q += 8.0 * g
+            q *= w
+            q += 4.0 * g * g
+            q *= w2
+            q *= w2
+            q *= np.exp(2.0 * g * col) * phase
+            p += q
+        out = p.real
+        rows = np.flatnonzero(np.abs(s) < SMALL_Z_RADIUS)
+        cols = np.flatnonzero(np.abs(t) < SMALL_Z_RADIUS)
+        if rows.size and cols.size:
+            z = -s[rows, None] + 1j * t[cols]
+            near = np.abs(z) < SMALL_Z_RADIUS
+            patch = out[np.ix_(rows, cols)]
+            patch[near] = np.real(self._F_series(z[near]))
+            out[np.ix_(rows, cols)] = patch
         return out
 
     def _F_direct(self, z: np.ndarray) -> np.ndarray:

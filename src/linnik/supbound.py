@@ -12,18 +12,29 @@ t >= 0 suffices.  The certificate combines three ingredients:
 
 The final bound max(tail, M0 + ds1/2 D1 + ds2/2 D2 + dt/2 D3) dominates
 A everywhere on box x [0, inf).
+
+M0 is computed by walking the lattice in blocks of at most BLOCK_POINTS
+points, each filled from ``WeightKernel.re_F_lattice`` and reduced to its
+maximum at once, so no lattice-sized array is built.  Certification fails
+closed: a NaN or inf anywhere in the lattice, the tail or the grid term
+raises FloatingPointError, and no certificate is produced.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .kernel import WeightKernel
+
+#: lattice points evaluated and reduced to their maximum at once by grid_max
+BLOCK_POINTS = 4096
+#: a block spans at most BLOCK_POINTS // BLOCK_ROWS t values, so it has room
+#: for this many rows and the kernel's cos/sin of each t serves all of them
+BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -168,9 +179,29 @@ def _lattice(a: float, b: float, step: float) -> np.ndarray:
     return np.unique(vals)
 
 
-def grid_max(problem: SupProblem, grid: GridSpec, jobs: int = 1) -> float:
-    """Exact maximum of A over the lattice; deterministic for any jobs."""
+def _fold_max(best: float, block: np.ndarray) -> float:
+    """max(best, max(block)), refusing a block that holds a NaN or an inf.
+
+    np.max propagates NaN and a -inf can only show in the minimum, so both
+    extremes are tested; a comparison with ``>`` would skip a NaN block.
+    """
+    hi = float(np.max(block))
+    if not (math.isfinite(hi) and math.isfinite(float(np.min(block)))):
+        raise FloatingPointError(f"non-finite value in a lattice block of {block.size} points")
+    return max(best, hi)
+
+
+def grid_max(problem: SupProblem, grid: GridSpec) -> float:
+    """Exact maximum of A over the lattice, walked in blocks.
+
+    A block holds at most BLOCK_POINTS lattice points, at most
+    BLOCK_POINTS // BLOCK_ROWS of them along t, and is reduced to its
+    maximum at once.  Per t block the k3 row is evaluated once, the k1 term
+    once per s1 row, and the k2 term in chunks of (s1, s2) rows.  Raises
+    FloatingPointError if any lattice value is not finite.
+    """
     kern = problem.kernel
+    k1, k2, k3 = problem.k1, problem.k2, problem.k3
     s1_vals = _lattice(problem.s11, problem.s12, grid.ds1)
     s2_vals = _lattice(problem.s21, problem.s22, grid.ds2)
     if grid.x1 == 0.0:
@@ -178,36 +209,41 @@ def grid_max(problem: SupProblem, grid: GridSpec, jobs: int = 1) -> float:
     else:
         t_vals = _lattice(0.0, grid.x1, grid.dt)
 
-    f_it = np.real(kern.F(1j * t_vals)) if problem.k3 else 0.0
-
-    def column_max(s1: float) -> float:
-        f1 = problem.k1 * np.real(kern.F(-s1 + 1j * t_vals)) if problem.k1 else 0.0
-        best = -math.inf
-        for s2 in s2_vals:
-            vals = f1 - problem.k3 * f_it if problem.k3 else (f1 if problem.k1 else 0.0)
-            if problem.k2:
-                vals = vals - problem.k2 * np.real(kern.F(-(s1 - s2) + 1j * t_vals))
-            m = float(np.max(vals)) if isinstance(vals, np.ndarray) else float(vals)
-            if m > best:
-                best = m
-        return best
-
-    if jobs > 1 and len(s1_vals) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            column = list(pool.map(column_max, s1_vals))
-    else:
-        column = [column_max(s1) for s1 in s1_vals]
-    return max(column)
+    width = min(t_vals.size, BLOCK_POINTS // BLOCK_ROWS)
+    rows = BLOCK_POINTS // width
+    best = -math.inf
+    for j in range(0, t_vals.size, width):
+        t = t_vals[j:j + width]
+        f3 = k3 * kern.re_F_lattice(np.zeros(1), t) if k3 else 0.0
+        for i in range(0, s1_vals.size, rows):
+            s1 = s1_vals[i:i + rows]
+            base = (k1 * kern.re_F_lattice(s1, t) if k1 else np.zeros((s1.size, t.size))) - f3
+            if not k2:
+                best = _fold_max(best, base)
+                continue
+            s3 = (s1[:, None] - s2_vals).ravel()
+            owner = np.repeat(np.arange(s1.size), s2_vals.size)
+            for k in range(0, s3.size, rows):
+                block = base[owner[k:k + rows]] - k2 * kern.re_F_lattice(s3[k:k + rows], t)
+                best = _fold_max(best, block)
+    return best
 
 
-def sup_bound(problem: SupProblem, grid: GridSpec, jobs: int = 1) -> SupCertificate:
-    """Certify an upper bound for sup A over box x [0, inf)."""
+def sup_bound(problem: SupProblem, grid: GridSpec) -> SupCertificate:
+    """Certify an upper bound for sup A over box x [0, inf).
+
+    Raises FloatingPointError instead of certifying when the tail or the
+    grid term is not finite (builtin max(tail, nan) would return tail).
+    """
     if grid.x1 < 4.0:
         raise ValueError("sup certification requires x1 >= 4")
     tail = tail_bound(problem, grid.x1)
     d1, d2, d3 = derivative_bounds(problem)
-    m0 = grid_max(problem, grid, jobs=jobs)
-    bound = max(tail, m0 + 0.5 * grid.ds1 * d1 + 0.5 * grid.ds2 * d2 + 0.5 * grid.dt * d3)
+    m0 = grid_max(problem, grid)
+    grid_term = m0 + 0.5 * grid.ds1 * d1 + 0.5 * grid.ds2 * d2 + 0.5 * grid.dt * d3
+    if not (math.isfinite(tail) and math.isfinite(grid_term)):
+        raise FloatingPointError(f"non-finite sup bound: tail {tail!r}, grid term {grid_term!r}")
+    bound = max(tail, grid_term)
     return SupCertificate(problem=problem, grid=grid, m0=m0,
                           d1=d1, d2=d2, d3=d3, tail=tail, bound=bound)
 

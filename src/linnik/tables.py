@@ -240,7 +240,7 @@ def _lambda1_lo(caps: Sequence[float], i: int, first_lo: float) -> float:
     return first_lo if i == 0 else caps[i - 1]
 
 
-def gen_table2(jobs: int = 1):
+def gen_table2():
     """Second-zero bounds, character order >= 5 (25 rows).
 
     Rows with cap <= 0.68 pin s1 at an imported lambda* and sweep the first
@@ -266,7 +266,7 @@ def gen_table2(jobs: int = 1):
             prob = SupProblem(kern, k1=k, k2=0.0, k3=k * k + 0.75,
                               s11=lo, s12=cap, s21=0.0, s22=0.0)
             grid = GridSpec(ds1=0.004, ds2=0.0, dt=0.004, x1=15.0)
-        cert = sup_bound(prob, grid, jobs=jobs)
+        cert = sup_bound(prob, grid)
         rhs = rhs_lprime_high(kern, k, lam_star, cap, pub["lambda_prime"], cert.bound)
         rows.append(TableRow(table=2, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
                              lambda_star=lam_star, claimed_bound=pub["lambda_prime"],
@@ -277,7 +277,7 @@ def gen_table2(jobs: int = 1):
     return rows, audit
 
 
-def gen_table3(jobs: int = 1):
+def gen_table3():
     """Second-zero bounds, character order 2..4 (19 rows, two suprema each)."""
     rows, audit = [], []
     caps = [r["lambda1_hi"] for r in _data.published_table(3)]
@@ -290,9 +290,9 @@ def gen_table3(jobs: int = 1):
         grid = GridSpec(ds1=0.004, ds2=0.0, dt=0.004, x1=15.0)
         # the doubling of the first supremum lives in its coefficients
         cert_a = sup_bound(SupProblem(kern, k1=2.0 * k, k2=0.0, k3=2.0 * (k * k + 0.75),
-                                      s11=lo, s12=cap, s21=0.0, s22=0.0), grid, jobs=jobs)
+                                      s11=lo, s12=cap, s21=0.0, s22=0.0), grid)
         cert_b = sup_bound(SupProblem(kern, k1=0.5, k2=0.0, k3=2.0 * k,
-                                      s11=lo, s12=cap, s21=0.0, s22=0.0), grid, jobs=jobs)
+                                      s11=lo, s12=cap, s21=0.0, s22=0.0), grid)
         rhs = rhs_lprime_low(kern, k, cap, pub["lambda_prime"],
                              cert_a.bound / 2.0, cert_b.bound)
         rows.append(TableRow(table=3, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
@@ -305,20 +305,20 @@ def gen_table3(jobs: int = 1):
     return rows, audit
 
 
-def _t4_sup_certs(cap: float, lo: float, alt: float, neu: float, jobs: int = 1):
+def _t4_sup_certs(cap: float, lo: float, alt: float, neu: float):
     """The two supremum certificates attached to a second-character row."""
     gamma = 0.42 + cap
     k = 0.59 + 0.4 * cap
     kern = WeightKernel(gamma)
     grid = GridSpec(ds1=0.015, ds2=0.007, dt=0.015, x1=7.0)
     cert_a = sup_bound(SupProblem(kern, k1=0.25, k2=k, k3=0.0,
-                                  s11=alt, s12=neu, s21=lo, s22=cap), grid, jobs=jobs)
+                                  s11=alt, s12=neu, s21=lo, s22=cap), grid)
     cert_b = sup_bound(SupProblem(kern, k1=0.0, k2=0.25, k3=0.0,
-                                  s11=alt, s12=neu, s21=lo, s22=cap), grid, jobs=jobs)
+                                  s11=alt, s12=neu, s21=lo, s22=cap), grid)
     return kern, k, cert_a, cert_b
 
 
-def gen_table4(jobs: int = 1):
+def gen_table4():
     """Second-character bounds for cases 1,2,3,4,6,8 via delta-stepping.
 
     Each row steps from the imported old bound to the new one twice (case-1
@@ -333,7 +333,7 @@ def gen_table4(jobs: int = 1):
         lo = _lambda1_lo(caps, i, 0.34)
         alt, neu = pub["lambda2_alt"], pub["lambda2_new"]
         assert alt == alt_map[cap]
-        kern, k, cert_a, cert_b = _t4_sup_certs(cap, lo, alt, neu, jobs)
+        kern, k, cert_a, cert_b = _t4_sup_certs(cap, lo, alt, neu)
         f0 = kern.f0
         d_by_case = {c: lambda2_D(c, k, f0, cert_a.bound, cert_b.bound)
                      for c in (1, 2, 3, 4, 6, 8)}
@@ -353,7 +353,7 @@ def gen_table4(jobs: int = 1):
     return rows, audit
 
 
-def gen_table5(jobs: int = 1):
+def gen_table5():
     """Second-character bounds for case 5 (one supremum, own gamma and k)."""
     rows, audit = [], []
     caps = [r["lambda1_hi"] for r in _data.published_table(5)]
@@ -365,7 +365,7 @@ def gen_table5(jobs: int = 1):
         kern = WeightKernel(gamma)
         grid = GridSpec(ds1=0.010, ds2=0.007, dt=0.010, x1=7.0)
         cert_b = sup_bound(SupProblem(kern, k1=0.0, k2=0.25, k3=0.0,
-                                      s11=alt, s12=neu, s21=lo, s22=cap), grid, jobs=jobs)
+                                      s11=alt, s12=neu, s21=lo, s22=cap), grid)
         D = lambda2_D(5, k, kern.f0, 0.0, cert_b.bound)
         row = delta_step_certify(kern, k, (lo, cap), alt, neu, 1e-4, D,
                                  table=5, label=f"{cap:g}")
@@ -377,7 +377,7 @@ def gen_table5(jobs: int = 1):
     return rows, audit
 
 
-def gen_table6(jobs: int = 1):
+def gen_table6():
     """Second-character bounds for case 7 (real leading character, complex zero).
 
     Rows start at lambda1 >= 0.50; above 0.70 the stepping base is the trivial
@@ -394,7 +394,7 @@ def gen_table6(jobs: int = 1):
         kern = WeightKernel(gamma)
         grid = GridSpec(ds1=0.015, ds2=0.015, dt=0.015, x1=7.0)
         cert_a = sup_bound(SupProblem(kern, k1=0.25, k2=k, k3=0.0,
-                                      s11=alt, s12=neu, s21=lo, s22=cap), grid, jobs=jobs)
+                                      s11=alt, s12=neu, s21=lo, s22=cap), grid)
         D = lambda2_D(7, k, kern.f0, cert_a.bound, 0.0)
         row = delta_step_certify(kern, k, (lo, cap), alt, neu, 1e-4, D,
                                  table=6, label=f"{cap:g}")
@@ -421,12 +421,12 @@ def table6_bound_at(cap: float, table6_rows=None) -> float:
     return best[1]
 
 
-def gen_table7(jobs: int = 1, precomputed=None):
+def gen_table7(precomputed=None):
     """All-case second-character bounds: row-wise minimum of tables 4, 5, 6."""
     if precomputed is None:
-        rows4, _ = gen_table4(jobs)
-        rows5, _ = gen_table5(jobs)
-        rows6, _ = gen_table6(jobs)
+        rows4, _ = gen_table4()
+        rows5, _ = gen_table5()
+        rows6, _ = gen_table6()
     else:
         rows4, rows5, rows6 = precomputed
     by_cap4 = {r.lambda1_hi: r for r in rows4}
@@ -469,7 +469,7 @@ def table2_bound_at(cap: float) -> float:
     raise KeyError(f"no second-zero row at cap {cap}")
 
 
-def gen_table8(jobs: int = 1):
+def gen_table8():
     """Third-character bounds for lambda1 in [0.52, 0.62] (three case columns).
 
     Case-1 and case-2348 columns are fresh negativity checks at a fixed
@@ -489,7 +489,7 @@ def gen_table8(jobs: int = 1):
                 alt, neu = t4["lambda2_alt"], t4["lambda2_new"]
         assert alt is not None and alt <= lam_star <= neu, \
             "the reused supremum certificates must cover the fixed lambda*"
-        kern, k, cert_a, cert_b = _t4_sup_certs(cap, lo, alt, neu, jobs)
+        kern, k, cert_a, cert_b = _t4_sup_certs(cap, lo, alt, neu)
         f0 = kern.f0
         d_by_case = {c: lambda2_D(c, k, f0, cert_a.bound, cert_b.bound)
                      for c in (1, 2, 3, 4, 6, 8)}
@@ -548,7 +548,7 @@ def step_lambda3_real(kern: WeightKernel, lambda1_lo: float, lambda1_hi: float,
     return float(rhs[worst]), worst, n
 
 
-def gen_table9(jobs: int = 1):
+def gen_table9():
     """Third-zero bounds for a complex leading character, lambda1 in [0.62, 0.72].
 
     Refuses to certify unless the guard supremum stays below f(0)/6 (and
@@ -557,7 +557,7 @@ def gen_table9(jobs: int = 1):
     kern = WeightKernel(1.25)
     guard = sup_bound(SupProblem(kern, k1=1.0, k2=0.0, k3=2.0,
                                  s11=0.44, s12=0.85, s21=0.0, s22=0.0),
-                      GridSpec(ds1=0.03, ds2=0.0, dt=0.03, x1=6.0), jobs=jobs)
+                      GridSpec(ds1=0.03, ds2=0.0, dt=0.03, x1=6.0))
     guard_ok = guard.bound < 0.18 and guard.bound < kern.f0 / 6.0
     rows = []
     for pub in _data.published_table(9):
@@ -583,7 +583,7 @@ def gen_table9(jobs: int = 1):
 _T10_GAMMA = {0.44: 1.04, 0.60: 1.06, 0.68: 1.04}
 
 
-def gen_table10(jobs: int = 1):
+def gen_table10():
     """Third-zero bounds when leading character and zero are both real.
 
     Each kernel parameter in use gets its own guard certificate; a row is
@@ -595,7 +595,7 @@ def gen_table10(jobs: int = 1):
         kern = WeightKernel(gamma)
         cert = sup_bound(SupProblem(kern, k1=1.0, k2=1.0, k3=1.0,
                                     s11=0.44, s12=1.175, s21=0.44, s22=0.80),
-                         GridSpec(ds1=0.03, ds2=0.03, dt=0.03, x1=6.0), jobs=jobs)
+                         GridSpec(ds1=0.03, ds2=0.03, dt=0.03, x1=6.0))
         guards[gamma] = (cert, cert.bound < 0.10 and cert.bound < 5.0 / 48.0 * kern.f0)
         audit.append(cert.as_record())
     for pub in _data.published_table(10):
@@ -623,7 +623,7 @@ _L1_FRACTION = {"ge6": 46630.0 / 6.0, "5": 46630.0 / 8.0, "4": 45380.0 / 8.0,
                 "3": 40630.0 / 8.0, "2": 30480.0 / 8.0}
 
 
-def gen_table11(jobs: int = 1):
+def gen_table11():
     """First-zero bounds by character order (five branches).
 
     Branch data: assumed cap, imported old bound (s2 box), lambda* read from
@@ -649,7 +649,7 @@ def gen_table11(jobs: int = 1):
         for k1, k2 in _L1_SUPS.get(ordc, ()):
             cert = sup_bound(SupProblem(kern, k1=k1, k2=k2, k3=0.0,
                                         s11=lam_star, s12=lam_star, s21=l_old, s22=l_ann),
-                             GridSpec(ds1=0.0, ds2=0.005, dt=0.005, x1=12.0), jobs=jobs)
+                             GridSpec(ds1=0.0, ds2=0.005, dt=0.005, x1=12.0))
             total_c += cert.bound
             audit.append(cert.as_record())
         D = _L1_FRACTION[ordc] * kern.f0 + total_c
@@ -669,8 +669,8 @@ _GENERATORS = {2: gen_table2, 3: gen_table3, 4: gen_table4, 5: gen_table5,
                10: gen_table10, 11: gen_table11}
 
 
-def generate_table(n: int, jobs: int = 1):
+def generate_table(n: int):
     """Certify table n (2..11); density tables 12..13 live in linnik.density."""
     if n not in _GENERATORS:
         raise ValueError(f"no certification generator for table {n}")
-    return _GENERATORS[n](jobs)
+    return _GENERATORS[n]()

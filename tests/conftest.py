@@ -1,10 +1,6 @@
-import os
-
 import pytest
 
 from linnik import density, final, tables
-
-JOBS = min(4, os.cpu_count() or 1)
 
 
 @pytest.fixture(scope="session")
@@ -12,7 +8,7 @@ def table_rows():
     """Certified rows of every zero-free-region table, generated once."""
     cache = {}
     for n in (2, 3, 4, 5, 6, 8, 9, 10, 11):
-        rows, audit = tables.generate_table(n, jobs=JOBS)
+        rows, audit = tables.generate_table(n)
         cache[n] = rows
     rows7, _ = tables.gen_table7(precomputed=(cache[4], cache[5], cache[6]))
     cache[7] = rows7

@@ -14,8 +14,6 @@ from linnik.kernel import LinnikParams, WeightKernel
 from linnik.supbound import GridSpec, SupProblem, domination_check, sup_bound
 from linnik.tables import CERT_MARGIN, warmup_l1
 
-JOBS = 4
-
 def _report(n, ok, elapsed, budget, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {n}: {status} ({elapsed:.1f}s / budget {budget:.0f}s) {detail}")
@@ -72,8 +70,8 @@ def test_criterion_2_warmup_bound():
 
 def test_criterion_3_second_zero_tables():
     t0 = time.perf_counter()
-    rows2, _ = tables.generate_table(2, jobs=JOBS)
-    rows3, _ = tables.generate_table(3, jobs=JOBS)
+    rows2, _ = tables.generate_table(2)
+    rows3, _ = tables.generate_table(3)
     ok = (len(rows2) == 25 and len(rows3) == 19
           and _rows_ok(rows2) and _rows_ok(rows3))
     elapsed = time.perf_counter() - t0
@@ -81,9 +79,9 @@ def test_criterion_3_second_zero_tables():
 
 def test_criterion_4_second_character_tables():
     t0 = time.perf_counter()
-    rows4, _ = tables.generate_table(4, jobs=JOBS)
-    rows5, _ = tables.generate_table(5, jobs=JOBS)
-    rows6, _ = tables.generate_table(6, jobs=JOBS)
+    rows4, _ = tables.generate_table(4)
+    rows5, _ = tables.generate_table(5)
+    rows6, _ = tables.generate_table(6)
     rows7, _ = tables.gen_table7(precomputed=(rows4, rows5, rows6))
     dominance = all(all(r.detail["D_by_case"][c] <= r.detail["D_by_case"][2]
                         for c in (3, 4, 6, 8)) for r in rows4)
@@ -99,9 +97,9 @@ def test_criterion_4_second_character_tables():
 
 def test_criterion_5_third_zero_tables():
     t0 = time.perf_counter()
-    rows8, _ = tables.generate_table(8, jobs=JOBS)
-    rows9, _ = tables.generate_table(9, jobs=JOBS)
-    rows10, _ = tables.generate_table(10, jobs=JOBS)
+    rows8, _ = tables.generate_table(8)
+    rows9, _ = tables.generate_table(9)
+    rows10, _ = tables.generate_table(10)
     guard9 = rows9[0].detail["guard_bound"]
     guard10 = max(r.detail["guard_bound"] for r in rows10)
     guards_ok = (guard9 < 0.18 and guard9 < WeightKernel(1.25).f0 / 6.0
@@ -117,7 +115,7 @@ def test_criterion_5_third_zero_tables():
 
 def test_criterion_6_first_zero_table():
     t0 = time.perf_counter()
-    rows11, _ = tables.generate_table(11, jobs=JOBS)
+    rows11, _ = tables.generate_table(11)
     got = {r.label.split()[-1]: r.claimed_bound for r in rows11}
     expected = {"ge6": 0.440, "5": 0.493, "4": 0.478, "3": 0.498, "2": 0.628}
     ok = _rows_ok(rows11) and got == expected
@@ -162,7 +160,7 @@ def test_criterion_9_property_suites():
     ]
     rng = np.random.default_rng(99)
     for prob, grid in problems:
-        cert = sup_bound(prob, grid, jobs=JOBS)
+        cert = sup_bound(prob, grid)
         if domination_check(cert, samples=100_000, seed=99)["max_excess"] > 0:
             failures.append(f"domination {prob.as_record()}")
         t = rng.uniform(grid.x1, grid.x1 + 80.0, 20_000)

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from linnik.cli import main
+from linnik.kernel import WeightKernel
 
 
 def test_eval_F_at_zero(capsys):
@@ -81,6 +83,14 @@ def test_table_csv_deterministic_across_jobs(tmp_path, capsys):
     assert main(["table", "9", "--out", str(b), "--jobs", "3", "--seed", "7"]) == 0
     assert (a / "table_9.csv").read_bytes() == (b / "table_9.csv").read_bytes()
     assert (a / "audit_9.json").read_bytes() == (b / "audit_9.json").read_bytes()
+
+
+def test_table_non_finite_lattice_fails_closed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(WeightKernel, "re_F_lattice",
+                        lambda self, s, t: np.full((np.size(s), np.size(t)), np.nan))
+    assert main(["table", "9", "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "table_9.csv").exists()
+    assert "FAILED" in capsys.readouterr().err
 
 
 def test_table_12_integer_exact(tmp_path, capsys):

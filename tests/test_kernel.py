@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from linnik.kernel import (LinnikParams, WeightKernel, classic_density_bound)
+from linnik.kernel import (SMALL_Z_RADIUS, LinnikParams, WeightKernel,
+                           classic_density_bound)
 
 PARAMS = LinnikParams()
 
@@ -88,6 +89,51 @@ def test_F_series_switch_radius_is_safe():
         for phase in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
             z = r * complex(math.cos(phase), math.sin(phase))
             assert abs(kern.F(z) - kern.F_quadrature(z)) < 2e-10, f"|z|={r}"
+
+
+# points just inside and outside the series disk, and z = 0 itself
+_EDGE = np.array([0.0, SMALL_Z_RADIUS * (1 - 1e-9), SMALL_Z_RADIUS * (1 + 1e-9), 0.1, -0.1])
+
+# the three lattice shapes grid_max evaluates: one row of t values, a column
+# of s = s1 - s2 values, and a full block
+LATTICE_SHAPES = {
+    "row": (np.array([0.0]), np.concatenate([_EDGE, np.linspace(0.0, 15.0, 601)])),
+    "column": (np.concatenate([_EDGE, np.linspace(-0.5, 4.0, 91)]), np.array([0.0])),
+    "block": (np.concatenate([_EDGE, np.linspace(0.0, 4.0, 41)]),
+              np.concatenate([_EDGE, np.linspace(0.0, 7.0, 141)])),
+}
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.8, 1.05, 1.3])
+@pytest.mark.parametrize("shape", sorted(LATTICE_SHAPES))
+def test_re_F_lattice_matches_F(gamma, shape):
+    s, t = LATTICE_SHAPES[shape]
+    kern = WeightKernel(gamma)
+    got = kern.re_F_lattice(s, t)
+    assert got.shape == (s.size, t.size)
+    want = np.real(kern.F(-s[:, None] + 1j * t))
+    # both closed forms are within 1e-10 of F just outside the series disk
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=2e-10)
+
+
+def test_re_F_lattice_against_mpmath_oracle():
+    import mpmath
+
+    def oracle(gamma, z):
+        with mpmath.workdps(30):
+            g, zz = mpmath.mpf(gamma), mpmath.mpc(z)
+            f = lambda x: -x**5 / 30 + 2 * g * g / 3 * x**3 - 4 * g**3 / 3 * x * x + 16 * g**5 / 15
+            return float(mpmath.re(mpmath.quad(lambda x: f(x) * mpmath.exp(-zz * x),
+                                               mpmath.linspace(0, 2 * g, 9))))
+
+    points = [(0.0, 0.0), (SMALL_Z_RADIUS * (1 + 1e-9), 0.0), (0.1, 0.1),
+              (0.0, 0.1501), (-0.1, 0.5), (0.9, 3.7), (2.5, 11.0), (4.0, 0.0)]
+    for gamma in (0.5, 1.3):
+        kern = WeightKernel(gamma)
+        for s, t in points:
+            got = kern.re_F_lattice(np.array([s]), np.array([t]))[0, 0]
+            want = oracle(gamma, complex(-s, t))
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (gamma, s, t)
 
 
 def test_F_imaginary_axis_cosine_transform():

@@ -1,12 +1,16 @@
 """Sup-certificate tests: domination, tail validity, derivative soundness."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linnik import supbound
 from linnik.kernel import WeightKernel
-from linnik.supbound import (A_eval, GridSpec, SupProblem, auto_grid,
+from linnik.supbound import (A_eval, GridSpec, SupProblem, _lattice, auto_grid,
                              derivative_bounds, domination_check, grid_max,
                              sup_bound, tail_bound)
 
@@ -134,11 +138,58 @@ def test_certificate_dominates_monte_carlo(prob, grid):
     assert check["max_excess"] <= 0.0
 
 
-def test_determinism_across_parallel_schedules():
+coefficient = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+box_start = st.floats(0.0, 3.5)
+box_width = st.one_of(st.just(0.0), st.floats(0.01, 0.3))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gamma=st.floats(0.5, 1.3), k1=coefficient, k2=coefficient, k3=coefficient,
+       s11=box_start, w1=box_width, s21=st.floats(0.0, 1.0), w2=box_width,
+       ds1=st.floats(0.03, 0.2), ds2=st.floats(0.03, 0.2),
+       x1=st.one_of(st.just(0.0), st.floats(0.1, 8.0)), dt=st.floats(0.01, 0.1))
+def test_grid_max_equals_brute_force_lattice_max(gamma, k1, k2, k3, s11, w1, s21, w2,
+                                                 ds1, ds2, x1, dt):
+    s12 = min(4.0, s11 + w1)
+    prob = SupProblem(WeightKernel(gamma), k1, k2, k3, s11, s12, s21, s21 + w2)
+    grid = GridSpec(ds1 if s12 > s11 else 0.0, ds2 if w2 else 0.0, dt, x1)
+    t = np.array([0.0]) if x1 == 0.0 else _lattice(0.0, x1, dt)
+    brute = max(float(np.max(A_eval(prob, a, b, t)))
+                for a in _lattice(prob.s11, prob.s12, grid.ds1)
+                for b in _lattice(prob.s21, prob.s22, grid.ds2))
+    # per term, the lattice kernel and F each keep the 1e-10 closed-form budget
+    # plus rounding relative to |Re F| <= F(-s12)
+    tol = (k1 + k2 + k3) * (2e-10 + 1e-12 * prob.kernel.F_real(-prob.s12))
+    assert abs(grid_max(prob, grid) - brute) <= tol
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("corrupt_call", [1, 3])
+def test_non_finite_lattice_value_refuses_certificate(monkeypatch, bad, corrupt_call):
     prob, grid = PROBLEMS[2], GRIDS[2]
-    certs = [sup_bound(prob, grid, jobs=j) for j in (1, 2, 7)]
-    assert len({c.bound for c in certs}) == 1
-    assert len({c.m0 for c in certs}) == 1
+    honest = sup_bound(prob, grid)
+    assert honest.bound > honest.tail  # a bound lowered to the tail would show
+    real = WeightKernel.re_F_lattice
+    calls = []
+
+    def corrupted(self, s, t):
+        out = real(self, s, t)
+        calls.append(None)
+        if len(calls) == corrupt_call:  # call 1 is a k1 block, call 3 a k2 block
+            out[-1, out.shape[1] // 2] = bad
+        return out
+
+    monkeypatch.setattr(WeightKernel, "re_F_lattice", corrupted)
+    with pytest.raises(FloatingPointError):
+        sup_bound(prob, grid)
+
+
+def test_non_finite_derivative_bound_refuses_certificate(monkeypatch):
+    prob, grid = PROBLEMS[2], GRIDS[2]
+    d1, d2, d3 = derivative_bounds(prob)
+    monkeypatch.setattr(supbound, "derivative_bounds", lambda p: (math.nan, d2, d3))
+    with pytest.raises(FloatingPointError):
+        sup_bound(prob, grid)
 
 
 def test_sup_bound_rejects_small_x1():
