@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import density, final, tables
-from .kernel import LinnikParams, WeightKernel, classic_density_bound
+from .kernel import LinnikParams, QuadratureError, WeightKernel, classic_density_bound
 from .supbound import SupCertificate, domination_check
 
 EXIT_OK = 0
@@ -24,6 +25,7 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 EVAL_FUNCTIONS = ("f", "F", "B", "H", "H2", "w1", "w", "C", "classic_density")
+PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(LinnikParams))
 
 TABLE_CSV_COLUMNS = ("table", "label", "lambda1_lo", "lambda1_hi", "lambda_star",
                      "claimed_bound", "computed_C", "published_C", "margin", "certified")
@@ -44,12 +46,19 @@ def _params_from_args(args) -> LinnikParams:
     kwargs = {}
     if getattr(args, "params", None):
         with open(args.params) as fh:
-            kwargs.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.params}: expected a JSON object of parameters")
+        unknown = sorted(set(loaded) - set(PARAM_FIELDS))
+        if unknown:
+            raise ValueError(f"{args.params}: unknown parameter(s) {', '.join(unknown)}; "
+                             f"expected some of {', '.join(PARAM_FIELDS)}")
+        kwargs.update(loaded)
     for name in ("L", "K", "theta", "c1", "c2"):
         val = getattr(args, name, None)
         if val is not None:
             kwargs[name] = val
-    if getattr(args, "tol", None):
+    if getattr(args, "tol", None) is not None:
         kwargs["quad_tol"] = args.tol
     return LinnikParams(**kwargs)
 
@@ -265,7 +274,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FloatingPointError as exc:  # a NaN or inf refused a certificate
+    except (FloatingPointError, QuadratureError) as exc:  # a NaN, inf or bad quadrature
         print(f"FAILED: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except (ValueError, KeyError, FileNotFoundError) as exc:

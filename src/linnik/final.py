@@ -111,7 +111,7 @@ def load_registry() -> List[FinalCase]:
     return [FinalCase.from_json(obj) for obj in _data.final_cases()["cases"]]
 
 
-def lambda_schedule(case: FinalCase, params: LinnikParams):
+def lambda_schedule(case: FinalCase):
     """(lambda3*, s, [Lambda_0 .. Lambda_s]) with Lambda_r = Lambda - 0.025 r.
 
     s = floor(40 (Lambda - lambda3*)); when the third-zero bound reaches
@@ -135,8 +135,7 @@ def n0_schedule(case: FinalCase, tables: Optional[DensityTables] = None) -> List
         raise ValueError(f"case {case.id} uses no counting table")
     tables = tables or regenerated_tables()
     ref = case.density
-    params = LinnikParams()
-    _, _, grid = lambda_schedule(case, params)
+    _, _, grid = lambda_schedule(case)
     out = []
     for lam in grid:
         if ref.lambda0 is not None and lam > ref.lambda0 + 1e-9:
@@ -153,35 +152,46 @@ def n0_schedule(case: FinalCase, tables: Optional[DensityTables] = None) -> List
     return out
 
 
+def _finite(case: FinalCase, name: str, value: float) -> float:
+    """value, or FloatingPointError if it is a NaN or an inf (which max() and
+    comparisons would otherwise drop or pass)."""
+    if not math.isfinite(value):
+        raise FloatingPointError(f"case {case.id}: {name} is not finite ({value!r})")
+    return value
+
+
 def c_star(case: FinalCase, params: LinnikParams) -> float:
     """Max of the three first-zero contribution candidates.
 
     The unbounded-window sentinel lambda1_hi=None zeroes the w-ratio term; a
     missing second-zero bound (None) zeroes its exponential and C term.
+    Raises FloatingPointError if a candidate is not finite.
     """
     lp = case.lambda_prime_lo
     l11, l12 = case.lambda1_lo, case.lambda1_hi
-    alpha = case.alpha
     K2 = params.K * params.K
     exp_lp = 0.0 if lp is None else math.exp(-params.decay * lp)
     c_lp = params.C(case.Lambda, lp)
     ratio_L = math.exp(-params.decay * case.Lambda) * params.B(case.Lambda)
     w_ratio = params.w(l12) / params.w(case.Lambda)
-    moved = (exp_lp * max(0.0, params.B(l11) - alpha * complex(params.H2(l11)).real / K2)
+    h2 = case.alpha * complex(params.H2(l11)).real / K2
+    lead = _finite(case, "B(lambda1) - H2 term", params.B(l11) - h2)
+    moved = (exp_lp * max(0.0, lead)
              - ratio_L * w_ratio
-             + alpha * complex(params.H2(l11)).real / K2 * math.exp(-params.decay * l11))
-    return max(0.0, c_lp, moved)
+             + h2 * math.exp(-params.decay * l11))
+    return max(0.0, _finite(case, "C(lambda')", c_lp), _finite(case, "moved term", moved))
 
 
 def compute_W(case: FinalCase, params: LinnikParams,
               tables: Optional[DensityTables] = None) -> CaseResult:
     """W for one case row, with its full term breakdown."""
-    l3_star, s, grid = lambda_schedule(case, params)
+    l3_star, s, grid = lambda_schedule(case)
     base = (params.penalty_integral() / (params.c1 * params.c2 ** 2)
             * math.exp(-params.decay * case.Lambda) * params.B(case.Lambda)
             / params.w(case.Lambda))
-    second = max(2.0 * params.C(case.Lambda, case.lambda2_lo), 0.0)
-    c_l3 = params.C(case.Lambda, l3_star)
+    c_l2 = _finite(case, "C(lambda2)", params.C(case.Lambda, case.lambda2_lo))
+    second = max(2.0 * c_l2, 0.0)
+    c_l3 = _finite(case, "C(lambda3*)", params.C(case.Lambda, l3_star))
 
     if case.density is not None:
         n0 = n0_schedule(case, tables)
@@ -212,9 +222,9 @@ def compute_W(case: FinalCase, params: LinnikParams,
         "c_star": cstar_term,
     }
     for name, value in terms.items():
-        if value < -1e-12:
+        if _finite(case, f"term {name}", value) < -1e-12:
             raise RuntimeError(f"case {case.id}: term {name} negative ({value})")
-    W = sum(terms.values())
+    W = _finite(case, "W", sum(terms.values()))
     return CaseResult(case=case, W=W, certified=W < 1.0 - W_MARGIN,
                       margin=1.0 - W, terms=terms, schedule=schedule)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from linnik.cli import main
-from linnik.kernel import WeightKernel
+from linnik.kernel import LinnikParams, WeightKernel
 
 
 def test_eval_F_at_zero(capsys):
@@ -125,3 +125,37 @@ def test_invalid_params_file_is_usage_error(tmp_path, capsys):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"L": 3.0}))  # violates L - 2K > 3
     assert main(["verify-final", "--params", str(params), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize("method", ["H2", "B", "w"])
+def test_verify_final_non_finite_fails_closed(tmp_path, monkeypatch, capsys, method, bad):
+    monkeypatch.setattr(LinnikParams, method, lambda self, *args: bad)
+    assert main(["verify-final", "--out", str(tmp_path)]) == 1
+    assert "FAILED:" in capsys.readouterr().err
+    assert not (tmp_path / "final_report.csv").exists()
+
+
+def test_eval_w_overflow_fails_closed(capsys):
+    assert main(["eval", "w", "--s", "1000"]) == 1
+    assert "FAILED:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    {"L": 5.2, "gamma": 1.0},   # unknown key
+    {"L": "5.2"},               # wrong type
+    {"theta": None},
+    {"quad_tol": -1.0},
+    [5.2, 0.32],                # not an object
+], ids=["unknown-key", "string", "null", "negative-tol", "list"])
+def test_bad_params_file_is_usage_error(tmp_path, capsys, content):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(content))
+    assert main(["verify-final", "--params", str(params), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_bad_tol_is_usage_error(tmp_path, capsys, tol):
+    assert main(["verify-final", "--tol", tol, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")

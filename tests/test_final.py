@@ -31,19 +31,19 @@ def _registry_case(case_id: str) -> FinalCase:
 # ------------------------------------------------------------ schedule -----
 
 def test_schedule_collapses_when_third_zero_reaches_split():
-    l3s, s, grid = lambda_schedule(_case(lambda3_lo=1.29, Lambda=1.29), PARAMS)
+    l3s, s, grid = lambda_schedule(_case(lambda3_lo=1.29, Lambda=1.29))
     assert (l3s, s) == (1.29, 0)
     assert grid == [1.29]
 
 
 def test_schedule_depth_19():
-    l3s, s, grid = lambda_schedule(_case(lambda3_lo=0.857, Lambda=1.350), PARAMS)
+    l3s, s, grid = lambda_schedule(_case(lambda3_lo=0.857, Lambda=1.350))
     assert s == 19
     assert grid[-1] == pytest.approx(0.875)
 
 
 def test_schedule_three_points():
-    l3s, s, grid = lambda_schedule(_case(lambda3_lo=1.175, Lambda=1.225), PARAMS)
+    l3s, s, grid = lambda_schedule(_case(lambda3_lo=1.175, Lambda=1.225))
     assert s == 2
     assert grid == pytest.approx([1.225, 1.200, 1.175])
 
@@ -51,7 +51,7 @@ def test_schedule_three_points():
 def test_schedule_consistency_across_registry():
     # Lambda_{s+1} < lambda3* <= Lambda_s for every shipped case
     for case in load_registry():
-        l3s, s, grid = lambda_schedule(case, PARAMS)
+        l3s, s, grid = lambda_schedule(case)
         assert grid[s] >= l3s - 1e-12, case.id
         assert grid[s] - 0.025 < l3s, case.id
 
@@ -62,7 +62,7 @@ def test_n0_schedule_with_band_branch():
     # the documented band example: N(1.075) in [7, 10] uses the capped
     # unconditional column below the branch point and the >=7 column above
     case = _registry_case("16.4b")
-    grid = lambda_schedule(case, PARAMS)[2]
+    grid = lambda_schedule(case)[2]
     n0 = n0_schedule(case)
     by_lam = dict(zip([round(x, 3) for x in grid], n0))
     assert by_lam[1.300] == 101 and by_lam[1.125] == 23 and by_lam[1.100] == 21
@@ -73,7 +73,7 @@ def test_n0_schedule_with_band_branch():
 def test_n0_schedule_unconditional():
     case = _registry_case("15.1")
     n0 = n0_schedule(case)
-    grid = lambda_schedule(case, PARAMS)[2]
+    grid = lambda_schedule(case)[2]
     keine = {round(float(r["lam"]), 3): int(r["bound"])
              for r in _data.published_table(12)
              if r["lambda1"] == "0.62" and not r["n0"] and r["bound"] != "-"}
@@ -110,6 +110,17 @@ def test_c_star_nonnegative_across_registry():
 
 
 # ---------------------------------------------------------------- W --------
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("method", ["H2", "B", "w"])
+def test_non_finite_input_refuses_every_case(monkeypatch, method, bad):
+    # max(0.0, c_lp, nan) returns a finite value and `nan < -1e-12` is False,
+    # so a NaN or inf must be refused explicitly
+    monkeypatch.setattr(LinnikParams, method, lambda self, *args: bad)
+    for case in load_registry():
+        with pytest.raises(FloatingPointError):
+            compute_W(case, PARAMS)
+
 
 def test_W_spec_rows():
     assert compute_W(_registry_case("14.1"), PARAMS).W <= 0.8250 + 1e-4

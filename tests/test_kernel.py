@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from linnik.kernel import (SMALL_Z_RADIUS, LinnikParams, WeightKernel,
-                           classic_density_bound)
+from linnik.kernel import (SMALL_Z_RADIUS, W1_OFFSET, LinnikParams,
+                           QuadratureError, WeightKernel, _GL16, _GL32,
+                           _gauss_legendre, classic_density_bound)
 
 PARAMS = LinnikParams()
 
@@ -299,6 +300,72 @@ def test_penalty_against_dense_midpoint_oracle():
     assert p.penalty_integral() == pytest.approx(oracle, rel=1e-6)
 
 
+# corners and centre of the parameter box the final_sweep benchmark samples
+ORACLE_PARAMS = [dict(L=5.3, theta=1.15, c1=0.11, c2=0.27),
+                 dict(L=5.0, theta=1.05, c1=0.09, c2=0.24),
+                 dict(L=5.6, theta=1.25, c1=0.13, c2=0.30),
+                 dict(L=5.0, theta=1.25, c1=0.09, c2=0.30),
+                 dict(L=5.6, theta=1.05, c1=0.13, c2=0.24)]
+
+
+@pytest.mark.parametrize("kw", ORACLE_PARAMS, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_w_and_penalty_against_mpmath_oracle(kw):
+    import mpmath
+    p = LinnikParams(**kw)
+    with mpmath.workdps(30):
+        u = mpmath.mpf(1) / 3 + 2 * mpmath.mpf(p.c1)
+        v = u + mpmath.mpf(p.c2)
+        x = mpmath.mpf(2) / 3 + 3 * mpmath.mpf(p.c1) + mpmath.mpf(p.c2)
+        theta, eps = mpmath.mpf(p.theta), mpmath.mpf(W1_OFFSET)
+        root = lambda t: mpmath.sqrt(min(t - u, v - u) + eps)
+        splits = [u, u + eps, v, x]
+        for s in (0.005, 0.3, 1.0, 1.29, 2.0):
+            oracle = mpmath.quad(
+                lambda t: mpmath.exp((2 * mpmath.mpf(s) - theta) * t) * root(t), splits)
+            assert 1.0 / p.w(s) == pytest.approx(float(oracle), rel=1e-13), s
+        oracle = mpmath.quad(lambda t: min(t - u, v - u) * mpmath.exp(theta * t) / root(t),
+                             splits)
+    assert p.penalty_integral() == pytest.approx(float(oracle), rel=1e-13)
+
+
+def test_w_overflow_raises():
+    # past s ~ 31 the 16- and 32-node rules disagree; far beyond, e^{2st} overflows
+    with pytest.raises(QuadratureError):
+        PARAMS.w(100.0)
+    with pytest.raises(FloatingPointError):
+        PARAMS.w(1e3)
+
+
+def test_gauss_legendre_rule_and_its_checks():
+    for n, (nodes, weights) in ((16, _GL16), (32, _GL32)):
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights, ref_weights, rtol=1e-13)
+    # exact on a degree-31 polynomial; the 16-node rule is exact to degree 31
+    # as well, so the check passes
+    value = _gauss_legendre(lambda t: 32.0 * t**31, 0.0, 1.0, 1e-12)
+    assert value == pytest.approx(1.0, rel=1e-14)
+    # sqrt has an endpoint singularity the fixed rule cannot resolve
+    with pytest.raises(QuadratureError):
+        _gauss_legendre(np.sqrt, 0.0, 1.0, 1e-12)
+    # a bare |I32 - I16| > tol test would pass a NaN
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(FloatingPointError):
+            _gauss_legendre(lambda t: np.where(t > 0.9, bad, t), 0.0, 1.0, 1e-12)
+
+
+def test_xf_exp_moment_against_mpmath_oracle():
+    import mpmath
+    for gamma in (0.5, 0.9, 1.3):
+        kern = WeightKernel(gamma)
+        g = mpmath.mpf(gamma)
+        f = lambda x: -x**5 / 30 + 2 * g**2 / 3 * x**3 - 4 * g**3 / 3 * x**2 + 16 * g**5 / 15
+        for c in (0.0, 0.7, 2.0, 4.0):
+            with mpmath.workdps(30):
+                oracle = mpmath.quad(lambda x: x * f(x) * mpmath.exp(c * x), [0, 2 * g])
+            assert kern.xf_exp_moment(c) == pytest.approx(float(oracle), rel=1e-13), (gamma, c)
+
+
 def test_C_vanishes_at_split_point():
     assert PARAMS.C(1.29, 1.29) == pytest.approx(0.0, abs=1e-9)
 
@@ -324,6 +391,16 @@ def test_damped_ratio_nonincreasing():
 def test_params_precondition():
     with pytest.raises(ValueError):
         LinnikParams(L=3.0)
+
+
+@pytest.mark.parametrize("kw", [dict(quad_tol=-1.0), dict(quad_tol=0.0),
+                                dict(theta=math.nan), dict(L=math.inf),
+                                dict(epsilon=-math.inf), dict(c1="0.11"),
+                                dict(K=None), dict(c2=True)],
+                         ids=repr)
+def test_params_reject_non_finite_and_wrong_types(kw):
+    with pytest.raises(ValueError):
+        LinnikParams(**kw)
 
 
 # ---------------------------------------------- classic density bound ------
