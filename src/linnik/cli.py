@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import density, final, tables
 from .kernel import LinnikParams, QuadratureError, WeightKernel, classic_density_bound
-from .supbound import SupCertificate, domination_check
+from .supbound import domination_check
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -121,24 +121,6 @@ def _write_csv(path: Path, columns, rows):
         writer.writerows(rows)
 
 
-def _audit_certificates(audit, seed: int):
-    out = []
-    for record in audit:
-        entry = dict(record)
-        prob_rec = record["problem"]
-        kern = WeightKernel(prob_rec["gamma"])
-        from .supbound import GridSpec, SupProblem
-        cert = SupCertificate(
-            problem=SupProblem(kern, prob_rec["k1"], prob_rec["k2"], prob_rec["k3"],
-                               *prob_rec["s1_box"], *prob_rec["s2_box"]),
-            grid=GridSpec(**record["grid"]),
-            m0=record["m0"], d1=record["d1"], d2=record["d2"], d3=record["d3"],
-            tail=record["tail"], bound=record["bound"])
-        entry["domination_sample"] = domination_check(cert, samples=2000, seed=seed)
-        out.append(entry)
-    return out
-
-
 def cmd_table(args) -> int:
     n = args.number
     outdir = Path(args.out)
@@ -164,7 +146,7 @@ def cmd_table(args) -> int:
         print(f"table {n}: {len(records)} cells checked, all printed values match")
         return EXIT_OK
 
-    rows, audit = tables.generate_table(n)
+    rows, certificates = tables.generate_table(n)
     csv_rows = []
     for r in rows:
         csv_rows.append([
@@ -177,14 +159,19 @@ def cmd_table(args) -> int:
     _write_csv(outdir / f"table_{n}.csv", TABLE_CSV_COLUMNS, csv_rows)
     with open(outdir / f"audit_{n}.json", "w") as fh:
         json.dump({"table": n, "seed": args.seed,
-                   "certificates": _audit_certificates(audit, args.seed)},
+                   "certificates": [
+                       {**cert.as_record(),
+                        "domination_sample": domination_check(cert, samples=2000,
+                                                              seed=args.seed)}
+                       for cert in certificates]},
                   fh, indent=1, sort_keys=True)
     bad = [r for r in rows if not (r.certified and r.c_reproduced)]
     if bad:
         for r in bad:
             print(f"FAILED table {n} row {r.label}: certified={r.certified} "
                   f"margin={r.margin:.3e} computed_C={r.computed_C} "
-                  f"published_C={r.published_C}")
+                  f"published_C={r.published_C} "
+                  f"failed_checks={r.detail.get('failed_checks', ())}")
         return EXIT_FAILED
     print(f"table {n}: {len(rows)} rows certified")
     return EXIT_OK

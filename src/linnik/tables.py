@@ -17,14 +17,30 @@ The inequalities fall into four families:
   a guard supremum),
 * first zero via a degree-four trigonometric polynomial with fixed integer
   coefficients 14379 / 24480 / 14900 / 6000 / 1250.
+
+Tables 2-6, 9 and 10 certify their own suprema.  The others read certified
+rows of the tables they depend on:
+
+* table 7 <- 4, 5, 6: the row-wise minimum, with no supremum of its own;
+* table 8 <- 2, 4, 6, 7: table 4's window and certificates at each cap,
+  lambda* = min(table 2, table 7) and the case-7 column from table 6;
+* table 11 <- 2, 3, 6, 7: lambda* at the assumed cap.
+
+A downstream row is certified only if every upstream row it reads is.
+``generate_table`` certifies each table at most once per process: the
+result, a tuple of frozen rows and a tuple of certificates, is memoised and
+shared by every caller.  A NaN or inf in any decision RHS raises
+FloatingPointError instead of deciding the row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -70,9 +86,12 @@ class InequalityConfig:
     certificates: tuple = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableRow:
-    """One certified table row with its decision margin and audit data."""
+    """One certified table row with its decision margin and audit data.
+
+    Rows are shared through the memo, so ``detail`` is a read-only view.
+    """
 
     table: int
     label: str
@@ -84,13 +103,44 @@ class TableRow:
     computed_C: tuple = ()
     certified: bool = False
     margin: float = math.nan
-    detail: dict = field(default_factory=dict)
+    detail: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "detail", MappingProxyType(dict(self.detail)))
 
     @property
     def c_reproduced(self) -> bool:
         """Every computed sup bound within the published cap plus slack."""
         return all(c <= p + PUBLISHED_C_SLACK
                    for c, p in zip(self.computed_C, self.published_C))
+
+
+def _finite_max(rhs) -> tuple:
+    """(max, argmax) of decision RHS values, scalars or a stepped array.
+
+    Raises FloatingPointError if any value is a NaN or an inf: builtin
+    max(-inf, nan) returns -inf and np.argmax passes over a -inf, so either
+    would decide a row on a value that was never computed.
+    """
+    arr = np.asarray(rhs, dtype=float).ravel()
+    if not np.all(np.isfinite(arr)):
+        raise FloatingPointError(f"non-finite decision RHS among {arr.size} value(s)")
+    j = int(np.argmax(arr))
+    return float(arr[j]), j
+
+
+def _decided(rhs, detail: dict, **checks: bool) -> dict:
+    """The certified, margin and detail fields of a row decided at ``rhs``.
+
+    Certified iff the worst RHS is below -CERT_MARGIN and every named check
+    holds; the names of the failing checks go to detail["failed_checks"].
+    """
+    worst, _ = _finite_max(rhs)
+    failed = tuple(name for name, ok in checks.items() if not ok)
+    if failed:
+        detail = {**detail, "failed_checks": failed}
+    return {"certified": worst < -CERT_MARGIN and not failed, "margin": -worst,
+            "detail": detail}
 
 
 # --------------------------------------------------------------------------
@@ -183,21 +233,7 @@ def delta_step_max(kernel: WeightKernel, k: float, lambda1_hi: float,
     rhs = ((k * k + 0.5) * (kernel.F_real(-b) - kernel.F_real(lambda1_hi - b) - kernel.F0)
            - (2.0 * k - (k * k + 0.5)) * kernel.F_real(lambda1_hi - a)
            + D)
-    worst = int(np.argmax(rhs))
-    return float(rhs[worst]), worst, n
-
-
-def delta_step_certify(kernel: WeightKernel, k: float, lambda1_box, start: float,
-                       target: float, delta: float, D: float, *, table: int = 0,
-                       label: str = "", lambda_star=None, claimed=None) -> TableRow:
-    """Certify a stepped second-character bound; the row records the worst step."""
-    lo, hi = lambda1_box
-    worst, worst_j, n = delta_step_max(kernel, k, hi, start, target, delta, D)
-    row = TableRow(table=table, label=label or f"{hi}", lambda1_lo=lo, lambda1_hi=hi,
-                   lambda_star=lambda_star, claimed_bound=claimed if claimed is not None else target,
-                   certified=worst < -CERT_MARGIN, margin=-worst,
-                   detail={"worst_step": worst_j, "steps": n, "worst_rhs": worst, "D": D})
-    return row
+    return (*_finite_max(rhs), n)
 
 
 def rhs_lambda3_complex(kernel: WeightKernel, lambda1_lo: float, lambda1_hi: float,
@@ -247,7 +283,7 @@ def gen_table2():
     zero in s2; beyond 0.68 lambda* = lambda1 and the problem moves to the
     (s1, k3) form.
     """
-    rows, audit = [], []
+    rows, certs = [], []
     lam_star_map = _data.hb92_map("lambda_star_table2")
     caps = [r["lambda1_hi"] for r in _data.published_table(2)]
     for i, pub in enumerate(_data.published_table(2)):
@@ -271,15 +307,14 @@ def gen_table2():
         rows.append(TableRow(table=2, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
                              lambda_star=lam_star, claimed_bound=pub["lambda_prime"],
                              published_C=(pub["C"],), computed_C=(cert.bound,),
-                             certified=rhs < -CERT_MARGIN, margin=-rhs,
-                             detail={"gamma": gamma, "k": k, "rhs": rhs}))
-        audit.append(cert.as_record())
-    return rows, audit
+                             **_decided(rhs, {"gamma": gamma, "k": k, "rhs": rhs})))
+        certs.append(cert)
+    return rows, certs
 
 
 def gen_table3():
     """Second-zero bounds, character order 2..4 (19 rows, two suprema each)."""
-    rows, audit = [], []
+    rows, certs = [], []
     caps = [r["lambda1_hi"] for r in _data.published_table(3)]
     for i, pub in enumerate(_data.published_table(3)):
         cap = pub["lambda1_hi"]
@@ -299,23 +334,9 @@ def gen_table3():
                              lambda_star=None, claimed_bound=pub["lambda_prime"],
                              published_C=(pub["C1"], pub["C2"]),
                              computed_C=(cert_a.bound, cert_b.bound),
-                             certified=rhs < -CERT_MARGIN, margin=-rhs,
-                             detail={"gamma": gamma, "k": k, "rhs": rhs}))
-        audit.extend([cert_a.as_record(), cert_b.as_record()])
-    return rows, audit
-
-
-def _t4_sup_certs(cap: float, lo: float, alt: float, neu: float):
-    """The two supremum certificates attached to a second-character row."""
-    gamma = 0.42 + cap
-    k = 0.59 + 0.4 * cap
-    kern = WeightKernel(gamma)
-    grid = GridSpec(ds1=0.015, ds2=0.007, dt=0.015, x1=7.0)
-    cert_a = sup_bound(SupProblem(kern, k1=0.25, k2=k, k3=0.0,
-                                  s11=alt, s12=neu, s21=lo, s22=cap), grid)
-    cert_b = sup_bound(SupProblem(kern, k1=0.0, k2=0.25, k3=0.0,
-                                  s11=alt, s12=neu, s21=lo, s22=cap), grid)
-    return kern, k, cert_a, cert_b
+                             **_decided(rhs, {"gamma": gamma, "k": k, "rhs": rhs})))
+        certs.extend([cert_a, cert_b])
+    return rows, certs
 
 
 def gen_table4():
@@ -323,39 +344,42 @@ def gen_table4():
 
     Each row steps from the imported old bound to the new one twice (case-1
     and case-2 penalties) and checks that the case-2 penalty dominates those
-    of cases 3, 4, 6, 8.
+    of cases 3, 4, 6, 8.  Each row has two certificates, in row order.
     """
-    rows, audit = [], []
+    rows, certs = [], []
     alt_map = _data.hb92_map("lambda2_alt")
     caps = [r["lambda1_hi"] for r in _data.published_table(4)]
     for i, pub in enumerate(_data.published_table(4)):
         cap = pub["lambda1_hi"]
         lo = _lambda1_lo(caps, i, 0.34)
         alt, neu = pub["lambda2_alt"], pub["lambda2_new"]
-        assert alt == alt_map[cap]
-        kern, k, cert_a, cert_b = _t4_sup_certs(cap, lo, alt, neu)
-        f0 = kern.f0
-        d_by_case = {c: lambda2_D(c, k, f0, cert_a.bound, cert_b.bound)
-                     for c in (1, 2, 3, 4, 6, 8)}
+        gamma, k = 0.42 + cap, 0.59 + 0.4 * cap
+        kern = WeightKernel(gamma)
+        grid = GridSpec(ds1=0.015, ds2=0.007, dt=0.015, x1=7.0)
+        cert_a = sup_bound(SupProblem(kern, k1=0.25, k2=k, k3=0.0,
+                                      s11=alt, s12=neu, s21=lo, s22=cap), grid)
+        cert_b = sup_bound(SupProblem(kern, k1=0.0, k2=0.25, k3=0.0,
+                                      s11=alt, s12=neu, s21=lo, s22=cap), grid)
+        d_by_case = MappingProxyType({c: lambda2_D(c, k, kern.f0, cert_a.bound, cert_b.bound)
+                                      for c in (1, 2, 3, 4, 6, 8)})
         dominance = all(d_by_case[c] <= d_by_case[2] for c in (3, 4, 6, 8))
-        worst = -math.inf
-        for case in (1, 2):
-            w, wj, n = delta_step_max(kern, k, cap, alt, neu, 1e-4, d_by_case[case])
-            worst = max(worst, w)
+        steps = [delta_step_max(kern, k, cap, alt, neu, 1e-4, d_by_case[case])[0]
+                 for case in (1, 2)]
         rows.append(TableRow(table=4, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
                              lambda_star=None, claimed_bound=neu,
                              published_C=(pub["C1"], pub["C2"]),
                              computed_C=(cert_a.bound, cert_b.bound),
-                             certified=(worst < -CERT_MARGIN) and dominance, margin=-worst,
-                             detail={"gamma": kern.gamma, "k": k, "lambda2_alt": alt,
-                                     "D_by_case": d_by_case, "dominance": dominance}))
-        audit.extend([cert_a.as_record(), cert_b.as_record()])
-    return rows, audit
+                             **_decided(steps, {"gamma": gamma, "k": k, "lambda2_alt": alt,
+                                                "D_by_case": d_by_case, "dominance": dominance},
+                                        dominance=dominance,
+                                        lambda2_alt_imported=alt == alt_map.get(cap))))
+        certs.extend([cert_a, cert_b])
+    return rows, certs
 
 
 def gen_table5():
     """Second-character bounds for case 5 (one supremum, own gamma and k)."""
-    rows, audit = [], []
+    rows, certs = [], []
     caps = [r["lambda1_hi"] for r in _data.published_table(5)]
     for i, pub in enumerate(_data.published_table(5)):
         cap = pub["lambda1_hi"]
@@ -367,14 +391,14 @@ def gen_table5():
         cert_b = sup_bound(SupProblem(kern, k1=0.0, k2=0.25, k3=0.0,
                                       s11=alt, s12=neu, s21=lo, s22=cap), grid)
         D = lambda2_D(5, k, kern.f0, 0.0, cert_b.bound)
-        row = delta_step_certify(kern, k, (lo, cap), alt, neu, 1e-4, D,
-                                 table=5, label=f"{cap:g}")
-        row.published_C = (pub["C2"],)
-        row.computed_C = (cert_b.bound,)
-        row.detail.update({"gamma": gamma, "k": k, "lambda2_alt": alt})
-        rows.append(row)
-        audit.append(cert_b.as_record())
-    return rows, audit
+        worst, worst_j, n = delta_step_max(kern, k, cap, alt, neu, 1e-4, D)
+        rows.append(TableRow(table=5, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
+                             lambda_star=None, claimed_bound=neu,
+                             published_C=(pub["C2"],), computed_C=(cert_b.bound,),
+                             **_decided(worst, {"worst_step": worst_j, "steps": n, "D": D,
+                                                "gamma": gamma, "k": k, "lambda2_alt": alt})))
+        certs.append(cert_b)
+    return rows, certs
 
 
 def gen_table6():
@@ -383,54 +407,48 @@ def gen_table6():
     Rows start at lambda1 >= 0.50; above 0.70 the stepping base is the trivial
     lambda2 >= lambda1 lower end.
     """
-    rows, audit = [], []
+    rows, certs = [], []
     alt_map = _data.hb92_map("lambda2_alt")
     for pub in _data.published_table(6):
         cap = pub["lambda1_hi"]
         lo = round(max(0.50, cap - 0.04), 10)
         alt, neu = pub["lambda2_alt"], pub["lambda2_new"]
-        assert math.isclose(alt, alt_map[cap] if cap <= 0.70 else lo)
         gamma, k = 0.61 + cap / 2.0, 0.81
         kern = WeightKernel(gamma)
         grid = GridSpec(ds1=0.015, ds2=0.015, dt=0.015, x1=7.0)
         cert_a = sup_bound(SupProblem(kern, k1=0.25, k2=k, k3=0.0,
                                       s11=alt, s12=neu, s21=lo, s22=cap), grid)
         D = lambda2_D(7, k, kern.f0, cert_a.bound, 0.0)
-        row = delta_step_certify(kern, k, (lo, cap), alt, neu, 1e-4, D,
-                                 table=6, label=f"{cap:g}")
-        row.published_C = (pub["C1"],)
-        row.computed_C = (cert_a.bound,)
-        row.detail.update({"gamma": gamma, "k": k, "lambda2_alt": alt})
-        rows.append(row)
-        audit.append(cert_a.as_record())
-    return rows, audit
+        worst, worst_j, n = delta_step_max(kern, k, cap, alt, neu, 1e-4, D)
+        base = alt_map.get(cap, math.nan) if cap <= 0.70 else lo
+        rows.append(TableRow(table=6, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
+                             lambda_star=None, claimed_bound=neu,
+                             published_C=(pub["C1"],), computed_C=(cert_a.bound,),
+                             **_decided(worst, {"worst_step": worst_j, "steps": n, "D": D,
+                                                "gamma": gamma, "k": k, "lambda2_alt": alt},
+                                        lambda2_alt_imported=math.isclose(alt, base))))
+        certs.append(cert_a)
+    return rows, certs
 
 
-def table6_bound_at(cap: float, table6_rows=None) -> float:
-    """Case-7 second-character bound valid for lambda1 <= cap (smallest row
-    covering the cap)."""
-    source = table6_rows or _data.published_table(6)
-    best = None
-    for r in source:
-        hi = r["lambda1_hi"] if isinstance(r, dict) else r.lambda1_hi
-        val = r["lambda2_new"] if isinstance(r, dict) else r.claimed_bound
-        if hi >= cap and (best is None or hi < best[0]):
-            best = (hi, val)
-    if best is None:
+def _rows_by_cap(n: int) -> dict:
+    """The certified rows of table n keyed by their cap lambda1_hi."""
+    return {r.lambda1_hi: r for r in _certify(n)[0]}
+
+
+def table6_bound_at(cap: float, rows6) -> TableRow:
+    """The case-7 second-character row valid for lambda1 <= cap: the row with
+    the smallest cap covering it."""
+    covering = [r for r in rows6 if r.lambda1_hi >= cap]
+    if not covering:
         raise ValueError(f"no case-7 row covers lambda1 <= {cap}")
-    return best[1]
+    return min(covering, key=lambda r: r.lambda1_hi)
 
 
-def gen_table7(precomputed=None):
+def gen_table7():
     """All-case second-character bounds: row-wise minimum of tables 4, 5, 6."""
-    if precomputed is None:
-        rows4, _ = gen_table4()
-        rows5, _ = gen_table5()
-        rows6, _ = gen_table6()
-    else:
-        rows4, rows5, rows6 = precomputed
-    by_cap4 = {r.lambda1_hi: r for r in rows4}
-    by_cap5 = {r.lambda1_hi: r for r in rows5}
+    by_cap4, by_cap5 = _rows_by_cap(4), _rows_by_cap(5)
+    rows6 = _certify(6)[0]
     # the real-character/complex-zero case only exists for lambda1 above the
     # imported order-2 first-zero bound, so its column joins the minimum only
     # for caps beyond it
@@ -440,83 +458,69 @@ def gen_table7(precomputed=None):
         cap = pub["lambda1_hi"]
         if pub["lambda2_new"] is None:
             continue  # rows beyond 0.68 only restate the imported bounds
-        candidates = [by_cap4[cap].claimed_bound, by_cap5[cap].claimed_bound]
-        certified = by_cap4[cap].certified and by_cap5[cap].certified
+        used = [by_cap4[cap], by_cap5[cap]]
         if cap > case7_floor:
-            candidates.append(table6_bound_at(cap, rows6))
+            used.append(table6_bound_at(cap, rows6))
+        candidates = tuple(r.claimed_bound for r in used)
         value = min(candidates)
-        rows.append(TableRow(table=7, label=f"{cap:g}", lambda1_lo=by_cap4[cap].lambda1_lo,
+        rows.append(TableRow(table=7, label=f"{cap:g}", lambda1_lo=used[0].lambda1_lo,
                              lambda1_hi=cap, lambda_star=None, claimed_bound=value,
-                             certified=certified and value == pub["lambda2_new"],
-                             margin=min(by_cap4[cap].margin, by_cap5[cap].margin),
-                             detail={"candidates": candidates,
-                                     "published": pub["lambda2_new"]}))
+                             **_decided([-r.margin for r in used],
+                                        {"candidates": candidates,
+                                         "published": pub["lambda2_new"]},
+                                        published=value == pub["lambda2_new"],
+                                        upstream_certified=all(r.certified for r in used))))
     return rows, []
-
-
-def table7_bound_at(cap: float) -> float:
-    """Published all-case second-character bound at a row cap."""
-    for r in _data.published_table(7):
-        if r["lambda1_hi"] == cap and r["lambda2_new"] is not None:
-            return r["lambda2_new"]
-    raise KeyError(f"no all-case second-character row at cap {cap}")
-
-
-def table2_bound_at(cap: float) -> float:
-    for r in _data.published_table(2):
-        if r["lambda1_hi"] == cap:
-            return r["lambda_prime"]
-    raise KeyError(f"no second-zero row at cap {cap}")
 
 
 def gen_table8():
     """Third-character bounds for lambda1 in [0.52, 0.62] (three case columns).
 
     Case-1 and case-2348 columns are fresh negativity checks at a fixed
-    lambda* = min(second-zero, second-character bounds); the case-7 column is
-    the case-7 second-character table read at the covering cap.  The published
-    all-case column must equal the minimum of the three.
+    lambda* = min(second-zero, all-case second-character bounds), with table
+    4's window and suprema at the same cap; the case-7 column is the case-7
+    second-character row covering the cap.  The published all-case column
+    must equal the minimum of the three.
     """
-    rows, audit = [], []
+    by_cap2, by_cap7 = _rows_by_cap(2), _rows_by_cap(7)
+    rows4, certs4 = _certify(4)
+    index4 = {r.lambda1_hi: i for i, r in enumerate(rows4)}
+    rows6 = _certify(6)[0]
+    rows, certs = [], []
+    # chained coverage: each row's bound must be implied for smaller lambda1
+    prev = by_cap7[0.50]
     for pub in _data.published_table(8):
         cap = pub["lambda1_hi"]
-        lo = cap - 0.02
-        lam_star = pub["lambda_star"]
-        assert lam_star == min(table2_bound_at(cap), table7_bound_at(cap))
-        alt, neu = None, None
-        for t4 in _data.published_table(4):
-            if t4["lambda1_hi"] == cap:
-                alt, neu = t4["lambda2_alt"], t4["lambda2_new"]
-        assert alt is not None and alt <= lam_star <= neu, \
-            "the reused supremum certificates must cover the fixed lambda*"
-        kern, k, cert_a, cert_b = _t4_sup_certs(cap, lo, alt, neu)
-        f0 = kern.f0
-        d_by_case = {c: lambda2_D(c, k, f0, cert_a.bound, cert_b.bound)
-                     for c in (1, 2, 3, 4, 6, 8)}
-        dominance = all(d_by_case[c] <= d_by_case[2] for c in (3, 4, 6, 8))
+        i = index4[cap]
+        row2, row4, row7 = by_cap2[cap], rows4[i], by_cap7[cap]
+        row6 = table6_bound_at(cap, rows6)
+        cert_a, cert_b = certs4[2 * i:2 * i + 2]  # table 4 has two per row, in row order
+        kern, k = cert_a.problem.kernel, row4.detail["k"]
+        lam_star = min(row2.claimed_bound, row7.claimed_bound)
         rhs1 = rhs_lambda2_case(kern, k, 1, lam_star, cap, pub["case1"], 0.0, 0.0)
         rhs2 = rhs_lambda2_case(kern, k, 2, lam_star, cap, pub["case2348"],
                                 cert_a.bound, cert_b.bound)
-        case7 = table6_bound_at(cap)
+        case7 = row6.claimed_bound
         all_cases = min(pub["case1"], pub["case2348"], case7)
-        worst = max(rhs1, rhs2)
-        rows.append(TableRow(table=8, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
-                             lambda_star=lam_star, claimed_bound=pub["all_cases"],
-                             certified=(worst < -CERT_MARGIN and dominance
-                                        and case7 == pub["case7"]
-                                        and all_cases == pub["all_cases"]),
-                             margin=-worst,
-                             detail={"gamma": kern.gamma, "k": k,
-                                     "rhs_case1": rhs1, "rhs_case2348": rhs2,
-                                     "case7": case7, "dominance": dominance}))
-        audit.extend([cert_a.as_record(), cert_b.as_record()])
-    # chained coverage: each row's bound must be implied for smaller lambda1
-    chain_source = [table7_bound_at(0.50)] + [r.claimed_bound for r in rows]
-    for row, prev in zip(rows, chain_source):
-        if not row.claimed_bound <= prev:
-            row.certified = False
-            row.detail["chain_broken"] = prev
-    return rows, audit
+        upstream = (row2, row4, row6, row7, prev)
+        rows.append(TableRow(
+            table=8, label=f"{cap:g}", lambda1_lo=row4.lambda1_lo, lambda1_hi=cap,
+            lambda_star=lam_star, claimed_bound=pub["all_cases"],
+            **_decided((rhs1, rhs2),
+                       {"gamma": kern.gamma, "k": k, "rhs_case1": rhs1,
+                        "rhs_case2348": rhs2, "case7": case7},
+                       lambda_star_published=lam_star == pub["lambda_star"],
+                       # the reused supremum certificates must cover the fixed lambda*
+                       certificates_cover=(row4.detail["lambda2_alt"] <= lam_star
+                                           <= row4.claimed_bound),
+                       case7_published=case7 == pub["case7"],
+                       all_cases_is_min=all_cases == pub["all_cases"],
+                       chain=pub["all_cases"] <= prev.claimed_bound,
+                       # a certified table-4 row also holds its case dominance
+                       upstream_certified=all(r.certified for r in upstream))))
+        certs.extend([cert_a, cert_b])
+        prev = rows[-1]
+    return rows, certs
 
 
 def step_lambda3_complex(kern: WeightKernel, lambda1_lo: float, lambda1_hi: float,
@@ -529,8 +533,7 @@ def step_lambda3_complex(kern: WeightKernel, lambda1_lo: float, lambda1_hi: floa
     b = np.minimum(lambda1_lo + (j + 1) * delta, lambda1_hi)
     rhs = (kern.F_real(-b) - kern.F_real(lambda3_hi - b)
            - kern.F_real(lambda2_hi - a) - kern.F0 + 7.0 / 6.0 * kern.f0)
-    worst = int(np.argmax(rhs))
-    return float(rhs[worst]), worst, n
+    return (*_finite_max(rhs), n)
 
 
 def step_lambda3_real(kern: WeightKernel, lambda1_lo: float, lambda1_hi: float,
@@ -544,8 +547,7 @@ def step_lambda3_real(kern: WeightKernel, lambda1_lo: float, lambda1_hi: float,
     b[-1] = max(b[-1], lambda3_hi)
     rhs = (kern.F_real(-b) - kern.F_real(lambda3_hi - b) - kern.F0
            - kern.F_real(lambda1_hi - a) + 9.0 / 8.0 * kern.f0)
-    worst = int(np.argmax(rhs))
-    return float(rhs[worst]), worst, n
+    return (*_finite_max(rhs), n)
 
 
 def gen_table9():
@@ -568,12 +570,11 @@ def gen_table9():
         label = f"[{lo:g},{hi:g}]" + (f" l2<={l2cap:g}" if l2cap is not None else "")
         rows.append(TableRow(table=9, label=label, lambda1_lo=lo, lambda1_hi=hi,
                              lambda_star=None, claimed_bound=l3,
-                             certified=worst < -CERT_MARGIN and guard_ok,
-                             margin=-worst,
-                             detail={"worst_step": worst_j, "steps": n,
-                                     "lambda2_cap": l2cap,
-                                     "guard_bound": guard.bound}))
-    return rows, [guard.as_record()]
+                             **_decided(worst, {"worst_step": worst_j, "steps": n,
+                                                "lambda2_cap": l2cap,
+                                                "guard_bound": guard.bound},
+                                        guard=guard_ok)))
+    return rows, [guard]
 
 
 #: kernel parameter per real-real third-zero window; the middle window cannot
@@ -589,7 +590,7 @@ def gen_table10():
     Each kernel parameter in use gets its own guard certificate; a row is
     certified only under a valid guard for its kernel.
     """
-    rows, audit = [], []
+    rows, certs = [], []
     guards = {}
     for gamma in sorted(set(_T10_GAMMA.values())):
         kern = WeightKernel(gamma)
@@ -597,7 +598,7 @@ def gen_table10():
                                     s11=0.44, s12=1.175, s21=0.44, s22=0.80),
                          GridSpec(ds1=0.03, ds2=0.03, dt=0.03, x1=6.0))
         guards[gamma] = (cert, cert.bound < 0.10 and cert.bound < 5.0 / 48.0 * kern.f0)
-        audit.append(cert.as_record())
+        certs.append(cert)
     for pub in _data.published_table(10):
         lo, hi, l3 = pub["lambda1_lo"], pub["lambda1_hi"], pub["lambda3"]
         gamma = _T10_GAMMA[lo]
@@ -606,11 +607,10 @@ def gen_table10():
         worst, worst_j, n = step_lambda3_real(kern, lo, hi, l3)
         rows.append(TableRow(table=10, label=f"[{lo:g},{hi:g}]", lambda1_lo=lo,
                              lambda1_hi=hi, lambda_star=None, claimed_bound=l3,
-                             certified=worst < -CERT_MARGIN and guard_ok,
-                             margin=-worst,
-                             detail={"worst_step": worst_j, "steps": n,
-                                     "gamma": gamma, "guard_bound": guard.bound}))
-    return rows, audit
+                             **_decided(worst, {"worst_step": worst_j, "steps": n,
+                                                "gamma": gamma, "guard_bound": guard.bound},
+                                        guard=guard_ok)))
+    return rows, certs
 
 
 _L1_SUPS = {
@@ -626,32 +626,32 @@ _L1_FRACTION = {"ge6": 46630.0 / 6.0, "5": 46630.0 / 8.0, "4": 45380.0 / 8.0,
 def gen_table11():
     """First-zero bounds by character order (five branches).
 
-    Branch data: assumed cap, imported old bound (s2 box), lambda* read from
-    the second-zero/second-character tables at the assumed cap.
+    Branch data: assumed cap, imported old bound (s2 box), and lambda* read
+    from the certified second-zero/second-character rows at the assumed cap.
     """
-    rows, audit = [], []
+    rows, certs = [], []
     old_map = _data.hb92()["lambda1_old_by_ord"]["values"]
-    t3 = {r["lambda1_hi"]: r["lambda_prime"] for r in _data.published_table(3)}
+    by_cap2, by_cap3, by_cap7 = _rows_by_cap(2), _rows_by_cap(3), _rows_by_cap(7)
+    rows6 = _certify(6)[0]
     for pub in _data.published_table(11):
         ordc = pub["ord"]
         kern = WeightKernel(pub["gamma"])
-        lam_star, l_old, l_ann = pub["lambda_star"], pub["lambda1_old"], pub["lambda1_assumed"]
-        l_new = pub["lambda1_new"]
-        assert l_old == old_map[ordc] and l_new <= l_ann
+        l_old, l_ann, l_new = pub["lambda1_old"], pub["lambda1_assumed"], pub["lambda1_new"]
         # lambda* precedence: order-2 reads the low-order second-zero and
         # case-7 tables, the others the high-order second-zero and all-case
         # second-character tables, each at the assumed cap
         if ordc == "2":
-            assert lam_star == min(t3[l_ann], table6_bound_at(l_ann))
+            upstream = (by_cap3[l_ann], table6_bound_at(l_ann, rows6))
         else:
-            assert lam_star == min(table2_bound_at(l_ann), table7_bound_at(l_ann))
+            upstream = (by_cap2[l_ann], by_cap7[l_ann])
+        lam_star = min(r.claimed_bound for r in upstream)
         total_c = 0.0
         for k1, k2 in _L1_SUPS.get(ordc, ()):
             cert = sup_bound(SupProblem(kern, k1=k1, k2=k2, k3=0.0,
                                         s11=lam_star, s12=lam_star, s21=l_old, s22=l_ann),
                              GridSpec(ds1=0.0, ds2=0.005, dt=0.005, x1=12.0))
             total_c += cert.bound
-            audit.append(cert.as_record())
+            certs.append(cert)
         D = _L1_FRACTION[ordc] * kern.f0 + total_c
         rhs = rhs_lambda1(kern, lam_star, l_new, D)
         published_c = (pub["C"],) if pub["C"] is not None else ()
@@ -659,9 +659,13 @@ def gen_table11():
                              lambda1_hi=l_ann, lambda_star=lam_star, claimed_bound=l_new,
                              published_C=published_c,
                              computed_C=(total_c,) if published_c else (),
-                             certified=rhs < -CERT_MARGIN, margin=-rhs,
-                             detail={"gamma": pub["gamma"], "rhs": rhs, "D": D}))
-    return rows, audit
+                             **_decided(rhs, {"gamma": pub["gamma"], "rhs": rhs, "D": D},
+                                        lambda_star_published=lam_star == pub["lambda_star"],
+                                        lambda1_old_imported=l_old == old_map.get(ordc),
+                                        within_assumed_cap=l_new <= l_ann,
+                                        upstream_certified=all(r.certified
+                                                               for r in upstream))))
+    return rows, certs
 
 
 _GENERATORS = {2: gen_table2, 3: gen_table3, 4: gen_table4, 5: gen_table5,
@@ -669,8 +673,15 @@ _GENERATORS = {2: gen_table2, 3: gen_table3, 4: gen_table4, 5: gen_table5,
                10: gen_table10, 11: gen_table11}
 
 
-def generate_table(n: int):
-    """Certify table n (2..11); density tables 12..13 live in linnik.density."""
+@functools.lru_cache(maxsize=None)
+def _certify(n: int) -> tuple:
+    rows, certificates = _GENERATORS[n]()
+    return tuple(rows), tuple(certificates)
+
+
+def generate_table(n: int) -> tuple:
+    """(rows, certificates) of table n (2..11), certified at most once per
+    process; density tables 12..13 live in linnik.density."""
     if n not in _GENERATORS:
         raise ValueError(f"no certification generator for table {n}")
-    return _GENERATORS[n]()
+    return _certify(n)

@@ -5,14 +5,18 @@ from linnik import density, final, tables
 
 @pytest.fixture(scope="session")
 def table_rows():
-    """Certified rows of every zero-free-region table, generated once."""
-    cache = {}
-    for n in (2, 3, 4, 5, 6, 8, 9, 10, 11):
-        rows, audit = tables.generate_table(n)
-        cache[n] = rows
-    rows7, _ = tables.gen_table7(precomputed=(cache[4], cache[5], cache[6]))
-    cache[7] = rows7
-    return cache
+    """Certified rows of every zero-free-region table."""
+    return {n: tables.generate_table(n)[0] for n in range(2, 12)}
+
+
+@pytest.fixture
+def fresh_tables():
+    """An empty table memo before and after the test, for tests that patch
+    the kernel or the data: rows certified under a patch must not leak out,
+    and rows certified earlier must not hide the patch."""
+    tables._certify.cache_clear()
+    yield
+    tables._certify.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -82,7 +82,7 @@ def test_criterion_4_second_character_tables():
     rows4, _ = tables.generate_table(4)
     rows5, _ = tables.generate_table(5)
     rows6, _ = tables.generate_table(6)
-    rows7, _ = tables.gen_table7(precomputed=(rows4, rows5, rows6))
+    rows7, _ = tables.generate_table(7)
     dominance = all(all(r.detail["D_by_case"][c] <= r.detail["D_by_case"][2]
                         for c in (3, 4, 6, 8)) for r in rows4)
     published7 = [p["lambda2_new"] for p in _data.published_table(7)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from linnik import _data
 from linnik.cli import main
 from linnik.kernel import LinnikParams, WeightKernel
 
@@ -85,12 +86,44 @@ def test_table_csv_deterministic_across_jobs(tmp_path, capsys):
     assert (a / "audit_9.json").read_bytes() == (b / "audit_9.json").read_bytes()
 
 
-def test_table_non_finite_lattice_fails_closed(tmp_path, monkeypatch, capsys):
+def test_table_non_finite_lattice_fails_closed(tmp_path, monkeypatch, capsys, fresh_tables):
     monkeypatch.setattr(WeightKernel, "re_F_lattice",
                         lambda self, s, t: np.full((np.size(s), np.size(t)), np.nan))
     assert main(["table", "9", "--out", str(tmp_path)]) == 1
     assert not (tmp_path / "table_9.csv").exists()
     assert "FAILED" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize("n", range(2, 12))
+def test_table_non_finite_row_rhs_fails_closed(tmp_path, monkeypatch, capsys, fresh_tables,
+                                               n, bad):
+    # builtin max(-inf, nan) is -inf, so a NaN step once certified its row
+    monkeypatch.setattr(WeightKernel, "F_real",
+                        lambda self, x: np.full(np.shape(x), bad) if np.ndim(x) else bad)
+    assert main(["table", str(n), "--out", str(tmp_path)]) == 1
+    assert "FAILED:" in capsys.readouterr().err
+    assert not (tmp_path / f"table_{n}.csv").exists()
+
+
+def test_table_inconsistent_imported_data_fails_row(tmp_path, monkeypatch, capsys,
+                                                    fresh_tables):
+    real = _data.hb92_map
+
+    def shifted(key):
+        values = real(key)
+        if key == "lambda2_alt":
+            values[0.50] += 1e-3
+        return values
+
+    monkeypatch.setattr(_data, "hb92_map", shifted)
+    assert main(["table", "4", "--out", str(tmp_path)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAILED")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAILED table 4 row 0.5:")
+    assert "lambda2_alt_imported" in failed[0]
 
 
 def test_table_12_integer_exact(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Table-engine tests: RHS monotonicity, case penalties, certified rows."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -187,9 +188,10 @@ def test_table8_all_cases_column_is_min(table_rows):
 
 
 def test_table8_lambda_star_consistency(table_rows):
-    for r in table_rows[8]:
-        assert r.lambda_star == min(tables.table2_bound_at(r.lambda1_hi),
-                                    tables.table7_bound_at(r.lambda1_hi))
+    t2 = {r.lambda1_hi: r.claimed_bound for r in table_rows[2]}
+    t7 = {r.lambda1_hi: r.claimed_bound for r in table_rows[7]}
+    for r, pub in zip(table_rows[8], _data.published_table(8)):
+        assert r.lambda_star == min(t2[r.lambda1_hi], t7[r.lambda1_hi]) == pub["lambda_star"]
 
 
 def test_table9_guard_below_caps(table_rows):
@@ -206,13 +208,14 @@ def test_table10_guards_below_caps(table_rows):
         assert r.detail["guard_bound"] < 5.0 / 48.0 * kern.f0
 
 
-def test_table6_lookup_covers_requested_cap():
-    assert table6_bound_at(0.52) == 1.43
-    assert table6_bound_at(0.54) == 1.43
-    assert table6_bound_at(0.56) == 1.36
-    assert table6_bound_at(0.68) == 1.11
+def test_table6_lookup_covers_requested_cap(table_rows):
+    rows6 = table_rows[6]
+    assert table6_bound_at(0.52, rows6).claimed_bound == 1.43
+    assert table6_bound_at(0.54, rows6).claimed_bound == 1.43
+    assert table6_bound_at(0.56, rows6).claimed_bound == 1.36
+    assert table6_bound_at(0.68, rows6).claimed_bound == 1.11
     with pytest.raises(ValueError):
-        table6_bound_at(0.9)
+        table6_bound_at(0.9, rows6)
 
 
 def test_table11_reproduces_first_zero_bounds(table_rows):
@@ -224,3 +227,55 @@ def test_table11_reproduces_first_zero_bounds(table_rows):
 def test_generate_table_rejects_unknown():
     with pytest.raises(ValueError):
         tables.generate_table(14)
+
+
+def test_each_table_certified_once(monkeypatch, fresh_tables):
+    calls = []
+
+    def counting(problem, grid):
+        calls.append((problem, grid))
+        return real(problem, grid)
+
+    real = tables.sup_bound
+    monkeypatch.setattr(tables, "sup_bound", counting)
+    for n in range(2, 7):
+        tables.generate_table(n)
+    before7 = len(calls)
+    rows7, certs7 = tables.generate_table(7)
+    assert len(calls) == before7 and certs7 == ()  # table 7 is a minimum over 4, 5, 6
+    for n in range(8, 12):
+        tables.generate_table(n)
+    assert len(calls) == len(set(calls)) == 132
+    # every caller gets the same read-only objects
+    assert tables.generate_table(8) is tables.generate_table(8)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rows7[0].certified = False
+    with pytest.raises(TypeError):
+        rows7[0].detail["published"] = 0.0
+
+
+def test_table8_reuses_table4_certificates():
+    rows4, certs4 = tables.generate_table(4)
+    rows8, certs8 = tables.generate_table(8)
+    by_cap = {r.lambda1_hi: certs4[2 * i:2 * i + 2] for i, r in enumerate(rows4)}
+    for r, pair in zip(rows8, zip(certs8[::2], certs8[1::2]), strict=True):
+        assert all(a is b for a, b in zip(pair, by_cap[r.lambda1_hi], strict=True))
+
+
+@pytest.mark.parametrize("upstream", [2, 4])
+def test_failed_upstream_row_fails_downstream(monkeypatch, fresh_tables, upstream):
+    real = tables._GENERATORS[upstream]
+
+    def one_row_fails():
+        rows, certs = real()
+        return [dataclasses.replace(r, certified=False) if r.lambda1_hi == 0.54 else r
+                for r in rows], certs
+
+    monkeypatch.setitem(tables._GENERATORS, upstream, one_row_fails)
+    rows8 = {r.lambda1_hi: r for r in tables.generate_table(8)[0]}
+    rows7 = {r.lambda1_hi: r for r in tables.generate_table(7)[0]}
+    assert rows8[0.52].certified
+    assert not rows8[0.54].certified
+    assert "upstream_certified" in rows8[0.54].detail["failed_checks"]
+    assert rows7[0.52].certified
+    assert rows7[0.54].certified is (upstream == 2)
