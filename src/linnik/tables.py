@@ -344,7 +344,8 @@ def gen_table4():
 
     Each row steps from the imported old bound to the new one twice (case-1
     and case-2 penalties) and checks that the case-2 penalty dominates those
-    of cases 3, 4, 6, 8.  Each row has two certificates, in row order.
+    of cases 3, 4, 6, 8.  Each row keeps its two certificates in
+    detail["certificates"].
     """
     rows, certs = [], []
     alt_map = _data.hb92_map("lambda2_alt")
@@ -370,7 +371,8 @@ def gen_table4():
                              published_C=(pub["C1"], pub["C2"]),
                              computed_C=(cert_a.bound, cert_b.bound),
                              **_decided(steps, {"gamma": gamma, "k": k, "lambda2_alt": alt,
-                                                "D_by_case": d_by_case, "dominance": dominance},
+                                                "D_by_case": d_by_case,
+                                                "certificates": (cert_a, cert_b)},
                                         dominance=dominance,
                                         lambda2_alt_imported=alt == alt_map.get(cap))))
         certs.extend([cert_a, cert_b])
@@ -482,19 +484,16 @@ def gen_table8():
     second-character row covering the cap.  The published all-case column
     must equal the minimum of the three.
     """
-    by_cap2, by_cap7 = _rows_by_cap(2), _rows_by_cap(7)
-    rows4, certs4 = _certify(4)
-    index4 = {r.lambda1_hi: i for i, r in enumerate(rows4)}
+    by_cap2, by_cap4, by_cap7 = _rows_by_cap(2), _rows_by_cap(4), _rows_by_cap(7)
     rows6 = _certify(6)[0]
     rows, certs = [], []
     # chained coverage: each row's bound must be implied for smaller lambda1
     prev = by_cap7[0.50]
     for pub in _data.published_table(8):
         cap = pub["lambda1_hi"]
-        i = index4[cap]
-        row2, row4, row7 = by_cap2[cap], rows4[i], by_cap7[cap]
+        row2, row4, row7 = by_cap2[cap], by_cap4[cap], by_cap7[cap]
         row6 = table6_bound_at(cap, rows6)
-        cert_a, cert_b = certs4[2 * i:2 * i + 2]  # table 4 has two per row, in row order
+        cert_a, cert_b = row4.detail["certificates"]
         kern, k = cert_a.problem.kernel, row4.detail["k"]
         lam_star = min(row2.claimed_bound, row7.claimed_bound)
         rhs1 = rhs_lambda2_case(kern, k, 1, lam_star, cap, pub["case1"], 0.0, 0.0)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from linnik import _data
+from linnik import _data, tables
 from linnik.cli import main
 from linnik.kernel import LinnikParams, WeightKernel
 
@@ -78,9 +78,10 @@ def test_table_2_writes_artifacts(tmp_path, capsys):
         assert cert["domination_sample"]["max_excess"] <= 0.0
 
 
-def test_table_csv_deterministic_across_jobs(tmp_path, capsys):
+def test_table_csv_deterministic_across_jobs(tmp_path, capsys, fresh_tables):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["table", "9", "--out", str(a), "--jobs", "1", "--seed", "7"]) == 0
+    tables._certify.cache_clear()  # the second run certifies table 9 again
     assert main(["table", "9", "--out", str(b), "--jobs", "3", "--seed", "7"]) == 0
     assert (a / "table_9.csv").read_bytes() == (b / "table_9.csv").read_bytes()
     assert (a / "audit_9.json").read_bytes() == (b / "audit_9.json").read_bytes()

@@ -257,7 +257,8 @@ def test_each_table_certified_once(monkeypatch, fresh_tables):
 def test_table8_reuses_table4_certificates():
     rows4, certs4 = tables.generate_table(4)
     rows8, certs8 = tables.generate_table(8)
-    by_cap = {r.lambda1_hi: certs4[2 * i:2 * i + 2] for i, r in enumerate(rows4)}
+    by_cap = {r.lambda1_hi: r.detail["certificates"] for r in rows4}
+    assert certs4 == tuple(c for r in rows4 for c in r.detail["certificates"])
     for r, pair in zip(rows8, zip(certs8[::2], certs8[1::2]), strict=True):
         assert all(a is b for a, b in zip(pair, by_cap[r.lambda1_hi], strict=True))
 
