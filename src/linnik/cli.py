@@ -71,6 +71,7 @@ def _parse_scalar(text: str) -> Optional[float]:
 
 def cmd_eval(args) -> int:
     name = args.function
+    z = complex(args.z[0], args.z[1] if len(args.z) > 1 else 0.0)
     if name in ("f", "F"):
         if args.gamma is None:
             raise SystemExit("eval f/F requires --gamma")
@@ -78,7 +79,6 @@ def cmd_eval(args) -> int:
         if name == "f":
             value = kern.f(args.t)
         else:
-            z = complex(args.z[0], args.z[1] if len(args.z) > 1 else 0.0)
             value = kern.F(z)
     elif name == "classic_density":
         value = classic_density_bound(args.lam, args.eps)
@@ -87,10 +87,8 @@ def cmd_eval(args) -> int:
         if name == "B":
             value = params.B(args.lam)
         elif name == "H2":
-            z = complex(args.z[0], args.z[1] if len(args.z) > 1 else 0.0)
             value = params.H2(z)
         elif name == "H":
-            z = complex(args.z[0], args.z[1] if len(args.z) > 1 else 0.0)
             value = params.H(z)
         elif name == "w1":
             value = params.w1(args.t)
@@ -126,7 +124,7 @@ def cmd_table(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if n in (12, 13):
-        records = [r for r in density.gen_density_tables() if r["table"] == n]
+        records = [r for r in density.regenerated_tables().records if r["table"] == n]
         rows = [[_fmt(r["lambda1"]), _fmt(r["lambda0"]), _fmt(r["n0"]), _fmt(r["lam"]),
                  _fmt(r["published"]), _fmt(r["computed"]), _fmt(r["match"])]
                 for r in records]

@@ -6,6 +6,10 @@ Cauchy-Schwarz majorant and yields a downward parabola h(N) >= 0, so
 N <= floor(larger root); a prior bound N(lambda0) >= N0 sharpens it.  The
 kernel parameter comes from a fitted formula in (lambda, lambda11, N0) and
 is clamped to the kernel's validity floor 0.5.
+
+The published tables 12 and 13 are regenerated once per process
+(``regenerated_tables``): the CLI writes them from those records and the
+final verification looks its cells up in the same object.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Optional
 
 from . import _data
@@ -124,12 +129,6 @@ def vb8_bound(kern: WeightKernel, lam: float, lambda21: float,
 # Table regeneration
 # --------------------------------------------------------------------------
 
-def _cell_query(lambda1: float, lambda0, n0, lam: float) -> DensityQuery:
-    if n0:
-        return DensityQuery(lam=lam, lambda11=lambda1, lambda0=lambda0, n0=n0)
-    return DensityQuery(lam=lam, lambda11=lambda1)
-
-
 def gen_density_tables():
     """Recompute every published counting-table cell and compare.
 
@@ -146,7 +145,8 @@ def gen_density_tables():
             n0 = int(raw["n0"]) if raw["n0"] else 0
             lam = float(raw["lam"])
             published = raw["bound"]
-            result = quadratic_N_bound(_cell_query(lambda1, lambda0, n0, lam))
+            result = quadratic_N_bound(
+                DensityQuery(lam=lam, lambda11=lambda1, lambda0=lambda0, n0=n0))
             rec = {
                 "table": table, "lambda1": lambda1, "lambda0": lambda0 or None,
                 "n0": n0 or None, "lam": lam,
@@ -167,38 +167,34 @@ def gen_density_tables():
 
 
 class DensityTables:
-    """Regenerated counting-table columns, keyed for the final verification.
+    """Regenerated counting-table cells, keyed for the final verification.
 
-    Lookup raises KeyError naming the column and the missing lambda value so
-    a broken schedule is loud, never silently padded.
+    ``records`` holds the cell records of one gen_density_tables() run as
+    read-only mappings.  Lookup raises KeyError naming the column and the
+    missing lambda value, so a broken schedule is loud, never silently
+    padded, and RuntimeError for a printed cell whose bound vanished.
     """
 
     def __init__(self):
-        self._cells = {}
-        for table in (12, 13):
-            for raw in _data.published_table(table):
-                lambda1 = float(raw["lambda1"])
-                lambda0 = float(raw["lambda0"]) if raw["lambda0"] else 0.0
-                n0 = int(raw["n0"]) if raw["n0"] else 0
-                lam = float(raw["lam"])
-                if raw["bound"] == "-":
-                    continue
-                result = quadratic_N_bound(_cell_query(lambda1, lambda0, n0, lam))
-                if result.bound is None:
-                    raise RuntimeError(
-                        f"table {table} column {lambda1} cell {lam}: bound vanished")
-                self._cells[(table, lambda1, n0, round(lam, 3))] = result.bound
+        self.records = tuple(MappingProxyType(rec) for rec in gen_density_tables())
+        self._cells = {(rec["table"], rec["lambda1"], rec["n0"] or 0, round(rec["lam"], 3)):
+                       rec["computed"] for rec in self.records if rec["published"] != "-"}
 
     def lookup(self, table: int, column: float, lam: float, n0: int = 0) -> int:
         key = (table, column, n0, round(lam, 3))
         try:
-            return self._cells[key]
+            bound = self._cells[key]
         except KeyError:
             raise KeyError(
                 f"counting table {table}, column lambda1 >= {column}, "
                 f"assumption n0={n0}: no cell at lambda = {lam}") from None
+        if bound is None:
+            raise RuntimeError(f"table {table} column {column} cell {lam}: bound vanished")
+        return bound
 
 
 @lru_cache(maxsize=1)
 def regenerated_tables() -> DensityTables:
+    """The counting tables, regenerated once per process and shared by
+    ``linnik table 12``/``13`` and the final verification."""
     return DensityTables()

@@ -447,7 +447,7 @@ class LinnikParams:
             return 0.0
         if lam <= 0 or Lambda <= 0:
             raise ValueError("lam and Lambda must be positive")
-        ratio_L = math.exp(-self.decay * Lambda) * self.B(Lambda) / self.w(Lambda)
+        ratio_L = self.damped_ratio(Lambda)
         return math.exp(-self.decay * lam) * self.B(lam) - self.w(lam) * ratio_L
 
 

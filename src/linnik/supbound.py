@@ -116,8 +116,8 @@ class SupCertificate:
         }
 
 
-def A_eval(problem: SupProblem, s1: float, s2: float, t) -> np.ndarray:
-    """A at a box point, vectorized over t."""
+def A_eval(problem: SupProblem, s1, s2, t) -> np.ndarray:
+    """A at a box point, vectorized over t (and over s1, s2 of t's shape)."""
     kern = problem.kernel
     t_arr = np.asarray(t, dtype=float)
     s3 = s1 - s2
@@ -248,24 +248,6 @@ def sup_bound(problem: SupProblem, grid: GridSpec) -> SupCertificate:
                           d1=d1, d2=d2, d3=d3, tail=tail, bound=bound)
 
 
-def auto_grid(problem: SupProblem, x1: float, slack: float) -> GridSpec:
-    """Suggest spacings balancing D1 ds1 ~ D2 ds2 ~ D3 dt for a target slack.
-
-    Optional helper; the shipped tables fix their grids explicitly.
-    """
-    d1, d2, d3 = derivative_bounds(problem)
-    active = [d for d in (d1, d2, d3) if d > 0]
-    per_term = slack * 2.0 / max(1, len(active))
-    ds1 = per_term / d1 if d1 > 0 else 0.0
-    ds2 = per_term / d2 if d2 > 0 else 0.0
-    dt = per_term / d3 if d3 > 0 else 0.0
-    if problem.s11 == problem.s12:
-        ds1 = 0.0
-    if problem.s21 == problem.s22:
-        ds2 = 0.0
-    return GridSpec(ds1=ds1, ds2=ds2, dt=dt, x1=x1)
-
-
 def domination_check(cert: SupCertificate, samples: int = 100_000,
                      seed: int = 0, t_hi: Optional[float] = None) -> dict:
     """Monte-Carlo audit that the certified bound dominates sampled values.
@@ -279,13 +261,5 @@ def domination_check(cert: SupCertificate, samples: int = 100_000,
     s1 = rng.uniform(prob.s11, prob.s12, samples)
     s2 = rng.uniform(prob.s21, prob.s22, samples)
     t = rng.uniform(0.0, hi, samples)
-    kern = prob.kernel
-    vals = np.zeros(samples)
-    if prob.k1:
-        vals += prob.k1 * np.real(kern.F(-s1 + 1j * t))
-    if prob.k2:
-        vals -= prob.k2 * np.real(kern.F(-(s1 - s2) + 1j * t))
-    if prob.k3:
-        vals -= prob.k3 * np.real(kern.F(1j * t))
-    worst = float(np.max(vals - cert.bound))
+    worst = float(np.max(A_eval(prob, s1, s2, t) - cert.bound))
     return {"seed": seed, "samples": samples, "t_hi": hi, "max_excess": worst}

@@ -18,6 +18,10 @@ The inequalities fall into four families:
 * first zero via a degree-four trigonometric polynomial with fixed integer
   coefficients 14379 / 24480 / 14900 / 6000 / 1250.
 
+The ``rhs_*`` functions below are the inequalities that decide the rows.
+The stepped rows (tables 4-6, 9 and 10) evaluate them, or the split form
+of ``delta_step_max``, on the one step lattice of ``_step_ends``.
+
 Tables 2-6, 9 and 10 certify their own suprema.  The others read certified
 rows of the tables they depend on:
 
@@ -38,7 +42,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -56,34 +59,6 @@ PUBLISHED_C_SLACK = 1e-4
 
 #: the delta-stepping split needs 2k - (k^2 + 1/2) >= 0
 STEP_K_RANGE = (0.3, 1.7)
-
-
-class Inequality(Enum):
-    LPRIME_HIGH_ORDER = "lprime_high_order"
-    LPRIME_LOW_ORDER = "lprime_low_order"
-    L2_CASE1 = "l2_case1"
-    L2_CASE2 = "l2_case2"
-    L2_CASE3 = "l2_case3"
-    L2_CASE4 = "l2_case4"
-    L2_CASE5 = "l2_case5"
-    L2_CASE6 = "l2_case6"
-    L2_CASE7 = "l2_case7"
-    L2_CASE8 = "l2_case8"
-    L3_COMPLEX = "l3_complex"
-    L3_REAL = "l3_real"
-    L1_POLY = "l1_poly"
-    WARMUP = "warmup"
-
-
-@dataclass(frozen=True)
-class InequalityConfig:
-    """Kernel, multiplier k, character constant phi, and attached certificates."""
-
-    kernel: WeightKernel
-    k: float
-    phi: float
-    kind: Inequality
-    certificates: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -212,28 +187,39 @@ def rhs_lambda2_case(kernel: WeightKernel, k: float, case: int, lambda_star: flo
             + lambda2_D(case, k, kernel.f0, supA, supB))
 
 
+def _step_ends(lo: float, hi: float, delta: float) -> tuple:
+    """Ends (a, b) of the steps covering [lo, hi], the one step lattice of
+    every stepped row.
+
+    Steps j = 0 .. ceil((hi-lo)/delta) - 1 run over [lo + j delta,
+    lo + (j+1) delta]; the last b is raised to hi when it falls short, so
+    b[-1] >= hi.
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    j = np.arange(int(math.ceil((hi - lo) / delta - 1e-9)))
+    a = lo + j * delta
+    b = lo + (j + 1) * delta
+    b[-1] = max(b[-1], hi)
+    return a, b
+
+
 def delta_step_max(kernel: WeightKernel, k: float, lambda1_hi: float,
                    start: float, target: float, delta: float, D: float):
     """Worst step RHS of the split second-character inequality.
 
-    Steps j = 0 .. floor((target-start)/delta) cover the claimed bound; the
-    step over [a, b] = [start + j delta, start + (j+1) delta] is evaluated as
+    The steps [a, b] of ``_step_ends(start, target, delta)`` cover the
+    claimed bound; each is evaluated as
     (k^2+1/2)(F(-b) - F(l1-b) - F(0)) - (2k - (k^2+1/2)) F(l1-a) + D, which
     dominates the inequality throughout the step interval.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     if not (STEP_K_RANGE[0] <= k <= STEP_K_RANGE[1]):
         raise ValueError(f"stepping requires k in {STEP_K_RANGE}, got {k}")
-    n = int(math.ceil((target - start) / delta - 1e-9))
-    j = np.arange(n)
-    a = start + j * delta
-    b = start + (j + 1) * delta
-    b[-1] = max(b[-1], target)  # exact coverage of [start, target]
+    a, b = _step_ends(start, target, delta)
     rhs = ((k * k + 0.5) * (kernel.F_real(-b) - kernel.F_real(lambda1_hi - b) - kernel.F0)
            - (2.0 * k - (k * k + 0.5)) * kernel.F_real(lambda1_hi - a)
            + D)
-    return (*_finite_max(rhs), n)
+    return (*_finite_max(rhs), a.size)
 
 
 def rhs_lambda3_complex(kernel: WeightKernel, lambda1_lo: float, lambda1_hi: float,
@@ -241,7 +227,8 @@ def rhs_lambda3_complex(kernel: WeightKernel, lambda1_lo: float, lambda1_hi: flo
     """Endpoint form of the third-zero inequality for a complex leading character.
 
     F(-l12) - F(l32-l12) - F(l22-l11) - F(0) + 7/6 f(0); valid while the guard
-    supremum stays below f(0)/6.
+    supremum stays below f(0)/6.  Table 9 evaluates it on the step ends
+    (l11, l12) = (a, b) of the first zero's window.
     """
     return (kernel.F_real(-lambda1_hi)
             - kernel.F_real(lambda3_hi - lambda1_hi)
@@ -253,7 +240,8 @@ def rhs_lambda3_complex(kernel: WeightKernel, lambda1_lo: float, lambda1_hi: flo
 def rhs_lambda3_real(kernel: WeightKernel, lambda2_lo: float, lambda2_hi: float,
                      lambda1_hi: float, lambda3_hi: float) -> float:
     """Endpoint form of the third-zero inequality when the leading character and
-    zero are both real; guarded by a supremum below (5/48) f(0)."""
+    zero are both real; guarded by a supremum below (5/48) f(0).  Table 10
+    evaluates it on the step ends (l21, l22) = (a, b) of the second zero."""
     return (kernel.F_real(-lambda2_hi)
             - kernel.F_real(lambda3_hi - lambda2_hi)
             - kernel.F0
@@ -522,33 +510,6 @@ def gen_table8():
     return rows, certs
 
 
-def step_lambda3_complex(kern: WeightKernel, lambda1_lo: float, lambda1_hi: float,
-                         lambda2_hi: float, lambda3_hi: float, delta: float = 1e-4):
-    """Worst stepped RHS of the complex-character third-zero inequality,
-    stepping the first zero across its window."""
-    n = int(math.ceil((lambda1_hi - lambda1_lo) / delta - 1e-12))
-    j = np.arange(n)
-    a = lambda1_lo + j * delta
-    b = np.minimum(lambda1_lo + (j + 1) * delta, lambda1_hi)
-    rhs = (kern.F_real(-b) - kern.F_real(lambda3_hi - b)
-           - kern.F_real(lambda2_hi - a) - kern.F0 + 7.0 / 6.0 * kern.f0)
-    return (*_finite_max(rhs), n)
-
-
-def step_lambda3_real(kern: WeightKernel, lambda1_lo: float, lambda1_hi: float,
-                      lambda3_hi: float, delta: float = 1e-3):
-    """Worst stepped RHS of the real-real third-zero inequality, stepping the
-    second zero from the window's lower end up to the claimed bound."""
-    n = int(math.ceil((lambda3_hi - lambda1_lo) / delta - 1e-9))
-    j = np.arange(n)
-    a = lambda1_lo + j * delta
-    b = lambda1_lo + (j + 1) * delta
-    b[-1] = max(b[-1], lambda3_hi)
-    rhs = (kern.F_real(-b) - kern.F_real(lambda3_hi - b) - kern.F0
-           - kern.F_real(lambda1_hi - a) + 9.0 / 8.0 * kern.f0)
-    return (*_finite_max(rhs), n)
-
-
 def gen_table9():
     """Third-zero bounds for a complex leading character, lambda1 in [0.62, 0.72].
 
@@ -564,12 +525,13 @@ def gen_table9():
     for pub in _data.published_table(9):
         lo, hi, l3 = pub["lambda1_lo"], pub["lambda1_hi"], pub["lambda3"]
         l2cap = pub["lambda2_cap"]
-        worst, worst_j, n = step_lambda3_complex(
-            kern, lo, hi, l2cap if l2cap is not None else l3, l3)
+        a, b = _step_ends(lo, hi, 1e-4)
+        worst, worst_j = _finite_max(rhs_lambda3_complex(
+            kern, a, b, l2cap if l2cap is not None else l3, l3))
         label = f"[{lo:g},{hi:g}]" + (f" l2<={l2cap:g}" if l2cap is not None else "")
         rows.append(TableRow(table=9, label=label, lambda1_lo=lo, lambda1_hi=hi,
                              lambda_star=None, claimed_bound=l3,
-                             **_decided(worst, {"worst_step": worst_j, "steps": n,
+                             **_decided(worst, {"worst_step": worst_j, "steps": a.size,
                                                 "lambda2_cap": l2cap,
                                                 "guard_bound": guard.bound},
                                         guard=guard_ok)))
@@ -603,10 +565,12 @@ def gen_table10():
         gamma = _T10_GAMMA[lo]
         kern = WeightKernel(gamma)
         guard, guard_ok = guards[gamma]
-        worst, worst_j, n = step_lambda3_real(kern, lo, hi, l3)
+        # the second zero steps from the window's lower end up to the claimed bound
+        a, b = _step_ends(lo, l3, 1e-3)
+        worst, worst_j = _finite_max(rhs_lambda3_real(kern, a, b, hi, l3))
         rows.append(TableRow(table=10, label=f"[{lo:g},{hi:g}]", lambda1_lo=lo,
                              lambda1_hi=hi, lambda_star=None, claimed_bound=l3,
-                             **_decided(worst, {"worst_step": worst_j, "steps": n,
+                             **_decided(worst, {"worst_step": worst_j, "steps": a.size,
                                                 "gamma": gamma, "guard_bound": guard.bound},
                                         guard=guard_ok)))
     return rows, certs
@@ -674,7 +638,10 @@ _GENERATORS = {2: gen_table2, 3: gen_table3, 4: gen_table4, 5: gen_table5,
 
 @functools.lru_cache(maxsize=None)
 def _certify(n: int) -> tuple:
-    rows, certificates = _GENERATORS[n]()
+    try:
+        rows, certificates = _GENERATORS[n]()
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"table {n}: {exc}") from exc
     return tuple(rows), tuple(certificates)
 
 

@@ -11,12 +11,14 @@ def table_rows():
 
 @pytest.fixture
 def fresh_tables():
-    """An empty table memo before and after the test, for tests that patch
-    the kernel or the data: rows certified under a patch must not leak out,
-    and rows certified earlier must not hide the patch."""
+    """Empty table and counting-table memos before and after the test, for
+    tests that patch the kernel or the data: rows certified under a patch
+    must not leak out, and rows certified earlier must not hide the patch."""
     tables._certify.cache_clear()
+    density.regenerated_tables.cache_clear()
     yield
     tables._certify.cache_clear()
+    density.regenerated_tables.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from linnik import _data, tables
+from linnik import _data, density, tables
 from linnik.cli import main
 from linnik.kernel import LinnikParams, WeightKernel
 
@@ -104,7 +104,9 @@ def test_table_non_finite_row_rhs_fails_closed(tmp_path, monkeypatch, capsys, fr
     monkeypatch.setattr(WeightKernel, "F_real",
                         lambda self, x: np.full(np.shape(x), bad) if np.ndim(x) else bad)
     assert main(["table", str(n), "--out", str(tmp_path)]) == 1
-    assert "FAILED:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "FAILED:" in err
+    assert f"table {n}:" in err
     assert not (tmp_path / f"table_{n}.csv").exists()
 
 
@@ -132,6 +134,32 @@ def test_table_12_integer_exact(tmp_path, capsys):
     lines = (tmp_path / "table_12.csv").read_text().splitlines()
     assert lines[0] == "lambda1,lambda0,n0,lam,published,computed,match"
     assert len(lines) == 188  # header + 187 cells
+
+
+def test_counting_tables_regenerated_once_per_process(tmp_path, monkeypatch, capsys,
+                                                     fresh_tables):
+    calls = []
+    real = density.gen_density_tables
+    monkeypatch.setattr(density, "gen_density_tables", lambda: calls.append(1) or real())
+    for argv in (["table", "12"], ["table", "13"], ["verify-final"]):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    records = density.regenerated_tables().records
+    assert isinstance(records, tuple) and {r["table"] for r in records} == {12, 13}
+    with pytest.raises(TypeError):
+        records[0]["computed"] = 0
+
+
+def test_vanished_counting_bound_fails_table_and_lookup(tmp_path, monkeypatch, capsys,
+                                                        fresh_tables):
+    records = density.gen_density_tables()
+    cell = next(r for r in records if r["table"] == 12 and r["published"] != "-")
+    cell.update(computed=None, match=False)
+    monkeypatch.setattr(density, "gen_density_tables", lambda: records)
+    assert main(["table", "12", "--out", str(tmp_path)]) == 1
+    assert "MISMATCH table 12" in capsys.readouterr().out
+    with pytest.raises(RuntimeError, match="bound vanished"):
+        density.regenerated_tables().lookup(12, cell["lambda1"], cell["lam"], cell["n0"] or 0)
 
 
 def test_verify_final_default_passes(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from linnik import supbound
 from linnik.kernel import WeightKernel
-from linnik.supbound import (A_eval, GridSpec, SupProblem, _lattice, auto_grid,
+from linnik.supbound import (A_eval, GridSpec, SupProblem, _lattice,
                              derivative_bounds, domination_check, grid_max,
                              sup_bound, tail_bound)
 
@@ -213,14 +213,3 @@ def test_problem_validation():
         SupProblem(KERN, k1=-1.0, k2=0.0, k3=0.0, s11=0.1, s12=0.4, s21=0.0, s22=0.0)
     with pytest.raises(ValueError):
         SupProblem(KERN, k1=1.0, k2=0.0, k3=0.0, s11=0.1, s12=4.5, s21=0.0, s22=0.0)
-
-
-def test_auto_grid_balances_slack():
-    prob = PROBLEMS[2]
-    grid = auto_grid(prob, x1=7.0, slack=0.01)
-    d1, d2, d3 = derivative_bounds(prob)
-    contributions = [0.5 * grid.ds1 * d1, 0.5 * grid.ds2 * d2, 0.5 * grid.dt * d3]
-    total = sum(contributions)
-    assert total == pytest.approx(0.01, rel=1e-9)
-    active = [c for c in contributions if c > 0]
-    assert max(active) == pytest.approx(min(active), rel=1e-9)

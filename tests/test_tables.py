@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linnik import _data, tables
 from linnik.kernel import WeightKernel
@@ -122,6 +124,20 @@ def test_delta_step_requires_admissible_k():
         delta_step_max(kern, 0.2, 0.36, 0.9, 1.0, 1e-3, 0.0)
     with pytest.raises(ValueError):
         delta_step_max(kern, 0.7, 0.36, 0.9, 1.0, 0.0, 0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lo=st.floats(0.0, 2.0), span=st.floats(1e-3, 2.0), delta=st.floats(1e-4, 0.5))
+def test_step_ends_cover_the_interval(lo, span, delta):
+    hi = lo + span
+    a, b = tables._step_ends(lo, hi, delta)
+    assert a[0] == lo
+    assert np.array_equal(b[:-1], a[1:])
+    assert b[-1] >= hi
+    assert np.all(b - a <= delta * (1.0 + 1e-9))
+    for bad in (0.0, -delta):
+        with pytest.raises(ValueError):
+            tables._step_ends(lo, hi, bad)
 
 
 def test_rhs_lambda1_with_zero_F_terms_is_D():
@@ -280,3 +296,12 @@ def test_failed_upstream_row_fails_downstream(monkeypatch, fresh_tables, upstrea
     assert "upstream_certified" in rows8[0.54].detail["failed_checks"]
     assert rows7[0.52].certified
     assert rows7[0.54].certified is (upstream == 2)
+
+
+def test_tables_9_and_10_decide_with_the_tested_rhs(monkeypatch, fresh_tables):
+    # a row of table 9 or 10 is decided by the same RHS function the tests check
+    monkeypatch.setattr(tables, "rhs_lambda3_complex", lambda *args: 1.0)
+    monkeypatch.setattr(tables, "rhs_lambda3_real", lambda *args: 1.0)
+    for n in (9, 10):
+        rows = tables.generate_table(n)[0]
+        assert rows and not any(r.certified for r in rows), n
