@@ -1,6 +1,8 @@
 """Command-line interface: kernel evaluation, table certification, final check.
 
-Exit codes: 0 success, 1 certification/reproduction failure, 2 usage error.
+Exit codes: 0 success; 1 certification/reproduction failure, a NaN or inf
+in a computation, or a vanished counting-table cell; 2 usage error, a
+non-finite ``eval`` input included.
 Outputs are deterministic for a fixed seed.
 """
 
@@ -10,14 +12,14 @@ import argparse
 import csv
 import dataclasses
 import json
-
+import math
 import os
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import density, final, tables
-from .kernel import LinnikParams, QuadratureError, WeightKernel, classic_density_bound
+from .kernel import LinnikParams, WeightKernel, classic_density_bound
 from .supbound import domination_check
 
 EXIT_OK = 0
@@ -63,10 +65,16 @@ def _params_from_args(args) -> LinnikParams:
     return LinnikParams(**kwargs)
 
 
-def _parse_scalar(text: str) -> Optional[float]:
-    if text.lower() in ("inf", "infinity"):
-        return None
-    return float(text)
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _finite_or_inf(text: str) -> Optional[float]:
+    """A finite number, or None for the +infinity sentinel 'inf'."""
+    return None if text.lower() in ("inf", "infinity") else _finite_float(text)
 
 
 def cmd_eval(args) -> int:
@@ -74,7 +82,7 @@ def cmd_eval(args) -> int:
     z = complex(args.z[0], args.z[1] if len(args.z) > 1 else 0.0)
     if name in ("f", "F"):
         if args.gamma is None:
-            raise SystemExit("eval f/F requires --gamma")
+            raise ValueError("eval f/F requires --gamma")
         kern = WeightKernel(args.gamma)
         if name == "f":
             value = kern.f(args.t)
@@ -93,11 +101,9 @@ def cmd_eval(args) -> int:
         elif name == "w1":
             value = params.w1(args.t)
         elif name == "w":
-            value = params.w(_parse_scalar(args.s))
-        elif name == "C":
-            value = params.C(args.Lambda, _parse_scalar(args.lam_str))
-        else:
-            raise SystemExit(f"unknown function {name}")
+            value = params.w(args.s)
+        else:  # C
+            value = params.C(args.Lambda, args.lam_str)
     if args.json:
         if isinstance(value, complex):
             payload = {"re": value.real, "im": value.imag}
@@ -222,16 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one of the closed-form functions")
     p_eval.add_argument("function", choices=EVAL_FUNCTIONS)
-    p_eval.add_argument("--gamma", type=float, help="kernel parameter for f/F")
-    p_eval.add_argument("--z", type=float, nargs="+", default=[0.0],
+    p_eval.add_argument("--gamma", type=_finite_float, help="kernel parameter for f/F")
+    p_eval.add_argument("--z", type=_finite_float, nargs="+", default=[0.0],
                         help="complex argument: RE [IM]")
-    p_eval.add_argument("--t", type=float, default=0.0)
-    p_eval.add_argument("--s", type=str, default="0.0", help="real argument or 'inf'")
-    p_eval.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_eval.add_argument("--lambda-str", dest="lam_str", type=str, default="1.0",
+    p_eval.add_argument("--t", type=_finite_float, default=0.0)
+    p_eval.add_argument("--s", type=_finite_or_inf, default="0.0", help="real argument or 'inf'")
+    p_eval.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
+    p_eval.add_argument("--lambda-str", dest="lam_str", type=_finite_or_inf, default="1.0",
                         help="lambda for C; accepts 'inf'")
-    p_eval.add_argument("--Lambda", type=float, default=1.29)
-    p_eval.add_argument("--eps", type=float, default=0.0)
+    p_eval.add_argument("--Lambda", type=_finite_float, default=1.29)
+    p_eval.add_argument("--eps", type=_finite_float, default=0.0)
     for name in ("L", "K", "theta", "c1", "c2"):
         p_eval.add_argument(f"--{name}", type=float)
     p_eval.add_argument("--params", type=str, help="JSON file with parameter overrides")
@@ -259,7 +265,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FloatingPointError, QuadratureError) as exc:  # a NaN, inf or bad quadrature
+    # a NaN or inf, a failed quadrature or a broken counting-table lookup
+    except (FloatingPointError, RuntimeError) as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except (ValueError, KeyError, FileNotFoundError) as exc:

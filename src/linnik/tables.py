@@ -22,6 +22,12 @@ The ``rhs_*`` functions below are the inequalities that decide the rows.
 The stepped rows (tables 4-6, 9 and 10) evaluate them, or the split form
 of ``delta_step_max``, on the one step lattice of ``_step_ends``.
 
+Tables 4, 5 and 6 share one generator, ``gen_second_character_table``: they
+differ only in the entry of ``_SECOND_CHARACTER`` that names their suprema,
+stepped and dominated penalty cases, kernel and lattice.  Every one of their
+rows checks that its stepping start lambda2_alt is HB92's value at the cap
+(the window's lower end above lambda1 = 0.70, where HB92 stops).
+
 Tables 2-6, 9 and 10 certify their own suprema.  The others read certified
 rows of the tables they depend on:
 
@@ -43,7 +49,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -260,8 +266,13 @@ def rhs_lambda1(kernel: WeightKernel, lambda_star: float, lambda1: float, D: flo
 # Table generators
 # --------------------------------------------------------------------------
 
-def _lambda1_lo(caps: Sequence[float], i: int, first_lo: float) -> float:
-    return first_lo if i == 0 else caps[i - 1]
+def _chained(n: int, first_lo: float):
+    """(published row, window lower end) for each row of table n: a window
+    starts at the previous row's cap, the first at first_lo."""
+    lo = first_lo
+    for pub in _data.published_table(n):
+        yield pub, lo
+        lo = pub["lambda1_hi"]
 
 
 def gen_table2():
@@ -273,10 +284,8 @@ def gen_table2():
     """
     rows, certs = [], []
     lam_star_map = _data.hb92_map("lambda_star_table2")
-    caps = [r["lambda1_hi"] for r in _data.published_table(2)]
-    for i, pub in enumerate(_data.published_table(2)):
+    for pub, lo in _chained(2, 0.34):
         cap = pub["lambda1_hi"]
-        lo = _lambda1_lo(caps, i, 0.34)
         gamma = 1.13 - cap / 5.0
         k = 0.75 + cap / 7.0
         kern = WeightKernel(gamma)
@@ -303,10 +312,8 @@ def gen_table2():
 def gen_table3():
     """Second-zero bounds, character order 2..4 (19 rows, two suprema each)."""
     rows, certs = [], []
-    caps = [r["lambda1_hi"] for r in _data.published_table(3)]
-    for i, pub in enumerate(_data.published_table(3)):
+    for pub, lo in _chained(3, 0.34):
         cap = pub["lambda1_hi"]
-        lo = _lambda1_lo(caps, i, 0.34)
         gamma = 1.21 - 5.0 * cap / 12.0
         k = 0.77 + cap / 10.0
         kern = WeightKernel(gamma)
@@ -327,97 +334,67 @@ def gen_table3():
     return rows, certs
 
 
-def gen_table4():
-    """Second-character bounds for cases 1,2,3,4,6,8 via delta-stepping.
+#: HB92's second-character bounds stop at lambda1 = 0.70; beyond it the
+#: stepping starts at the trivial lambda2 >= lambda1, the window's lower end
+HB92_LAMBDA2_ALT_MAX = 0.70
 
-    Each row steps from the imported old bound to the new one twice (case-1
-    and case-2 penalties) and checks that the case-2 penalty dominates those
-    of cases 3, 4, 6, 8.  Each row keeps its two certificates in
-    detail["certificates"].
+
+#: table -> (first window's lower end, (gamma, k) at the cap, lattice, the
+#: suprema of each row, the penalty cases stepped from lambda2_alt to the
+#: claimed bound, the cases the last stepped one must dominate); supremum A
+#: has k1 = 1/4, k2 = k (column C1), B has k2 = 1/4 (column C2)
+_SECOND_CHARACTER = {
+    # cases 1, 2, 3, 4, 6, 8
+    4: (0.34, lambda cap: (0.42 + cap, 0.59 + 0.4 * cap),
+        GridSpec(ds1=0.015, ds2=0.007, dt=0.015, x1=7.0), ("A", "B"), (1, 2), (3, 4, 6, 8)),
+    # case 5
+    5: (0.34, lambda cap: (0.76 + cap / 2.0, 0.84),
+        GridSpec(ds1=0.010, ds2=0.007, dt=0.010, x1=7.0), ("B",), (5,), ()),
+    # case 7 (real leading character, complex zero): rows start at lambda1 >= 0.50
+    6: (0.50, lambda cap: (0.61 + cap / 2.0, 0.81),
+        GridSpec(ds1=0.015, ds2=0.015, dt=0.015, x1=7.0), ("A",), (7,), ()),
+}
+
+
+def gen_second_character_table(n: int):
+    """Second-character bounds of table 4, 5 or 6 via delta-stepping.
+
+    Each row certifies its suprema over the box [lambda2_alt, claimed] x
+    [lambda1_lo, cap], steps its penalty cases from lambda2_alt to the
+    claimed bound, and checks that lambda2_alt is the imported HB92 start.
+    Each row keeps its certificates in detail["certificates"].
     """
-    rows, certs = [], []
+    first_lo, gamma_k, grid, sups, stepped, dominated = _SECOND_CHARACTER[n]
     alt_map = _data.hb92_map("lambda2_alt")
-    caps = [r["lambda1_hi"] for r in _data.published_table(4)]
-    for i, pub in enumerate(_data.published_table(4)):
-        cap = pub["lambda1_hi"]
-        lo = _lambda1_lo(caps, i, 0.34)
-        alt, neu = pub["lambda2_alt"], pub["lambda2_new"]
-        gamma, k = 0.42 + cap, 0.59 + 0.4 * cap
+    rows, certs = [], []
+    for pub, lo in _chained(n, first_lo):
+        cap, alt, neu = pub["lambda1_hi"], pub["lambda2_alt"], pub["lambda2_new"]
+        gamma, k = gamma_k(cap)
         kern = WeightKernel(gamma)
-        grid = GridSpec(ds1=0.015, ds2=0.007, dt=0.015, x1=7.0)
-        cert_a = sup_bound(SupProblem(kern, k1=0.25, k2=k, k3=0.0,
-                                      s11=alt, s12=neu, s21=lo, s22=cap), grid)
-        cert_b = sup_bound(SupProblem(kern, k1=0.0, k2=0.25, k3=0.0,
-                                      s11=alt, s12=neu, s21=lo, s22=cap), grid)
-        d_by_case = MappingProxyType({c: lambda2_D(c, k, kern.f0, cert_a.bound, cert_b.bound)
-                                      for c in (1, 2, 3, 4, 6, 8)})
-        dominance = all(d_by_case[c] <= d_by_case[2] for c in (3, 4, 6, 8))
-        steps = [delta_step_max(kern, k, cap, alt, neu, 1e-4, d_by_case[case])[0]
-                 for case in (1, 2)]
-        rows.append(TableRow(table=4, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
+        k1k2 = {"A": (0.25, k), "B": (0.0, 0.25)}
+        row_certs = tuple(sup_bound(SupProblem(kern, *k1k2[s], k3=0.0, s11=alt, s12=neu,
+                                               s21=lo, s22=cap), grid)
+                          for s in sups)
+        sup = {s: c.bound for s, c in zip(sups, row_certs)}
+        d_by_case = MappingProxyType({
+            c: lambda2_D(c, k, kern.f0, sup.get("A", 0.0), sup.get("B", 0.0))
+            for c in stepped + dominated})
+        steps = [delta_step_max(kern, k, cap, alt, neu, 1e-4, d_by_case[c])[0]
+                 for c in stepped]
+        d_dominant = d_by_case[stepped[-1]]
+        start = alt_map.get(cap, math.nan) if cap <= HB92_LAMBDA2_ALT_MAX else lo
+        rows.append(TableRow(table=n, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
                              lambda_star=None, claimed_bound=neu,
-                             published_C=(pub["C1"], pub["C2"]),
-                             computed_C=(cert_a.bound, cert_b.bound),
+                             published_C=tuple(pub[{"A": "C1", "B": "C2"}[s]]
+                                               for s in sups),
+                             computed_C=tuple(sup.values()),
                              **_decided(steps, {"gamma": gamma, "k": k, "lambda2_alt": alt,
                                                 "D_by_case": d_by_case,
-                                                "certificates": (cert_a, cert_b)},
-                                        dominance=dominance,
-                                        lambda2_alt_imported=alt == alt_map.get(cap))))
-        certs.extend([cert_a, cert_b])
-    return rows, certs
-
-
-def gen_table5():
-    """Second-character bounds for case 5 (one supremum, own gamma and k)."""
-    rows, certs = [], []
-    caps = [r["lambda1_hi"] for r in _data.published_table(5)]
-    for i, pub in enumerate(_data.published_table(5)):
-        cap = pub["lambda1_hi"]
-        lo = _lambda1_lo(caps, i, 0.34)
-        alt, neu = pub["lambda2_alt"], pub["lambda2_new"]
-        gamma, k = 0.76 + cap / 2.0, 0.84
-        kern = WeightKernel(gamma)
-        grid = GridSpec(ds1=0.010, ds2=0.007, dt=0.010, x1=7.0)
-        cert_b = sup_bound(SupProblem(kern, k1=0.0, k2=0.25, k3=0.0,
-                                      s11=alt, s12=neu, s21=lo, s22=cap), grid)
-        D = lambda2_D(5, k, kern.f0, 0.0, cert_b.bound)
-        worst, worst_j, n = delta_step_max(kern, k, cap, alt, neu, 1e-4, D)
-        rows.append(TableRow(table=5, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
-                             lambda_star=None, claimed_bound=neu,
-                             published_C=(pub["C2"],), computed_C=(cert_b.bound,),
-                             **_decided(worst, {"worst_step": worst_j, "steps": n, "D": D,
-                                                "gamma": gamma, "k": k, "lambda2_alt": alt})))
-        certs.append(cert_b)
-    return rows, certs
-
-
-def gen_table6():
-    """Second-character bounds for case 7 (real leading character, complex zero).
-
-    Rows start at lambda1 >= 0.50; above 0.70 the stepping base is the trivial
-    lambda2 >= lambda1 lower end.
-    """
-    rows, certs = [], []
-    alt_map = _data.hb92_map("lambda2_alt")
-    for pub in _data.published_table(6):
-        cap = pub["lambda1_hi"]
-        lo = round(max(0.50, cap - 0.04), 10)
-        alt, neu = pub["lambda2_alt"], pub["lambda2_new"]
-        gamma, k = 0.61 + cap / 2.0, 0.81
-        kern = WeightKernel(gamma)
-        grid = GridSpec(ds1=0.015, ds2=0.015, dt=0.015, x1=7.0)
-        cert_a = sup_bound(SupProblem(kern, k1=0.25, k2=k, k3=0.0,
-                                      s11=alt, s12=neu, s21=lo, s22=cap), grid)
-        D = lambda2_D(7, k, kern.f0, cert_a.bound, 0.0)
-        worst, worst_j, n = delta_step_max(kern, k, cap, alt, neu, 1e-4, D)
-        base = alt_map.get(cap, math.nan) if cap <= 0.70 else lo
-        rows.append(TableRow(table=6, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
-                             lambda_star=None, claimed_bound=neu,
-                             published_C=(pub["C1"],), computed_C=(cert_a.bound,),
-                             **_decided(worst, {"worst_step": worst_j, "steps": n, "D": D,
-                                                "gamma": gamma, "k": k, "lambda2_alt": alt},
-                                        lambda2_alt_imported=math.isclose(alt, base))))
-        certs.append(cert_a)
+                                                "certificates": row_certs},
+                                        dominance=all(d_by_case[c] <= d_dominant
+                                                      for c in dominated),
+                                        lambda2_alt_imported=alt == start)))
+        certs.extend(row_certs)
     return rows, certs
 
 
@@ -631,8 +608,9 @@ def gen_table11():
     return rows, certs
 
 
-_GENERATORS = {2: gen_table2, 3: gen_table3, 4: gen_table4, 5: gen_table5,
-               6: gen_table6, 7: gen_table7, 8: gen_table8, 9: gen_table9,
+_GENERATORS = {2: gen_table2, 3: gen_table3,
+               **{n: functools.partial(gen_second_character_table, n) for n in _SECOND_CHARACTER},
+               7: gen_table7, 8: gen_table8, 9: gen_table9,
                10: gen_table10, 11: gen_table11}
 
 

@@ -44,8 +44,27 @@ def test_eval_json_output(capsys):
 
 
 def test_eval_missing_gamma_is_usage_error(capsys):
-    with pytest.raises(SystemExit):
-        main(["eval", "F", "--z", "0"])
+    assert main(["eval", "F", "--z", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["F", "--gamma", "nan"], ["F", "--gamma", "inf"],
+    ["F", "--gamma", "1", "--z", "0", "nan"], ["f", "--gamma", "1", "--t", "inf"],
+    ["B", "--lambda", "nan"], ["classic_density", "--lambda", "inf"],
+    ["C", "--Lambda", "inf"], ["classic_density", "--eps", "nan"],
+    ["w", "--s", "nan"], ["C", "--lambda-str", "nan"],
+], ids=" ".join)
+def test_eval_non_finite_input_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", *argv])
+    assert exc.value.code == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
+def test_eval_C_at_infinity(capsys):
+    assert main(["eval", "C", "--lambda-str", "inf"]) == 0
+    assert float(capsys.readouterr().out) == 0.0
 
 
 def test_unknown_function_rejected():
@@ -110,22 +129,23 @@ def test_table_non_finite_row_rhs_fails_closed(tmp_path, monkeypatch, capsys, fr
     assert not (tmp_path / f"table_{n}.csv").exists()
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_table_inconsistent_imported_data_fails_row(tmp_path, monkeypatch, capsys,
-                                                    fresh_tables):
+                                                    fresh_tables, n):
     real = _data.hb92_map
 
     def shifted(key):
         values = real(key)
         if key == "lambda2_alt":
-            values[0.50] += 1e-3
+            values[0.54] += 1e-3
         return values
 
     monkeypatch.setattr(_data, "hb92_map", shifted)
-    assert main(["table", "4", "--out", str(tmp_path)]) == 1
+    assert main(["table", str(n), "--out", str(tmp_path)]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAILED")]
     assert len(failed) == 1
-    assert failed[0].startswith("FAILED table 4 row 0.5:")
+    assert failed[0].startswith(f"FAILED table {n} row 0.54:")
     assert "lambda2_alt_imported" in failed[0]
 
 
@@ -160,6 +180,19 @@ def test_vanished_counting_bound_fails_table_and_lookup(tmp_path, monkeypatch, c
     assert "MISMATCH table 12" in capsys.readouterr().out
     with pytest.raises(RuntimeError, match="bound vanished"):
         density.regenerated_tables().lookup(12, cell["lambda1"], cell["lam"], cell["n0"] or 0)
+
+
+def test_verify_final_vanished_counting_bound_fails_closed(tmp_path, monkeypatch, capsys,
+                                                          fresh_tables):
+    records = density.gen_density_tables()
+    for cell in records:
+        if cell["published"] != "-":
+            cell.update(computed=None, match=False)
+    monkeypatch.setattr(density, "gen_density_tables", lambda: records)
+    assert main(["verify-final", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED:") and "bound vanished" in err
+    assert not (tmp_path / "final_report.csv").exists()
 
 
 def test_verify_final_default_passes(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Table-engine tests: RHS monotonicity, case penalties, certified rows."""
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -268,6 +270,28 @@ def test_each_table_certified_once(monkeypatch, fresh_tables):
         rows7[0].certified = False
     with pytest.raises(TypeError):
         rows7[0].detail["published"] = 0.0
+
+
+#: sha256 of the certificate inputs and row decisions of tables 2-11; a
+#: refactor of the generators must leave it unchanged
+CERTIFIED_INPUTS_SHA256 = "17dad03df09c4c3c4390549e63fff77da3f59440ea4c32bcf0535858b5d103c8"
+
+
+def test_certified_inputs_unchanged():
+    # margins and bounds go through libm and may differ across platforms; the
+    # boxes, coefficients, lattices and claims come from IEEE arithmetic on
+    # parsed decimals, so their digest is the same everywhere
+    digest = hashlib.sha256()
+    for n in range(2, 12):
+        rows, certificates = tables.generate_table(n)
+        for cert in certificates:
+            digest.update(json.dumps([cert.problem.as_record(), cert.grid.as_record()],
+                                     sort_keys=True).encode())
+        for r in rows:
+            digest.update(json.dumps([r.table, r.label, r.lambda1_lo, r.lambda1_hi,
+                                      r.lambda_star, r.claimed_bound, r.published_C,
+                                      r.certified]).encode())
+    assert digest.hexdigest() == CERTIFIED_INPUTS_SHA256
 
 
 def test_table8_reuses_table4_certificates():
