@@ -1,8 +1,9 @@
 """Command-line interface: kernel evaluation, table certification, final check.
 
-Exit codes: 0 success; 1 certification/reproduction failure, a NaN or inf
-in a computation, or a vanished counting-table cell; 2 usage error, a
-non-finite ``eval`` input included.
+Exit codes: 0 success; 1 certification/reproduction failure, a NaN or inf,
+an overflow or a division by zero in a computation, or a vanished
+counting-table cell; 2 usage error, a non-finite ``eval`` input and an
+unreadable ``--params`` or unwritable ``--out`` path included.
 Outputs are deterministic for a fixed seed.
 """
 
@@ -60,8 +61,6 @@ def _params_from_args(args) -> LinnikParams:
         val = getattr(args, name, None)
         if val is not None:
             kwargs[name] = val
-    if getattr(args, "tol", None) is not None:
-        kwargs["quad_tol"] = args.tol
     return LinnikParams(**kwargs)
 
 
@@ -241,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("L", "K", "theta", "c1", "c2"):
         p_eval.add_argument(f"--{name}", type=float)
     p_eval.add_argument("--params", type=str, help="JSON file with parameter overrides")
-    p_eval.add_argument("--tol", type=float, help="quadrature tolerance override")
     p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -256,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_final = sub.add_parser("verify-final", help="run the full W < 1 verification")
     p_final.add_argument("--params", type=str, help="JSON file with L, K, theta, c1, c2")
     p_final.add_argument("--out", default="out")
-    p_final.add_argument("--tol", type=float, help="quadrature tolerance override")
     p_final.set_defaults(func=cmd_verify_final)
     return parser
 
@@ -265,11 +262,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # a NaN or inf, a failed quadrature or a broken counting-table lookup
-    except (FloatingPointError, RuntimeError) as exc:
+    # a NaN or inf, an overflow or division by zero, a failed quadrature or
+    # a broken counting-table lookup
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    # bad input, or a --params/--out path that cannot be read or written
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -233,7 +233,6 @@ def compute_W(case: FinalCase, params: LinnikParams,
 class Report:
     params: LinnikParams
     results: List[CaseResult]
-    check_published: bool
 
     @property
     def all_certified(self) -> bool:
@@ -245,30 +244,23 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        ok = self.all_certified
-        if self.check_published:
-            ok = ok and self.all_reproduced
-        return ok
+        return self.all_certified and self.all_reproduced
 
 
 def verify_all(params: Optional[LinnikParams] = None,
-               check_published: Optional[bool] = None,
                registry: Optional[List[FinalCase]] = None) -> Report:
-    """Certify every case row; optionally compare against the published W.
-
-    The published comparison only makes sense for the shipped parameters and
-    defaults to on exactly then.
+    """Certify every case row, and compare it against the published W when
+    ``params`` are the shipped parameters, the only ones it was published for.
     """
     params = params or LinnikParams()
-    if check_published is None:
-        check_published = params == LinnikParams()
+    shipped = params == LinnikParams()
     registry = registry if registry is not None else load_registry()
     tables = regenerated_tables()
     results = []
     for case in registry:
         res = compute_W(case, params, tables)
-        if check_published:
+        if shipped:
             res.reproduces = (res.W <= case.published_W + PUBLISHED_W_SLACK_HI
                               and res.W >= case.published_W - PUBLISHED_W_SLACK_LO)
         results.append(res)
-    return Report(params=params, results=results, check_published=check_published)
+    return Report(params=params, results=results)

@@ -18,26 +18,23 @@ penalty integral and ``xf_exp_moment`` use one fixed Gauss-Legendre rule
 polynomial times an exponential, an entire function on which the rule
 converges geometrically, and the 32-node value is returned only when the
 16-node value agrees with it to within max(50 tol, 1e-9 |I|), where tol is
-``LinnikParams.quad_tol`` (default 1e-12) for ``w`` and the penalty and
-1e-10 for ``xf_exp_moment``; otherwise :class:`QuadratureError` is raised.
+QUAD_TOL (1e-12) for ``w`` and the penalty and XF_MOMENT_TOL (1e-10) for
+``xf_exp_moment``; otherwise :class:`QuadratureError` is raised.
 The error of an n-node rule on such an integrand falls geometrically in n,
 so |I32 - I16| is in effect the 16-node error and bounds the far smaller
 32-node error of the returned value.  A NaN or inf in either value raises
-FloatingPointError.  Adaptive scipy quadrature is kept only for the
-``F_quadrature`` oracle.
+FloatingPointError.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 # |z| below which the Laplace transform switches from the closed form to its
 # Maclaurin series.  The closed form loses roughly 8*gamma^2*|z|^-4 * eps_mach
@@ -49,7 +46,10 @@ _SERIES_TERMS = 26
 # |K*z| below which (1 - exp(-K z))/z is evaluated by series.
 _H2_SERIES_RADIUS = 0.2
 
-DEFAULT_QUAD_TOL = 1e-12
+#: absolute tolerance of the w and penalty integrals
+QUAD_TOL = 1e-12
+#: absolute tolerance of xf_exp_moment, the D1-D3 derivative-bound integrals
+XF_MOMENT_TOL = 1e-10
 
 #: offset in the density weight w1(t) = e^{-theta t/2} (min(t-u, v-u) + W1_OFFSET)^{1/4}
 W1_OFFSET = 1e-7
@@ -64,22 +64,6 @@ class QuadratureError(RuntimeError):
         super().__init__(f"{message} (estimate {estimate!r}, achieved abserr {achieved:.3e})")
         self.estimate = estimate
         self.achieved = achieved
-
-
-def _quad(fn, a: float, b: float, tol: float, *, weight=None, wvar=None) -> float:
-    """scipy.integrate.quad with an absolute-tolerance contract.
-
-    The roundoff warning is silenced because the achieved error estimate is
-    checked explicitly; near the double-precision floor the accepted error
-    scales with the result's magnitude.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        y, err = quad(fn, a, b, epsabs=tol, epsrel=max(1e-13, tol), limit=400,
-                      weight=weight, wvar=wvar)
-    if err > max(50.0 * tol, 1e-9 * abs(y)):
-        raise QuadratureError("quadrature did not converge", y, err)
-    return y
 
 
 def _legendre_rule(n: int):
@@ -110,8 +94,7 @@ def _gauss_legendre(fn, a: float, b: float, tol: float) -> float:
 
     ``fn`` maps an array of nodes to an array of values; both rules are
     evaluated in one call.  Raises FloatingPointError when either value is
-    not finite and QuadratureError when |I32 - I16| > max(50 tol, 1e-9 |I32|),
-    the acceptance test of :func:`_quad`.
+    not finite and QuadratureError when |I32 - I16| > max(50 tol, 1e-9 |I32|).
     """
     half = 0.5 * (b - a)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -277,28 +260,11 @@ class WeightKernel:
             return float(np.real(val))
         return np.real(val)
 
-    def F_quadrature(self, z: complex, tol: float = DEFAULT_QUAD_TOL) -> complex:
-        """Direct numerical Laplace transform, the oracle for F.
-
-        Integrates f(t) e^{-zt} over the support with oscillatory-aware
-        quadrature; raises QuadratureError if the tolerance is not met.
-        """
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        a, b = float(np.real(z)), float(np.imag(z))
-        damped = lambda t: self.f(t) * math.exp(-a * t)
-        if b == 0.0:
-            re = _quad(damped, 0.0, self.support_end, tol)
-            return complex(re, 0.0)
-        re = _quad(damped, 0.0, self.support_end, tol, weight="cos", wvar=b)
-        im = -_quad(damped, 0.0, self.support_end, tol, weight="sin", wvar=b)
-        return complex(re, im)
-
-    def xf_exp_moment(self, c: float, tol: float = 1e-10) -> float:
+    def xf_exp_moment(self, c: float) -> float:
         """int_0^{2 gamma} x f(x) e^{c x} dx, by the checked Gauss-Legendre rule
         (the integrand is a degree-6 polynomial times an exponential)."""
         return _gauss_legendre(lambda x: x * self.f(x) * np.exp(c * x),
-                               0.0, self.support_end, tol)
+                               0.0, self.support_end, XF_MOMENT_TOL)
 
 
 @lru_cache(maxsize=128)
@@ -325,7 +291,6 @@ class LinnikParams:
     c1: float = 0.11
     c2: float = 0.27
     epsilon: float = 1e-7
-    quad_tol: float = field(default=DEFAULT_QUAD_TOL, compare=True)
 
     def __post_init__(self):
         for f in fields(self):
@@ -333,8 +298,6 @@ class LinnikParams:
             if isinstance(value, bool) or not isinstance(value, numbers.Real) \
                     or not math.isfinite(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        if not self.quad_tol > 0:
-            raise ValueError(f"quad_tol must be positive, got {self.quad_tol!r}")
         if self.c1 <= 0 or self.c2 <= 0 or self.K <= 0:
             raise ValueError("K, c1, c2 must be positive")
         if not self.L - 2.0 * self.K > max(3.0, 2.0 * self.x):
@@ -407,8 +370,10 @@ class LinnikParams:
 
     def H(self, z: ArrayLike) -> ArrayLike:
         """Laplace transform of the triangle weight: e^{-(L-2K)z} H2(z)."""
-        z_arr = np.asarray(z, dtype=complex)
-        return np.exp(-self.decay * z_arr) * self.H2(z)
+        out = np.exp(-self.decay * np.asarray(z, dtype=complex)) * self.H2(z)
+        if np.isscalar(z) or np.asarray(z).ndim == 0:
+            return complex(out)
+        return out
 
     # -- density weight w1, its reciprocal integral w, penalty ----------
 
@@ -459,30 +424,30 @@ class LinnikParams:
 @lru_cache(maxsize=4096)
 def _w_integral(params: LinnikParams, s: float) -> float:
     """int_u^x w1(t)^2 e^{2st} dt, w1(t)^2 = e^{-theta t} sqrt(min(...))."""
-    u, v, x, tol = params.u, params.v, params.x, params.quad_tol
+    u, v, x = params.u, params.v, params.x
     a = 2.0 * s - params.theta
     top = v - u + W1_OFFSET
     rise = _gauss_legendre(lambda r: 2.0 * r * r * np.exp(a * (u - W1_OFFSET + r * r)),
-                           math.sqrt(W1_OFFSET), math.sqrt(top), tol)
-    return rise + math.sqrt(top) * _gauss_legendre(lambda t: np.exp(a * t), v, x, tol)
+                           math.sqrt(W1_OFFSET), math.sqrt(top), QUAD_TOL)
+    return rise + math.sqrt(top) * _gauss_legendre(lambda t: np.exp(a * t), v, x, QUAD_TOL)
 
 
 @lru_cache(maxsize=64)
 def _penalty_integral(params: LinnikParams, flat_weight: bool) -> float:
     """int_u^x min(t - u, v - u) / w1(t)^2 dt (w1 = 1 under flat_weight)."""
-    u, v, x, tol = params.u, params.v, params.x, params.quad_tol
+    u, v, x = params.u, params.v, params.x
     top = v - u + W1_OFFSET
     lo, hi = math.sqrt(W1_OFFSET), math.sqrt(top)
     # on [u, v], min(t - u, v - u) = r^2 - W1_OFFSET
     if flat_weight:
-        rise = _gauss_legendre(lambda r: 2.0 * r * (r * r - W1_OFFSET), lo, hi, tol)
+        rise = _gauss_legendre(lambda r: 2.0 * r * (r * r - W1_OFFSET), lo, hi, QUAD_TOL)
         return rise + (v - u) * (x - v)
     theta = params.theta
     rise = _gauss_legendre(
         lambda r: 2.0 * (r * r - W1_OFFSET) * np.exp(theta * (u - W1_OFFSET + r * r)),
-        lo, hi, tol)
+        lo, hi, QUAD_TOL)
     return rise + (v - u) / math.sqrt(top) * _gauss_legendre(
-        lambda t: np.exp(theta * t), v, x, tol)
+        lambda t: np.exp(theta * t), v, x, QUAD_TOL)
 
 
 def classic_density_bound(lam: float, epsilon: float = 0.0) -> float:

@@ -13,6 +13,7 @@ from linnik import _data, density, final, tables
 from linnik.kernel import LinnikParams, WeightKernel
 from linnik.supbound import GridSpec, SupProblem, domination_check, sup_bound
 from linnik.tables import CERT_MARGIN, warmup_l1
+from oracles import F_quadrature, mp_laplace
 
 def _report(n, ok, elapsed, budget, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -23,20 +24,6 @@ def _report(n, ok, elapsed, budget, detail=""):
 def _rows_ok(rows):
     return all(r.certified and r.c_reproduced for r in rows)
 
-def _mp_laplace_oracle(gamma: float, z: complex, dps: int = 30) -> complex:
-    """High-precision quadrature oracle for the Laplace transform, used when
-    double-precision quadrature sits on its roundoff floor (huge e^{|Re z| t}
-    against an oscillation-cancelled result)."""
-    import mpmath as mp
-    with mp.workdps(dps):
-        g = mp.mpf(gamma)
-        zz = mp.mpc(z)
-        f = lambda t: -t**5 / 30 + 2 * g * g / 3 * t**3 - 4 * g**3 / 3 * t * t + 16 * g**5 / 15
-        T = 2 * g
-        n = max(1, int(abs(z.imag) * float(T) / (2.0 * math.pi)) + 1)
-        pts = [T * mp.mpf(i) / n for i in range(n + 1)]
-        return complex(mp.quad(lambda t: f(t) * mp.e ** (-zz * t), pts))
-
 def test_criterion_1_kernel_cross_check():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
@@ -45,11 +32,11 @@ def test_criterion_1_kernel_cross_check():
         gamma = rng.uniform(0.5, 1.7)
         z = complex(rng.uniform(-5.0, 5.0), rng.uniform(-50.0, 50.0))
         kern = WeightKernel(gamma)
-        diff = abs(kern.F(z) - kern.F_quadrature(z, tol=1e-12))
+        diff = abs(kern.F(z) - F_quadrature(kern, z))
         if diff > 5e-10:
             # the double-precision oracle itself is roundoff-limited here;
             # re-check against the high-precision one
-            diff = abs(kern.F(z) - _mp_laplace_oracle(gamma, z))
+            diff = abs(kern.F(z) - mp_laplace(gamma, z))
         worst = max(worst, diff)
     axis_worst = 0.0
     for gamma in (0.5, 1.0, 1.25, 1.7):

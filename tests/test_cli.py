@@ -240,7 +240,7 @@ def test_eval_w_overflow_fails_closed(capsys):
     {"L": 5.2, "gamma": 1.0},   # unknown key
     {"L": "5.2"},               # wrong type
     {"theta": None},
-    {"quad_tol": -1.0},
+    {"quad_tol": -1.0},         # the tolerance is fixed: unknown key
     [5.2, 0.32],                # not an object
 ], ids=["unknown-key", "string", "null", "negative-tol", "list"])
 def test_bad_params_file_is_usage_error(tmp_path, capsys, content):
@@ -252,5 +252,28 @@ def test_bad_params_file_is_usage_error(tmp_path, capsys, content):
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_bad_tol_is_usage_error(tmp_path, capsys, tol):
-    assert main(["verify-final", "--tol", tol, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    # the quadrature tolerance is fixed; argparse refuses the flag
+    for argv in (["verify-final", "--out", str(tmp_path)], ["eval", "w"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", tol])
+        assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["eval", "B", "--lambda", "1e-320"], 1, "FAILED:"),                # ZeroDivisionError
+    (["eval", "classic_density", "--lambda", "1e5"], 1, "FAILED:"),     # OverflowError
+    (["eval", "F", "--gamma", "1e200", "--z", "1"], 1, "FAILED:"),      # OverflowError
+    (["verify-final", "--params", "{dir}"], 2, "error:"),               # IsADirectoryError
+    (["table", "9", "--out", "{file}"], 2, "error:"),                   # FileExistsError
+], ids=["B-underflow", "classic-overflow", "F-overflow", "params-dir", "out-file"])
+def test_arithmetic_and_os_errors_map_to_exit_codes(tmp_path, capsys, argv, code, prefix):
+    (tmp_path / "file").write_text("")
+    argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+def test_eval_H_prints_plain_floats(capsys):
+    assert main(["eval", "H", "--z", "0"]) == 0
+    assert capsys.readouterr().out == "0.1024 0.0\n"

@@ -154,14 +154,14 @@ def test_each_W_within_published_window(final_report):
 
 
 def test_weaker_exponent_increases_margins(final_report):
-    relaxed = verify_all(LinnikParams(L=5.5), check_published=False)
+    relaxed = verify_all(LinnikParams(L=5.5))
     for a, b in zip(relaxed.results, final_report.results):
         assert a.margin > b.margin, a.case.id
     assert relaxed.all_certified
 
 
 def test_stronger_exponent_fails():
-    report = verify_all(LinnikParams(L=4.5), check_published=False)
+    report = verify_all(LinnikParams(L=4.5))
     assert any(not r.certified for r in report.results)
 
 

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from linnik.kernel import (SMALL_Z_RADIUS, W1_OFFSET, LinnikParams,
                            QuadratureError, WeightKernel, _GL16, _GL32,
                            _gauss_legendre, classic_density_bound)
+from oracles import F_quadrature, mp_laplace
 
 PARAMS = LinnikParams()
 
@@ -58,8 +59,9 @@ def test_F_at_zero_is_total_mass():
 
 
 def test_F_quadrature_at_zero():
-    assert WeightKernel(1.0).F_quadrature(0.0).real == pytest.approx(8.0 / 9.0, abs=1e-12)
-    assert WeightKernel(0.5).F_quadrature(0.0).real == pytest.approx(8.0 * 0.5**6 / 9.0, abs=1e-12)
+    assert F_quadrature(WeightKernel(1.0), 0.0).real == pytest.approx(8.0 / 9.0, abs=1e-12)
+    assert F_quadrature(WeightKernel(0.5), 0.0).real == pytest.approx(8.0 * 0.5**6 / 9.0,
+                                                                      abs=1e-12)
 
 
 def test_F_conjugate_symmetry():
@@ -79,7 +81,7 @@ def test_F_closed_vs_quadrature_sample():
         gamma = rng.uniform(0.5, 1.7)
         z = complex(rng.uniform(-5, 5), rng.uniform(-50, 50))
         kern = WeightKernel(gamma)
-        assert abs(kern.F(z) - kern.F_quadrature(z)) < 1e-9
+        assert abs(kern.F(z) - F_quadrature(kern, z)) < 1e-9
 
 
 def test_F_series_switch_radius_is_safe():
@@ -89,7 +91,7 @@ def test_F_series_switch_radius_is_safe():
     for r in (1e-6, 1e-3, 0.05, 0.12, 0.1499, 0.1501, 0.2, 0.5):
         for phase in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
             z = r * complex(math.cos(phase), math.sin(phase))
-            assert abs(kern.F(z) - kern.F_quadrature(z)) < 2e-10, f"|z|={r}"
+            assert abs(kern.F(z) - F_quadrature(kern, z)) < 2e-10, f"|z|={r}"
 
 
 # points just inside and outside the series disk, and z = 0 itself
@@ -118,22 +120,13 @@ def test_re_F_lattice_matches_F(gamma, shape):
 
 
 def test_re_F_lattice_against_mpmath_oracle():
-    import mpmath
-
-    def oracle(gamma, z):
-        with mpmath.workdps(30):
-            g, zz = mpmath.mpf(gamma), mpmath.mpc(z)
-            f = lambda x: -x**5 / 30 + 2 * g * g / 3 * x**3 - 4 * g**3 / 3 * x * x + 16 * g**5 / 15
-            return float(mpmath.re(mpmath.quad(lambda x: f(x) * mpmath.exp(-zz * x),
-                                               mpmath.linspace(0, 2 * g, 9))))
-
     points = [(0.0, 0.0), (SMALL_Z_RADIUS * (1 + 1e-9), 0.0), (0.1, 0.1),
               (0.0, 0.1501), (-0.1, 0.5), (0.9, 3.7), (2.5, 11.0), (4.0, 0.0)]
     for gamma in (0.5, 1.3):
         kern = WeightKernel(gamma)
         for s, t in points:
             got = kern.re_F_lattice(np.array([s]), np.array([t]))[0, 0]
-            want = oracle(gamma, complex(-s, t))
+            want = mp_laplace(gamma, complex(-s, t)).real
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (gamma, s, t)
 
 
@@ -393,8 +386,7 @@ def test_params_precondition():
         LinnikParams(L=3.0)
 
 
-@pytest.mark.parametrize("kw", [dict(quad_tol=-1.0), dict(quad_tol=0.0),
-                                dict(theta=math.nan), dict(L=math.inf),
+@pytest.mark.parametrize("kw", [dict(theta=math.nan), dict(L=math.inf),
                                 dict(epsilon=-math.inf), dict(c1="0.11"),
                                 dict(K=None), dict(c2=True)],
                          ids=repr)

@@ -1,6 +1,9 @@
 """Source-level checks on the linnik package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import linnik
@@ -15,3 +18,14 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in linnik: {found}"
+
+
+def test_cli_imports_without_scipy():
+    # the runtime depends on numpy alone; scipy is a test dependency
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, linnik.cli; "
+                               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "[]"
