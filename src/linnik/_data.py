@@ -46,9 +46,7 @@ def hb92() -> dict:
 
 def hb92_map(key: str) -> dict:
     """A lambda-keyed map from the imported-constants file, keys as floats."""
-    block = hb92()[key]
-    values = block["values"] if isinstance(block, dict) and "values" in block else block
-    return {float(k): float(v) for k, v in values.items()}
+    return {float(k): float(v) for k, v in hb92()[key]["values"].items()}
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,18 @@
 """Command-line interface: kernel evaluation, table certification, final check.
 
-Exit codes: 0 success; 1 certification/reproduction failure, a NaN or inf,
-an overflow or a division by zero in a computation, or a vanished
-counting-table cell; 2 usage error, a non-finite ``eval`` input and an
-unreadable ``--params`` or unwritable ``--out`` path included.
-Outputs are deterministic for a fixed seed.
+Exit codes: 0 success; 1 certification/reproduction failure, a sampled
+value of A above its certified bound in a table's domination audit, a NaN
+or inf (a non-finite ``eval`` value included), an overflow or a division by
+zero in a computation, or a vanished counting-table cell; 2 usage error, a
+non-finite ``eval`` input and an unreadable ``--params`` or unwritable
+``--out`` path included.  Outputs are deterministic: the domination audit
+draws its samples from the fixed seed AUDIT_SEED.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import dataclasses
 import json
@@ -26,6 +29,9 @@ from .supbound import domination_check
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
+
+#: the fixed seed of the domination audit written next to each table
+AUDIT_SEED = 0
 
 EVAL_FUNCTIONS = ("f", "F", "B", "H", "H2", "w1", "w", "C", "classic_density")
 PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(LinnikParams))
@@ -46,22 +52,17 @@ def _fmt(value) -> str:
 
 
 def _params_from_args(args) -> LinnikParams:
-    kwargs = {}
-    if getattr(args, "params", None):
-        with open(args.params) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{args.params}: expected a JSON object of parameters")
-        unknown = sorted(set(loaded) - set(PARAM_FIELDS))
-        if unknown:
-            raise ValueError(f"{args.params}: unknown parameter(s) {', '.join(unknown)}; "
-                             f"expected some of {', '.join(PARAM_FIELDS)}")
-        kwargs.update(loaded)
-    for name in ("L", "K", "theta", "c1", "c2"):
-        val = getattr(args, name, None)
-        if val is not None:
-            kwargs[name] = val
-    return LinnikParams(**kwargs)
+    if not args.params:
+        return LinnikParams()
+    with open(args.params) as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{args.params}: expected a JSON object of parameters")
+    unknown = sorted(set(loaded) - set(PARAM_FIELDS))
+    if unknown:
+        raise ValueError(f"{args.params}: unknown parameter(s) {', '.join(unknown)}; "
+                         f"expected some of {', '.join(PARAM_FIELDS)}")
+    return LinnikParams(**loaded)
 
 
 def _finite_float(text: str) -> float:
@@ -103,6 +104,8 @@ def cmd_eval(args) -> int:
             value = params.w(args.s)
         else:  # C
             value = params.C(args.Lambda, args.lam_str)
+    if not cmath.isfinite(value):
+        raise FloatingPointError(f"eval {name}: the value is not finite ({value!r})")
     if args.json:
         if isinstance(value, complex):
             payload = {"re": value.real, "im": value.imag}
@@ -160,21 +163,25 @@ def cmd_table(args) -> int:
             _fmt(r.margin), _fmt(r.certified),
         ])
     _write_csv(outdir / f"table_{n}.csv", TABLE_CSV_COLUMNS, csv_rows)
+    audits = [domination_check(cert, samples=2000, seed=AUDIT_SEED) for cert in certificates]
     with open(outdir / f"audit_{n}.json", "w") as fh:
-        json.dump({"table": n, "seed": args.seed,
-                   "certificates": [
-                       {**cert.as_record(),
-                        "domination_sample": domination_check(cert, samples=2000,
-                                                              seed=args.seed)}
-                       for cert in certificates]},
+        json.dump({"table": n, "seed": AUDIT_SEED,
+                   "certificates": [{**cert.as_record(), "domination_sample": audit}
+                                    for cert, audit in zip(certificates, audits)]},
                   fh, indent=1, sort_keys=True)
     bad = [r for r in rows if not (r.certified and r.c_reproduced)]
-    if bad:
-        for r in bad:
-            print(f"FAILED table {n} row {r.label}: certified={r.certified} "
-                  f"margin={r.margin:.3e} computed_C={r.computed_C} "
-                  f"published_C={r.published_C} "
-                  f"failed_checks={r.detail.get('failed_checks', ())}")
+    for r in bad:
+        print(f"FAILED table {n} row {r.label}: certified={r.certified} "
+              f"margin={r.margin:.3e} computed_C={r.computed_C} "
+              f"published_C={r.published_C} "
+              f"failed_checks={r.detail.get('failed_checks', ())}")
+    # a sampled value of A above the certified bound refutes the certificate;
+    # ``not <=`` also refuses a NaN excess
+    refuted = [i for i, audit in enumerate(audits) if not audit["max_excess"] <= 0.0]
+    for i in refuted:
+        print(f"FAILED table {n} certificate {i}: a sampled value exceeds the bound "
+              f"{certificates[i].bound!r} by {audits[i]['max_excess']!r}")
+    if bad or refuted:
         return EXIT_FAILED
     print(f"table {n}: {len(rows)} rows certified")
     return EXIT_OK
@@ -225,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "the least-prime exponent L = 5.2.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate one of the closed-form functions")
+    p_eval = sub.add_parser("eval", help="evaluate one of the closed-form functions",
+                            allow_abbrev=False)
     p_eval.add_argument("function", choices=EVAL_FUNCTIONS)
     p_eval.add_argument("--gamma", type=_finite_float, help="kernel parameter for f/F")
     p_eval.add_argument("--z", type=_finite_float, nargs="+", default=[0.0],
@@ -237,21 +245,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="lambda for C; accepts 'inf'")
     p_eval.add_argument("--Lambda", type=_finite_float, default=1.29)
     p_eval.add_argument("--eps", type=_finite_float, default=0.0)
-    for name in ("L", "K", "theta", "c1", "c2"):
-        p_eval.add_argument(f"--{name}", type=float)
     p_eval.add_argument("--params", type=str, help="JSON file with parameter overrides")
     p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_table = sub.add_parser("table", help="certify one table (2..13)")
+    p_table = sub.add_parser("table", help="certify one table (2..13)", allow_abbrev=False)
     p_table.add_argument("number", type=int, choices=range(2, 14))
     p_table.add_argument("--out", default="out")
     p_table.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                          help="accepted and ignored; the certificates run single-threaded")
-    p_table.add_argument("--seed", type=int, default=0)
     p_table.set_defaults(func=cmd_table)
 
-    p_final = sub.add_parser("verify-final", help="run the full W < 1 verification")
+    p_final = sub.add_parser("verify-final", help="run the full W < 1 verification",
+                             allow_abbrev=False)
     p_final.add_argument("--params", type=str, help="JSON file with L, K, theta, c1, c2")
     p_final.add_argument("--out", default="out")
     p_final.set_defaults(func=cmd_verify_final)

@@ -24,12 +24,15 @@ from . import _data
 from .kernel import WeightKernel, classic_density_bound
 
 __all__ = ["DensityQuery", "DensityBound", "density_gamma", "quadratic_N_bound",
-           "gen_density_tables", "vb8_bound", "DensityTables",
+           "gen_density_tables", "DensityTables",
            "classic_density_bound"]
 
 #: slack added before flooring the root, absorbing representation error at
 #: integer boundaries
 ROOT_SLACK = 1e-12
+
+#: the epsilon of the counting inequality; h(N) has the constant term EPSILON - beta^2
+EPSILON = 1e-7
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,6 @@ class DensityQuery:
     lambda11: float
     lambda0: float = 0.0
     n0: int = 0
-    epsilon: float = 1e-7
 
     def __post_init__(self):
         if not (0.0 < self.lam < 2.0):
@@ -97,7 +99,7 @@ def quadratic_N_bound(query: DensityQuery) -> DensityBound:
     beta = query.n0 * (kern.F_real(query.lambda0 - query.lambda11) - p) if query.n0 else 0.0
     a = g * c6 - alpha * alpha
     b = g * (g - c6) - 2.0 * alpha * beta
-    c = query.epsilon - beta * beta
+    c = EPSILON - beta * beta
     guards_ok = (p > c6) and (alpha * alpha > g * c6)
     if not guards_ok:
         return DensityBound(a, b, c, gamma, False, None, None)
@@ -110,19 +112,6 @@ def quadratic_N_bound(query: DensityQuery) -> DensityBound:
     r1, r2 = q / a, (c / q if q != 0.0 else 0.0)
     lo, hi = sorted((r1, r2))
     return DensityBound(a, b, c, gamma, True, (lo, hi), int(math.floor(hi + ROOT_SLACK)))
-
-
-def vb8_bound(kern: WeightKernel, lam: float, lambda21: float,
-              epsilon: float = 1e-7) -> Optional[float]:
-    """Auxiliary counting bound 3 S1 + 2 from a second-character hypothesis
-    lambda2 >= lambda21; None when either guard fails."""
-    p = kern.F_real(lam - lambda21)
-    g = kern.F_real(-lambda21)
-    c6 = kern.f0 / 6.0
-    if not (p > c6 and (p - c6) ** 2 > g * c6):
-        return None
-    s1 = g * (g - c6) / ((p - c6) ** 2 - g * c6) + epsilon
-    return 3.0 * s1 + 2.0
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import _data
-from .density import DensityTables, regenerated_tables
+from .density import regenerated_tables
 from .kernel import LinnikParams
 
 #: a case is certified only if W stays below 1 by this margin
@@ -124,7 +124,7 @@ def lambda_schedule(case: FinalCase):
     return l3_star, s, grid
 
 
-def n0_schedule(case: FinalCase, tables: Optional[DensityTables] = None) -> List[int]:
+def n0_schedule(case: FinalCase) -> List[int]:
     """Counting bounds N0(Lambda_r) along the schedule.
 
     Branch semantics: above lambda0 the column regenerated under the branch's
@@ -133,7 +133,7 @@ def n0_schedule(case: FinalCase, tables: Optional[DensityTables] = None) -> List
     """
     if case.density is None:
         raise ValueError(f"case {case.id} uses no counting table")
-    tables = tables or regenerated_tables()
+    tables = regenerated_tables()
     ref = case.density
     _, _, grid = lambda_schedule(case)
     out = []
@@ -182,8 +182,7 @@ def c_star(case: FinalCase, params: LinnikParams) -> float:
     return max(0.0, _finite(case, "C(lambda')", c_lp), _finite(case, "moved term", moved))
 
 
-def compute_W(case: FinalCase, params: LinnikParams,
-              tables: Optional[DensityTables] = None) -> CaseResult:
+def compute_W(case: FinalCase, params: LinnikParams) -> CaseResult:
     """W for one case row, with its full term breakdown."""
     l3_star, s, grid = lambda_schedule(case)
     base = (params.penalty_integral() / (params.c1 * params.c2 ** 2)
@@ -194,7 +193,7 @@ def compute_W(case: FinalCase, params: LinnikParams,
     c_l3 = _finite(case, "C(lambda3*)", params.C(case.Lambda, l3_star))
 
     if case.density is not None:
-        n0 = n0_schedule(case, tables)
+        n0 = n0_schedule(case)
         floor_term = (n0[-1] - 4) * c_l3
         tele = sum((n0[r] - n0[r + 1]) * params.C(case.Lambda, grid[r + 1])
                    for r in range(s))
@@ -247,18 +246,15 @@ class Report:
         return self.all_certified and self.all_reproduced
 
 
-def verify_all(params: Optional[LinnikParams] = None,
-               registry: Optional[List[FinalCase]] = None) -> Report:
+def verify_all(params: Optional[LinnikParams] = None) -> Report:
     """Certify every case row, and compare it against the published W when
     ``params`` are the shipped parameters, the only ones it was published for.
     """
     params = params or LinnikParams()
     shipped = params == LinnikParams()
-    registry = registry if registry is not None else load_registry()
-    tables = regenerated_tables()
     results = []
-    for case in registry:
-        res = compute_W(case, params, tables)
+    for case in load_registry():
+        res = compute_W(case, params)
         if shipped:
             res.reproduces = (res.W <= case.published_W + PUBLISHED_W_SLACK_HI
                               and res.W >= case.published_W - PUBLISHED_W_SLACK_LO)

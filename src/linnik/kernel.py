@@ -161,9 +161,6 @@ class WeightKernel:
                 - (4.0 * g**3 / 3.0) * T**(n + 3) / (n + 3)
                 + (16.0 * g**5 / 15.0) * T**(n + 1) / (n + 1))
 
-    def _series_coeffs(self) -> np.ndarray:
-        return _series_coeffs_cached(self.gamma)
-
     def F(self, z: ArrayLike) -> ArrayLike:
         """Laplace transform of f, vectorized over complex z.
 
@@ -247,9 +244,8 @@ class WeightKernel:
                 + 4.0 * (-1.0 + e + 2.0 * g * z * e) / z**6)
 
     def _F_series(self, z: np.ndarray) -> np.ndarray:
-        coeffs = self._series_coeffs()
         out = np.zeros_like(z)
-        for c in coeffs[::-1]:
+        for c in _series_coeffs_cached(self.gamma)[::-1]:
             out = out * (-z) + c
         return out
 
@@ -391,14 +387,9 @@ class LinnikParams:
             return 0.0
         return 1.0 / _w_integral(self, float(s))
 
-    def penalty_integral(self, flat_weight: bool = False) -> float:
-        """int_u^x w1(t)^{-2} min(t-u, v-u) dt.
-
-        flat_weight replaces w1 by the constant 1 (test hook; the integral
-        then has the elementary value c2^2/2 + (1/3 + c1) c2).  Computed once
-        per parameter set.
-        """
-        return _penalty_integral(self, flat_weight)
+    def penalty_integral(self) -> float:
+        """int_u^x w1(t)^{-2} min(t-u, v-u) dt, computed once per parameter set."""
+        return _penalty_integral(self)
 
     def damped_ratio(self, s: float) -> float:
         """e^{-(L-2K)s} B(s) / w(s); nonincreasing in s because L - 2K > 2x."""
@@ -433,15 +424,12 @@ def _w_integral(params: LinnikParams, s: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _penalty_integral(params: LinnikParams, flat_weight: bool) -> float:
-    """int_u^x min(t - u, v - u) / w1(t)^2 dt (w1 = 1 under flat_weight)."""
+def _penalty_integral(params: LinnikParams) -> float:
+    """int_u^x min(t - u, v - u) / w1(t)^2 dt."""
     u, v, x = params.u, params.v, params.x
     top = v - u + W1_OFFSET
     lo, hi = math.sqrt(W1_OFFSET), math.sqrt(top)
     # on [u, v], min(t - u, v - u) = r^2 - W1_OFFSET
-    if flat_weight:
-        rise = _gauss_legendre(lambda r: 2.0 * r * (r * r - W1_OFFSET), lo, hi, QUAD_TOL)
-        return rise + (v - u) * (x - v)
     theta = params.theta
     rise = _gauss_legendre(
         lambda r: 2.0 * (r * r - W1_OFFSET) * np.exp(theta * (u - W1_OFFSET + r * r)),

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -232,11 +232,10 @@ def grid_max(problem: SupProblem, grid: GridSpec) -> float:
 def sup_bound(problem: SupProblem, grid: GridSpec) -> SupCertificate:
     """Certify an upper bound for sup A over box x [0, inf).
 
-    Raises FloatingPointError instead of certifying when the tail or the
-    grid term is not finite (builtin max(tail, nan) would return tail).
+    Raises ValueError (from tail_bound) when x1 < 4, and FloatingPointError
+    instead of certifying when the tail or the grid term is not finite
+    (builtin max(tail, nan) would return tail).
     """
-    if grid.x1 < 4.0:
-        raise ValueError("sup certification requires x1 >= 4")
     tail = tail_bound(problem, grid.x1)
     d1, d2, d3 = derivative_bounds(problem)
     m0 = grid_max(problem, grid)
@@ -249,15 +248,16 @@ def sup_bound(problem: SupProblem, grid: GridSpec) -> SupCertificate:
 
 
 def domination_check(cert: SupCertificate, samples: int = 100_000,
-                     seed: int = 0, t_hi: Optional[float] = None) -> dict:
-    """Monte-Carlo audit that the certified bound dominates sampled values.
+                     seed: int = 0) -> dict:
+    """Monte-Carlo audit that the certified bound dominates sampled values
+    over box x [0, 3 x1].
 
     Returns the worst excess A - bound over the sample (negative = all
-    dominated).  Purely diagnostic; the certificate itself is the proof.
+    dominated).  The certificate is the proof; a positive excess refutes it.
     """
     rng = np.random.default_rng(seed)
-    prob, grid = cert.problem, cert.grid
-    hi = 3.0 * grid.x1 if t_hi is None else t_hi
+    prob = cert.problem
+    hi = 3.0 * cert.grid.x1
     s1 = rng.uniform(prob.s11, prob.s12, samples)
     s2 = rng.uniform(prob.s21, prob.s22, samples)
     t = rng.uniform(0.0, hi, samples)

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, outputs, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -99,11 +100,30 @@ def test_table_2_writes_artifacts(tmp_path, capsys):
 
 def test_table_csv_deterministic_across_jobs(tmp_path, capsys, fresh_tables):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["table", "9", "--out", str(a), "--jobs", "1", "--seed", "7"]) == 0
+    assert main(["table", "9", "--out", str(a), "--jobs", "1"]) == 0
     tables._certify.cache_clear()  # the second run certifies table 9 again
-    assert main(["table", "9", "--out", str(b), "--jobs", "3", "--seed", "7"]) == 0
+    assert main(["table", "9", "--out", str(b), "--jobs", "3"]) == 0
     assert (a / "table_9.csv").read_bytes() == (b / "table_9.csv").read_bytes()
     assert (a / "audit_9.json").read_bytes() == (b / "audit_9.json").read_bytes()
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_table_refuted_certificate_fails(tmp_path, monkeypatch, capsys, fresh_tables, n):
+    # a certificate whose bound sits below its own grid maximum is refuted by
+    # the domination audit, although every row still passes its checks
+    real = tables.sup_bound
+
+    def understated(problem, grid):
+        cert = real(problem, grid)
+        return dataclasses.replace(cert, bound=cert.m0 - 1.0)
+
+    monkeypatch.setattr(tables, "sup_bound", understated)
+    assert main(["table", str(n), "--out", str(tmp_path)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAILED")]
+    audit = json.loads((tmp_path / f"audit_{n}.json").read_text())["certificates"]
+    assert failed and all(line.startswith(f"FAILED table {n} certificate ") for line in failed)
+    assert len(failed) == sum(cert["domination_sample"]["max_excess"] > 0 for cert in audit)
 
 
 def test_table_non_finite_lattice_fails_closed(tmp_path, monkeypatch, capsys, fresh_tables):
@@ -250,14 +270,18 @@ def test_bad_params_file_is_usage_error(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
-def test_bad_tol_is_usage_error(tmp_path, capsys, tol):
-    # the quadrature tolerance is fixed; argparse refuses the flag
-    for argv in (["verify-final", "--out", str(tmp_path)], ["eval", "w"]):
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_bad_tol_is_usage_error(tmp_path, capsys, value):
+    # the quadrature tolerance and the audit seed are fixed, and eval reads
+    # parameters from --params only: argparse refuses each removed flag
+    # whatever its value, and takes no abbreviation (--L for --Lambda)
+    for argv in (["verify-final", "--out", str(tmp_path), "--tol"], ["eval", "w", "--tol"],
+                 ["table", "2", "--out", str(tmp_path), "--seed"],
+                 *(["eval", "B", f"--{name}"] for name in ("L", "K", "theta", "c1", "c2"))):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--tol", tol])
+            main([*argv, value])
         assert exc.value.code == 2
-    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[-1]} {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, code, prefix", [
@@ -277,3 +301,16 @@ def test_arithmetic_and_os_errors_map_to_exit_codes(tmp_path, capsys, argv, code
 def test_eval_H_prints_plain_floats(capsys):
     assert main(["eval", "H", "--z", "0"]) == 0
     assert capsys.readouterr().out == "0.1024 0.0\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["F", "--gamma", "1", "--z", "-1000"], ["F", "--gamma", "1", "--z", "-1000", "--json"],
+    ["H", "--z", "-1000"], ["H2", "--z", "-3000"],
+], ids=" ".join)
+def test_eval_non_finite_value_fails(capsys, argv):
+    # numpy overflows to inf or NaN with a warning, not an exception
+    assert main(["eval", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("FAILED: eval ")

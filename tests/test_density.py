@@ -1,11 +1,11 @@
-"""Zero-counting tests: the quadratic bound, its tables, the auxiliary bound."""
+"""Zero-counting tests: the quadratic bound and its tables."""
 
 
 import pytest
 
 from linnik.density import (DensityQuery, density_gamma, quadratic_N_bound,
-                            regenerated_tables, vb8_bound)
-from linnik.kernel import WeightKernel, classic_density_bound
+                            regenerated_tables)
+from linnik.kernel import classic_density_bound
 
 
 def test_gamma_formula_plain():
@@ -98,27 +98,6 @@ def test_guard_failure_returns_unbounded():
     assert res.bound is None
     assert not res.guards_ok
     assert res.roots is None
-
-
-def test_vb8_guard_failure_and_growth():
-    kern = WeightKernel(1.2)
-    assert vb8_bound(kern, 1.9, 0.5) is None  # guard fails for a deep box
-    # while the guards hold the bound grows with the box depth and stays > 2
-    vals = [vb8_bound(kern, lam, 0.05) for lam in (0.2, 0.5, 1.0)]
-    assert all(v is not None and v > 2.0 for v in vals)
-    assert vals[0] < vals[1] < vals[2]
-
-
-def test_vb8_against_quadratic_cross_method():
-    # same (lam, lambda21 = lambda11, gamma) inputs; both bounds are finite
-    # and the auxiliary form 3 S1 + 2 stays a valid (if cruder) companion
-    q = DensityQuery(lam=1.1, lambda11=0.60)
-    kern = WeightKernel(density_gamma(q))
-    aux = vb8_bound(kern, q.lam, q.lambda11)
-    quad = quadratic_N_bound(q).bound
-    assert aux is not None and quad is not None
-    assert aux >= 2.0
-    assert quad >= 1
 
 
 def test_lookup_missing_cell_is_loud():

@@ -274,17 +274,6 @@ def test_penalty_integral_positive():
     assert PARAMS.penalty_integral() > 0
 
 
-def test_penalty_flat_weight_closed_form():
-    # with the weight forced to 1 the integral is c2^2/2 + (1/3 + c1) c2, and
-    # dividing by 2 c1 c2^2 recovers the classic sieve constant
-    p = PARAMS
-    flat = p.penalty_integral(flat_weight=True)
-    assert flat == pytest.approx(p.c2 ** 2 / 2.0 + (1.0 / 3.0 + p.c1) * p.c2, abs=1e-12)
-    phi = 1.0 / 3.0
-    classic_constant = (2.0 * phi + 2.0 * p.c1 + p.c2) / (4.0 * p.c1 * p.c2)
-    assert flat / (p.c1 * p.c2 ** 2) / 2.0 == pytest.approx(classic_constant, rel=1e-12)
-
-
 def test_penalty_against_dense_midpoint_oracle():
     p = PARAMS
     fn = lambda t: (np.exp(p.theta * t) * np.minimum(t - p.u, p.v - p.u)
