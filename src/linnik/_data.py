@@ -27,12 +27,8 @@ def published_table(n: int) -> tuple:
         row = {}
         for key, val in raw.items():
             val = val.strip()
-            if key in ("ord",):
-                row[key] = val
-            elif key == "bound":
-                row[key] = val  # may be an integer literal or "-"
-            elif key in ("lambda1", "lambda0", "n0", "lam") and n in (12, 13):
-                row[key] = val
+            if key in ("ord", "bound"):
+                row[key] = val  # ord is a label, bound an integer literal or "-"
             else:
                 row[key] = _maybe_float(val)
         rows.append(row)

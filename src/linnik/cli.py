@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -234,6 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one of the closed-form functions",
                             allow_abbrev=False)
+    # argparse takes only -123 and -1.5 for negative numbers, and -1e6 for an
+    # option; eval has no option that looks like a number, so widen the match.
+    # The matcher is a private argparse attribute (checked on Python 3.11);
+    # test_cli asserts that argparse still has it.
+    p_eval._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     p_eval.add_argument("function", choices=EVAL_FUNCTIONS)
     p_eval.add_argument("--gamma", type=_finite_float, help="kernel parameter for f/F")
     p_eval.add_argument("--z", type=_finite_float, nargs="+", default=[0.0],

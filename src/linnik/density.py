@@ -129,10 +129,9 @@ def gen_density_tables():
     records = []
     for table in (12, 13):
         for raw in _data.published_table(table):
-            lambda1 = float(raw["lambda1"])
-            lambda0 = float(raw["lambda0"]) if raw["lambda0"] else 0.0
-            n0 = int(raw["n0"]) if raw["n0"] else 0
-            lam = float(raw["lam"])
+            lambda1, lam = raw["lambda1"], raw["lam"]
+            lambda0 = raw["lambda0"] or 0.0
+            n0 = int(raw["n0"] or 0)
             published = raw["bound"]
             result = quadratic_N_bound(
                 DensityQuery(lam=lam, lambda11=lambda1, lambda0=lambda0, n0=n0))

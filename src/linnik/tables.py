@@ -28,19 +28,23 @@ stepped and dominated penalty cases, kernel and lattice.  Every one of their
 rows checks that its stepping start lambda2_alt is HB92's value at the cap
 (the window's lower end above lambda1 = 0.70, where HB92 stops).
 
-Tables 2-6, 9 and 10 certify their own suprema.  The others read certified
-rows of the tables they depend on:
+Every generator yields rows, and every row is built by ``_row``: it
+carries the supremum certificates its decision used (``certificates``) and
+the certified rows it read (``upstream``).  Tables 2-6, 9 and 10 certify
+their own suprema.  The others read certified rows of the tables they
+depend on:
 
 * table 7 <- 4, 5, 6: the row-wise minimum, with no supremum of its own;
 * table 8 <- 2, 4, 6, 7: table 4's window and certificates at each cap,
   lambda* = min(table 2, table 7) and the case-7 column from table 6;
 * table 11 <- 2, 3, 6, 7: lambda* at the assumed cap.
 
-A downstream row is certified only if every upstream row it reads is.
-``generate_table`` certifies each table at most once per process: the
-result, a tuple of frozen rows and a tuple of certificates, is memoised and
-shared by every caller.  A NaN or inf in any decision RHS raises
-FloatingPointError instead of deciding the row.
+A row that reads upstream rows is certified only if every one of them is
+(the ``upstream_certified`` check).  ``generate_table`` certifies each table
+at most once per process: the result, a tuple of frozen rows and the tuple
+of their certificates, each once in first-use order, is memoised and shared
+by every caller.  A NaN or inf in any decision RHS raises FloatingPointError
+instead of deciding the row.
 """
 
 from __future__ import annotations
@@ -71,7 +75,9 @@ STEP_K_RANGE = (0.3, 1.7)
 class TableRow:
     """One certified table row with its decision margin and audit data.
 
-    Rows are shared through the memo, so ``detail`` is a read-only view.
+    ``certificates`` are the supremum certificates its decision used and
+    ``upstream`` the certified rows it read.  Rows are shared through the
+    memo, so ``detail`` is a read-only view.
     """
 
     table: int
@@ -85,6 +91,8 @@ class TableRow:
     certified: bool = False
     margin: float = math.nan
     detail: Mapping = field(default_factory=dict)
+    certificates: tuple = field(default=(), repr=False, compare=False)
+    upstream: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "detail", MappingProxyType(dict(self.detail)))
@@ -110,18 +118,22 @@ def _finite_max(rhs) -> tuple:
     return float(arr[j]), j
 
 
-def _decided(rhs, detail: dict, **checks: bool) -> dict:
-    """The certified, margin and detail fields of a row decided at ``rhs``.
+def _row(rhs, detail: dict, checks: dict, **fields) -> TableRow:
+    """The row with ``fields``, decided at ``rhs``.
 
     Certified iff the worst RHS is below -CERT_MARGIN and every named check
-    holds; the names of the failing checks go to detail["failed_checks"].
+    holds, ``upstream_certified`` among them when the row reads upstream
+    rows; the names of the failing checks go to detail["failed_checks"].
     """
+    upstream = fields.get("upstream", ())
+    if upstream:
+        checks = {**checks, "upstream_certified": all(r.certified for r in upstream)}
     worst, _ = _finite_max(rhs)
     failed = tuple(name for name, ok in checks.items() if not ok)
     if failed:
         detail = {**detail, "failed_checks": failed}
-    return {"certified": worst < -CERT_MARGIN and not failed, "margin": -worst,
-            "detail": detail}
+    return TableRow(certified=worst < -CERT_MARGIN and not failed, margin=-worst,
+                    detail=detail, **fields)
 
 
 # --------------------------------------------------------------------------
@@ -225,7 +237,7 @@ def delta_step_max(kernel: WeightKernel, k: float, lambda1_hi: float,
     rhs = ((k * k + 0.5) * (kernel.F_real(-b) - kernel.F_real(lambda1_hi - b) - kernel.F0)
            - (2.0 * k - (k * k + 0.5)) * kernel.F_real(lambda1_hi - a)
            + D)
-    return (*_finite_max(rhs), a.size)
+    return _finite_max(rhs)[0]
 
 
 def rhs_lambda3_complex(kernel: WeightKernel, lambda1_lo: float, lambda1_hi: float,
@@ -282,7 +294,6 @@ def gen_table2():
     zero in s2; beyond 0.68 lambda* = lambda1 and the problem moves to the
     (s1, k3) form.
     """
-    rows, certs = [], []
     lam_star_map = _data.hb92_map("lambda_star_table2")
     for pub, lo in _chained(2, 0.34):
         cap = pub["lambda1_hi"]
@@ -301,17 +312,14 @@ def gen_table2():
             grid = GridSpec(ds1=0.004, ds2=0.0, dt=0.004, x1=15.0)
         cert = sup_bound(prob, grid)
         rhs = rhs_lprime_high(kern, k, lam_star, cap, pub["lambda_prime"], cert.bound)
-        rows.append(TableRow(table=2, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
-                             lambda_star=lam_star, claimed_bound=pub["lambda_prime"],
-                             published_C=(pub["C"],), computed_C=(cert.bound,),
-                             **_decided(rhs, {"gamma": gamma, "k": k, "rhs": rhs})))
-        certs.append(cert)
-    return rows, certs
+        yield _row(rhs, {"gamma": gamma, "k": k, "rhs": rhs}, {},
+                   table=2, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
+                   lambda_star=lam_star, claimed_bound=pub["lambda_prime"],
+                   published_C=(pub["C"],), computed_C=(cert.bound,), certificates=(cert,))
 
 
 def gen_table3():
     """Second-zero bounds, character order 2..4 (19 rows, two suprema each)."""
-    rows, certs = [], []
     for pub, lo in _chained(3, 0.34):
         cap = pub["lambda1_hi"]
         gamma = 1.21 - 5.0 * cap / 12.0
@@ -325,13 +333,11 @@ def gen_table3():
                                       s11=lo, s12=cap, s21=0.0, s22=0.0), grid)
         rhs = rhs_lprime_low(kern, k, cap, pub["lambda_prime"],
                              cert_a.bound / 2.0, cert_b.bound)
-        rows.append(TableRow(table=3, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
-                             lambda_star=None, claimed_bound=pub["lambda_prime"],
-                             published_C=(pub["C1"], pub["C2"]),
-                             computed_C=(cert_a.bound, cert_b.bound),
-                             **_decided(rhs, {"gamma": gamma, "k": k, "rhs": rhs})))
-        certs.extend([cert_a, cert_b])
-    return rows, certs
+        yield _row(rhs, {"gamma": gamma, "k": k, "rhs": rhs}, {},
+                   table=3, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
+                   lambda_star=None, claimed_bound=pub["lambda_prime"],
+                   published_C=(pub["C1"], pub["C2"]),
+                   computed_C=(cert_a.bound, cert_b.bound), certificates=(cert_a, cert_b))
 
 
 #: HB92's second-character bounds stop at lambda1 = 0.70; beyond it the
@@ -362,11 +368,10 @@ def gen_second_character_table(n: int):
     Each row certifies its suprema over the box [lambda2_alt, claimed] x
     [lambda1_lo, cap], steps its penalty cases from lambda2_alt to the
     claimed bound, and checks that lambda2_alt is the imported HB92 start.
-    Each row keeps its certificates in detail["certificates"].
+    Table 8 reuses a table-4 row's ``certificates`` at the same cap.
     """
     first_lo, gamma_k, grid, sups, stepped, dominated = _SECOND_CHARACTER[n]
     alt_map = _data.hb92_map("lambda2_alt")
-    rows, certs = [], []
     for pub, lo in _chained(n, first_lo):
         cap, alt, neu = pub["lambda1_hi"], pub["lambda2_alt"], pub["lambda2_new"]
         gamma, k = gamma_k(cap)
@@ -379,23 +384,17 @@ def gen_second_character_table(n: int):
         d_by_case = MappingProxyType({
             c: lambda2_D(c, k, kern.f0, sup.get("A", 0.0), sup.get("B", 0.0))
             for c in stepped + dominated})
-        steps = [delta_step_max(kern, k, cap, alt, neu, 1e-4, d_by_case[c])[0]
+        steps = [delta_step_max(kern, k, cap, alt, neu, 1e-4, d_by_case[c])
                  for c in stepped]
         d_dominant = d_by_case[stepped[-1]]
         start = alt_map.get(cap, math.nan) if cap <= HB92_LAMBDA2_ALT_MAX else lo
-        rows.append(TableRow(table=n, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
-                             lambda_star=None, claimed_bound=neu,
-                             published_C=tuple(pub[{"A": "C1", "B": "C2"}[s]]
-                                               for s in sups),
-                             computed_C=tuple(sup.values()),
-                             **_decided(steps, {"gamma": gamma, "k": k, "lambda2_alt": alt,
-                                                "D_by_case": d_by_case,
-                                                "certificates": row_certs},
-                                        dominance=all(d_by_case[c] <= d_dominant
-                                                      for c in dominated),
-                                        lambda2_alt_imported=alt == start)))
-        certs.extend(row_certs)
-    return rows, certs
+        yield _row(steps, {"gamma": gamma, "k": k, "lambda2_alt": alt, "D_by_case": d_by_case},
+                   {"dominance": all(d_by_case[c] <= d_dominant for c in dominated),
+                    "lambda2_alt_imported": alt == start},
+                   table=n, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
+                   lambda_star=None, claimed_bound=neu,
+                   published_C=tuple(pub[{"A": "C1", "B": "C2"}[s]] for s in sups),
+                   computed_C=tuple(sup.values()), certificates=row_certs)
 
 
 def _rows_by_cap(n: int) -> dict:
@@ -420,24 +419,20 @@ def gen_table7():
     # imported order-2 first-zero bound, so its column joins the minimum only
     # for caps beyond it
     case7_floor = _data.hb92()["lambda1_old_by_ord"]["values"]["2"]
-    rows = []
     for pub in _data.published_table(7):
         cap = pub["lambda1_hi"]
         if pub["lambda2_new"] is None:
             continue  # rows beyond 0.68 only restate the imported bounds
-        used = [by_cap4[cap], by_cap5[cap]]
+        used = (by_cap4[cap], by_cap5[cap])
         if cap > case7_floor:
-            used.append(table6_bound_at(cap, rows6))
+            used += (table6_bound_at(cap, rows6),)
         candidates = tuple(r.claimed_bound for r in used)
         value = min(candidates)
-        rows.append(TableRow(table=7, label=f"{cap:g}", lambda1_lo=used[0].lambda1_lo,
-                             lambda1_hi=cap, lambda_star=None, claimed_bound=value,
-                             **_decided([-r.margin for r in used],
-                                        {"candidates": candidates,
-                                         "published": pub["lambda2_new"]},
-                                        published=value == pub["lambda2_new"],
-                                        upstream_certified=all(r.certified for r in used))))
-    return rows, []
+        yield _row([-r.margin for r in used],
+                   {"candidates": candidates, "published": pub["lambda2_new"]},
+                   {"published": value == pub["lambda2_new"]},
+                   table=7, label=f"{cap:g}", lambda1_lo=used[0].lambda1_lo,
+                   lambda1_hi=cap, lambda_star=None, claimed_bound=value, upstream=used)
 
 
 def gen_table8():
@@ -451,14 +446,13 @@ def gen_table8():
     """
     by_cap2, by_cap4, by_cap7 = _rows_by_cap(2), _rows_by_cap(4), _rows_by_cap(7)
     rows6 = _certify(6)[0]
-    rows, certs = [], []
     # chained coverage: each row's bound must be implied for smaller lambda1
     prev = by_cap7[0.50]
     for pub in _data.published_table(8):
         cap = pub["lambda1_hi"]
         row2, row4, row7 = by_cap2[cap], by_cap4[cap], by_cap7[cap]
         row6 = table6_bound_at(cap, rows6)
-        cert_a, cert_b = row4.detail["certificates"]
+        cert_a, cert_b = row4.certificates
         kern, k = cert_a.problem.kernel, row4.detail["k"]
         lam_star = min(row2.claimed_bound, row7.claimed_bound)
         rhs1 = rhs_lambda2_case(kern, k, 1, lam_star, cap, pub["case1"], 0.0, 0.0)
@@ -466,25 +460,22 @@ def gen_table8():
                                 cert_a.bound, cert_b.bound)
         case7 = row6.claimed_bound
         all_cases = min(pub["case1"], pub["case2348"], case7)
-        upstream = (row2, row4, row6, row7, prev)
-        rows.append(TableRow(
-            table=8, label=f"{cap:g}", lambda1_lo=row4.lambda1_lo, lambda1_hi=cap,
-            lambda_star=lam_star, claimed_bound=pub["all_cases"],
-            **_decided((rhs1, rhs2),
-                       {"gamma": kern.gamma, "k": k, "rhs_case1": rhs1,
-                        "rhs_case2348": rhs2, "case7": case7},
-                       lambda_star_published=lam_star == pub["lambda_star"],
-                       # the reused supremum certificates must cover the fixed lambda*
-                       certificates_cover=(row4.detail["lambda2_alt"] <= lam_star
-                                           <= row4.claimed_bound),
-                       case7_published=case7 == pub["case7"],
-                       all_cases_is_min=all_cases == pub["all_cases"],
-                       chain=pub["all_cases"] <= prev.claimed_bound,
-                       # a certified table-4 row also holds its case dominance
-                       upstream_certified=all(r.certified for r in upstream))))
-        certs.extend([cert_a, cert_b])
-        prev = rows[-1]
-    return rows, certs
+        prev = _row((rhs1, rhs2),
+                    {"gamma": kern.gamma, "k": k, "rhs_case1": rhs1,
+                     "rhs_case2348": rhs2, "case7": case7},
+                    {"lambda_star_published": lam_star == pub["lambda_star"],
+                     # the reused supremum certificates must cover the fixed lambda*
+                     "certificates_cover": (row4.detail["lambda2_alt"] <= lam_star
+                                            <= row4.claimed_bound),
+                     "case7_published": case7 == pub["case7"],
+                     "all_cases_is_min": all_cases == pub["all_cases"],
+                     "chain": pub["all_cases"] <= prev.claimed_bound},
+                    table=8, label=f"{cap:g}", lambda1_lo=row4.lambda1_lo, lambda1_hi=cap,
+                    lambda_star=lam_star, claimed_bound=pub["all_cases"],
+                    certificates=row4.certificates,
+                    # a certified table-4 row also holds its case dominance
+                    upstream=(row2, row4, row6, row7, prev))
+        yield prev
 
 
 def gen_table9():
@@ -498,7 +489,6 @@ def gen_table9():
                                  s11=0.44, s12=0.85, s21=0.0, s22=0.0),
                       GridSpec(ds1=0.03, ds2=0.0, dt=0.03, x1=6.0))
     guard_ok = guard.bound < 0.18 and guard.bound < kern.f0 / 6.0
-    rows = []
     for pub in _data.published_table(9):
         lo, hi, l3 = pub["lambda1_lo"], pub["lambda1_hi"], pub["lambda3"]
         l2cap = pub["lambda2_cap"]
@@ -506,13 +496,11 @@ def gen_table9():
         worst, worst_j = _finite_max(rhs_lambda3_complex(
             kern, a, b, l2cap if l2cap is not None else l3, l3))
         label = f"[{lo:g},{hi:g}]" + (f" l2<={l2cap:g}" if l2cap is not None else "")
-        rows.append(TableRow(table=9, label=label, lambda1_lo=lo, lambda1_hi=hi,
-                             lambda_star=None, claimed_bound=l3,
-                             **_decided(worst, {"worst_step": worst_j, "steps": a.size,
-                                                "lambda2_cap": l2cap,
-                                                "guard_bound": guard.bound},
-                                        guard=guard_ok)))
-    return rows, [guard]
+        yield _row(worst, {"worst_step": worst_j, "steps": a.size, "lambda2_cap": l2cap,
+                           "guard_bound": guard.bound},
+                   {"guard": guard_ok},
+                   table=9, label=label, lambda1_lo=lo, lambda1_hi=hi,
+                   lambda_star=None, claimed_bound=l3, certificates=(guard,))
 
 
 #: kernel parameter per real-real third-zero window; the middle window cannot
@@ -528,7 +516,6 @@ def gen_table10():
     Each kernel parameter in use gets its own guard certificate; a row is
     certified only under a valid guard for its kernel.
     """
-    rows, certs = [], []
     guards = {}
     for gamma in sorted(set(_T10_GAMMA.values())):
         kern = WeightKernel(gamma)
@@ -536,7 +523,6 @@ def gen_table10():
                                     s11=0.44, s12=1.175, s21=0.44, s22=0.80),
                          GridSpec(ds1=0.03, ds2=0.03, dt=0.03, x1=6.0))
         guards[gamma] = (cert, cert.bound < 0.10 and cert.bound < 5.0 / 48.0 * kern.f0)
-        certs.append(cert)
     for pub in _data.published_table(10):
         lo, hi, l3 = pub["lambda1_lo"], pub["lambda1_hi"], pub["lambda3"]
         gamma = _T10_GAMMA[lo]
@@ -545,12 +531,11 @@ def gen_table10():
         # the second zero steps from the window's lower end up to the claimed bound
         a, b = _step_ends(lo, l3, 1e-3)
         worst, worst_j = _finite_max(rhs_lambda3_real(kern, a, b, hi, l3))
-        rows.append(TableRow(table=10, label=f"[{lo:g},{hi:g}]", lambda1_lo=lo,
-                             lambda1_hi=hi, lambda_star=None, claimed_bound=l3,
-                             **_decided(worst, {"worst_step": worst_j, "steps": a.size,
-                                                "gamma": gamma, "guard_bound": guard.bound},
-                                        guard=guard_ok)))
-    return rows, certs
+        yield _row(worst, {"worst_step": worst_j, "steps": a.size, "gamma": gamma,
+                           "guard_bound": guard.bound},
+                   {"guard": guard_ok},
+                   table=10, label=f"[{lo:g},{hi:g}]", lambda1_lo=lo, lambda1_hi=hi,
+                   lambda_star=None, claimed_bound=l3, certificates=(guard,))
 
 
 _L1_SUPS = {
@@ -569,7 +554,6 @@ def gen_table11():
     Branch data: assumed cap, imported old bound (s2 box), and lambda* read
     from the certified second-zero/second-character rows at the assumed cap.
     """
-    rows, certs = [], []
     old_map = _data.hb92()["lambda1_old_by_ord"]["values"]
     by_cap2, by_cap3, by_cap7 = _rows_by_cap(2), _rows_by_cap(3), _rows_by_cap(7)
     rows6 = _certify(6)[0]
@@ -585,27 +569,22 @@ def gen_table11():
         else:
             upstream = (by_cap2[l_ann], by_cap7[l_ann])
         lam_star = min(r.claimed_bound for r in upstream)
-        total_c = 0.0
-        for k1, k2 in _L1_SUPS.get(ordc, ()):
-            cert = sup_bound(SupProblem(kern, k1=k1, k2=k2, k3=0.0,
-                                        s11=lam_star, s12=lam_star, s21=l_old, s22=l_ann),
-                             GridSpec(ds1=0.0, ds2=0.005, dt=0.005, x1=12.0))
-            total_c += cert.bound
-            certs.append(cert)
+        certs = tuple(sup_bound(SupProblem(kern, k1=k1, k2=k2, k3=0.0, s11=lam_star,
+                                           s12=lam_star, s21=l_old, s22=l_ann),
+                                GridSpec(ds1=0.0, ds2=0.005, dt=0.005, x1=12.0))
+                      for k1, k2 in _L1_SUPS.get(ordc, ()))
+        total_c = sum(c.bound for c in certs)
         D = _L1_FRACTION[ordc] * kern.f0 + total_c
         rhs = rhs_lambda1(kern, lam_star, l_new, D)
         published_c = (pub["C"],) if pub["C"] is not None else ()
-        rows.append(TableRow(table=11, label=f"ord {ordc}", lambda1_lo=l_old,
-                             lambda1_hi=l_ann, lambda_star=lam_star, claimed_bound=l_new,
-                             published_C=published_c,
-                             computed_C=(total_c,) if published_c else (),
-                             **_decided(rhs, {"gamma": pub["gamma"], "rhs": rhs, "D": D},
-                                        lambda_star_published=lam_star == pub["lambda_star"],
-                                        lambda1_old_imported=l_old == old_map.get(ordc),
-                                        within_assumed_cap=l_new <= l_ann,
-                                        upstream_certified=all(r.certified
-                                                               for r in upstream))))
-    return rows, certs
+        yield _row(rhs, {"gamma": pub["gamma"], "rhs": rhs, "D": D},
+                   {"lambda_star_published": lam_star == pub["lambda_star"],
+                    "lambda1_old_imported": l_old == old_map.get(ordc),
+                    "within_assumed_cap": l_new <= l_ann},
+                   table=11, label=f"ord {ordc}", lambda1_lo=l_old, lambda1_hi=l_ann,
+                   lambda_star=lam_star, claimed_bound=l_new, published_C=published_c,
+                   computed_C=(total_c,) if published_c else (),
+                   certificates=certs, upstream=upstream)
 
 
 _GENERATORS = {2: gen_table2, 3: gen_table3,
@@ -617,10 +596,13 @@ _GENERATORS = {2: gen_table2, 3: gen_table3,
 @functools.lru_cache(maxsize=None)
 def _certify(n: int) -> tuple:
     try:
-        rows, certificates = _GENERATORS[n]()
+        rows = tuple(_GENERATORS[n]())
     except FloatingPointError as exc:
         raise FloatingPointError(f"table {n}: {exc}") from exc
-    return tuple(rows), tuple(certificates)
+    # each certificate once, in first-use order: table 9's guard serves every
+    # row, table 10's one guard per kernel
+    certificates = {id(c): c for r in rows for c in r.certificates}
+    return rows, tuple(certificates.values())
 
 
 def generate_table(n: int) -> tuple:

@@ -1,5 +1,7 @@
 """CLI contract tests: exit codes, outputs, determinism."""
 
+import argparse
+import csv
 import dataclasses
 import json
 
@@ -63,6 +65,24 @@ def test_eval_non_finite_input_is_usage_error(capsys, argv):
     assert "not a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["w", "--s", "-1e6"], ["F", "--gamma", "1", "--z", "-1e3"],
+    ["F", "--gamma", "1", "--z", "-1e-1", "2"], ["B", "--lambda", "-1e-3"],
+], ids=" ".join)
+def test_eval_negative_exponent_argument_is_a_number(capsys, argv):
+    # the value may fail to evaluate, but the argument parses as a number: a
+    # parse error would raise SystemExit
+    main(["eval", *argv])
+    assert "expected one argument" not in capsys.readouterr().err
+
+
+def test_argparse_has_negative_number_matcher():
+    # the eval subparser overrides this private attribute; were argparse to
+    # drop it, the override would silently do nothing
+    assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
+
+
 def test_eval_C_at_infinity(capsys):
     assert main(["eval", "C", "--lambda-str", "inf"]) == 0
     assert float(capsys.readouterr().out) == 0.0
@@ -124,6 +144,28 @@ def test_table_refuted_certificate_fails(tmp_path, monkeypatch, capsys, fresh_ta
     audit = json.loads((tmp_path / f"audit_{n}.json").read_text())["certificates"]
     assert failed and all(line.startswith(f"FAILED table {n} certificate ") for line in failed)
     assert len(failed) == sum(cert["domination_sample"]["max_excess"] > 0 for cert in audit)
+
+
+def test_table_published_cap_violation_fails(tmp_path, monkeypatch, capsys, table_rows,
+                                             fresh_tables):
+    # a computed supremum above its published cap fails reproduction, not
+    # certification: the row is reported and stays certified in the CSV
+    row = table_rows[3][4]
+    real = _data.published_table
+
+    def lowered(n):
+        return tuple({**pub, "C1": row.computed_C[0] - 0.01}
+                     if n == 3 and pub["lambda1_hi"] == row.lambda1_hi else pub
+                     for pub in real(n))
+
+    monkeypatch.setattr(_data, "published_table", lowered)
+    assert main(["table", "3", "--out", str(tmp_path)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAILED")]
+    assert len(failed) == 1 and failed[0].startswith(f"FAILED table 3 row {row.label}:")
+    with open(tmp_path / "table_3.csv", newline="") as fh:
+        written = {r["label"]: r for r in csv.DictReader(fh)}
+    assert written[row.label]["certified"] == "True"
 
 
 def test_table_non_finite_lattice_fails_closed(tmp_path, monkeypatch, capsys, fresh_tables):

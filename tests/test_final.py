@@ -76,7 +76,7 @@ def test_n0_schedule_unconditional():
     grid = lambda_schedule(case)[2]
     keine = {round(float(r["lam"]), 3): int(r["bound"])
              for r in _data.published_table(12)
-             if r["lambda1"] == "0.62" and not r["n0"] and r["bound"] != "-"}
+             if r["lambda1"] == 0.62 and not r["n0"] and r["bound"] != "-"}
     for lam, val in zip(grid, n0):
         assert val == keine[round(lam, 3)]
 

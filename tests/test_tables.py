@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linnik import _data, tables
+from linnik.cli import main
 from linnik.kernel import WeightKernel
 from linnik.tables import (CERT_MARGIN, lambda2_D, rhs_lambda1, rhs_lambda2_case,
                            rhs_lambda3_complex, rhs_lambda3_real, rhs_lprime_high,
@@ -294,13 +296,29 @@ def test_certified_inputs_unchanged():
     assert digest.hexdigest() == CERTIFIED_INPUTS_SHA256
 
 
-def test_table8_reuses_table4_certificates():
-    rows4, certs4 = tables.generate_table(4)
-    rows8, certs8 = tables.generate_table(8)
-    by_cap = {r.lambda1_hi: r.detail["certificates"] for r in rows4}
-    assert certs4 == tuple(c for r in rows4 for c in r.detail["certificates"])
-    for r, pair in zip(rows8, zip(certs8[::2], certs8[1::2]), strict=True):
-        assert all(a is b for a, b in zip(pair, by_cap[r.lambda1_hi], strict=True))
+def _same_objects(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(map(operator.is_, xs, ys))
+
+
+def test_table_certificates_are_the_row_certificates_once_each(tmp_path):
+    for n in range(2, 12):
+        rows, certificates = tables.generate_table(n)
+        used = [c for r in rows for c in r.certificates]
+        first_use = [c for i, c in enumerate(used) if not any(c is u for u in used[:i])]
+        assert _same_objects(certificates, first_use), n
+        assert main(["table", str(n), "--out", str(tmp_path)]) == 0
+        audit = json.loads((tmp_path / f"audit_{n}.json").read_text())
+        assert len(audit["certificates"]) == len(certificates), n
+    # table 9 shares one guard; table 10 has one per kernel, in gamma order
+    rows9, certs9 = tables.generate_table(9)
+    assert len(certs9) == 1 and all(_same_objects(r.certificates, certs9) for r in rows9)
+    certs10 = tables.generate_table(10)[1]
+    assert [c.problem.kernel.gamma for c in certs10] == sorted(set(tables._T10_GAMMA.values()))
+    # table 8 reuses table 4's certificates at each cap: the same objects
+    by_cap4 = {r.lambda1_hi: r.certificates for r in tables.generate_table(4)[0]}
+    for r in tables.generate_table(8)[0]:
+        assert len(r.certificates) == 2
+        assert _same_objects(r.certificates, by_cap4[r.lambda1_hi])
 
 
 @pytest.mark.parametrize("upstream", [2, 4])
@@ -308,9 +326,8 @@ def test_failed_upstream_row_fails_downstream(monkeypatch, fresh_tables, upstrea
     real = tables._GENERATORS[upstream]
 
     def one_row_fails():
-        rows, certs = real()
-        return [dataclasses.replace(r, certified=False) if r.lambda1_hi == 0.54 else r
-                for r in rows], certs
+        for r in real():
+            yield dataclasses.replace(r, certified=False) if r.lambda1_hi == 0.54 else r
 
     monkeypatch.setitem(tables._GENERATORS, upstream, one_row_fails)
     rows8 = {r.lambda1_hi: r for r in tables.generate_table(8)[0]}
