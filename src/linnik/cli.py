@@ -49,6 +49,8 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ";".join(repr(v) for v in value)
     return str(value)
 
 
@@ -80,7 +82,11 @@ def _finite_or_inf(text: str) -> Optional[float]:
 
 def cmd_eval(args) -> int:
     name = args.function
-    z = complex(args.z[0], args.z[1] if len(args.z) > 1 else 0.0)
+    if len(args.z) > 2:
+        raise ValueError(f"--z takes RE [IM], got {len(args.z)} values")
+    z = complex(*args.z)
+    if args.lam is None and name in ("B", "classic_density"):
+        raise ValueError(f"eval {name}: --lambda must be finite; 'inf' is for C only")
     if name in ("f", "F"):
         if args.gamma is None:
             raise ValueError("eval f/F requires --gamma")
@@ -90,7 +96,7 @@ def cmd_eval(args) -> int:
         else:
             value = kern.F(z)
     elif name == "classic_density":
-        value = classic_density_bound(args.lam, args.eps)
+        value = classic_density_bound(args.lam)
     else:
         params = _params_from_args(args)
         if name == "B":
@@ -104,7 +110,7 @@ def cmd_eval(args) -> int:
         elif name == "w":
             value = params.w(args.s)
         else:  # C
-            value = params.C(args.Lambda, args.lam_str)
+            value = params.C(args.Lambda, args.lam)
     if not cmath.isfinite(value):
         raise FloatingPointError(f"eval {name}: the value is not finite ({value!r})")
     if args.json:
@@ -134,16 +140,14 @@ def cmd_table(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     if n in (12, 13):
         records = [r for r in density.regenerated_tables().records if r["table"] == n]
-        rows = [[_fmt(r["lambda1"]), _fmt(r["lambda0"]), _fmt(r["n0"]), _fmt(r["lam"]),
-                 _fmt(r["published"]), _fmt(r["computed"]), _fmt(r["match"])]
-                for r in records]
-        _write_csv(outdir / f"table_{n}.csv", DENSITY_CSV_COLUMNS, rows)
+        _write_csv(outdir / f"table_{n}.csv", DENSITY_CSV_COLUMNS,
+                   [[_fmt(r[c]) for c in DENSITY_CSV_COLUMNS] for r in records])
         audit = {"table": n, "cells": [
             {k: rec[k] for k in ("lambda1", "lambda0", "n0", "lam", "published",
                                  "computed", "gamma", "parabola", "roots", "match")}
             for rec in records]}
         with open(outdir / f"audit_{n}.json", "w") as fh:
-            json.dump(audit, fh, indent=1, sort_keys=True, default=str)
+            json.dump(audit, fh, indent=1, sort_keys=True)
         failures = [r for r in records if r["match"] is False]
         if failures:
             for r in failures:
@@ -154,16 +158,8 @@ def cmd_table(args) -> int:
         return EXIT_OK
 
     rows, certificates = tables.generate_table(n)
-    csv_rows = []
-    for r in rows:
-        csv_rows.append([
-            _fmt(r.table), r.label, _fmt(r.lambda1_lo), _fmt(r.lambda1_hi),
-            _fmt(r.lambda_star), _fmt(r.claimed_bound),
-            ";".join(repr(c) for c in r.computed_C),
-            ";".join(repr(c) for c in r.published_C),
-            _fmt(r.margin), _fmt(r.certified),
-        ])
-    _write_csv(outdir / f"table_{n}.csv", TABLE_CSV_COLUMNS, csv_rows)
+    _write_csv(outdir / f"table_{n}.csv", TABLE_CSV_COLUMNS,
+               [[_fmt(getattr(r, c)) for c in TABLE_CSV_COLUMNS] for r in rows])
     audits = [domination_check(cert, samples=2000, seed=AUDIT_SEED) for cert in certificates]
     with open(outdir / f"audit_{n}.json", "w") as fh:
         json.dump({"table": n, "seed": AUDIT_SEED,
@@ -202,8 +198,7 @@ def cmd_verify_final(args) -> int:
                          _fmt(res.certified), _fmt(res.reproduces)])
     _write_csv(outdir / "final_report.csv", FINAL_CSV_COLUMNS, csv_rows)
     payload = {
-        "parameters": {"L": params.L, "K": params.K, "theta": params.theta,
-                       "c1": params.c1, "c2": params.c2, "epsilon": params.epsilon},
+        "parameters": dataclasses.asdict(params),
         "passed": report.passed,
         "cases": [{
             "id": res.case.id, "family": res.case.family, "W": res.W,
@@ -246,11 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="complex argument: RE [IM]")
     p_eval.add_argument("--t", type=_finite_float, default=0.0)
     p_eval.add_argument("--s", type=_finite_or_inf, default="0.0", help="real argument or 'inf'")
-    p_eval.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
-    p_eval.add_argument("--lambda-str", dest="lam_str", type=_finite_or_inf, default="1.0",
-                        help="lambda for C; accepts 'inf'")
+    p_eval.add_argument("--lambda", dest="lam", type=_finite_or_inf, default=1.0,
+                        help="real argument; 'inf' (C only) is the +infinity sentinel")
     p_eval.add_argument("--Lambda", type=_finite_float, default=1.29)
-    p_eval.add_argument("--eps", type=_finite_float, default=0.0)
     p_eval.add_argument("--params", type=str, help="JSON file with parameter overrides")
     p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(func=cmd_eval)

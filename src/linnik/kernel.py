@@ -17,9 +17,8 @@ penalty integral and ``xf_exp_moment`` use one fixed Gauss-Legendre rule
 (:func:`_gauss_legendre`): each is split so that its integrand is a
 polynomial times an exponential, an entire function on which the rule
 converges geometrically, and the 32-node value is returned only when the
-16-node value agrees with it to within max(50 tol, 1e-9 |I|), where tol is
-QUAD_TOL (1e-12) for ``w`` and the penalty and XF_MOMENT_TOL (1e-10) for
-``xf_exp_moment``; otherwise :class:`QuadratureError` is raised.
+16-node value agrees with it to within max(50 QUAD_TOL, 1e-9 |I|), with
+QUAD_TOL = 1e-12; otherwise :class:`QuadratureError` is raised.
 The error of an n-node rule on such an integrand falls geometrically in n,
 so |I32 - I16| is in effect the 16-node error and bounds the far smaller
 32-node error of the returned value.  A NaN or inf in either value raises
@@ -46,10 +45,8 @@ _SERIES_TERMS = 26
 # |K*z| below which (1 - exp(-K z))/z is evaluated by series.
 _H2_SERIES_RADIUS = 0.2
 
-#: absolute tolerance of the w and penalty integrals
+#: absolute tolerance of every Gauss-Legendre integral: w, the penalty and xf_exp_moment
 QUAD_TOL = 1e-12
-#: absolute tolerance of xf_exp_moment, the D1-D3 derivative-bound integrals
-XF_MOMENT_TOL = 1e-10
 
 #: offset in the density weight w1(t) = e^{-theta t/2} (min(t-u, v-u) + W1_OFFSET)^{1/4}
 W1_OFFSET = 1e-7
@@ -88,13 +85,13 @@ _GL32 = _legendre_rule(32)
 _GL_NODES = np.concatenate([_GL16[0], _GL32[0]])
 
 
-def _gauss_legendre(fn, a: float, b: float, tol: float) -> float:
+def _gauss_legendre(fn, a: float, b: float) -> float:
     """int_a^b fn(t) dt by the 32-node Gauss-Legendre rule, checked against
     the 16-node rule.
 
     ``fn`` maps an array of nodes to an array of values; both rules are
     evaluated in one call.  Raises FloatingPointError when either value is
-    not finite and QuadratureError when |I32 - I16| > max(50 tol, 1e-9 |I32|).
+    not finite and QuadratureError when |I32 - I16| > max(50 QUAD_TOL, 1e-9 |I32|).
     """
     half = 0.5 * (b - a)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -105,7 +102,7 @@ def _gauss_legendre(fn, a: float, b: float, tol: float) -> float:
         raise FloatingPointError(
             f"non-finite quadrature on [{a!r}, {b!r}]: {i32!r} (16 nodes: {i16!r})")
     err = abs(i32 - i16)
-    if err > max(50.0 * tol, 1e-9 * abs(i32)):
+    if err > max(50.0 * QUAD_TOL, 1e-9 * abs(i32)):
         raise QuadratureError("16- and 32-node Gauss-Legendre rules disagree", i32, err)
     return i32
 
@@ -260,7 +257,7 @@ class WeightKernel:
         """int_0^{2 gamma} x f(x) e^{c x} dx, by the checked Gauss-Legendre rule
         (the integrand is a degree-6 polynomial times an exponential)."""
         return _gauss_legendre(lambda x: x * self.f(x) * np.exp(c * x),
-                               0.0, self.support_end, XF_MOMENT_TOL)
+                               0.0, self.support_end)
 
 
 @lru_cache(maxsize=128)
@@ -296,6 +293,8 @@ class LinnikParams:
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.c1 <= 0 or self.c2 <= 0 or self.K <= 0:
             raise ValueError("K, c1, c2 must be positive")
+        if self.epsilon < 0:
+            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon!r}")
         if not self.L - 2.0 * self.K > max(3.0, 2.0 * self.x):
             raise ValueError(
                 f"need L - 2K > max(3, 2x): {self.L - 2 * self.K} vs {max(3.0, 2.0 * self.x)}")
@@ -419,8 +418,8 @@ def _w_integral(params: LinnikParams, s: float) -> float:
     a = 2.0 * s - params.theta
     top = v - u + W1_OFFSET
     rise = _gauss_legendre(lambda r: 2.0 * r * r * np.exp(a * (u - W1_OFFSET + r * r)),
-                           math.sqrt(W1_OFFSET), math.sqrt(top), QUAD_TOL)
-    return rise + math.sqrt(top) * _gauss_legendre(lambda t: np.exp(a * t), v, x, QUAD_TOL)
+                           math.sqrt(W1_OFFSET), math.sqrt(top))
+    return rise + math.sqrt(top) * _gauss_legendre(lambda t: np.exp(a * t), v, x)
 
 
 @lru_cache(maxsize=64)
@@ -433,17 +432,16 @@ def _penalty_integral(params: LinnikParams) -> float:
     theta = params.theta
     rise = _gauss_legendre(
         lambda r: 2.0 * (r * r - W1_OFFSET) * np.exp(theta * (u - W1_OFFSET + r * r)),
-        lo, hi, QUAD_TOL)
+        lo, hi)
     return rise + (v - u) / math.sqrt(top) * _gauss_legendre(
-        lambda t: np.exp(theta * t), v, x, QUAD_TOL)
+        lambda t: np.exp(theta * t), v, x)
 
 
-def classic_density_bound(lam: float, epsilon: float = 0.0) -> float:
-    """(1+eps) * 67/(6 lam) * (e^{73 lam/30} - e^{16 lam/15}).
+def classic_density_bound(lam: float) -> float:
+    """67/(6 lam) * (e^{73 lam/30} - e^{16 lam/15}).
 
     Stable down to lam -> 0+ via expm1; the limit there is 67/6 * (73/30 - 16/15).
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    val = (67.0 / 6.0) * (math.expm1(73.0 * lam / 30.0) - math.expm1(16.0 * lam / 15.0)) / lam
-    return (1.0 + epsilon) * val
+    return (67.0 / 6.0) * (math.expm1(73.0 * lam / 30.0) - math.expm1(16.0 * lam / 15.0)) / lam

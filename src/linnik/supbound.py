@@ -204,10 +204,7 @@ def grid_max(problem: SupProblem, grid: GridSpec) -> float:
     k1, k2, k3 = problem.k1, problem.k2, problem.k3
     s1_vals = _lattice(problem.s11, problem.s12, grid.ds1)
     s2_vals = _lattice(problem.s21, problem.s22, grid.ds2)
-    if grid.x1 == 0.0:
-        t_vals = np.array([0.0])
-    else:
-        t_vals = _lattice(0.0, grid.x1, grid.dt)
+    t_vals = _lattice(0.0, grid.x1, grid.dt)
 
     width = min(t_vals.size, BLOCK_POINTS // BLOCK_ROWS)
     rows = BLOCK_POINTS // width

@@ -46,17 +46,21 @@ def test_eval_json_output(capsys):
     assert set(blob["value"]) == {"re", "im"}
 
 
-def test_eval_missing_gamma_is_usage_error(capsys):
-    assert main(["eval", "F", "--z", "0"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["F", "--z", "0"], ["F", "--gamma", "1", "--z", "1", "2", "3"],
+    ["B", "--lambda", "inf"], ["classic_density", "--lambda", "inf"],
+], ids=" ".join)
+def test_eval_missing_gamma_is_usage_error(capsys, argv):
+    # --z is RE [IM]; 'inf' is the +infinity sentinel of C's lambda only
+    assert main(["eval", *argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [
     ["F", "--gamma", "nan"], ["F", "--gamma", "inf"],
     ["F", "--gamma", "1", "--z", "0", "nan"], ["f", "--gamma", "1", "--t", "inf"],
-    ["B", "--lambda", "nan"], ["classic_density", "--lambda", "inf"],
-    ["C", "--Lambda", "inf"], ["classic_density", "--eps", "nan"],
-    ["w", "--s", "nan"], ["C", "--lambda-str", "nan"],
+    ["B", "--lambda", "nan"], ["C", "--Lambda", "inf"],
+    ["w", "--s", "nan"], ["C", "--lambda", "nan"],
 ], ids=" ".join)
 def test_eval_non_finite_input_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -84,7 +88,7 @@ def test_argparse_has_negative_number_matcher():
 
 
 def test_eval_C_at_infinity(capsys):
-    assert main(["eval", "C", "--lambda-str", "inf"]) == 0
+    assert main(["eval", "C", "--lambda", "inf"]) == 0
     assert float(capsys.readouterr().out) == 0.0
 
 
@@ -304,7 +308,8 @@ def test_eval_w_overflow_fails_closed(capsys):
     {"theta": None},
     {"quad_tol": -1.0},         # the tolerance is fixed: unknown key
     [5.2, 0.32],                # not an object
-], ids=["unknown-key", "string", "null", "negative-tol", "list"])
+    {"epsilon": -0.5},          # a negative epsilon would shrink W
+], ids=["unknown-key", "string", "null", "negative-tol", "list", "negative-epsilon"])
 def test_bad_params_file_is_usage_error(tmp_path, capsys, content):
     params = tmp_path / "params.json"
     params.write_text(json.dumps(content))

@@ -1,5 +1,6 @@
 """Final-verification tests: schedules, counting lookups, W reproduction."""
 
+import dataclasses
 import math
 
 import pytest
@@ -173,6 +174,12 @@ def test_parameter_precondition_audit():
 
 
 # ------------------------------------------------------ registry shape -----
+
+def test_registry_parameters_are_the_default_params():
+    # verify_all judges reproduction against LinnikParams(); the registry's
+    # own record of the parameters is not read, so it must not drift
+    assert _data.final_cases()["parameters"] == dataclasses.asdict(LinnikParams())
+
 
 def test_registry_branches_partition_counts():
     # rows sharing a window and bounds must split [0, inf) into contiguous

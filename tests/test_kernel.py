@@ -325,27 +325,31 @@ def test_gauss_legendre_rule_and_its_checks():
         np.testing.assert_allclose(weights, ref_weights, rtol=1e-13)
     # exact on a degree-31 polynomial; the 16-node rule is exact to degree 31
     # as well, so the check passes
-    value = _gauss_legendre(lambda t: 32.0 * t**31, 0.0, 1.0, 1e-12)
+    value = _gauss_legendre(lambda t: 32.0 * t**31, 0.0, 1.0)
     assert value == pytest.approx(1.0, rel=1e-14)
     # sqrt has an endpoint singularity the fixed rule cannot resolve
     with pytest.raises(QuadratureError):
-        _gauss_legendre(np.sqrt, 0.0, 1.0, 1e-12)
+        _gauss_legendre(np.sqrt, 0.0, 1.0)
     # a bare |I32 - I16| > tol test would pass a NaN
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(FloatingPointError):
-            _gauss_legendre(lambda t: np.where(t > 0.9, bad, t), 0.0, 1.0, 1e-12)
+            _gauss_legendre(lambda t: np.where(t > 0.9, bad, t), 0.0, 1.0)
 
 
 def test_xf_exp_moment_against_mpmath_oracle():
     import mpmath
-    for gamma in (0.5, 0.9, 1.3):
+    # gamma 2.5 and c 4 give the largest moments a SupProblem admits (s12 <= 4).
+    # There the 32-node rule in 40-digit arithmetic is within 7e-16 of the
+    # oracle, but f loses ~1e-7 of its value to cancellation at the node next
+    # to 2 gamma, weighted by e^{20}: the double-precision moment is 1.6e-13 off
+    for gamma, rel in ((0.5, 1e-13), (0.9, 1e-13), (1.3, 1e-13), (2.5, 5e-13)):
         kern = WeightKernel(gamma)
         g = mpmath.mpf(gamma)
         f = lambda x: -x**5 / 30 + 2 * g**2 / 3 * x**3 - 4 * g**3 / 3 * x**2 + 16 * g**5 / 15
         for c in (0.0, 0.7, 2.0, 4.0):
             with mpmath.workdps(30):
                 oracle = mpmath.quad(lambda x: x * f(x) * mpmath.exp(c * x), [0, 2 * g])
-            assert kern.xf_exp_moment(c) == pytest.approx(float(oracle), rel=1e-13), (gamma, c)
+            assert kern.xf_exp_moment(c) == pytest.approx(float(oracle), rel=rel), (gamma, c)
 
 
 def test_C_vanishes_at_split_point():
@@ -377,7 +381,7 @@ def test_params_precondition():
 
 @pytest.mark.parametrize("kw", [dict(theta=math.nan), dict(L=math.inf),
                                 dict(epsilon=-math.inf), dict(c1="0.11"),
-                                dict(K=None), dict(c2=True)],
+                                dict(K=None), dict(c2=True), dict(epsilon=-1e-7)],
                          ids=repr)
 def test_params_reject_non_finite_and_wrong_types(kw):
     with pytest.raises(ValueError):
@@ -400,8 +404,3 @@ def test_classic_density_monotone():
 def test_classic_density_small_lambda_limit():
     limit = (67.0 / 6.0) * (73.0 / 30.0 - 16.0 / 15.0)
     assert classic_density_bound(1e-12) == pytest.approx(limit, rel=1e-9)
-
-
-def test_classic_density_epsilon_factor():
-    assert classic_density_bound(1.0, epsilon=0.5) == pytest.approx(
-        1.5 * classic_density_bound(1.0), rel=1e-15)
