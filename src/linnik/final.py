@@ -112,14 +112,14 @@ def load_registry() -> List[FinalCase]:
 
 
 def lambda_schedule(case: FinalCase):
-    """(lambda3*, s, [Lambda_0 .. Lambda_s]) with Lambda_r = Lambda - 0.025 r.
+    """(lambda3*, s, [Lambda_0 .. Lambda_s]) with Lambda_r = Lambda - DENSITY_GRID r.
 
-    s = floor(40 (Lambda - lambda3*)); when the third-zero bound reaches
+    s = floor((Lambda - lambda3*) / DENSITY_GRID); when the third-zero bound reaches
     Lambda the schedule collapses to the single point Lambda and every
     density term carries the factor C(Lambda) = 0.
     """
     l3_star = min(case.lambda3_lo, case.Lambda)
-    s = int(math.floor(40.0 * (case.Lambda - l3_star) + 1e-9))
+    s = int(math.floor((case.Lambda - l3_star) / DENSITY_GRID + 1e-9))
     grid = [case.Lambda - DENSITY_GRID * r for r in range(s + 1)]
     return l3_star, s, grid
 

@@ -34,13 +34,15 @@ the certified rows it read (``upstream``).  Tables 2-6, 9 and 10 certify
 their own suprema.  The others read certified rows of the tables they
 depend on:
 
-* table 7 <- 4, 5, 6: the row-wise minimum, with no supremum of its own;
-* table 8 <- 2, 4, 6, 7: table 4's window and certificates at each cap,
-  lambda* = min(table 2, table 7) and the case-7 column from table 6;
-* table 11 <- 2, 3, 6, 7: lambda* at the assumed cap.
+* table 7 <- 4, 5, 6: the minimum, with no supremum of its own;
+* table 8 <- 2, 4, 6, 7: table 4's suprema, lambda* = min(table 2, table 7),
+  the case-7 column from table 6 and, below its first window, table 7;
+* table 11 <- 2, 3, 6, 7: lambda* over the s2 box [lambda1_old, lambda1_assumed].
 
-A row that reads upstream rows is certified only if every one of them is
-(the ``upstream_certified`` check).  ``generate_table`` certifies each table
+Each reads through one window rule, ``_window_rows``: the least claim of
+the rows whose windows meet the reader's window and cover it.  A row that
+reads upstream rows is certified only if every one of them is (the
+``upstream_certified`` check).  ``generate_table`` certifies each table
 at most once per process: the result, a tuple of frozen rows and the tuple
 of their certificates, each once in first-use order, is memoised and shared
 by every caller.  A NaN or inf in any decision RHS raises FloatingPointError
@@ -397,85 +399,85 @@ def gen_second_character_table(n: int):
                    computed_C=tuple(sup.values()), certificates=row_certs)
 
 
-def _rows_by_cap(n: int) -> dict:
-    """The certified rows of table n keyed by their cap lambda1_hi."""
-    return {r.lambda1_hi: r for r in _certify(n)[0]}
+def _window_rows(n: int, lo: float, hi: float) -> tuple:
+    """The certified rows of table n whose windows meet [lo, hi].
 
-
-def table6_bound_at(cap: float, rows6) -> TableRow:
-    """The case-7 second-character row valid for lambda1 <= cap: the row with
-    the smallest cap covering it."""
-    covering = [r for r in rows6 if r.lambda1_hi >= cap]
-    if not covering:
-        raise ValueError(f"no case-7 row covers lambda1 <= {cap}")
-    return min(covering, key=lambda r: r.lambda1_hi)
+    A row [a, b] meets the window when a < hi and b > lo.  A reader takes
+    the least claim of these rows, the bound that holds across the whole
+    window.  Raises RuntimeError, a certification failure and not bad input,
+    unless the rows cover the window.
+    """
+    rows = tuple(r for r in _certify(n)[0] if r.lambda1_lo < hi and r.lambda1_hi > lo)
+    reach = (lo,) + tuple(r.lambda1_hi for r in rows)
+    if not rows or reach[-1] < hi or any(r.lambda1_lo > e for r, e in zip(rows, reach)):
+        raise RuntimeError(f"the rows of table {n} do not cover lambda1 in [{lo:g}, {hi:g}]")
+    return rows
 
 
 def gen_table7():
-    """All-case second-character bounds: row-wise minimum of tables 4, 5, 6."""
-    by_cap4, by_cap5 = _rows_by_cap(4), _rows_by_cap(5)
-    rows6 = _certify(6)[0]
+    """All-case second-character bounds: the minimum of tables 4, 5, 6."""
     # the real-character/complex-zero case only exists for lambda1 above the
     # imported order-2 first-zero bound, so its column joins the minimum only
     # for caps beyond it
     case7_floor = _data.hb92()["lambda1_old_by_ord"]["values"]["2"]
-    for pub in _data.published_table(7):
+    for pub, lo in _chained(7, 0.34):
         cap = pub["lambda1_hi"]
         if pub["lambda2_new"] is None:
             continue  # rows beyond 0.68 only restate the imported bounds
-        used = (by_cap4[cap], by_cap5[cap])
-        if cap > case7_floor:
-            used += (table6_bound_at(cap, rows6),)
+        used = tuple(r for m in ((4, 5, 6) if cap > case7_floor else (4, 5))
+                     for r in _window_rows(m, lo, cap))
         candidates = tuple(r.claimed_bound for r in used)
         value = min(candidates)
         yield _row([-r.margin for r in used],
                    {"candidates": candidates, "published": pub["lambda2_new"]},
                    {"published": value == pub["lambda2_new"]},
-                   table=7, label=f"{cap:g}", lambda1_lo=used[0].lambda1_lo,
+                   table=7, label=f"{cap:g}", lambda1_lo=lo,
                    lambda1_hi=cap, lambda_star=None, claimed_bound=value, upstream=used)
 
 
 def gen_table8():
-    """Third-character bounds for lambda1 in [0.52, 0.62] (three case columns).
+    """Third-character bounds for lambda1 in [0.50, 0.62] (three case columns).
 
     Case-1 and case-2348 columns are fresh negativity checks at a fixed
-    lambda* = min(second-zero, all-case second-character bounds), with table
-    4's window and suprema at the same cap; the case-7 column is the case-7
-    second-character row covering the cap.  The published all-case column
+    lambda* = min(second-zero, all-case second-character bounds), with the
+    kernel and suprema of each table-4 row over the window; the case-7
+    column is table 6's least claim over it.  The published all-case column
     must equal the minimum of the three.
     """
-    by_cap2, by_cap4, by_cap7 = _rows_by_cap(2), _rows_by_cap(4), _rows_by_cap(7)
-    rows6 = _certify(6)[0]
-    # chained coverage: each row's bound must be implied for smaller lambda1
-    prev = by_cap7[0.50]
-    for pub in _data.published_table(8):
+    # chained coverage: each row's bound must be implied for smaller lambda1,
+    # below 0.50 by table 7 down to its first window
+    prev = _window_rows(7, 0.34, 0.50)
+    for pub, lo in _chained(8, 0.50):
         cap = pub["lambda1_hi"]
-        row2, row4, row7 = by_cap2[cap], by_cap4[cap], by_cap7[cap]
-        row6 = table6_bound_at(cap, rows6)
-        cert_a, cert_b = row4.certificates
-        kern, k = cert_a.problem.kernel, row4.detail["k"]
-        lam_star = min(row2.claimed_bound, row7.claimed_bound)
-        rhs1 = rhs_lambda2_case(kern, k, 1, lam_star, cap, pub["case1"], 0.0, 0.0)
-        rhs2 = rhs_lambda2_case(kern, k, 2, lam_star, cap, pub["case2348"],
-                                cert_a.bound, cert_b.bound)
-        case7 = row6.claimed_bound
+        rows2, rows4, rows6, rows7 = (_window_rows(m, lo, cap) for m in (2, 4, 6, 7))
+        lam_star = min(r.claimed_bound for r in rows2 + rows7)
+        rhs = []
+        for row4 in rows4:
+            # its suprema hold on its part of the window, where the RHS,
+            # increasing in lambda1, is worst at the part's upper end
+            cert_a, cert_b = row4.certificates
+            kern, k = cert_a.problem.kernel, row4.detail["k"]
+            l1 = min(cap, row4.lambda1_hi)
+            rhs += [rhs_lambda2_case(kern, k, 1, lam_star, l1, pub["case1"], 0.0, 0.0),
+                    rhs_lambda2_case(kern, k, 2, lam_star, l1, pub["case2348"],
+                                     cert_a.bound, cert_b.bound)]
+        case7 = min(r.claimed_bound for r in rows6)
         all_cases = min(pub["case1"], pub["case2348"], case7)
-        prev = _row((rhs1, rhs2),
-                    {"gamma": kern.gamma, "k": k, "rhs_case1": rhs1,
-                     "rhs_case2348": rhs2, "case7": case7},
-                    {"lambda_star_published": lam_star == pub["lambda_star"],
-                     # the reused supremum certificates must cover the fixed lambda*
-                     "certificates_cover": (row4.detail["lambda2_alt"] <= lam_star
-                                            <= row4.claimed_bound),
-                     "case7_published": case7 == pub["case7"],
-                     "all_cases_is_min": all_cases == pub["all_cases"],
-                     "chain": pub["all_cases"] <= prev.claimed_bound},
-                    table=8, label=f"{cap:g}", lambda1_lo=row4.lambda1_lo, lambda1_hi=cap,
-                    lambda_star=lam_star, claimed_bound=pub["all_cases"],
-                    certificates=row4.certificates,
-                    # a certified table-4 row also holds its case dominance
-                    upstream=(row2, row4, row6, row7, prev))
-        yield prev
+        row = _row(rhs, {"rhs": tuple(rhs), "case7": case7},
+                   {"lambda_star_published": lam_star == pub["lambda_star"],
+                    # the reused supremum certificates must cover the fixed lambda*
+                    "certificates_cover": all(r.detail["lambda2_alt"] <= lam_star
+                                              <= r.claimed_bound for r in rows4),
+                    "case7_published": case7 == pub["case7"],
+                    "all_cases_is_min": all_cases == pub["all_cases"],
+                    "chain": pub["all_cases"] <= min(r.claimed_bound for r in prev)},
+                   table=8, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
+                   lambda_star=lam_star, claimed_bound=pub["all_cases"],
+                   certificates=tuple(c for r in rows4 for c in r.certificates),
+                   # a certified table-4 row also holds its case dominance
+                   upstream=rows2 + rows4 + rows6 + rows7 + prev)
+        prev = (row,)
+        yield row
 
 
 def gen_table9():
@@ -551,23 +553,19 @@ _L1_FRACTION = {"ge6": 46630.0 / 6.0, "5": 46630.0 / 8.0, "4": 45380.0 / 8.0,
 def gen_table11():
     """First-zero bounds by character order (five branches).
 
-    Branch data: assumed cap, imported old bound (s2 box), and lambda* read
-    from the certified second-zero/second-character rows at the assumed cap.
+    Branch data: assumed cap, imported old bound, and lambda* = the least
+    claim of the certified second-zero/second-character rows across the s2
+    box [old bound, assumed cap].
     """
     old_map = _data.hb92()["lambda1_old_by_ord"]["values"]
-    by_cap2, by_cap3, by_cap7 = _rows_by_cap(2), _rows_by_cap(3), _rows_by_cap(7)
-    rows6 = _certify(6)[0]
     for pub in _data.published_table(11):
         ordc = pub["ord"]
         kern = WeightKernel(pub["gamma"])
         l_old, l_ann, l_new = pub["lambda1_old"], pub["lambda1_assumed"], pub["lambda1_new"]
-        # lambda* precedence: order-2 reads the low-order second-zero and
-        # case-7 tables, the others the high-order second-zero and all-case
-        # second-character tables, each at the assumed cap
-        if ordc == "2":
-            upstream = (by_cap3[l_ann], table6_bound_at(l_ann, rows6))
-        else:
-            upstream = (by_cap2[l_ann], by_cap7[l_ann])
+        # order 2 reads the low-order second-zero and case-7 tables, the
+        # others the high-order second-zero and all-case second-character ones
+        upstream = tuple(r for m in ((3, 6) if ordc == "2" else (2, 7))
+                         for r in _window_rows(m, l_old, l_ann))
         lam_star = min(r.claimed_bound for r in upstream)
         certs = tuple(sup_bound(SupProblem(kern, k1=k1, k2=k2, k3=0.0, s11=lam_star,
                                            s12=lam_star, s21=l_old, s22=l_ann),

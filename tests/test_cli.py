@@ -215,6 +215,31 @@ def test_table_inconsistent_imported_data_fails_row(tmp_path, monkeypatch, capsy
     assert "lambda2_alt_imported" in failed[0]
 
 
+@pytest.mark.parametrize("n", [7, 11])
+def test_uncovered_upstream_window_fails(tmp_path, monkeypatch, capsys, fresh_tables, n):
+    # shipped tables that disagree: table 6 cut above 0.62 leaves table 7's
+    # window [0.62, 0.64] without a case-7 row, and table 11 reads table 7
+    real = _data.published_table
+    monkeypatch.setattr(_data, "published_table", lambda m: tuple(
+        pub for pub in real(m) if m != 6 or pub["lambda1_hi"] <= 0.62))
+    assert main(["table", str(n), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "FAILED: the rows of table 6 do not cover lambda1 in [0.62, 0.64]" in err
+
+
+@pytest.mark.parametrize("dropped, rows", [(2, 6), (8, 5)])
+def test_dropped_interior_row_widens_its_neighbour(tmp_path, monkeypatch, capsys,
+                                                   fresh_tables, dropped, rows):
+    # without the row at 0.54 its neighbour at 0.56 covers [0.52, 0.56]: table
+    # 8's window [0.52, 0.54] reads that table-2 row, or table 8's widened
+    # window reads the table-4 rows at 0.54 and 0.56, each on its own part
+    real = _data.published_table
+    monkeypatch.setattr(_data, "published_table", lambda m: tuple(
+        pub for pub in real(m) if m != dropped or pub["lambda1_hi"] != 0.54))
+    assert main(["table", "8", "--out", str(tmp_path)]) == 0
+    assert f"table 8: {rows} rows certified" in capsys.readouterr().out
+
+
 def test_table_12_integer_exact(tmp_path, capsys):
     assert main(["table", "12", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "table_12.csv").read_text().splitlines()

@@ -1,7 +1,10 @@
 """Table-engine tests: RHS monotonicity, case penalties, certified rows."""
 
+import ast
+import copy
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import operator
@@ -16,8 +19,7 @@ from linnik.cli import main
 from linnik.kernel import WeightKernel
 from linnik.tables import (CERT_MARGIN, lambda2_D, rhs_lambda1, rhs_lambda2_case,
                            rhs_lambda3_complex, rhs_lambda3_real, rhs_lprime_high,
-                           rhs_lprime_low, delta_step_max, table6_bound_at,
-                           warmup_l1)
+                           rhs_lprime_low, delta_step_max, warmup_l1)
 
 
 # -------------------------------------------------------------- warm-up ----
@@ -228,14 +230,17 @@ def test_table10_guards_below_caps(table_rows):
         assert r.detail["guard_bound"] < 5.0 / 48.0 * kern.f0
 
 
-def test_table6_lookup_covers_requested_cap(table_rows):
-    rows6 = table_rows[6]
-    assert table6_bound_at(0.52, rows6).claimed_bound == 1.43
-    assert table6_bound_at(0.54, rows6).claimed_bound == 1.43
-    assert table6_bound_at(0.56, rows6).claimed_bound == 1.36
-    assert table6_bound_at(0.68, rows6).claimed_bound == 1.11
-    with pytest.raises(ValueError):
-        table6_bound_at(0.9, rows6)
+def test_table6_window_covers_requested_cap(table_rows):
+    # the window [cap - 0.02, cap] meets the one table-6 row whose window holds it
+    def least_claim(cap):
+        return min(r.claimed_bound for r in tables._window_rows(6, cap - 0.02, cap))
+
+    assert least_claim(0.52) == 1.43
+    assert least_claim(0.54) == 1.43
+    assert least_claim(0.56) == 1.36
+    assert least_claim(0.68) == 1.11
+    with pytest.raises(RuntimeError, match=r"table 6 do not cover lambda1 in \[0.88, 0.9\]"):
+        least_claim(0.9)
 
 
 def test_table11_reproduces_first_zero_bounds(table_rows):
@@ -321,15 +326,119 @@ def test_table_certificates_are_the_row_certificates_once_each(tmp_path):
         assert _same_objects(r.certificates, by_cap4[r.lambda1_hi])
 
 
+# ------------------------------------------------------ fault injection ----
+# Each patch below changes the one input a named row check reads, so that
+# the check fails; the patches take pytest's monkeypatch fixture.
+
+def _upstream(n: int, cap: float, change):
+    """Pass the row of table n at ``cap`` through ``change`` as it is certified."""
+    def patch(monkeypatch):
+        real = tables._GENERATORS[n]
+
+        def changed():
+            for r in real():
+                yield change(r) if r.lambda1_hi == cap else r
+
+        monkeypatch.setitem(tables._GENERATORS, n, changed)
+    return patch
+
+
+def _uncertified(row):
+    return dataclasses.replace(row, certified=False)
+
+
+def _published(n: int, key: str, value, **changes):
+    """Set ``changes`` on the published row of table n whose ``key`` is ``value``."""
+    def patch(monkeypatch):
+        real = _data.published_table
+        monkeypatch.setattr(_data, "published_table", lambda m: tuple(
+            {**pub, **changes} if m == n and pub[key] == value else pub for pub in real(m)))
+    return patch
+
+
+def _dominating_case3(monkeypatch):
+    # case 3's penalty, one that table 4 must dominate and does not step, grows
+    monkeypatch.setitem(tables._L2_CASES, 3, (2.0, 0.0, 1.0 / 8.0, 100.0))
+
+
+def _shifted_lambda2_alt(monkeypatch):
+    real = _data.hb92_map
+
+    def shifted(key):
+        values = real(key)
+        if key == "lambda2_alt":
+            values[0.54] += 1e-3
+        return values
+
+    monkeypatch.setattr(_data, "hb92_map", shifted)
+
+
+def _shifted_lambda1_old(monkeypatch):
+    data = copy.deepcopy(_data.hb92())
+    data["lambda1_old_by_ord"]["values"]["5"] += 1e-3
+    monkeypatch.setattr(_data, "hb92", lambda: data)
+
+
+def _inflated_guards(monkeypatch):
+    # tables 9 and 10 certify no supremum but their guards
+    real = tables.sup_bound
+
+    def inflated(problem, grid):
+        cert = real(problem, grid)
+        return dataclasses.replace(cert, bound=cert.bound + 1.0)
+
+    monkeypatch.setattr(tables, "sup_bound", inflated)
+
+
+#: (table, check, row label, patch): one case per check each table can fail
+FAULTS = [
+    (4, "dominance", "0.54", _dominating_case3),
+    *((n, "lambda2_alt_imported", "0.54", _shifted_lambda2_alt) for n in (4, 5, 6)),
+    (7, "published", "0.54", _published(7, "lambda1_hi", 0.54, lambda2_new=1.18)),
+    (8, "lambda_star_published", "0.54", _published(8, "lambda1_hi", 0.54, lambda_star=1.18)),
+    (11, "lambda_star_published", "ord 5", _published(11, "ord", "5", lambda_star=1.35)),
+    (8, "certificates_cover", "0.54", _upstream(4, 0.54, lambda r: dataclasses.replace(
+        r, detail={**r.detail, "lambda2_alt": 1.25}))),
+    (8, "case7_published", "0.54", _published(8, "lambda1_hi", 0.54, case7=1.42)),
+    (8, "all_cases_is_min", "0.54", _published(8, "lambda1_hi", 0.54, all_cases=1.24)),
+    # the chain starts at table 7's least claim below 0.50
+    (8, "chain", "0.52", _upstream(7, 0.50, lambda r: dataclasses.replace(
+        r, claimed_bound=1.30))),
+    (9, "guard", "[0.62,0.64]", _inflated_guards),
+    (10, "guard", "[0.44,0.6]", _inflated_guards),
+    (11, "lambda1_old_imported", "ord 5", _shifted_lambda1_old),
+    (11, "within_assumed_cap", "ord 5", _published(11, "ord", "5", lambda1_new=0.51)),
+    (7, "upstream_certified", "0.54", _upstream(4, 0.54, _uncertified)),
+    (8, "upstream_certified", "0.54", _upstream(2, 0.54, _uncertified)),
+    (11, "upstream_certified", "ord 5", _upstream(2, 0.46, _uncertified)),
+]
+
+
+@pytest.mark.parametrize("n, check, label, patch", FAULTS,
+                         ids=[f"{n}-{check}" for n, check, _, _ in FAULTS])
+def test_each_row_check_fails_its_row(tmp_path, monkeypatch, capsys, fresh_tables,
+                                      n, check, label, patch):
+    patch(monkeypatch)
+    row = next(r for r in tables.generate_table(n)[0] if r.label == label)
+    assert not row.certified
+    assert check in row.detail["failed_checks"]
+    assert main(["table", str(n), "--out", str(tmp_path)]) == 1
+    assert f"FAILED table {n} row {label}:" in capsys.readouterr().out
+
+
+def test_every_row_check_has_a_fault_case():
+    # the string keys of each checks dict given to _row, and the check _row adds
+    names = {"upstream_certified"}
+    for node in ast.walk(ast.parse(inspect.getsource(tables))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_row":
+            names |= {k.value for k in node.args[2].keys
+                      if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+    assert names == {check for _, check, _, _ in FAULTS}
+
+
 @pytest.mark.parametrize("upstream", [2, 4])
 def test_failed_upstream_row_fails_downstream(monkeypatch, fresh_tables, upstream):
-    real = tables._GENERATORS[upstream]
-
-    def one_row_fails():
-        for r in real():
-            yield dataclasses.replace(r, certified=False) if r.lambda1_hi == 0.54 else r
-
-    monkeypatch.setitem(tables._GENERATORS, upstream, one_row_fails)
+    _upstream(upstream, 0.54, _uncertified)(monkeypatch)
     rows8 = {r.lambda1_hi: r for r in tables.generate_table(8)[0]}
     rows7 = {r.lambda1_hi: r for r in tables.generate_table(7)[0]}
     assert rows8[0.52].certified
@@ -337,6 +446,17 @@ def test_failed_upstream_row_fails_downstream(monkeypatch, fresh_tables, upstrea
     assert "upstream_certified" in rows8[0.54].detail["failed_checks"]
     assert rows7[0.52].certified
     assert rows7[0.54].certified is (upstream == 2)
+
+
+def test_table11_reads_every_row_across_its_box(monkeypatch, fresh_tables):
+    # table 2's row at 0.46 lies inside the s2 boxes of orders 5, 4 and 3
+    # only; each of them must rest on it, not only on the row at its cap
+    _upstream(2, 0.46, _uncertified)(monkeypatch)
+    rows11 = {r.label: r for r in tables.generate_table(11)[0]}
+    for label in ("ord 5", "ord 4", "ord 3"):
+        assert not rows11[label].certified, label
+        assert "upstream_certified" in rows11[label].detail["failed_checks"]
+    assert rows11["ord ge6"].certified and rows11["ord 2"].certified
 
 
 def test_tables_9_and_10_decide_with_the_tested_rhs(monkeypatch, fresh_tables):
