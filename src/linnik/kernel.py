@@ -7,10 +7,13 @@ the density weight ``w1`` with its reciprocal-integral ``w``, the tail
 coefficient ``C``, and the classic zero-density bound.
 
 ``WeightKernel.F`` serves scalar and scattered complex arguments;
-``WeightKernel.re_F_lattice`` evaluates only Re F on an outer product of
-real parts and imaginary parts, the lattices of the sup certificates, from
-a Horner form in 1/z with one exponential per row and one cos/sin pair per
-column.  Both switch to the same series inside SMALL_Z_RADIUS.
+``LatticeWork`` evaluates only Re F on an outer product of real parts and
+imaginary parts, the lattice blocks of the sup certificates, from a Horner
+form in 1/z with one exponential per row.  It is a workspace: its buffers
+are allocated once, ``set_t`` takes the cos/sin pair of each column once per
+t block for all the rows evaluated against it, and ``re_F`` fills a block in
+place without allocating.  Both switch to the same series inside
+SMALL_Z_RADIUS.
 
 All real arithmetic is double precision.  The integrals behind ``w``, the
 penalty integral and ``xf_exp_moment`` use one fixed Gauss-Legendre rule
@@ -177,61 +180,6 @@ class WeightKernel:
             return complex(out[0])
         return out
 
-    def re_F_lattice(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Re F(-s_i + i t_j) for 1-D s and t, as an (s.size, t.size) array.
-
-        The lattice evaluator behind the sup certificates.  With
-        w = 1/z = conj(z)/(s^2 + t^2) the closed form is F = P(w) + e Q(w),
-
-            P = w (A + w^2 (-B + w (C - 4 w^2))),   Q = w^4 (C + w (8 gamma + 4 w)),
-
-        A = 16 gamma^5/15, B = 8 gamma^3/3, C = 4 gamma^2, and
-        e = exp(-2 gamma z) = exp(2 gamma s) (cos 2 gamma t - i sin 2 gamma t),
-        so the trigonometric factor is computed once per t and the
-        exponential once per s.  Points with |z| < SMALL_Z_RADIUS, z = 0
-        included, take the series value, as in :meth:`F`.
-        """
-        g = self.gamma
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        col = s[:, None]
-        phase = np.empty(t.shape, dtype=complex)
-        np.cos(2.0 * g * t, out=phase.real)
-        np.sin(-2.0 * g * t, out=phase.imag)
-        # near z = 0, w overflows (z = 0 gives NaN): those points take the series
-        # value below, and grid_max refuses any other non-finite value
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            inv = np.reciprocal(col * col + t * t)
-            w = np.empty(inv.shape, dtype=complex)
-            np.multiply(-col, inv, out=w.real)
-            np.multiply(-t, inv, out=w.imag)
-            w2 = w * w
-            p = w2 * -4.0
-            p += 4.0 * g * g
-            p *= w
-            p -= 8.0 * g**3 / 3.0
-            p *= w2
-            p += 16.0 * g**5 / 15.0
-            p *= w
-            q = w * 4.0
-            q += 8.0 * g
-            q *= w
-            q += 4.0 * g * g
-            q *= w2
-            q *= w2
-            q *= np.exp(2.0 * g * col) * phase
-            p += q
-        out = p.real
-        rows = np.flatnonzero(np.abs(s) < SMALL_Z_RADIUS)
-        cols = np.flatnonzero(np.abs(t) < SMALL_Z_RADIUS)
-        if rows.size and cols.size:
-            z = -s[rows, None] + 1j * t[cols]
-            near = np.abs(z) < SMALL_Z_RADIUS
-            patch = out[np.ix_(rows, cols)]
-            patch[near] = np.real(self._F_series(z[near]))
-            out[np.ix_(rows, cols)] = patch
-        return out
-
     def _F_direct(self, z: np.ndarray) -> np.ndarray:
         g = self.gamma
         e = np.exp(-2.0 * g * z)
@@ -264,6 +212,108 @@ class WeightKernel:
 def _series_coeffs_cached(gamma: float) -> np.ndarray:
     kern = WeightKernel(gamma)
     return np.array([kern.moment(n) / math.factorial(n) for n in range(_SERIES_TERMS + 1)])
+
+
+class LatticeWork:
+    """Re F(-s_i + i t_j) on lattice blocks of at most ``rows`` values of s
+    by ``width`` values of t, evaluated in buffers allocated once.
+
+    The lattice evaluator behind the sup certificates.  With
+    w = 1/z = conj(z)/(s^2 + t^2) the closed form is F = P(w) + e Q(w),
+
+        P = w (A + w^2 (-B + w (C - 4 w^2))),   Q = w^4 (C + w (8 gamma + 4 w)),
+
+    A = 16 gamma^5/15, B = 8 gamma^3/3, C = 4 gamma^2, and
+    e = exp(-2 gamma z) = exp(2 gamma s) (cos 2 gamma t - i sin 2 gamma t).
+    :meth:`set_t` computes the trigonometric factor, t^2 and -t once for a
+    block of t values; :meth:`re_F` then takes one exponential per s and runs
+    the Horner form in place, so evaluating a block allocates no array.
+    Points with |z| < SMALL_Z_RADIUS, z = 0 included, take the series value,
+    as in :meth:`WeightKernel.F`.
+    """
+
+    def __init__(self, kernel: WeightKernel, rows: int, width: int):
+        g = kernel.gamma
+        self.kernel = kernel
+        self._two_g = 2.0 * g
+        self._a = 16.0 * g**5 / 15.0
+        self._b = 8.0 * g**3 / 3.0
+        self._c = 4.0 * g * g
+        self._d = 8.0 * g
+        self._rows = rows
+        size = rows * width
+        # inv, w, w2, p and q; set_t views the first rows * t.size values of each
+        self._flat = (np.empty(size), *(np.empty(size, dtype=complex) for _ in range(4)))
+        self._phase_buf = np.empty(width, dtype=complex)
+        self._t2_buf = np.empty(width)
+        self._neg_t_buf = np.empty(width)
+        self._s2, self._neg_s, self._exp = np.empty(rows), np.empty(rows), np.empty(rows)
+
+    def set_t(self, t: np.ndarray) -> None:
+        """Make the 1-D t (at most ``width`` values) the columns of the next blocks."""
+        t = np.asarray(t, dtype=float)
+        m = t.size
+        self._blocks = tuple(buf[:self._rows * m].reshape(self._rows, m) for buf in self._flat)
+        phase = self._phase = self._phase_buf[:m]
+        t2 = self._t2 = self._t2_buf[:m]
+        self._neg_t = self._neg_t_buf[:m]
+        np.multiply(self._two_g, t, out=t2)
+        np.cos(t2, out=phase.real)
+        np.multiply(-self._two_g, t, out=t2)
+        np.sin(t2, out=phase.imag)
+        np.multiply(t, t, out=t2)
+        np.negative(t, out=self._neg_t)
+        self._small_cols = np.flatnonzero(np.abs(t) < SMALL_Z_RADIUS)
+        self._small_t = t[self._small_cols]
+
+    def re_F(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write Re F(-s_i + i t_j) for the 1-D s (at most ``rows`` values) and
+        the t of the last :meth:`set_t` into ``out``, of shape (s.size, t.size),
+        and return ``out``."""
+        s = np.asarray(s, dtype=float)
+        n = s.size
+        inv, w, w2, p, q = (block[:n] for block in self._blocks)
+        s2, neg_s, ex = self._s2[:n], self._neg_s[:n], self._exp[:n]
+        rows = None
+        if self._small_cols.size and np.abs(s, out=ex).min() < SMALL_Z_RADIUS:
+            rows = np.flatnonzero(ex < SMALL_Z_RADIUS)
+        np.multiply(s, s, out=s2)
+        np.negative(s, out=neg_s)
+        # near z = 0, w overflows (z = 0 gives NaN): those points take the series
+        # value below, and grid_max refuses any other non-finite value
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.add(s2[:, None], self._t2, out=inv)
+            np.reciprocal(inv, out=inv)
+            np.multiply(neg_s[:, None], inv, out=w.real)
+            np.multiply(self._neg_t, inv, out=w.imag)
+            np.multiply(w, w, out=w2)
+            np.multiply(w2, -4.0, out=p)
+            p += self._c
+            p *= w
+            p -= self._b
+            p *= w2
+            p += self._a
+            p *= w
+            np.multiply(w, 4.0, out=q)
+            q += self._d
+            q *= w
+            q += self._c
+            q *= w2
+            q *= w2
+            np.multiply(self._two_g, s, out=ex)
+            np.exp(ex, out=ex)
+            np.multiply(ex[:, None], self._phase, out=w)  # e; w is not read again
+            q *= w
+            # Re(P + e Q): complex addition is componentwise
+            np.add(p.real, q.real, out=out)
+        if rows is not None:
+            cols = self._small_cols
+            z = -s[rows, None] + 1j * self._small_t
+            near = np.abs(z) < SMALL_Z_RADIUS
+            patch = out[np.ix_(rows, cols)]
+            patch[near] = np.real(self.kernel._F_series(z[near]))
+            out[np.ix_(rows, cols)] = patch
+        return out
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,11 @@ The final bound max(tail, M0 + ds1/2 D1 + ds2/2 D2 + dt/2 D3) dominates
 A everywhere on box x [0, inf).
 
 M0 is computed by walking the lattice in blocks of at most BLOCK_POINTS
-points, each filled from ``WeightKernel.re_F_lattice`` and reduced to its
-maximum at once, so no lattice-sized array is built.  Certification fails
+points, each reduced to its maximum at once, so no lattice-sized array is
+built.  One ``kernel.LatticeWork`` per grid_max call fills every block: the
+trigonometric factors of a t block are computed once for all its rows, and
+the blocks, the k3 row and the k1 base live in buffers allocated once per
+call, so the walk allocates no array per block.  Certification fails
 closed: a NaN or inf anywhere in the lattice, the tail or the grid term
 raises FloatingPointError, and no certificate is produced.
 """
@@ -28,7 +31,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .kernel import WeightKernel
+from .kernel import LatticeWork, WeightKernel
 
 #: lattice points evaluated and reduced to their maximum at once by grid_max
 BLOCK_POINTS = 4096
@@ -185,8 +188,8 @@ def _fold_max(best: float, block: np.ndarray) -> float:
     np.max propagates NaN and a -inf can only show in the minimum, so both
     extremes are tested; a comparison with ``>`` would skip a NaN block.
     """
-    hi = float(np.max(block))
-    if not (math.isfinite(hi) and math.isfinite(float(np.min(block)))):
+    hi = float(block.max())
+    if not (math.isfinite(hi) and math.isfinite(float(block.min()))):
         raise FloatingPointError(f"non-finite value in a lattice block of {block.size} points")
     return max(best, hi)
 
@@ -196,11 +199,12 @@ def grid_max(problem: SupProblem, grid: GridSpec) -> float:
 
     A block holds at most BLOCK_POINTS lattice points, at most
     BLOCK_POINTS // BLOCK_ROWS of them along t, and is reduced to its
-    maximum at once.  Per t block the k3 row is evaluated once, the k1 term
-    once per s1 row, and the k2 term in chunks of (s1, s2) rows.  Raises
-    FloatingPointError if any lattice value is not finite.
+    maximum at once.  Per t block the trigonometric factors are computed
+    once, the k3 row is evaluated once, the k1 term once per s1 row, and
+    the k2 term in chunks of (s1, s2) rows, all in one LatticeWork and in
+    block buffers allocated once per call.  Raises FloatingPointError if
+    any lattice value is not finite.
     """
-    kern = problem.kernel
     k1, k2, k3 = problem.k1, problem.k2, problem.k3
     s1_vals = _lattice(problem.s11, problem.s12, grid.ds1)
     s2_vals = _lattice(problem.s21, problem.s22, grid.ds2)
@@ -208,20 +212,46 @@ def grid_max(problem: SupProblem, grid: GridSpec) -> float:
 
     width = min(t_vals.size, BLOCK_POINTS // BLOCK_ROWS)
     rows = BLOCK_POINTS // width
+    work = LatticeWork(problem.kernel, rows, width)
+    f3_buf = np.empty(width)
+    base_buf, gather_buf, block_buf = (np.empty(rows * width) for _ in range(3))
+    s3_buf = np.empty(rows * s2_vals.size)
+    owner = np.repeat(np.arange(rows), s2_vals.size)
+    zero = np.zeros(1)
     best = -math.inf
     for j in range(0, t_vals.size, width):
         t = t_vals[j:j + width]
-        f3 = k3 * kern.re_F_lattice(np.zeros(1), t) if k3 else 0.0
+        m = t.size
+        work.set_t(t)
+        f3 = f3_buf[:m]
+        if k3:
+            work.re_F(zero, f3[None, :])
+            f3 *= k3
         for i in range(0, s1_vals.size, rows):
             s1 = s1_vals[i:i + rows]
-            base = (k1 * kern.re_F_lattice(s1, t) if k1 else np.zeros((s1.size, t.size))) - f3
+            base = base_buf[:s1.size * m].reshape(s1.size, m)
+            if k1:
+                work.re_F(s1, base)
+                base *= k1
+            else:
+                base.fill(0.0)
+            if k3:
+                base -= f3
             if not k2:
                 best = _fold_max(best, base)
                 continue
-            s3 = (s1[:, None] - s2_vals).ravel()
-            owner = np.repeat(np.arange(s1.size), s2_vals.size)
+            s3 = s3_buf[:s1.size * s2_vals.size]
+            np.subtract(s1[:, None], s2_vals, out=s3.reshape(s1.size, s2_vals.size))
             for k in range(0, s3.size, rows):
-                block = base[owner[k:k + rows]] - k2 * kern.re_F_lattice(s3[k:k + rows], t)
+                chunk = s3[k:k + rows]
+                size = chunk.size * m
+                block = block_buf[:size].reshape(chunk.size, m)
+                work.re_F(chunk, block)
+                block *= k2
+                # the indices are in range, and mode="clip" gathers without a temporary
+                gathered = np.take(base, owner[k:k + chunk.size], axis=0,
+                                   out=gather_buf[:size].reshape(chunk.size, m), mode="clip")
+                np.subtract(gathered, block, out=block)
                 best = _fold_max(best, block)
     return best
 

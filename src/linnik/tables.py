@@ -303,6 +303,9 @@ def gen_table2():
         k = 0.75 + cap / 7.0
         kern = WeightKernel(gamma)
         if cap <= 0.68:
+            if cap not in lam_star_map:
+                raise RuntimeError(f"table 2: the imported lambda_star_table2 has no "
+                                   f"entry for cap {cap:g}")
             lam_star = lam_star_map[cap]
             prob = SupProblem(kern, k1=k, k2=k * k + 0.75, k3=0.0,
                               s11=lam_star, s12=lam_star, s21=lo, s22=cap)
@@ -527,6 +530,9 @@ def gen_table10():
         guards[gamma] = (cert, cert.bound < 0.10 and cert.bound < 5.0 / 48.0 * kern.f0)
     for pub in _data.published_table(10):
         lo, hi, l3 = pub["lambda1_lo"], pub["lambda1_hi"], pub["lambda3"]
+        if lo not in _T10_GAMMA:
+            raise RuntimeError(f"table 10: no kernel parameter for the window "
+                               f"starting at {lo:g}")
         gamma = _T10_GAMMA[lo]
         kern = WeightKernel(gamma)
         guard, guard_ok = guards[gamma]

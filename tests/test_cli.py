@@ -8,9 +8,9 @@ import json
 import numpy as np
 import pytest
 
-from linnik import _data, density, tables
+from linnik import _data, density, final, tables
 from linnik.cli import main
-from linnik.kernel import LinnikParams, WeightKernel
+from linnik.kernel import LatticeWork, LinnikParams, WeightKernel
 
 
 def test_eval_F_at_zero(capsys):
@@ -173,8 +173,11 @@ def test_table_published_cap_violation_fails(tmp_path, monkeypatch, capsys, tabl
 
 
 def test_table_non_finite_lattice_fails_closed(tmp_path, monkeypatch, capsys, fresh_tables):
-    monkeypatch.setattr(WeightKernel, "re_F_lattice",
-                        lambda self, s, t: np.full((np.size(s), np.size(t)), np.nan))
+    def nan_lattice(self, s, out):
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(LatticeWork, "re_F", nan_lattice)
     assert main(["table", "9", "--out", str(tmp_path)]) == 1
     assert not (tmp_path / "table_9.csv").exists()
     assert "FAILED" in capsys.readouterr().err
@@ -320,6 +323,77 @@ def test_verify_final_non_finite_fails_closed(tmp_path, monkeypatch, capsys, met
     assert main(["verify-final", "--out", str(tmp_path)]) == 1
     assert "FAILED:" in capsys.readouterr().err
     assert not (tmp_path / "final_report.csv").exists()
+
+
+def _drop_lambda_star_050(monkeypatch):
+    real = _data.hb92_map
+    monkeypatch.setattr(_data, "hb92_map", lambda key: {
+        k: v for k, v in real(key).items() if key != "lambda_star_table2" or k != 0.5})
+
+
+def _drop_t10_gamma_060(monkeypatch):
+    monkeypatch.setattr(tables, "_T10_GAMMA",
+                        {k: v for k, v in tables._T10_GAMMA.items() if k != 0.60})
+
+
+@pytest.mark.parametrize("n, drop, message", [
+    (2, _drop_lambda_star_050,
+     "table 2: the imported lambda_star_table2 has no entry for cap 0.5"),
+    (10, _drop_t10_gamma_060, "table 10: no kernel parameter for the window starting at 0.6"),
+])
+def test_missing_imported_key_fails_closed(tmp_path, monkeypatch, capsys, fresh_tables,
+                                           n, drop, message):
+    # shipped data that disagree with each other fail certification (exit 1);
+    # they are not bad input (exit 2)
+    drop(monkeypatch)
+    assert main(["table", str(n), "--out", str(tmp_path)]) == 1
+    assert f"FAILED: {message}" in capsys.readouterr().err
+    assert not (tmp_path / f"table_{n}.csv").exists()
+
+
+def _replace_case(monkeypatch, case_id, **changes):
+    real = final.load_registry
+    monkeypatch.setattr(final, "load_registry", lambda: [
+        dataclasses.replace(c, **changes) if c.id == case_id else c for c in real()])
+
+
+def _patch_for_case(monkeypatch, name, case_id, value):
+    """Make final.<name>(case, ...) return value(real result) for case_id only."""
+    real = getattr(final, name)
+    monkeypatch.setattr(final, name, lambda case, *args: (
+        value(real(case, *args)) if case.id == case_id else real(case, *args)))
+
+
+# each decision verify-final makes, made to fail for one case: (the FAILED
+# line that names the case, patch); 16.10c has the thinnest margin, 1.64e-4,
+# and 14.1 has no counting table
+FINAL_DECISIONS = {
+    "W_MARGIN": ("FAILED case 16.10c: W=",
+                 lambda mp: mp.setattr(final, "W_MARGIN", 2e-4)),
+    "reproduces": ("FAILED case 14.1: W=",
+                   lambda mp: _replace_case(mp, "14.1", published_W=0.8)),
+    "monotone_schedule": ("FAILED: case 14.2: counting schedule not monotone",
+                          lambda mp: _patch_for_case(mp, "n0_schedule", "14.2",
+                                                     lambda n0: [n0[1] - 1, *n0[1:]])),
+    "floor_of_4": ("FAILED: case 14.2: schedule end below the floor of 4",
+                   lambda mp: _patch_for_case(mp, "n0_schedule", "14.2",
+                                              lambda n0: [3] * len(n0))),
+    "negative_term": ("FAILED: case 16.2a: term c_star negative",
+                      lambda mp: _patch_for_case(mp, "c_star", "16.2a", lambda c: -1.0)),
+    "density_free_lambda3": ("FAILED: case 14.1: density-free row needs lambda3",
+                             lambda mp: _replace_case(mp, "14.1", lambda3_lo=1.2)),
+}
+
+
+@pytest.mark.parametrize("decision", sorted(FINAL_DECISIONS))
+def test_each_final_decision_fails_its_case(tmp_path, monkeypatch, capsys, decision):
+    line, patch = FINAL_DECISIONS[decision]
+    patch(monkeypatch)
+    assert main(["verify-final", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    failed = [text for text in (captured.out + captured.err).splitlines()
+              if text.startswith("FAILED")]
+    assert len(failed) == 1 and failed[0].startswith(line), failed
 
 
 def test_eval_w_overflow_fails_closed(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from linnik.kernel import (SMALL_Z_RADIUS, W1_OFFSET, LinnikParams,
+from linnik.kernel import (SMALL_Z_RADIUS, W1_OFFSET, LatticeWork, LinnikParams,
                            QuadratureError, WeightKernel, _GL16, _GL32,
                            _gauss_legendre, classic_density_bound)
 from oracles import F_quadrature, mp_laplace
@@ -107,12 +107,19 @@ LATTICE_SHAPES = {
 }
 
 
+def _re_F_lattice(kern, s, t):
+    """Re F on s x t from a fresh workspace of exactly that size."""
+    work = LatticeWork(kern, s.size, t.size)
+    work.set_t(t)
+    return work.re_F(s, np.empty((s.size, t.size)))
+
+
 @pytest.mark.parametrize("gamma", [0.5, 0.8, 1.05, 1.3])
 @pytest.mark.parametrize("shape", sorted(LATTICE_SHAPES))
 def test_re_F_lattice_matches_F(gamma, shape):
     s, t = LATTICE_SHAPES[shape]
     kern = WeightKernel(gamma)
-    got = kern.re_F_lattice(s, t)
+    got = _re_F_lattice(kern, s, t)
     assert got.shape == (s.size, t.size)
     want = np.real(kern.F(-s[:, None] + 1j * t))
     # both closed forms are within 1e-10 of F just outside the series disk
@@ -125,9 +132,23 @@ def test_re_F_lattice_against_mpmath_oracle():
     for gamma in (0.5, 1.3):
         kern = WeightKernel(gamma)
         for s, t in points:
-            got = kern.re_F_lattice(np.array([s]), np.array([t]))[0, 0]
+            got = _re_F_lattice(kern, np.array([s]), np.array([t]))[0, 0]
             want = mp_laplace(gamma, complex(-s, t)).real
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (gamma, s, t)
+
+
+def test_lattice_work_reuse_matches_a_fresh_workspace():
+    # a full 8 x 512 block, a smaller one reaching into the series disk at
+    # z = 0, then the full block again: no buffer slice, phase or series
+    # column of an earlier block may leak into a later one
+    kern = WeightKernel(1.05)
+    full = (np.linspace(0.1, 4.0, 8), np.linspace(0.5, 15.0, 512))
+    small = (np.array([0.0, 0.05, 0.9]), np.linspace(0.0, 3.0, 100))
+    work = LatticeWork(kern, 8, 512)
+    for s, t in (full, small, full):
+        work.set_t(t)
+        got = work.re_F(s, np.empty((s.size, t.size)))
+        assert np.array_equal(got, _re_F_lattice(kern, s, t))
 
 
 def test_F_imaginary_axis_cosine_transform():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linnik import supbound
-from linnik.kernel import WeightKernel
+from linnik.kernel import LatticeWork, WeightKernel
 from linnik.supbound import (A_eval, GridSpec, SupProblem, _lattice,
                              derivative_bounds, domination_check, grid_max,
                              sup_bound, tail_bound)
@@ -163,23 +163,45 @@ def test_grid_max_equals_brute_force_lattice_max(gamma, k1, k2, k3, s11, w1, s21
     assert abs(grid_max(prob, grid) - brute) <= tol
 
 
+@pytest.mark.parametrize("prob,grid", list(zip(PROBLEMS, GRIDS)))
+def test_grid_max_equals_one_full_lattice_evaluation(prob, grid):
+    # the block split changes no lattice value, so not the maximum either
+    s1 = _lattice(prob.s11, prob.s12, grid.ds1)
+    s2 = _lattice(prob.s21, prob.s22, grid.ds2)
+    t = _lattice(0.0, grid.x1, grid.dt)
+    s3 = (s1[:, None] - s2).ravel()
+    work = LatticeWork(prob.kernel, s3.size, t.size)
+    work.set_t(t)
+
+    def re_F(s):
+        return work.re_F(s, np.empty((s.size, t.size)))
+
+    base = prob.k1 * re_F(s1) - prob.k3 * re_F(np.zeros(1))
+    lattice = np.repeat(base, s2.size, axis=0) - prob.k2 * re_F(s3)
+    assert grid_max(prob, grid) == np.max(lattice)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("corrupt_call", [1, 3])
-def test_non_finite_lattice_value_refuses_certificate(monkeypatch, bad, corrupt_call):
-    prob, grid = PROBLEMS[2], GRIDS[2]
+@pytest.mark.parametrize("index,corrupt_call", [
+    pytest.param(2, 1, id="1"),   # a k1 block
+    pytest.param(2, 3, id="3"),   # a k2 block
+    pytest.param(1, 1, id="k3"),  # the k3 row, evaluated first in each t block
+])
+def test_non_finite_lattice_value_refuses_certificate(monkeypatch, bad, index, corrupt_call):
+    prob, grid = PROBLEMS[index], GRIDS[index]
     honest = sup_bound(prob, grid)
     assert honest.bound > honest.tail  # a bound lowered to the tail would show
-    real = WeightKernel.re_F_lattice
+    real = LatticeWork.re_F
     calls = []
 
-    def corrupted(self, s, t):
-        out = real(self, s, t)
+    def corrupted(self, s, out):
+        real(self, s, out)
         calls.append(None)
-        if len(calls) == corrupt_call:  # call 1 is a k1 block, call 3 a k2 block
+        if len(calls) == corrupt_call:
             out[-1, out.shape[1] // 2] = bad
         return out
 
-    monkeypatch.setattr(WeightKernel, "re_F_lattice", corrupted)
+    monkeypatch.setattr(LatticeWork, "re_F", corrupted)
     with pytest.raises(FloatingPointError):
         sup_bound(prob, grid)
 
