@@ -9,11 +9,11 @@ coefficient ``C``, and the classic zero-density bound.
 ``WeightKernel.F`` serves scalar and scattered complex arguments;
 ``LatticeWork`` evaluates only Re F on an outer product of real parts and
 imaginary parts, the lattice blocks of the sup certificates, from a Horner
-form in 1/z with one exponential per row.  It is a workspace: its buffers
-are allocated once, ``set_t`` takes the cos/sin pair of each column once per
-t block for all the rows evaluated against it, and ``re_F`` fills a block in
-place without allocating.  Both switch to the same series inside
-SMALL_Z_RADIUS.
+form in 1/z with one exponential per row.  It is a workspace built for one
+certificate's t lattice: its buffers are allocated once, the constructor
+takes the cos/sin pair of each t once for every row evaluated against it,
+and ``re_F`` fills a block of whole t rows in place without allocating.
+Both switch to the same series inside SMALL_Z_RADIUS.
 
 All real arithmetic is double precision.  The integrals behind ``w``, the
 penalty integral and ``xf_exp_moment`` use one fixed Gauss-Legendre rule
@@ -215,8 +215,8 @@ def _series_coeffs_cached(gamma: float) -> np.ndarray:
 
 
 class LatticeWork:
-    """Re F(-s_i + i t_j) on lattice blocks of at most ``rows`` values of s
-    by ``width`` values of t, evaluated in buffers allocated once.
+    """Re F(-s_i + i t_j) on blocks of at most ``rows`` values of s by every
+    t given to the constructor, evaluated in buffers allocated once.
 
     The lattice evaluator behind the sup certificates.  With
     w = 1/z = conj(z)/(s^2 + t^2) the closed form is F = P(w) + e Q(w),
@@ -225,14 +225,14 @@ class LatticeWork:
 
     A = 16 gamma^5/15, B = 8 gamma^3/3, C = 4 gamma^2, and
     e = exp(-2 gamma z) = exp(2 gamma s) (cos 2 gamma t - i sin 2 gamma t).
-    :meth:`set_t` computes the trigonometric factor, t^2 and -t once for a
-    block of t values; :meth:`re_F` then takes one exponential per s and runs
-    the Horner form in place, so evaluating a block allocates no array.
-    Points with |z| < SMALL_Z_RADIUS, z = 0 included, take the series value,
-    as in :meth:`WeightKernel.F`.
+    The constructor computes the trigonometric factor, t^2 and -t once for
+    its t; :meth:`re_F` then takes one exponential per s and runs the Horner
+    form in place, so evaluating a block allocates no array.  Points with
+    |z| < SMALL_Z_RADIUS, z = 0 included, take the series value, as in
+    :meth:`WeightKernel.F`.
     """
 
-    def __init__(self, kernel: WeightKernel, rows: int, width: int):
+    def __init__(self, kernel: WeightKernel, t: np.ndarray, rows: int):
         g = kernel.gamma
         self.kernel = kernel
         self._two_g = 2.0 * g
@@ -240,36 +240,27 @@ class LatticeWork:
         self._b = 8.0 * g**3 / 3.0
         self._c = 4.0 * g * g
         self._d = 8.0 * g
-        self._rows = rows
-        size = rows * width
-        # inv, w, w2, p and q; set_t views the first rows * t.size values of each
-        self._flat = (np.empty(size), *(np.empty(size, dtype=complex) for _ in range(4)))
-        self._phase_buf = np.empty(width, dtype=complex)
-        self._t2_buf = np.empty(width)
-        self._neg_t_buf = np.empty(width)
-        self._s2, self._neg_s, self._exp = np.empty(rows), np.empty(rows), np.empty(rows)
-
-    def set_t(self, t: np.ndarray) -> None:
-        """Make the 1-D t (at most ``width`` values) the columns of the next blocks."""
         t = np.asarray(t, dtype=float)
         m = t.size
-        self._blocks = tuple(buf[:self._rows * m].reshape(self._rows, m) for buf in self._flat)
-        phase = self._phase = self._phase_buf[:m]
-        t2 = self._t2 = self._t2_buf[:m]
-        self._neg_t = self._neg_t_buf[:m]
+        # inv, w, w2, p and q; re_F views the first s.size rows of each
+        self._blocks = (np.empty((rows, m)), *(np.empty((rows, m), dtype=complex)
+                                                for _ in range(4)))
+        phase = self._phase = np.empty(m, dtype=complex)
+        t2 = self._t2 = np.empty(m)
         np.multiply(self._two_g, t, out=t2)
         np.cos(t2, out=phase.real)
         np.multiply(-self._two_g, t, out=t2)
         np.sin(t2, out=phase.imag)
         np.multiply(t, t, out=t2)
-        np.negative(t, out=self._neg_t)
+        self._neg_t = np.negative(t)
         self._small_cols = np.flatnonzero(np.abs(t) < SMALL_Z_RADIUS)
         self._small_t = t[self._small_cols]
+        self._s2, self._neg_s, self._exp = np.empty(rows), np.empty(rows), np.empty(rows)
 
     def re_F(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write Re F(-s_i + i t_j) for the 1-D s (at most ``rows`` values) and
-        the t of the last :meth:`set_t` into ``out``, of shape (s.size, t.size),
-        and return ``out``."""
+        the workspace's t into ``out``, of shape (s.size, t.size), and return
+        ``out``."""
         s = np.asarray(s, dtype=float)
         n = s.size
         inv, w, w2, p, q = (block[:n] for block in self._blocks)

@@ -13,11 +13,12 @@ t >= 0 suffices.  The certificate combines three ingredients:
 The final bound max(tail, M0 + ds1/2 D1 + ds2/2 D2 + dt/2 D3) dominates
 A everywhere on box x [0, inf).
 
-M0 is computed by walking the lattice in blocks of at most BLOCK_POINTS
-points, each reduced to its maximum at once, so no lattice-sized array is
-built.  One ``kernel.LatticeWork`` per grid_max call fills every block: the
-trigonometric factors of a t block are computed once for all its rows, and
-the blocks, the k3 row and the k1 base live in buffers allocated once per
+M0 is computed by walking the lattice in blocks of whole rows of the t
+lattice, at most BLOCK_POINTS points each unless one row alone is longer,
+each reduced to its maximum at once, so no lattice-sized array is built.
+One ``kernel.LatticeWork`` per grid_max call fills every block: the
+trigonometric factors of the t lattice and the k3 row are computed once per
+call, and the blocks and the k1 base live in buffers allocated once per
 call, so the walk allocates no array per block.  Certification fails
 closed: a NaN or inf anywhere in the lattice, the tail or the grid term
 raises FloatingPointError, and no certificate is produced.
@@ -33,11 +34,9 @@ import numpy as np
 
 from .kernel import LatticeWork, WeightKernel
 
-#: lattice points evaluated and reduced to their maximum at once by grid_max
+#: lattice points evaluated and reduced to their maximum at once by grid_max;
+#: a block holds max(1, BLOCK_POINTS // n_t) whole t rows
 BLOCK_POINTS = 4096
-#: a block spans at most BLOCK_POINTS // BLOCK_ROWS t values, so it has room
-#: for this many rows and the kernel's cos/sin of each t serves all of them
-BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,8 @@ def _lattice(a: float, b: float, step: float) -> np.ndarray:
         return np.array([a])
     n = int(math.floor((b - a) / step)) + 1
     vals = np.minimum(a + step * np.arange(n + 1), b)
-    return np.unique(vals)
+    # sorted, and only the clamped tail repeats b
+    return vals[:np.searchsorted(vals, b) + 1]
 
 
 def _fold_max(best: float, block: np.ndarray) -> float:
@@ -195,64 +195,57 @@ def _fold_max(best: float, block: np.ndarray) -> float:
 
 
 def grid_max(problem: SupProblem, grid: GridSpec) -> float:
-    """Exact maximum of A over the lattice, walked in blocks.
+    """Exact maximum of A over the lattice, walked in blocks of whole t rows.
 
-    A block holds at most BLOCK_POINTS lattice points, at most
-    BLOCK_POINTS // BLOCK_ROWS of them along t, and is reduced to its
-    maximum at once.  Per t block the trigonometric factors are computed
-    once, the k3 row is evaluated once, the k1 term once per s1 row, and
-    the k2 term in chunks of (s1, s2) rows, all in one LatticeWork and in
-    block buffers allocated once per call.  Raises FloatingPointError if
-    any lattice value is not finite.
+    A block holds max(1, BLOCK_POINTS // n_t) rows, each of all n_t lattice
+    values of t; it exceeds BLOCK_POINTS points, and the buffers grow with
+    n_t, only when n_t does.  Each block is reduced to its maximum at once.
+    The trigonometric factors and the k3 row are computed once per call,
+    the k1 term in chunks of s1 rows, and the k2 term in chunks of (s1, s2)
+    rows, all in one LatticeWork and in block buffers allocated once per
+    call.  Raises FloatingPointError if any lattice value is not finite.
     """
     k1, k2, k3 = problem.k1, problem.k2, problem.k3
     s1_vals = _lattice(problem.s11, problem.s12, grid.ds1)
     s2_vals = _lattice(problem.s21, problem.s22, grid.ds2)
     t_vals = _lattice(0.0, grid.x1, grid.dt)
 
-    width = min(t_vals.size, BLOCK_POINTS // BLOCK_ROWS)
-    rows = BLOCK_POINTS // width
-    work = LatticeWork(problem.kernel, rows, width)
-    f3_buf = np.empty(width)
-    base_buf, gather_buf, block_buf = (np.empty(rows * width) for _ in range(3))
+    m = t_vals.size
+    rows = max(1, BLOCK_POINTS // m)
+    work = LatticeWork(problem.kernel, t_vals, rows)
+    f3 = np.empty(m)
+    if k3:
+        work.re_F(np.zeros(1), f3[None, :])
+        f3 *= k3
+    base_buf, gather_buf, block_buf = (np.empty((rows, m)) for _ in range(3))
     s3_buf = np.empty(rows * s2_vals.size)
     owner = np.repeat(np.arange(rows), s2_vals.size)
-    zero = np.zeros(1)
     best = -math.inf
-    for j in range(0, t_vals.size, width):
-        t = t_vals[j:j + width]
-        m = t.size
-        work.set_t(t)
-        f3 = f3_buf[:m]
+    for i in range(0, s1_vals.size, rows):
+        s1 = s1_vals[i:i + rows]
+        base = base_buf[:s1.size]
+        if k1:
+            work.re_F(s1, base)
+            base *= k1
+        else:
+            base.fill(0.0)
         if k3:
-            work.re_F(zero, f3[None, :])
-            f3 *= k3
-        for i in range(0, s1_vals.size, rows):
-            s1 = s1_vals[i:i + rows]
-            base = base_buf[:s1.size * m].reshape(s1.size, m)
-            if k1:
-                work.re_F(s1, base)
-                base *= k1
-            else:
-                base.fill(0.0)
-            if k3:
-                base -= f3
-            if not k2:
-                best = _fold_max(best, base)
-                continue
-            s3 = s3_buf[:s1.size * s2_vals.size]
-            np.subtract(s1[:, None], s2_vals, out=s3.reshape(s1.size, s2_vals.size))
-            for k in range(0, s3.size, rows):
-                chunk = s3[k:k + rows]
-                size = chunk.size * m
-                block = block_buf[:size].reshape(chunk.size, m)
-                work.re_F(chunk, block)
-                block *= k2
-                # the indices are in range, and mode="clip" gathers without a temporary
-                gathered = np.take(base, owner[k:k + chunk.size], axis=0,
-                                   out=gather_buf[:size].reshape(chunk.size, m), mode="clip")
-                np.subtract(gathered, block, out=block)
-                best = _fold_max(best, block)
+            base -= f3
+        if not k2:
+            best = _fold_max(best, base)
+            continue
+        s3 = s3_buf[:s1.size * s2_vals.size]
+        np.subtract(s1[:, None], s2_vals, out=s3.reshape(s1.size, s2_vals.size))
+        for k in range(0, s3.size, rows):
+            chunk = s3[k:k + rows]
+            block = block_buf[:chunk.size]
+            work.re_F(chunk, block)
+            block *= k2
+            # the indices are in range, and mode="clip" gathers without a temporary
+            gathered = np.take(base, owner[k:k + chunk.size], axis=0,
+                               out=gather_buf[:chunk.size], mode="clip")
+            np.subtract(gathered, block, out=block)
+            best = _fold_max(best, block)
     return best
 
 

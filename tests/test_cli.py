@@ -250,6 +250,26 @@ def test_table_12_integer_exact(tmp_path, capsys):
     assert len(lines) == 188  # header + 187 cells
 
 
+def test_table_12_printed_bound_mismatch_fails(tmp_path, monkeypatch, capsys, fresh_tables):
+    # one printed bound raised by one: that cell, and only it, fails its match
+    real = _data.published_table
+    cell = next(pub for pub in real(12) if pub["bound"] != "-")
+
+    def raised(n):
+        return tuple({**pub, "bound": str(int(pub["bound"]) + 1)} if pub is cell else pub
+                     for pub in real(n))
+
+    monkeypatch.setattr(_data, "published_table", raised)
+    assert main(["table", "12", "--out", str(tmp_path)]) == 1
+    mismatches = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("MISMATCH")]
+    assert mismatches == [f"MISMATCH table 12 lambda1={cell['lambda1']} lam={cell['lam']}: "
+                          f"published {int(cell['bound']) + 1} computed {int(cell['bound'])}"]
+    audit = json.loads((tmp_path / "audit_12.json").read_text())["cells"]
+    failed = [c for c in audit if c["match"] is False]
+    assert [(c["lambda1"], c["lam"]) for c in failed] == [(cell["lambda1"], cell["lam"])]
+
+
 def test_counting_tables_regenerated_once_per_process(tmp_path, monkeypatch, capsys,
                                                      fresh_tables):
     calls = []

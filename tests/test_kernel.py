@@ -109,9 +109,7 @@ LATTICE_SHAPES = {
 
 def _re_F_lattice(kern, s, t):
     """Re F on s x t from a fresh workspace of exactly that size."""
-    work = LatticeWork(kern, s.size, t.size)
-    work.set_t(t)
-    return work.re_F(s, np.empty((s.size, t.size)))
+    return LatticeWork(kern, t, s.size).re_F(s, np.empty((s.size, t.size)))
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.8, 1.05, 1.3])
@@ -138,15 +136,15 @@ def test_re_F_lattice_against_mpmath_oracle():
 
 
 def test_lattice_work_reuse_matches_a_fresh_workspace():
-    # a full 8 x 512 block, a smaller one reaching into the series disk at
-    # z = 0, then the full block again: no buffer slice, phase or series
-    # column of an earlier block may leak into a later one
+    # full blocks, a smaller one reaching into the series disk at z = 0, then
+    # full blocks again: no row slice or series patch of an earlier block may
+    # leak into a later one
     kern = WeightKernel(1.05)
-    full = (np.linspace(0.1, 4.0, 8), np.linspace(0.5, 15.0, 512))
-    small = (np.array([0.0, 0.05, 0.9]), np.linspace(0.0, 3.0, 100))
-    work = LatticeWork(kern, 8, 512)
-    for s, t in (full, small, full):
-        work.set_t(t)
+    t = np.linspace(0.0, 15.0, 512)
+    full = np.linspace(0.1, 4.0, 8)
+    small = np.array([0.0, 0.05, 0.9])
+    work = LatticeWork(kern, t, 8)
+    for s in (full, small, full):
         got = work.re_F(s, np.empty((s.size, t.size)))
         assert np.array_equal(got, _re_F_lattice(kern, s, t))
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linnik import supbound
-from linnik.kernel import LatticeWork, WeightKernel
-from linnik.supbound import (A_eval, GridSpec, SupProblem, _lattice,
+from linnik.kernel import SMALL_Z_RADIUS, LatticeWork, WeightKernel
+from linnik.supbound import (BLOCK_POINTS, A_eval, GridSpec, SupProblem, _lattice,
                              derivative_bounds, domination_check, grid_max,
                              sup_bound, tail_bound)
 
@@ -118,6 +118,29 @@ def test_grid_max_degenerate_box():
     assert grid_max(prob, grid) == pytest.approx(float(A_eval(prob, 0.4, 0.1, 0.0)), rel=1e-14)
 
 
+def _lattice_by_unique(a, b, step):
+    """The clamped lattice deduplicated by np.unique, as _lattice once built it."""
+    n = int(math.floor((b - a) / step)) + 1
+    return np.unique(np.minimum(a + step * np.arange(n + 1), b))
+
+
+def test_lattice_keeps_the_sorted_clamped_values_through_b():
+    rng = np.random.default_rng(13)
+    cases = [(0.5, 0.5, 0.01),                  # b == a
+             (0.0, 1.0, 0.25), (0.0, 0.3, 0.1),  # b on the lattice
+             (0.0, 15.0, 0.004), (0.0, 7.0, 0.015), (0.903, 1.69, 0.015)]
+    a = rng.uniform(0.0, 4.0, 3000)
+    step = rng.uniform(1e-3, 0.3, 3000)
+    cases += zip(a[:1000], a[:1000] + rng.uniform(0.0, 2.0, 1000), step[:1000])
+    cases += zip(a[1000:], a[1000:] + rng.integers(0, 200, 2000) * step[1000:], step[1000:])
+    for a, b, step in cases:
+        got = _lattice(a, b, step)
+        assert np.array_equal(got, _lattice_by_unique(a, b, step)), (a, b, step)
+        assert got[0] == a and got[-1] == b
+    assert np.array_equal(_lattice(0.5, 0.5, 0.01), [0.5])
+    assert np.array_equal(_lattice(0.0, 1.0, 0.25), [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
 def test_zero_spacing_needs_degenerate_interval():
     prob = PROBLEMS[2]
     with pytest.raises(ValueError):
@@ -163,15 +186,33 @@ def test_grid_max_equals_brute_force_lattice_max(gamma, k1, k2, k3, s11, w1, s21
     assert abs(grid_max(prob, grid) - brute) <= tol
 
 
-@pytest.mark.parametrize("prob,grid", list(zip(PROBLEMS, GRIDS)))
+# rows per block is max(1, BLOCK_POINTS // n_t); n_t is 468 at x1 = 7, dt = 0.015
+FULL_LATTICE_CASES = list(zip(PROBLEMS, GRIDS)) + [
+    # n_t = 5001 > BLOCK_POINTS: one row per block, blocks wider than BLOCK_POINTS
+    (SupProblem(WeightKernel(1.0), k1=0.8, k2=1.3, k3=0.6,
+                s11=0.7, s12=0.72, s21=0.3, s22=0.31), GridSpec(0.01, 0.005, 0.003, 15.0)),
+    # 11 s1 rows against 8 rows per block: the last k1 chunk is short
+    (SupProblem(WeightKernel(0.9), k1=0.9, k2=0.0, k3=1.2,
+                s11=0.5, s12=0.6, s21=0.0, s22=0.0), GridSpec(0.01, 0.0, 0.015, 7.0)),
+    # 15 s1 rows by 3 s2 values: the last s1 chunk has 7 rows, its 21
+    # (s1, s2) rows end in a chunk of 5, and that chunk holds the maximum
+    (SupProblem(WeightKernel(0.9), k1=1.0, k2=0.2, k3=0.3,
+                s11=0.5, s12=0.64, s21=0.1, s22=0.12), GridSpec(0.01, 0.01, 0.015, 7.0)),
+    # s1 - s2 runs 0.30 down to 0 in chunks of 8 rows: the rows below
+    # SMALL_Z_RADIUS, s = 0 included, fall in the third and fourth chunks
+    (SupProblem(WeightKernel(1.1), k1=0.5, k2=0.8, k3=0.0,
+                s11=0.5, s12=0.5, s21=0.2, s22=0.5), GridSpec(0.0, 0.01, 0.015, 7.0)),
+]
+
+
+@pytest.mark.parametrize("prob,grid", FULL_LATTICE_CASES)
 def test_grid_max_equals_one_full_lattice_evaluation(prob, grid):
     # the block split changes no lattice value, so not the maximum either
     s1 = _lattice(prob.s11, prob.s12, grid.ds1)
     s2 = _lattice(prob.s21, prob.s22, grid.ds2)
     t = _lattice(0.0, grid.x1, grid.dt)
     s3 = (s1[:, None] - s2).ravel()
-    work = LatticeWork(prob.kernel, s3.size, t.size)
-    work.set_t(t)
+    work = LatticeWork(prob.kernel, t, s3.size)
 
     def re_F(s):
         return work.re_F(s, np.empty((s.size, t.size)))
@@ -181,29 +222,47 @@ def test_grid_max_equals_one_full_lattice_evaluation(prob, grid):
     assert grid_max(prob, grid) == np.max(lattice)
 
 
+def test_full_lattice_cases_cover_the_block_edges():
+    rows = [max(1, BLOCK_POINTS // _lattice(0.0, g.x1, g.dt).size)
+            for _, g in FULL_LATTICE_CASES[3:]]
+    wide, short, short_k2, disk = FULL_LATTICE_CASES[3:]
+    assert _lattice(0.0, wide[1].x1, wide[1].dt).size > BLOCK_POINTS and rows[0] == 1
+    assert _lattice(short[0].s11, short[0].s12, short[1].ds1).size % rows[1] != 0
+    n1 = _lattice(short_k2[0].s11, short_k2[0].s12, short_k2[1].ds1).size
+    n2 = _lattice(short_k2[0].s21, short_k2[0].s22, short_k2[1].ds2).size
+    assert n1 % rows[2] != 0 and (n1 % rows[2]) * n2 % rows[2] != 0
+    s3 = disk[0].s11 - _lattice(disk[0].s21, disk[0].s22, disk[1].ds2)
+    inside = np.flatnonzero(np.abs(s3) < SMALL_Z_RADIUS)
+    assert inside.min() >= rows[3] and s3[-1] == 0.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("index,corrupt_call", [
-    pytest.param(2, 1, id="1"),   # a k1 block
-    pytest.param(2, 3, id="3"),   # a k2 block
-    pytest.param(1, 1, id="k3"),  # the k3 row, evaluated first in each t block
+@pytest.mark.parametrize("index,target", [
+    pytest.param(2, lambda p: p.s12, id="1"),          # k1: no s1 - s2 reaches s12
+    pytest.param(2, lambda p: p.s11 - p.s22, id="3"),  # k2: s11 - s22 is below every s1
+    pytest.param(1, lambda p: 0.0, id="k3"),           # k3: the row s = 0
 ])
-def test_non_finite_lattice_value_refuses_certificate(monkeypatch, bad, index, corrupt_call):
+def test_non_finite_lattice_value_refuses_certificate(monkeypatch, bad, index, target):
     prob, grid = PROBLEMS[index], GRIDS[index]
     honest = sup_bound(prob, grid)
     assert honest.bound > honest.tail  # a bound lowered to the tail would show
     real = LatticeWork.re_F
-    calls = []
+    s_bad = target(prob)
+    hits = []
 
     def corrupted(self, s, out):
+        # the term is picked by its s value, whatever the block layout
         real(self, s, out)
-        calls.append(None)
-        if len(calls) == corrupt_call:
-            out[-1, out.shape[1] // 2] = bad
+        row = np.flatnonzero(s == s_bad)
+        if row.size:
+            hits.append(row[0])
+            out[row[0], out.shape[1] // 2] = bad
         return out
 
     monkeypatch.setattr(LatticeWork, "re_F", corrupted)
     with pytest.raises(FloatingPointError):
         sup_bound(prob, grid)
+    assert hits
 
 
 def test_non_finite_derivative_bound_refuses_certificate(monkeypatch):
