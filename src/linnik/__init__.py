@@ -7,7 +7,7 @@ and the final W < 1 verification (:mod:`linnik.final`).
 """
 
 from .kernel import LinnikParams, WeightKernel, classic_density_bound
-from .supbound import GridSpec, SupCertificate, SupProblem, sup_bound
+from .supbound import GridSpec, SupCertificate, SupProblem, sup_bound, sup_bounds
 from .density import DensityQuery, quadratic_N_bound
 from .final import compute_W, verify_all
 
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LinnikParams", "WeightKernel", "classic_density_bound",
-    "GridSpec", "SupCertificate", "SupProblem", "sup_bound",
+    "GridSpec", "SupCertificate", "SupProblem", "sup_bound", "sup_bounds",
     "DensityQuery", "quadratic_N_bound",
     "compute_W", "verify_all",
     "__version__",

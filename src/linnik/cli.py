@@ -15,6 +15,7 @@ import argparse
 import cmath
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -134,6 +135,14 @@ def _write_csv(path: Path, columns, rows):
         writer.writerows(rows)
 
 
+@functools.lru_cache(maxsize=None)
+def _audit(cert) -> dict:
+    """The domination audit of one certificate, run once per process: table 8
+    reuses the certificates of table 4.  Callers share the dict and only
+    read it."""
+    return domination_check(cert, samples=2000, seed=AUDIT_SEED)
+
+
 def cmd_table(args) -> int:
     n = args.number
     outdir = Path(args.out)
@@ -160,7 +169,7 @@ def cmd_table(args) -> int:
     rows, certificates = tables.generate_table(n)
     _write_csv(outdir / f"table_{n}.csv", TABLE_CSV_COLUMNS,
                [[_fmt(getattr(r, c)) for c in TABLE_CSV_COLUMNS] for r in rows])
-    audits = [domination_check(cert, samples=2000, seed=AUDIT_SEED) for cert in certificates]
+    audits = [_audit(cert) for cert in certificates]
     with open(outdir / f"audit_{n}.json", "w") as fh:
         json.dump({"table": n, "seed": AUDIT_SEED,
                    "certificates": [{**cert.as_record(), "domination_sample": audit}

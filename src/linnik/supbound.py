@@ -13,22 +13,27 @@ t >= 0 suffices.  The certificate combines three ingredients:
 The final bound max(tail, M0 + ds1/2 D1 + ds2/2 D2 + dt/2 D3) dominates
 A everywhere on box x [0, inf).
 
+Several suprema of one table row often share kernel, box and grid and
+differ only in k1, k2, k3.  ``sup_bounds`` certifies such a group with one
+lattice walk; ``sup_bound`` is the group of one.
+
 M0 is computed by walking the lattice in blocks of whole rows of the t
 lattice, at most BLOCK_POINTS points each unless one row alone is longer,
 each reduced to its maximum at once, so no lattice-sized array is built.
-One ``kernel.LatticeWork`` per grid_max call fills every block: the
-trigonometric factors of the t lattice and the k3 row are computed once per
-call, and the blocks and the k1 base live in buffers allocated once per
-call, so the walk allocates no array per block.  Certification fails
-closed: a NaN or inf anywhere in the lattice, the tail or the grid term
-raises FloatingPointError, and no certificate is produced.
+One ``kernel.LatticeWork`` per grid_max call fills every block with the
+unscaled Re F values the group shares: the trigonometric factors of the t
+lattice and the k3 row are computed once per call, and the blocks and each
+problem's k1 base live in buffers allocated once per call, so the walk
+allocates no array per block.  Certification fails closed: a NaN or inf
+anywhere in the lattice, the tail or the grid term raises
+FloatingPointError, and no certificate is produced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -194,77 +199,115 @@ def _fold_max(best: float, block: np.ndarray) -> float:
     return max(best, hi)
 
 
-def grid_max(problem: SupProblem, grid: GridSpec) -> float:
-    """Exact maximum of A over the lattice, walked in blocks of whole t rows.
+def grid_max(problems: Sequence[SupProblem], grid: GridSpec) -> Tuple[float, ...]:
+    """Exact maximum of A over the lattice for each problem of a group that
+    shares kernel and box, all from one walk in blocks of whole t rows.
 
     A block holds max(1, BLOCK_POINTS // n_t) rows, each of all n_t lattice
     values of t; it exceeds BLOCK_POINTS points, and the buffers grow with
-    n_t, only when n_t does.  Each block is reduced to its maximum at once.
-    The trigonometric factors and the k3 row are computed once per call,
-    the k1 term in chunks of s1 rows, and the k2 term in chunks of (s1, s2)
-    rows, all in one LatticeWork and in block buffers allocated once per
-    call.  Raises FloatingPointError if any lattice value is not finite.
+    n_t, only when n_t does.  The walk writes the unscaled Re F of the k1
+    rows (s1), of the k2 rows (s1 - s2) and of the k3 row (s = 0) once; each
+    problem scales them by its own coefficients with the operations a walk
+    of that problem alone applies, in the same order, and folds its own
+    maximum, so each maximum is bit-identical to that problem's own walk.
+    The trigonometric factors and the k3 row are computed once per call, in
+    one LatticeWork and in block buffers allocated once per call; the raw
+    rows live in the buffers of the last problem that scales them, so a
+    group of one needs no buffer beyond its own.  Raises FloatingPointError
+    if any lattice value of a problem is not finite.
     """
-    k1, k2, k3 = problem.k1, problem.k2, problem.k3
-    s1_vals = _lattice(problem.s11, problem.s12, grid.ds1)
-    s2_vals = _lattice(problem.s21, problem.s22, grid.ds2)
+    first = problems[0]
+    s1_vals = _lattice(first.s11, first.s12, grid.ds1)
+    s2_vals = _lattice(first.s21, first.s22, grid.ds2)
     t_vals = _lattice(0.0, grid.x1, grid.dt)
 
     m = t_vals.size
     rows = max(1, BLOCK_POINTS // m)
-    work = LatticeWork(problem.kernel, t_vals, rows)
-    f3 = np.empty(m)
-    if k3:
-        work.re_F(np.zeros(1), f3[None, :])
-        f3 *= k3
-    base_buf, gather_buf, block_buf = (np.empty((rows, m)) for _ in range(3))
+    work = LatticeWork(first.kernel, t_vals, rows)
+    with_k2 = [j for j, p in enumerate(problems) if p.k2]
+    with_k3 = [j for j, p in enumerate(problems) if p.k3]
+    any_k1 = any(p.k1 for p in problems)
+    raw3 = np.empty(m)
+    if with_k3:
+        work.re_F(np.zeros(1), raw3[None, :])
+    # k3 F(it) of each problem; the last one scales the raw row in place
+    f3s = {j: np.multiply(raw3, problems[j].k3, out=raw3 if j == with_k3[-1] else None)
+           for j in with_k3}
+    base_bufs = [np.empty((rows, m)) for _ in problems]
+    raw2_buf, gather_buf = np.empty((rows, m)), np.empty((rows, m))
+    # only the k2 problems before the last one need a block of their own
+    block_buf = np.empty((rows, m)) if len(with_k2) > 1 else None
     s3_buf = np.empty(rows * s2_vals.size)
     owner = np.repeat(np.arange(rows), s2_vals.size)
-    best = -math.inf
+    best = [-math.inf] * len(problems)
     for i in range(0, s1_vals.size, rows):
         s1 = s1_vals[i:i + rows]
-        base = base_buf[:s1.size]
-        if k1:
-            work.re_F(s1, base)
-            base *= k1
-        else:
-            base.fill(0.0)
-        if k3:
-            base -= f3
-        if not k2:
-            best = _fold_max(best, base)
+        bases = [buf[:s1.size] for buf in base_bufs]
+        # the raw k1 rows live in the last base, which is scaled in place last
+        raw1 = bases[-1]
+        if any_k1:
+            work.re_F(s1, raw1)
+        for j, (p, base) in enumerate(zip(problems, bases)):
+            if p.k1:
+                np.multiply(raw1, p.k1, out=base)
+            else:
+                base.fill(0.0)
+            if p.k3:
+                base -= f3s[j]
+            if not p.k2:
+                best[j] = _fold_max(best[j], base)
+        if not with_k2:
             continue
         s3 = s3_buf[:s1.size * s2_vals.size]
         np.subtract(s1[:, None], s2_vals, out=s3.reshape(s1.size, s2_vals.size))
         for k in range(0, s3.size, rows):
             chunk = s3[k:k + rows]
-            block = block_buf[:chunk.size]
-            work.re_F(chunk, block)
-            block *= k2
-            # the indices are in range, and mode="clip" gathers without a temporary
-            gathered = np.take(base, owner[k:k + chunk.size], axis=0,
-                               out=gather_buf[:chunk.size], mode="clip")
-            np.subtract(gathered, block, out=block)
-            best = _fold_max(best, block)
-    return best
+            raw2 = raw2_buf[:chunk.size]
+            work.re_F(chunk, raw2)
+            for j in with_k2:
+                # the last problem with a k2 term scales the raw rows in place
+                block = raw2 if j == with_k2[-1] else block_buf[:chunk.size]
+                np.multiply(raw2, problems[j].k2, out=block)
+                # the indices are in range, and mode="clip" gathers without a temporary
+                gathered = np.take(bases[j], owner[k:k + chunk.size], axis=0,
+                                   out=gather_buf[:chunk.size], mode="clip")
+                np.subtract(gathered, block, out=block)
+                best[j] = _fold_max(best[j], block)
+    return tuple(best)
+
+
+def sup_bounds(problems: Sequence[SupProblem], grid: GridSpec) -> Tuple[SupCertificate, ...]:
+    """Certify an upper bound for sup A over box x [0, inf) for each problem
+    of a group that shares kernel and box, with one grid_max walk.
+
+    Raises ValueError when the problems differ in kernel or box, or (from
+    tail_bound) when x1 < 4, and FloatingPointError instead of certifying
+    when a tail or grid term is not finite (builtin max(tail, nan) would
+    return tail).  An empty group certifies nothing.
+    """
+    problems = tuple(problems)
+    if not problems:
+        return ()
+    shared = [(p.kernel, p.s11, p.s12, p.s21, p.s22) for p in problems]
+    if any(key != shared[0] for key in shared):
+        raise ValueError("a supremum group must share its kernel and (s1, s2) box")
+    tails = [tail_bound(p, grid.x1) for p in problems]
+    derivs = [derivative_bounds(p) for p in problems]
+    certs = []
+    for p, tail, (d1, d2, d3), m0 in zip(problems, tails, derivs, grid_max(problems, grid)):
+        grid_term = m0 + 0.5 * grid.ds1 * d1 + 0.5 * grid.ds2 * d2 + 0.5 * grid.dt * d3
+        if not (math.isfinite(tail) and math.isfinite(grid_term)):
+            raise FloatingPointError(
+                f"non-finite sup bound: tail {tail!r}, grid term {grid_term!r}")
+        certs.append(SupCertificate(problem=p, grid=grid, m0=m0, d1=d1, d2=d2, d3=d3,
+                                    tail=tail, bound=max(tail, grid_term)))
+    return tuple(certs)
 
 
 def sup_bound(problem: SupProblem, grid: GridSpec) -> SupCertificate:
-    """Certify an upper bound for sup A over box x [0, inf).
-
-    Raises ValueError (from tail_bound) when x1 < 4, and FloatingPointError
-    instead of certifying when the tail or the grid term is not finite
-    (builtin max(tail, nan) would return tail).
-    """
-    tail = tail_bound(problem, grid.x1)
-    d1, d2, d3 = derivative_bounds(problem)
-    m0 = grid_max(problem, grid)
-    grid_term = m0 + 0.5 * grid.ds1 * d1 + 0.5 * grid.ds2 * d2 + 0.5 * grid.dt * d3
-    if not (math.isfinite(tail) and math.isfinite(grid_term)):
-        raise FloatingPointError(f"non-finite sup bound: tail {tail!r}, grid term {grid_term!r}")
-    bound = max(tail, grid_term)
-    return SupCertificate(problem=problem, grid=grid, m0=m0,
-                          d1=d1, d2=d2, d3=d3, tail=tail, bound=bound)
+    """Certify an upper bound for sup A over box x [0, inf): the group of
+    one, ``sup_bounds((problem,), grid)[0]``."""
+    return sup_bounds((problem,), grid)[0]
 
 
 def domination_check(cert: SupCertificate, samples: int = 100_000,

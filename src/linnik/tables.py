@@ -20,7 +20,11 @@ The inequalities fall into four families:
 
 The ``rhs_*`` functions below are the inequalities that decide the rows.
 The stepped rows (tables 4-6, 9 and 10) evaluate them, or the split form
-of ``delta_step_max``, on the one step lattice of ``_step_ends``.
+of ``delta_step_max``, on the one step lattice of ``_step_ends``;
+``delta_step_max`` evaluates F once per step end for all the stepped
+penalty cases of a row.  Every supremum is certified by ``sup_bounds``:
+the rows of tables 3 and 4 and table 11's order-2 branch pass their pair
+of suprema, which share kernel, box and grid, to one lattice walk.
 
 Tables 4, 5 and 6 share one generator, ``gen_second_character_table``: they
 differ only in the entry of ``_SECOND_CHARACTER`` that names their suprema,
@@ -61,7 +65,7 @@ import numpy as np
 
 from . import _data
 from .kernel import WeightKernel
-from .supbound import GridSpec, SupProblem, sup_bound
+from .supbound import GridSpec, SupProblem, sup_bounds
 
 #: a row is certified only if its decision RHS is below -CERT_MARGIN
 CERT_MARGIN = 1e-6
@@ -225,21 +229,27 @@ def _step_ends(lo: float, hi: float, delta: float) -> tuple:
 
 
 def delta_step_max(kernel: WeightKernel, k: float, lambda1_hi: float,
-                   start: float, target: float, delta: float, D: float):
-    """Worst step RHS of the split second-character inequality.
+                   start: float, target: float, delta: float, Ds: tuple) -> tuple:
+    """Worst step RHS of the split second-character inequality, one for
+    each penalty D of ``Ds``.
 
     The steps [a, b] of ``_step_ends(start, target, delta)`` cover the
     claimed bound; each is evaluated as
     (k^2+1/2)(F(-b) - F(l1-b) - F(0)) - (2k - (k^2+1/2)) F(l1-a) + D, which
-    dominates the inequality throughout the step interval.
+    dominates the inequality throughout the step interval.  Consecutive
+    steps share an end (a[j+1] == b[j]), so F(-e) and F(l1-e) are evaluated
+    once on the n+1 step ends e and serve every D.  D is added after the
+    maximum: rounding x + D is monotone in x, so fl(max x + D) is the
+    maximum of fl(x + D) bit for bit.
     """
     if not (STEP_K_RANGE[0] <= k <= STEP_K_RANGE[1]):
         raise ValueError(f"stepping requires k in {STEP_K_RANGE}, got {k}")
     a, b = _step_ends(start, target, delta)
-    rhs = ((k * k + 0.5) * (kernel.F_real(-b) - kernel.F_real(lambda1_hi - b) - kernel.F0)
-           - (2.0 * k - (k * k + 0.5)) * kernel.F_real(lambda1_hi - a)
-           + D)
-    return _finite_max(rhs)[0]
+    ends = np.append(a, b[-1])
+    f_neg, f_l1 = kernel.F_real(-ends), kernel.F_real(lambda1_hi - ends)
+    worst, _ = _finite_max((k * k + 0.5) * (f_neg[1:] - f_l1[1:] - kernel.F0)
+                           - (2.0 * k - (k * k + 0.5)) * f_l1[:-1])
+    return tuple(_finite_max(worst + D)[0] for D in Ds)
 
 
 def rhs_lambda3_complex(kernel: WeightKernel, lambda1_lo: float, lambda1_hi: float,
@@ -315,7 +325,7 @@ def gen_table2():
             prob = SupProblem(kern, k1=k, k2=0.0, k3=k * k + 0.75,
                               s11=lo, s12=cap, s21=0.0, s22=0.0)
             grid = GridSpec(ds1=0.004, ds2=0.0, dt=0.004, x1=15.0)
-        cert = sup_bound(prob, grid)
+        (cert,) = sup_bounds((prob,), grid)
         rhs = rhs_lprime_high(kern, k, lam_star, cap, pub["lambda_prime"], cert.bound)
         yield _row(rhs, {"gamma": gamma, "k": k, "rhs": rhs}, {},
                    table=2, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
@@ -332,10 +342,11 @@ def gen_table3():
         kern = WeightKernel(gamma)
         grid = GridSpec(ds1=0.004, ds2=0.0, dt=0.004, x1=15.0)
         # the doubling of the first supremum lives in its coefficients
-        cert_a = sup_bound(SupProblem(kern, k1=2.0 * k, k2=0.0, k3=2.0 * (k * k + 0.75),
-                                      s11=lo, s12=cap, s21=0.0, s22=0.0), grid)
-        cert_b = sup_bound(SupProblem(kern, k1=0.5, k2=0.0, k3=2.0 * k,
-                                      s11=lo, s12=cap, s21=0.0, s22=0.0), grid)
+        cert_a, cert_b = sup_bounds(
+            (SupProblem(kern, k1=2.0 * k, k2=0.0, k3=2.0 * (k * k + 0.75),
+                        s11=lo, s12=cap, s21=0.0, s22=0.0),
+             SupProblem(kern, k1=0.5, k2=0.0, k3=2.0 * k,
+                        s11=lo, s12=cap, s21=0.0, s22=0.0)), grid)
         rhs = rhs_lprime_low(kern, k, cap, pub["lambda_prime"],
                              cert_a.bound / 2.0, cert_b.bound)
         yield _row(rhs, {"gamma": gamma, "k": k, "rhs": rhs}, {},
@@ -382,15 +393,14 @@ def gen_second_character_table(n: int):
         gamma, k = gamma_k(cap)
         kern = WeightKernel(gamma)
         k1k2 = {"A": (0.25, k), "B": (0.0, 0.25)}
-        row_certs = tuple(sup_bound(SupProblem(kern, *k1k2[s], k3=0.0, s11=alt, s12=neu,
-                                               s21=lo, s22=cap), grid)
-                          for s in sups)
+        row_certs = sup_bounds(tuple(SupProblem(kern, *k1k2[s], k3=0.0, s11=alt, s12=neu,
+                                                s21=lo, s22=cap) for s in sups), grid)
         sup = {s: c.bound for s, c in zip(sups, row_certs)}
         d_by_case = MappingProxyType({
             c: lambda2_D(c, k, kern.f0, sup.get("A", 0.0), sup.get("B", 0.0))
             for c in stepped + dominated})
-        steps = [delta_step_max(kern, k, cap, alt, neu, 1e-4, d_by_case[c])
-                 for c in stepped]
+        steps = delta_step_max(kern, k, cap, alt, neu, 1e-4,
+                               tuple(d_by_case[c] for c in stepped))
         d_dominant = d_by_case[stepped[-1]]
         start = alt_map.get(cap, math.nan) if cap <= HB92_LAMBDA2_ALT_MAX else lo
         yield _row(steps, {"gamma": gamma, "k": k, "lambda2_alt": alt, "D_by_case": d_by_case},
@@ -490,9 +500,9 @@ def gen_table9():
     below the recorded 0.18 cap).
     """
     kern = WeightKernel(1.25)
-    guard = sup_bound(SupProblem(kern, k1=1.0, k2=0.0, k3=2.0,
-                                 s11=0.44, s12=0.85, s21=0.0, s22=0.0),
-                      GridSpec(ds1=0.03, ds2=0.0, dt=0.03, x1=6.0))
+    (guard,) = sup_bounds((SupProblem(kern, k1=1.0, k2=0.0, k3=2.0,
+                                      s11=0.44, s12=0.85, s21=0.0, s22=0.0),),
+                          GridSpec(ds1=0.03, ds2=0.0, dt=0.03, x1=6.0))
     guard_ok = guard.bound < 0.18 and guard.bound < kern.f0 / 6.0
     for pub in _data.published_table(9):
         lo, hi, l3 = pub["lambda1_lo"], pub["lambda1_hi"], pub["lambda3"]
@@ -524,9 +534,9 @@ def gen_table10():
     guards = {}
     for gamma in sorted(set(_T10_GAMMA.values())):
         kern = WeightKernel(gamma)
-        cert = sup_bound(SupProblem(kern, k1=1.0, k2=1.0, k3=1.0,
-                                    s11=0.44, s12=1.175, s21=0.44, s22=0.80),
-                         GridSpec(ds1=0.03, ds2=0.03, dt=0.03, x1=6.0))
+        (cert,) = sup_bounds((SupProblem(kern, k1=1.0, k2=1.0, k3=1.0,
+                                         s11=0.44, s12=1.175, s21=0.44, s22=0.80),),
+                             GridSpec(ds1=0.03, ds2=0.03, dt=0.03, x1=6.0))
         guards[gamma] = (cert, cert.bound < 0.10 and cert.bound < 5.0 / 48.0 * kern.f0)
     for pub in _data.published_table(10):
         lo, hi, l3 = pub["lambda1_lo"], pub["lambda1_hi"], pub["lambda3"]
@@ -573,10 +583,10 @@ def gen_table11():
         upstream = tuple(r for m in ((3, 6) if ordc == "2" else (2, 7))
                          for r in _window_rows(m, l_old, l_ann))
         lam_star = min(r.claimed_bound for r in upstream)
-        certs = tuple(sup_bound(SupProblem(kern, k1=k1, k2=k2, k3=0.0, s11=lam_star,
-                                           s12=lam_star, s21=l_old, s22=l_ann),
-                                GridSpec(ds1=0.0, ds2=0.005, dt=0.005, x1=12.0))
-                      for k1, k2 in _L1_SUPS.get(ordc, ()))
+        certs = sup_bounds(tuple(SupProblem(kern, k1=k1, k2=k2, k3=0.0, s11=lam_star,
+                                            s12=lam_star, s21=l_old, s22=l_ann)
+                                 for k1, k2 in _L1_SUPS.get(ordc, ())),
+                           GridSpec(ds1=0.0, ds2=0.005, dt=0.005, x1=12.0))
         total_c = sum(c.bound for c in certs)
         D = _L1_FRACTION[ordc] * kern.f0 + total_c
         rhs = rhs_lambda1(kern, lam_star, l_new, D)

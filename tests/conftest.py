@@ -1,6 +1,6 @@
 import pytest
 
-from linnik import density, final, tables
+from linnik import cli, density, final, tables
 
 
 @pytest.fixture(scope="session")
@@ -11,14 +11,15 @@ def table_rows():
 
 @pytest.fixture
 def fresh_tables():
-    """Empty table and counting-table memos before and after the test, for
-    tests that patch the kernel or the data: rows certified under a patch
+    """Empty table, counting-table and audit memos before and after the test,
+    for tests that patch the kernel or the data: rows certified under a patch
     must not leak out, and rows certified earlier must not hide the patch."""
-    tables._certify.cache_clear()
-    density.regenerated_tables.cache_clear()
+    memos = (tables._certify, density.regenerated_tables, cli._audit)
+    for memo in memos:
+        memo.cache_clear()
     yield
-    tables._certify.cache_clear()
-    density.regenerated_tables.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from linnik import _data, density, final, tables
+from linnik import _data, cli, density, final, tables
 from linnik.cli import main
 from linnik.kernel import LatticeWork, LinnikParams, WeightKernel
 
@@ -131,17 +131,33 @@ def test_table_csv_deterministic_across_jobs(tmp_path, capsys, fresh_tables):
     assert (a / "audit_9.json").read_bytes() == (b / "audit_9.json").read_bytes()
 
 
+def test_each_certificate_audited_once(tmp_path, monkeypatch, capsys, fresh_tables):
+    # table 8 reuses the certificates of table 4; their audits are not rerun
+    audited = []
+    real = cli.domination_check
+
+    def counting(cert, **kwargs):
+        audited.append(cert)
+        return real(cert, **kwargs)
+
+    monkeypatch.setattr(cli, "domination_check", counting)
+    for n in range(2, 12):
+        assert main(["table", str(n), "--out", str(tmp_path)]) == 0
+    distinct = {c for n in range(2, 12) for c in tables.generate_table(n)[1]}
+    assert len(audited) == len(set(audited)) == len(distinct) == 132
+
+
 @pytest.mark.parametrize("n", [9, 10])
 def test_table_refuted_certificate_fails(tmp_path, monkeypatch, capsys, fresh_tables, n):
     # a certificate whose bound sits below its own grid maximum is refuted by
     # the domination audit, although every row still passes its checks
-    real = tables.sup_bound
+    real = tables.sup_bounds
 
-    def understated(problem, grid):
-        cert = real(problem, grid)
-        return dataclasses.replace(cert, bound=cert.m0 - 1.0)
+    def understated(problems, grid):
+        return tuple(dataclasses.replace(cert, bound=cert.m0 - 1.0)
+                     for cert in real(problems, grid))
 
-    monkeypatch.setattr(tables, "sup_bound", understated)
+    monkeypatch.setattr(tables, "sup_bounds", understated)
     assert main(["table", str(n), "--out", str(tmp_path)]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAILED")]

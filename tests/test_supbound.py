@@ -1,5 +1,6 @@
 """Sup-certificate tests: domination, tail validity, derivative soundness."""
 
+import dataclasses
 import json
 import math
 
@@ -12,7 +13,7 @@ from linnik import supbound
 from linnik.kernel import SMALL_Z_RADIUS, LatticeWork, WeightKernel
 from linnik.supbound import (BLOCK_POINTS, A_eval, GridSpec, SupProblem, _lattice,
                              derivative_bounds, domination_check, grid_max,
-                             sup_bound, tail_bound)
+                             sup_bound, sup_bounds, tail_bound)
 
 KERN = WeightKernel(0.93)
 
@@ -115,7 +116,8 @@ def test_derivative_bounds_dominate_finite_differences(prob):
 def test_grid_max_degenerate_box():
     prob = SupProblem(KERN, k1=1.0, k2=0.5, k3=0.25, s11=0.4, s12=0.4, s21=0.1, s22=0.1)
     grid = GridSpec(0.0, 0.0, 0.0, 0.0)
-    assert grid_max(prob, grid) == pytest.approx(float(A_eval(prob, 0.4, 0.1, 0.0)), rel=1e-14)
+    (m0,) = grid_max((prob,), grid)
+    assert m0 == pytest.approx(float(A_eval(prob, 0.4, 0.1, 0.0)), rel=1e-14)
 
 
 def _lattice_by_unique(a, b, step):
@@ -144,13 +146,13 @@ def test_lattice_keeps_the_sorted_clamped_values_through_b():
 def test_zero_spacing_needs_degenerate_interval():
     prob = PROBLEMS[2]
     with pytest.raises(ValueError):
-        grid_max(prob, GridSpec(0.0, 0.007, 0.015, 7.0))
+        grid_max((prob,), GridSpec(0.0, 0.007, 0.015, 7.0))
 
 
 @pytest.mark.parametrize("prob,grid", list(zip(PROBLEMS, GRIDS)))
 def test_grid_max_below_bound(prob, grid):
     cert = sup_bound(prob, grid)
-    assert grid_max(prob, grid) <= cert.bound
+    assert grid_max((prob,), grid) == (cert.m0,) and cert.m0 <= cert.bound
     assert cert.bound >= 0.0
 
 
@@ -183,7 +185,8 @@ def test_grid_max_equals_brute_force_lattice_max(gamma, k1, k2, k3, s11, w1, s21
     # per term, the lattice kernel and F each keep the 1e-10 closed-form budget
     # plus rounding relative to |Re F| <= F(-s12)
     tol = (k1 + k2 + k3) * (2e-10 + 1e-12 * prob.kernel.F_real(-prob.s12))
-    assert abs(grid_max(prob, grid) - brute) <= tol
+    (m0,) = grid_max((prob,), grid)
+    assert abs(m0 - brute) <= tol
 
 
 # rows per block is max(1, BLOCK_POINTS // n_t); n_t is 468 at x1 = 7, dt = 0.015
@@ -205,9 +208,8 @@ FULL_LATTICE_CASES = list(zip(PROBLEMS, GRIDS)) + [
 ]
 
 
-@pytest.mark.parametrize("prob,grid", FULL_LATTICE_CASES)
-def test_grid_max_equals_one_full_lattice_evaluation(prob, grid):
-    # the block split changes no lattice value, so not the maximum either
+def _full_lattice_max(prob, grid):
+    """max A over the whole lattice of prob, evaluated in one piece."""
     s1 = _lattice(prob.s11, prob.s12, grid.ds1)
     s2 = _lattice(prob.s21, prob.s22, grid.ds2)
     t = _lattice(0.0, grid.x1, grid.dt)
@@ -219,7 +221,44 @@ def test_grid_max_equals_one_full_lattice_evaluation(prob, grid):
 
     base = prob.k1 * re_F(s1) - prob.k3 * re_F(np.zeros(1))
     lattice = np.repeat(base, s2.size, axis=0) - prob.k2 * re_F(s3)
-    assert grid_max(prob, grid) == np.max(lattice)
+    return np.max(lattice)
+
+
+@pytest.mark.parametrize("prob,grid", FULL_LATTICE_CASES)
+def test_grid_max_equals_one_full_lattice_evaluation(prob, grid):
+    # the block split changes no lattice value, so not the maximum either
+    assert grid_max((prob,), grid) == (_full_lattice_max(prob, grid),)
+
+
+def _mixed_groups(prob):
+    """Groups on prob's kernel and box with the coefficient mixes of the
+    shared table rows: table 4's pair, whose second supremum has k1 = 0,
+    with a k2 = 0 problem that alone has a k3 term, and table 3's pair,
+    both with k2 = 0 and a k3 term."""
+    r = dataclasses.replace
+    return ((r(prob, k3=0.0), r(prob, k1=0.0, k2=0.25, k3=0.0), r(prob, k2=0.0, k3=1.2)),
+            (r(prob, k2=0.0, k3=1.2), r(prob, k1=0.5, k2=0.0, k3=0.3)))
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+@pytest.mark.parametrize("prob,grid", FULL_LATTICE_CASES)
+def test_group_walk_equals_each_full_lattice_evaluation(prob, grid, order):
+    # the last problem with a term scales the shared raw rows in place, so
+    # the two orders put different coefficient mixes last
+    for group in _mixed_groups(prob):
+        group = group[::order]
+        assert grid_max(group, grid) == tuple(_full_lattice_max(p, grid) for p in group)
+        assert sup_bounds(group, grid) == tuple(sup_bound(p, grid) for p in group)
+
+
+def test_group_must_share_kernel_and_box():
+    prob, grid = PROBLEMS[2], GRIDS[2]
+    for other in (dataclasses.replace(prob, kernel=WeightKernel(0.79)),
+                  dataclasses.replace(prob, s12=prob.s12 - 0.1),
+                  dataclasses.replace(prob, s21=prob.s21 + 0.01)):
+        with pytest.raises(ValueError):
+            sup_bounds((prob, other), grid)
+    assert sup_bounds((), grid) == ()
 
 
 def test_full_lattice_cases_cover_the_block_edges():

@@ -127,9 +127,55 @@ def test_lambda2_case1_reduces_to_pure_F_expression():
 def test_delta_step_requires_admissible_k():
     kern = WeightKernel(0.78)
     with pytest.raises(ValueError):
-        delta_step_max(kern, 0.2, 0.36, 0.9, 1.0, 1e-3, 0.0)
+        delta_step_max(kern, 0.2, 0.36, 0.9, 1.0, 1e-3, (0.0,))
     with pytest.raises(ValueError):
-        delta_step_max(kern, 0.7, 0.36, 0.9, 1.0, 0.0, 0.0)
+        delta_step_max(kern, 0.7, 0.36, 0.9, 1.0, 0.0, (0.0,))
+
+
+def _delta_step_three_arrays(kernel, k, lambda1_hi, start, target, delta, D):
+    """The step RHS as first written: F evaluated on b, l1 - b and l1 - a."""
+    a, b = tables._step_ends(start, target, delta)
+    rhs = ((k * k + 0.5) * (kernel.F_real(-b) - kernel.F_real(lambda1_hi - b) - kernel.F0)
+           - (2.0 * k - (k * k + 0.5)) * kernel.F_real(lambda1_hi - a)
+           + D)
+    return tables._finite_max(rhs)[0]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_delta_step_max_equals_three_array_form(table_rows, n):
+    # shared step ends and D added after the maximum change no bit
+    stepped = tables._SECOND_CHARACTER[n][4]
+    for r in table_rows[n]:
+        args = (WeightKernel(r.detail["gamma"]), r.detail["k"], r.lambda1_hi,
+                r.detail["lambda2_alt"], r.claimed_bound, 1e-4)
+        Ds = tuple(r.detail["D_by_case"][c] for c in stepped)
+        got = delta_step_max(*args, Ds)
+        assert [v.hex() for v in got] == [_delta_step_three_arrays(*args, D).hex() for D in Ds]
+        assert -r.margin == max(got)
+
+
+@pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+def test_non_finite_step_end_fails_the_row(monkeypatch, end):
+    real = WeightKernel.F_real
+
+    def corrupted(self, x):
+        # a NaN at one step end of every stepped F evaluation; scalars pass
+        out = real(self, x)
+        if np.ndim(out):
+            out = out.copy()
+            out[end] = math.nan
+        return out
+
+    monkeypatch.setattr(WeightKernel, "F_real", corrupted)
+    with pytest.raises(FloatingPointError):
+        next(tables.gen_second_character_table(6))
+
+
+def test_non_finite_step_penalty_fails():
+    kern = WeightKernel(0.78)
+    assert len(delta_step_max(kern, 0.7, 0.36, 0.9, 1.0, 1e-3, (0.0, 1.0))) == 2
+    with pytest.raises(FloatingPointError):
+        delta_step_max(kern, 0.7, 0.36, 0.9, 1.0, 1e-3, (0.0, math.nan))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -139,6 +185,8 @@ def test_step_ends_cover_the_interval(lo, span, delta):
     a, b = tables._step_ends(lo, hi, delta)
     assert a[0] == lo
     assert np.array_equal(b[:-1], a[1:])
+    # bitwise: delta_step_max evaluates F once per shared step end
+    assert a[1:].tobytes() == b[:-1].tobytes()
     assert b[-1] >= hi
     assert np.all(b - a <= delta * (1.0 + 1e-9))
     for bad in (0.0, -delta):
@@ -257,12 +305,12 @@ def test_generate_table_rejects_unknown():
 def test_each_table_certified_once(monkeypatch, fresh_tables):
     calls = []
 
-    def counting(problem, grid):
-        calls.append((problem, grid))
-        return real(problem, grid)
+    def counting(problems, grid):
+        calls.extend((problem, grid) for problem in problems)
+        return real(problems, grid)
 
-    real = tables.sup_bound
-    monkeypatch.setattr(tables, "sup_bound", counting)
+    real = tables.sup_bounds
+    monkeypatch.setattr(tables, "sup_bounds", counting)
     for n in range(2, 7):
         tables.generate_table(n)
     before7 = len(calls)
@@ -381,13 +429,13 @@ def _shifted_lambda1_old(monkeypatch):
 
 def _inflated_guards(monkeypatch):
     # tables 9 and 10 certify no supremum but their guards
-    real = tables.sup_bound
+    real = tables.sup_bounds
 
-    def inflated(problem, grid):
-        cert = real(problem, grid)
-        return dataclasses.replace(cert, bound=cert.bound + 1.0)
+    def inflated(problems, grid):
+        return tuple(dataclasses.replace(cert, bound=cert.bound + 1.0)
+                     for cert in real(problems, grid))
 
-    monkeypatch.setattr(tables, "sup_bound", inflated)
+    monkeypatch.setattr(tables, "sup_bounds", inflated)
 
 
 #: (table, check, row label, patch): one case per check each table can fail
