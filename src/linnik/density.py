@@ -89,6 +89,8 @@ def quadratic_N_bound(query: DensityQuery) -> DensityBound:
 
     Guards: F(lam - lambda11) > f(0)/6 (applicability) and
     (F(lam - lambda11) - f(0)/6)^2 > F(-lambda11) f(0)/6 (concavity).
+    Raises FloatingPointError when a coefficient of the parabola is not
+    finite.
     """
     gamma = density_gamma(query)
     kern = WeightKernel(gamma)
@@ -100,6 +102,10 @@ def quadratic_N_bound(query: DensityQuery) -> DensityBound:
     a = g * c6 - alpha * alpha
     b = g * (g - c6) - 2.0 * alpha * beta
     c = EPSILON - beta * beta
+    # a NaN fails both guards below and would read as a vacuous bound
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise FloatingPointError(f"non-finite parabola {(a, b, c)!r} at lambda11 = "
+                                 f"{query.lambda11!r}, lam = {query.lam!r}")
     guards_ok = (p > c6) and (alpha * alpha > g * c6)
     if not guards_ok:
         return DensityBound(a, b, c, gamma, False, None, None)

@@ -6,22 +6,26 @@ triangle-weight transforms ``H`` and ``H2``, the zero-sum majorant ``B``,
 the density weight ``w1`` with its reciprocal-integral ``w``, the tail
 coefficient ``C``, and the classic zero-density bound.
 
-``WeightKernel.F`` serves scalar and scattered complex arguments;
-``LatticeWork`` evaluates only Re F on an outer product of real parts and
-imaginary parts, the lattice blocks of the sup certificates, from a Horner
-form in 1/z with one exponential per row.  It is a workspace built for one
-certificate's t lattice: its buffers are allocated once, the constructor
-takes the cos/sin pair of each t once for every row evaluated against it,
-and ``re_F`` fills a block of whole t rows in place without allocating.
-Both switch to the same series inside SMALL_Z_RADIUS.
+``WeightKernel.F`` serves scalar and scattered complex arguments.
+``WeightKernel.F_real`` serves the real axis (every row right-hand side,
+step end and counting cell) in real arithmetic, with the same bits as the
+real part of ``F``.  ``LatticeWork`` evaluates only Re F on an outer
+product of real parts and imaginary parts, the lattice blocks of the sup
+certificates, from a Horner form in 1/z with one exponential per row.  It
+is a workspace built for one certificate's t lattice: its buffers are
+allocated once, the constructor takes the cos/sin pair of each t once for
+every row evaluated against it, and ``re_F`` fills a block of whole t rows
+in place without allocating.  All three switch to the same series inside
+SMALL_Z_RADIUS.
 
 All real arithmetic is double precision.  The integrals behind ``w``, the
-penalty integral and ``xf_exp_moment`` use one fixed Gauss-Legendre rule
-(:func:`_gauss_legendre`): each is split so that its integrand is a
-polynomial times an exponential, an entire function on which the rule
-converges geometrically, and the 32-node value is returned only when the
-16-node value agrees with it to within max(50 QUAD_TOL, 1e-9 |I|), with
-QUAD_TOL = 1e-12; otherwise :class:`QuadratureError` is raised.
+penalty integral and ``xf_exp_moment``, each memoized per argument, use
+one fixed Gauss-Legendre rule (:func:`_gauss_legendre`): each is split so
+that its integrand is a polynomial times an exponential, an entire
+function on which the rule converges geometrically, and the 32-node value
+is returned only when the 16-node value agrees with it to within
+max(50 QUAD_TOL, 1e-9 |I|), with QUAD_TOL = 1e-12; otherwise
+:class:`QuadratureError` is raised.
 The error of an n-node rule on such an integrand falls geometrically in n,
 so |I32 - I16| is in effect the 16-node error and bounds the far smaller
 32-node error of the returned value.  A NaN or inf in either value raises
@@ -195,23 +199,72 @@ class WeightKernel:
         return out
 
     def F_real(self, x: ArrayLike) -> ArrayLike:
-        """F at real arguments (always real-valued)."""
-        val = self.F(np.asarray(x, dtype=complex))
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return float(np.real(val))
-        return np.real(val)
+        """F at real arguments, in real arithmetic; bit for bit the real part
+        of ``F(x + 0j)``.
+
+        Inside SMALL_Z_RADIUS the Maclaurin series runs on the real x (a
+        complex Horner step with a zero imaginary part adds exact zeros).
+        Outside it, the grouped closed form of ``F`` runs in the operation
+        order numpy applies to x + 0j:
+
+            A (1/x) - B (1/x3) + (C (1 + e)) (1/x4) + (4 (-1 + e + 2 gamma x e)) (1/x6)
+
+        with x2 = x x, x3 = x2 x, x4 = x2 x2 and x6 = x4 x2, because numpy's
+        complex z**3, z**4 and z**6 are unfused products by repeated squaring,
+        its complex division a/(x + 0j) is Smith's algorithm, a (1/x) rather
+        than a/x, and every product with a zero imaginary part adds an exact
+        zero.  e = exp(-2 gamma x) must be libm's exponential: a scalar takes
+        it from ``math.exp``, an array from the real part of numpy's
+        per-element complex exp; numpy's SIMD float64 ``np.exp`` differs from
+        libm's in the last bit for about 5% of arguments.  A Python float or
+        0-d input gives a float, any other input an array of its shape.
+        A NaN or inf argument gives a non-finite value; a scalar whose
+        exponential overflows raises OverflowError.
+        """
+        g = self.gamma
+        if isinstance(x, float) or np.ndim(x) == 0:
+            x = float(x)
+            if abs(x) < SMALL_Z_RADIUS:
+                return float(self._F_series(np.array([x]))[0])
+            return self._F_axis(x, math.exp(-2.0 * g * x))
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        small = np.abs(x) < SMALL_Z_RADIUS
+        if small.any():
+            out[small] = self._F_series(x[small])
+        big = ~small
+        xb = x[big]
+        out[big] = self._F_axis(xb, np.exp(-2.0 * g * xb + 0j).real)
+        return out
+
+    def _F_axis(self, x, e):
+        """The closed form of F on the real axis, e = exp(-2 gamma x); see
+        :meth:`F_real`."""
+        g = self.gamma
+        x2 = x * x
+        x4 = x2 * x2
+        return ((16.0 * g**5 / 15.0) * (1.0 / x)
+                - (8.0 * g**3 / 3.0) * (1.0 / (x2 * x))
+                + (4.0 * g * g * (1.0 + e)) * (1.0 / x4)
+                + (4.0 * (-1.0 + e + 2.0 * g * x * e)) * (1.0 / (x4 * x2)))
 
     def xf_exp_moment(self, c: float) -> float:
         """int_0^{2 gamma} x f(x) e^{c x} dx, by the checked Gauss-Legendre rule
-        (the integrand is a degree-6 polynomial times an exponential)."""
-        return _gauss_legendre(lambda x: x * self.f(x) * np.exp(c * x),
-                               0.0, self.support_end)
+        (the integrand is a degree-6 polynomial times an exponential); computed
+        once per (gamma, c) in a process."""
+        return _xf_exp_moment_cached(self.gamma, c)
 
 
 @lru_cache(maxsize=128)
 def _series_coeffs_cached(gamma: float) -> np.ndarray:
     kern = WeightKernel(gamma)
     return np.array([kern.moment(n) / math.factorial(n) for n in range(_SERIES_TERMS + 1)])
+
+
+@lru_cache(maxsize=1024)
+def _xf_exp_moment_cached(gamma: float, c: float) -> float:
+    kern = WeightKernel(gamma)
+    return _gauss_legendre(lambda x: x * kern.f(x) * np.exp(c * x), 0.0, kern.support_end)
 
 
 class LatticeWork:

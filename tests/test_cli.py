@@ -214,6 +214,55 @@ def test_table_non_finite_row_rhs_fails_closed(tmp_path, monkeypatch, capsys, fr
     assert not (tmp_path / f"table_{n}.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1e300], ids=repr)
+def test_table_4_non_finite_step_end_fails_closed(tmp_path, monkeypatch, capsys, fresh_tables,
+                                                  bad):
+    # one step end of the stepped rows is non-finite, or so large that
+    # exp(-2 gamma x) overflows at x = -1e300
+    real = tables._step_ends
+
+    def corrupted(lo, hi, delta):
+        a, b = real(lo, hi, delta)
+        a = a.copy()
+        a[a.size // 2] = bad
+        return a, b
+
+    monkeypatch.setattr(tables, "_step_ends", corrupted)
+    assert main(["table", "4", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED:") and "table 4:" in err
+    assert not (tmp_path / "table_4.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1e300], ids=repr)
+@pytest.mark.parametrize("printed", [True, False], ids=["printed", "dash"])
+def test_table_12_non_finite_cell_argument_fails_closed(tmp_path, monkeypatch, capsys,
+                                                        fresh_tables, printed, bad):
+    # every real-axis F argument of one cell is non-finite: a printed cell or
+    # a dash cell, which carries no claim, must both fail the command
+    target = next(i for i, pub in enumerate(_data.published_table(12))
+                  if (pub["bound"] != "-") == printed)
+    real_F, real_bound = WeightKernel.F_real, density.quadratic_N_bound
+    cells = []
+
+    def counted(query):
+        cells.append(query)
+        return real_bound(query)
+
+    monkeypatch.setattr(density, "quadratic_N_bound", counted)
+    monkeypatch.setattr(WeightKernel, "F_real",
+                        lambda self, x: real_F(self, bad if len(cells) - 1 == target else x))
+    assert main(["table", "12", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    # math.exp raises OverflowError at x = -1e300
+    assert err.startswith("FAILED: math range error" if bad == -1e300
+                          else "FAILED: non-finite parabola")
+    assert not (tmp_path / "table_12.csv").exists()
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_table_inconsistent_imported_data_fails_row(tmp_path, monkeypatch, capsys,
                                                     fresh_tables, n):

@@ -167,6 +167,56 @@ def test_F_negative_axis_strictly_increasing():
     assert np.all(np.diff(vals) > 0)
 
 
+F_REAL_GAMMAS = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5)
+
+
+def _real_axis_points():
+    """Negative and positive x, the series radius exactly, its neighbours,
+    x = 0, and an array that straddles the disk."""
+    r = SMALL_Z_RADIUS
+    edges = [0.0, -0.0, r, -r, np.nextafter(r, 0.0), np.nextafter(r, 1.0),
+             np.nextafter(-r, 0.0), np.nextafter(-r, -1.0)]
+    return np.concatenate([edges, np.linspace(-1.5, 3.0, 901),
+                           np.random.default_rng(15).uniform(-40.0, 40.0, 400)])
+
+
+@pytest.mark.parametrize("gamma", F_REAL_GAMMAS)
+def test_F_real_is_bitwise_the_complex_path(gamma):
+    # the complex call is the oracle: F_real evaluates the same operations
+    # in real arithmetic, so every value must carry the same bits
+    kern = WeightKernel(gamma)
+    x = _real_axis_points()
+    oracle = np.real(kern.F(x + 0j))
+    got = kern.F_real(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert np.array_equal(got, oracle)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in oracle.tolist()]
+    grid = got.reshape(1, -1, 1)
+    assert np.array_equal(kern.F_real(x.reshape(1, -1, 1)), grid)
+    for xi, want in zip(x.tolist(), oracle.tolist()):
+        scalar = kern.F_real(xi)
+        assert type(scalar) is float
+        assert scalar.hex() == want.hex() == float(np.real(kern.F(complex(xi, 0.0)))).hex()
+        assert kern.F_real(np.float64(xi)).hex() == scalar.hex()
+        assert kern.F_real(np.array(xi)).hex() == scalar.hex()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -400.0, -1e300], ids=repr)
+def test_F_real_non_finite_or_overflowing_argument_fails_closed(bad):
+    # a NaN, an infinity or an exponential that overflows never becomes a
+    # finite value: the scalar path may raise OverflowError from math.exp
+    kern = WeightKernel(1.0)
+    try:
+        scalar = kern.F_real(bad)
+    except ArithmeticError:
+        pass
+    else:
+        assert not math.isfinite(scalar)
+    values = kern.F_real(np.array([-0.9, bad, 0.05, 2.0]))
+    assert np.isfinite(values).tolist() == [True, False, True, True]
+
+
 # ---------------------------------------------------------------- B --------
 
 def test_B_small_lambda_against_mpmath_oracle():

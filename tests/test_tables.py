@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linnik import _data, tables
+from linnik import _data, density, tables
 from linnik.cli import main
-from linnik.kernel import WeightKernel
+from linnik.kernel import WeightKernel, _xf_exp_moment_cached
 from linnik.tables import (CERT_MARGIN, lambda2_D, rhs_lambda1, rhs_lambda2_case,
                            rhs_lambda3_complex, rhs_lambda3_real, rhs_lprime_high,
                            rhs_lprime_low, delta_step_max, warmup_l1)
@@ -325,6 +325,28 @@ def test_each_table_certified_once(monkeypatch, fresh_tables):
         rows7[0].certified = False
     with pytest.raises(TypeError):
         rows7[0].detail["published"] = 0.0
+
+
+def test_each_xf_moment_integrated_once(fresh_tables):
+    # the two problems of a shared supremum group ask for the same moments:
+    # 266 requests over tables 2-11, 189 distinct (gamma, c)
+    _xf_exp_moment_cached.cache_clear()
+    for n in range(2, 12):
+        tables.generate_table(n)
+    info = _xf_exp_moment_cached.cache_info()
+    assert (info.misses, info.hits + info.misses) == (189, 266)
+
+
+def test_certification_never_takes_complex_F(monkeypatch, fresh_tables):
+    # every row right-hand side, step end and counting cell evaluates F on
+    # the real axis; the complex F serves only eval and the domination audit
+    def refused(self, z):
+        raise AssertionError("complex F called")
+
+    monkeypatch.setattr(WeightKernel, "F", refused)
+    for n in range(2, 12):
+        assert all(r.certified for r in tables.generate_table(n)[0])
+    assert all(r["match"] is not False for r in density.regenerated_tables().records)
 
 
 #: sha256 of the certificate inputs and row decisions of tables 2-11; a
