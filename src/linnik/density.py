@@ -90,22 +90,25 @@ def quadratic_N_bound(query: DensityQuery) -> DensityBound:
     Guards: F(lam - lambda11) > f(0)/6 (applicability) and
     (F(lam - lambda11) - f(0)/6)^2 > F(-lambda11) f(0)/6 (concavity).
     Raises FloatingPointError when a coefficient of the parabola is not
-    finite.
+    finite, an overflowing exponential of an F argument included.
     """
     gamma = density_gamma(query)
     kern = WeightKernel(gamma)
-    p = kern.F_real(query.lam - query.lambda11)
-    g = kern.F_real(-query.lambda11)
+    where = f"at lambda11 = {query.lambda11!r}, lam = {query.lam!r}"
+    try:
+        p = kern.F_real(query.lam - query.lambda11)
+        g = kern.F_real(-query.lambda11)
+        beta = query.n0 * (kern.F_real(query.lambda0 - query.lambda11) - p) if query.n0 else 0.0
+    except OverflowError as exc:  # the exponential of a scalar argument
+        raise FloatingPointError(f"non-finite parabola ({exc}) {where}") from exc
     c6 = kern.f0 / 6.0
     alpha = p - c6
-    beta = query.n0 * (kern.F_real(query.lambda0 - query.lambda11) - p) if query.n0 else 0.0
     a = g * c6 - alpha * alpha
     b = g * (g - c6) - 2.0 * alpha * beta
     c = EPSILON - beta * beta
     # a NaN fails both guards below and would read as a vacuous bound
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise FloatingPointError(f"non-finite parabola {(a, b, c)!r} at lambda11 = "
-                                 f"{query.lambda11!r}, lam = {query.lam!r}")
+        raise FloatingPointError(f"non-finite parabola {(a, b, c)!r} {where}")
     guards_ok = (p > c6) and (alpha * alpha > g * c6)
     if not guards_ok:
         return DensityBound(a, b, c, gamma, False, None, None)

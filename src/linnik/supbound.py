@@ -17,14 +17,16 @@ Several suprema of one table row often share kernel, box and grid and
 differ only in k1, k2, k3.  ``sup_bounds`` certifies such a group with one
 lattice walk; ``sup_bound`` is the group of one.
 
-M0 is computed by walking the lattice in blocks of whole rows of the t
-lattice, at most BLOCK_POINTS points each unless one row alone is longer,
-each reduced to its maximum at once, so no lattice-sized array is built.
-One ``kernel.LatticeWork`` per grid_max call fills every block with the
-unscaled Re F values the group shares: the trigonometric factors of the t
-lattice and the k3 row are computed once per call, and the blocks and each
-problem's k1 base live in buffers allocated once per call, so the walk
-allocates no array per block.  Certification fails closed: a NaN or inf
+M0 is computed by walking the s1 lattice in blocks of whole rows of the
+t lattice, at most BLOCK_POINTS points each unless one row alone is
+longer.  Per s1 block each problem's base k1 F(-s1+it) - k3 F(it) is built
+once; then, one s2 value at a time, the k2 rows F(-(s1-s2)+it) are
+subtracted from it, and each block is reduced to its maximum at once, so no
+lattice-sized array is built.  One ``kernel.LatticeWork`` per grid_max call
+fills every block with the unscaled Re F values the group shares: the
+trigonometric factors of the t lattice and the k3 row are computed once per
+call, and the raw rows, the block and each problem's base live in buffers
+allocated once per call, so the walk allocates no array per block.  Certification fails closed: a NaN or inf
 anywhere in the lattice, the tail or the grid term raises
 FloatingPointError, and no certificate is produced.
 """
@@ -203,48 +205,38 @@ def grid_max(problems: Sequence[SupProblem], grid: GridSpec) -> Tuple[float, ...
     """Exact maximum of A over the lattice for each problem of a group that
     shares kernel and box, all from one walk in blocks of whole t rows.
 
-    A block holds max(1, BLOCK_POINTS // n_t) rows, each of all n_t lattice
-    values of t; it exceeds BLOCK_POINTS points, and the buffers grow with
-    n_t, only when n_t does.  The walk writes the unscaled Re F of the k1
-    rows (s1), of the k2 rows (s1 - s2) and of the k3 row (s = 0) once; each
-    problem scales them by its own coefficients with the operations a walk
-    of that problem alone applies, in the same order, and folds its own
-    maximum, so each maximum is bit-identical to that problem's own walk.
-    The trigonometric factors and the k3 row are computed once per call, in
-    one LatticeWork and in block buffers allocated once per call; the raw
-    rows live in the buffers of the last problem that scales them, so a
-    group of one needs no buffer beyond its own.  Raises FloatingPointError
-    if any lattice value of a problem is not finite.
+    A block holds max(1, BLOCK_POINTS // n_t) values of s1 by all n_t values
+    of t; it exceeds BLOCK_POINTS points, and the buffers grow with n_t, only
+    when n_t does.  Per s1 block the walk writes the unscaled Re F of the k1
+    rows (s1) once and builds each problem's base, k1 Re F(-s1+it) - k3 Re
+    F(it); then, per s2 value, it writes the unscaled Re F of the k2 rows
+    (s1 - s2) once and each problem with a k2 term folds base - k2 Re F.
+    Each problem applies the operations a walk of that problem alone
+    applies, in the same order, so each maximum is bit-identical to that
+    problem's own walk.  The trigonometric factors and the k3 row are
+    computed once per call, in one LatticeWork and in buffers allocated once
+    per call.  Raises FloatingPointError if a lattice value is not finite.
     """
     first = problems[0]
     s1_vals = _lattice(first.s11, first.s12, grid.ds1)
     s2_vals = _lattice(first.s21, first.s22, grid.ds2)
     t_vals = _lattice(0.0, grid.x1, grid.dt)
-
     m = t_vals.size
     rows = max(1, BLOCK_POINTS // m)
     work = LatticeWork(first.kernel, t_vals, rows)
     with_k2 = [j for j, p in enumerate(problems) if p.k2]
-    with_k3 = [j for j, p in enumerate(problems) if p.k3]
     any_k1 = any(p.k1 for p in problems)
     raw3 = np.empty(m)
-    if with_k3:
+    if any(p.k3 for p in problems):
         work.re_F(np.zeros(1), raw3[None, :])
-    # k3 F(it) of each problem; the last one scales the raw row in place
-    f3s = {j: np.multiply(raw3, problems[j].k3, out=raw3 if j == with_k3[-1] else None)
-           for j in with_k3}
+    f3s = [raw3 * p.k3 if p.k3 else None for p in problems]
+    bufs = [np.empty((rows, m)) for _ in range(3)] + [np.empty(rows)]
     base_bufs = [np.empty((rows, m)) for _ in problems]
-    raw2_buf, gather_buf = np.empty((rows, m)), np.empty((rows, m))
-    # only the k2 problems before the last one need a block of their own
-    block_buf = np.empty((rows, m)) if len(with_k2) > 1 else None
-    s3_buf = np.empty(rows * s2_vals.size)
-    owner = np.repeat(np.arange(rows), s2_vals.size)
     best = [-math.inf] * len(problems)
     for i in range(0, s1_vals.size, rows):
         s1 = s1_vals[i:i + rows]
+        raw1, raw2, block, s3 = (buf[:s1.size] for buf in bufs)
         bases = [buf[:s1.size] for buf in base_bufs]
-        # the raw k1 rows live in the last base, which is scaled in place last
-        raw1 = bases[-1]
         if any_k1:
             work.re_F(s1, raw1)
         for j, (p, base) in enumerate(zip(problems, bases)):
@@ -256,22 +248,11 @@ def grid_max(problems: Sequence[SupProblem], grid: GridSpec) -> Tuple[float, ...
                 base -= f3s[j]
             if not p.k2:
                 best[j] = _fold_max(best[j], base)
-        if not with_k2:
-            continue
-        s3 = s3_buf[:s1.size * s2_vals.size]
-        np.subtract(s1[:, None], s2_vals, out=s3.reshape(s1.size, s2_vals.size))
-        for k in range(0, s3.size, rows):
-            chunk = s3[k:k + rows]
-            raw2 = raw2_buf[:chunk.size]
-            work.re_F(chunk, raw2)
+        for s2 in s2_vals if with_k2 else ():
+            work.re_F(np.subtract(s1, s2, out=s3), raw2)
             for j in with_k2:
-                # the last problem with a k2 term scales the raw rows in place
-                block = raw2 if j == with_k2[-1] else block_buf[:chunk.size]
                 np.multiply(raw2, problems[j].k2, out=block)
-                # the indices are in range, and mode="clip" gathers without a temporary
-                gathered = np.take(bases[j], owner[k:k + chunk.size], axis=0,
-                                   out=gather_buf[:chunk.size], mode="clip")
-                np.subtract(gathered, block, out=block)
+                np.subtract(bases[j], block, out=block)
                 best[j] = _fold_max(best[j], block)
     return tuple(best)
 

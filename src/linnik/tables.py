@@ -611,8 +611,8 @@ _GENERATORS = {2: gen_table2, 3: gen_table3,
 def _certify(n: int) -> tuple:
     try:
         rows = tuple(_GENERATORS[n]())
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"table {n}: {exc}") from exc
+    except ArithmeticError as exc:  # a non-finite value or an overflowing exponential
+        raise type(exc)(f"table {n}: {exc}") from exc
     # each certificate once, in first-use order: table 9's guard serves every
     # row, table 10's one guard per kernel
     certificates = {id(c): c for r in rows for c in r.certificates}

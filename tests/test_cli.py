@@ -257,10 +257,30 @@ def test_table_12_non_finite_cell_argument_fails_closed(tmp_path, monkeypatch, c
                         lambda self, x: real_F(self, bad if len(cells) - 1 == target else x))
     assert main(["table", "12", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    # math.exp raises OverflowError at x = -1e300
-    assert err.startswith("FAILED: math range error" if bad == -1e300
-                          else "FAILED: non-finite parabola")
+    # math.exp raises OverflowError at x = -1e300, which names the cell too
+    assert err.startswith("FAILED: non-finite parabola")
+    assert f"lambda11 = {cells[target].lambda11!r}, lam = {cells[target].lam!r}" in err
     assert not (tmp_path / "table_12.csv").exists()
+
+
+def test_table_2_overflowing_right_hand_side_names_the_table(tmp_path, monkeypatch, capsys,
+                                                             fresh_tables):
+    # the first scalar real-axis F argument of table 2, a row right-hand
+    # side, overflows math.exp: the error names the table and no CSV is written
+    real_F = WeightKernel.F_real
+    scalar_calls = []
+
+    def overflowing(self, x):
+        if np.ndim(x) == 0:
+            scalar_calls.append(x)
+            if len(scalar_calls) == 1:
+                x = -1e300
+        return real_F(self, x)
+
+    monkeypatch.setattr(WeightKernel, "F_real", overflowing)
+    assert main(["table", "2", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("FAILED: table 2: math range error")
+    assert not (tmp_path / "table_2.csv").exists()
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

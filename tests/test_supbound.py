@@ -189,27 +189,36 @@ def test_grid_max_equals_brute_force_lattice_max(gamma, k1, k2, k3, s11, w1, s21
     assert abs(m0 - brute) <= tol
 
 
-# rows per block is max(1, BLOCK_POINTS // n_t); n_t is 468 at x1 = 7, dt = 0.015
+# rows per s1 block is max(1, BLOCK_POINTS // n_t); n_t is 468 at x1 = 7,
+# dt = 0.015, so 8 rows; per s1 block the walk folds each base, then one
+# block per s2 value
 FULL_LATTICE_CASES = list(zip(PROBLEMS, GRIDS)) + [
-    # n_t = 5001 > BLOCK_POINTS: one row per block, blocks wider than BLOCK_POINTS
+    # n_t = 5001 > BLOCK_POINTS: one s1 value per block, blocks wider than BLOCK_POINTS
     (SupProblem(WeightKernel(1.0), k1=0.8, k2=1.3, k3=0.6,
                 s11=0.7, s12=0.72, s21=0.3, s22=0.31), GridSpec(0.01, 0.005, 0.003, 15.0)),
-    # 11 s1 rows against 8 rows per block: the last k1 chunk is short
+    # 11 s1 values and no k2 term: the last s1 block has 3 rows, and its
+    # base holds the maximum
     (SupProblem(WeightKernel(0.9), k1=0.9, k2=0.0, k3=1.2,
                 s11=0.5, s12=0.6, s21=0.0, s22=0.0), GridSpec(0.01, 0.0, 0.015, 7.0)),
-    # 15 s1 rows by 3 s2 values: the last s1 chunk has 7 rows, its 21
-    # (s1, s2) rows end in a chunk of 5, and that chunk holds the maximum
+    # 15 s1 values by 3 s2 values: the last s1 block has 7 rows, and the
+    # block of its last s2 value holds the maximum
     (SupProblem(WeightKernel(0.9), k1=1.0, k2=0.2, k3=0.3,
                 s11=0.5, s12=0.64, s21=0.1, s22=0.12), GridSpec(0.01, 0.01, 0.015, 7.0)),
-    # s1 - s2 runs 0.30 down to 0 in chunks of 8 rows: the rows below
-    # SMALL_Z_RADIUS, s = 0 included, fall in the third and fourth chunks
+    # one s1 value: s1 - s2 runs 0.30 down to 0 over 31 s2 values, so the
+    # rows below SMALL_Z_RADIUS, s = 0 included, are the blocks of the last
+    # s2 values, one row each
     (SupProblem(WeightKernel(1.1), k1=0.5, k2=0.8, k3=0.0,
                 s11=0.5, s12=0.5, s21=0.2, s22=0.5), GridSpec(0.0, 0.01, 0.015, 7.0)),
+    # 11 s1 values by 11 s2 values, more s2 values than rows per block: the
+    # maximum is in the block of the last s2 value of the 3-row last s1 block
+    (SupProblem(WeightKernel(0.9), k1=1.0, k2=0.3, k3=0.2,
+                s11=0.5, s12=0.6, s21=0.0, s22=0.1), GridSpec(0.01, 0.01, 0.015, 7.0)),
 ]
 
 
-def _full_lattice_max(prob, grid):
-    """max A over the whole lattice of prob, evaluated in one piece."""
+def _full_lattice(prob, grid):
+    """A over the whole lattice of prob, evaluated in one piece, of shape
+    (n1, n2, n_t)."""
     s1 = _lattice(prob.s11, prob.s12, grid.ds1)
     s2 = _lattice(prob.s21, prob.s22, grid.ds2)
     t = _lattice(0.0, grid.x1, grid.dt)
@@ -221,13 +230,13 @@ def _full_lattice_max(prob, grid):
 
     base = prob.k1 * re_F(s1) - prob.k3 * re_F(np.zeros(1))
     lattice = np.repeat(base, s2.size, axis=0) - prob.k2 * re_F(s3)
-    return np.max(lattice)
+    return lattice.reshape(s1.size, s2.size, t.size)
 
 
 @pytest.mark.parametrize("prob,grid", FULL_LATTICE_CASES)
 def test_grid_max_equals_one_full_lattice_evaluation(prob, grid):
     # the block split changes no lattice value, so not the maximum either
-    assert grid_max((prob,), grid) == (_full_lattice_max(prob, grid),)
+    assert grid_max((prob,), grid) == (np.max(_full_lattice(prob, grid)),)
 
 
 def _mixed_groups(prob):
@@ -243,11 +252,10 @@ def _mixed_groups(prob):
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
 @pytest.mark.parametrize("prob,grid", FULL_LATTICE_CASES)
 def test_group_walk_equals_each_full_lattice_evaluation(prob, grid, order):
-    # the last problem with a term scales the shared raw rows in place, so
-    # the two orders put different coefficient mixes last
+    # a problem's maximum does not depend on its place in the group
     for group in _mixed_groups(prob):
         group = group[::order]
-        assert grid_max(group, grid) == tuple(_full_lattice_max(p, grid) for p in group)
+        assert grid_max(group, grid) == tuple(np.max(_full_lattice(p, grid)) for p in group)
         assert sup_bounds(group, grid) == tuple(sup_bound(p, grid) for p in group)
 
 
@@ -262,17 +270,27 @@ def test_group_must_share_kernel_and_box():
 
 
 def test_full_lattice_cases_cover_the_block_edges():
-    rows = [max(1, BLOCK_POINTS // _lattice(0.0, g.x1, g.dt).size)
-            for _, g in FULL_LATTICE_CASES[3:]]
-    wide, short, short_k2, disk = FULL_LATTICE_CASES[3:]
-    assert _lattice(0.0, wide[1].x1, wide[1].dt).size > BLOCK_POINTS and rows[0] == 1
-    assert _lattice(short[0].s11, short[0].s12, short[1].ds1).size % rows[1] != 0
-    n1 = _lattice(short_k2[0].s11, short_k2[0].s12, short_k2[1].ds1).size
-    n2 = _lattice(short_k2[0].s21, short_k2[0].s22, short_k2[1].ds2).size
-    assert n1 % rows[2] != 0 and (n1 % rows[2]) * n2 % rows[2] != 0
+    def layout(prob, grid):
+        n1 = _lattice(prob.s11, prob.s12, grid.ds1).size
+        n2 = _lattice(prob.s21, prob.s22, grid.ds2).size
+        n_t = _lattice(0.0, grid.x1, grid.dt).size
+        lattice = _full_lattice(prob, grid)
+        top = np.unravel_index(np.argmax(lattice), lattice.shape)[:2]
+        return n1, n2, n_t, max(1, BLOCK_POINTS // n_t), top
+
+    wide, short, short_k2, disk, long_k2 = FULL_LATTICE_CASES[3:]
+    n1, n2, n_t, rows, top = layout(*wide)
+    assert n_t > BLOCK_POINTS and rows == 1
+    # no k2 term, fewer s2 values than rows per block, and more of them
+    assert short[0].k2 == 0.0 and layout(*short_k2)[1] < 8 < layout(*long_k2)[1]
+    for case in (short, short_k2, long_k2):
+        n1, n2, n_t, rows, top = layout(*case)
+        # the maximum is at the last s2 value of a short last s1 block
+        assert rows == 8 and n1 % rows != 0 and top == (n1 - 1, n2 - 1)
+    n1, n2, n_t, rows, top = layout(*disk)
     s3 = disk[0].s11 - _lattice(disk[0].s21, disk[0].s22, disk[1].ds2)
     inside = np.flatnonzero(np.abs(s3) < SMALL_Z_RADIUS)
-    assert inside.min() >= rows[3] and s3[-1] == 0.0
+    assert n1 == 1 and inside.min() > 0 and inside.max() == n2 - 1 and s3[-1] == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

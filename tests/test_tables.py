@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from linnik import _data, density, tables
 from linnik.cli import main
-from linnik.kernel import WeightKernel, _xf_exp_moment_cached
+from linnik.kernel import LatticeWork, WeightKernel, _xf_exp_moment_cached
+from linnik.supbound import _lattice
 from linnik.tables import (CERT_MARGIN, lambda2_D, rhs_lambda1, rhs_lambda2_case,
                            rhs_lambda3_complex, rhs_lambda3_real, rhs_lprime_high,
                            rhs_lprime_low, delta_step_max, warmup_l1)
@@ -335,6 +336,39 @@ def test_each_xf_moment_integrated_once(fresh_tables):
         tables.generate_table(n)
     info = _xf_exp_moment_cached.cache_info()
     assert (info.misses, info.hits + info.misses) == (189, 266)
+
+
+def test_each_raw_lattice_row_evaluated_once_per_group(monkeypatch, fresh_tables):
+    # a group's walk evaluates Re F on the k1 rows (s1), the k2 rows (s1 - s2)
+    # and the k3 row (s = 0) once each, whichever of its problems use them:
+    # 6 246 488 points over the 94 groups of tables 2-11
+    points, groups = [], []
+    real_re_F, real_sup_bounds = LatticeWork.re_F, tables.sup_bounds
+
+    def counted(self, s, out):
+        points.append(out.size)
+        return real_re_F(self, s, out)
+
+    def recorded(problems, grid):
+        if problems:  # an empty group walks no lattice
+            groups.append((problems, grid))
+        return real_sup_bounds(problems, grid)
+
+    monkeypatch.setattr(LatticeWork, "re_F", counted)
+    monkeypatch.setattr(tables, "sup_bounds", recorded)
+    for n in range(2, 12):
+        tables.generate_table(n)
+
+    def raw_points(problems, grid):
+        p = problems[0]
+        n1 = _lattice(p.s11, p.s12, grid.ds1).size
+        n2 = _lattice(p.s21, p.s22, grid.ds2).size
+        n_t = _lattice(0.0, grid.x1, grid.dt).size
+        return n_t * (n1 * any(q.k1 for q in problems) + n1 * n2 * any(q.k2 for q in problems)
+                      + any(q.k3 for q in problems))
+
+    assert len(groups) == 94
+    assert sum(points) == sum(raw_points(*g) for g in groups) == 6_246_488
 
 
 def test_certification_never_takes_complex_F(monkeypatch, fresh_tables):
