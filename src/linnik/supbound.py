@@ -26,9 +26,10 @@ lattice-sized array is built.  One ``kernel.LatticeWork`` per grid_max call
 fills every block with the unscaled Re F values the group shares: the
 trigonometric factors of the t lattice and the k3 row are computed once per
 call, and the raw rows, the block and each problem's base live in buffers
-allocated once per call, so the walk allocates no array per block.  Certification fails closed: a NaN or inf
-anywhere in the lattice, the tail or the grid term raises
-FloatingPointError, and no certificate is produced.
+allocated once per call, so the walk allocates no array per block.
+
+Certification fails closed: a NaN or inf anywhere in the lattice, the tail
+or the grid term raises FloatingPointError, and no certificate is produced.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ The inequalities fall into four families:
 * second zero of the leading character (high order / low order),
 * second character's zero via an eight-case penalty term D and
   delta-stepping in the claimed bound,
-* third character's zero (complex and real-real variants, each protected by
-  a guard supremum),
+* third zero, for a complex leading character or a real one with a real
+  zero, each protected by a guard supremum,
 * first zero via a degree-four trigonometric polynomial with fixed integer
   coefficients 14379 / 24480 / 14900 / 6000 / 1250.
 
@@ -30,7 +30,10 @@ Tables 4, 5 and 6 share one generator, ``gen_second_character_table``: they
 differ only in the entry of ``_SECOND_CHARACTER`` that names their suprema,
 stepped and dominated penalty cases, kernel and lattice.  Every one of their
 rows checks that its stepping start lambda2_alt is HB92's value at the cap
-(the window's lower end above lambda1 = 0.70, where HB92 stops).
+(the window's lower end above lambda1 = 0.70, where HB92 stops).  Tables 9
+and 10 share ``gen_third_zero_table`` in the same way: their entries of
+``_THIRD_ZERO`` name the stepped RHS and its columns, the step, the kernel
+of each window and the guard.
 
 Every generator yields rows, and every row is built by ``_row``: it
 carries the supremum certificates its decision used (``certificates``) and
@@ -50,7 +53,8 @@ reads upstream rows is certified only if every one of them is (the
 at most once per process: the result, a tuple of frozen rows and the tuple
 of their certificates, each once in first-use order, is memoised and shared
 by every caller.  A NaN or inf in any decision RHS raises FloatingPointError
-instead of deciding the row.
+instead of deciding the row; shipped columns that leave a row an empty or
+inverted step interval raise RuntimeError.
 """
 
 from __future__ import annotations
@@ -215,13 +219,15 @@ def _step_ends(lo: float, hi: float, delta: float) -> tuple:
     """Ends (a, b) of the steps covering [lo, hi], the one step lattice of
     every stepped row.
 
-    Steps j = 0 .. ceil((hi-lo)/delta) - 1 run over [lo + j delta,
+    Steps j = 0 .. max(1, ceil((hi-lo)/delta)) - 1 run over [lo + j delta,
     lo + (j+1) delta]; the last b is raised to hi when it falls short, so
-    b[-1] >= hi.
+    b[-1] >= hi.  An empty interval, hi <= lo, raises ValueError.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    j = np.arange(int(math.ceil((hi - lo) / delta - 1e-9)))
+    if not hi > lo:
+        raise ValueError(f"empty step interval [{lo:g}, {hi:g}]")
+    j = np.arange(max(1, math.ceil((hi - lo) / delta - 1e-9)))
     a = lo + j * delta
     b = lo + (j + 1) * delta
     b[-1] = max(b[-1], hi)
@@ -327,7 +333,10 @@ def gen_table2():
             grid = GridSpec(ds1=0.004, ds2=0.0, dt=0.004, x1=15.0)
         (cert,) = sup_bounds((prob,), grid)
         rhs = rhs_lprime_high(kern, k, lam_star, cap, pub["lambda_prime"], cert.bound)
-        yield _row(rhs, {"gamma": gamma, "k": k, "rhs": rhs}, {},
+        # a blank published lambda* stands for lambda* = lambda1
+        published_star = cap if pub["lambda_star"] is None else pub["lambda_star"]
+        yield _row(rhs, {"gamma": gamma, "k": k, "rhs": rhs},
+                   {"lambda_star_imported": lam_star == published_star},
                    table=2, label=f"{cap:g}", lambda1_lo=lo, lambda1_hi=cap,
                    lambda_star=lam_star, claimed_bound=pub["lambda_prime"],
                    published_C=(pub["C"],), computed_C=(cert.bound,), certificates=(cert,))
@@ -493,66 +502,52 @@ def gen_table8():
         yield row
 
 
-def gen_table9():
-    """Third-zero bounds for a complex leading character, lambda1 in [0.62, 0.72].
+#: table -> (stepped right-hand side, the published column its steps run up
+#: to from the window's lower end, the column of its fourth argument, step,
+#: kernel parameter by window lower end, and the guard supremum's (k1, k2,
+#: k3), box (s11, s12, s21, s22), lattice, cap and fraction of f(0))
+_THIRD_ZERO = {
+    # complex leading character: the first zero steps over its window
+    9: (rhs_lambda3_complex, "lambda1_hi", "lambda2_cap", 1e-4,
+        dict.fromkeys((0.62, 0.64, 0.66, 0.68), 1.25),
+        (1.0, 0.0, 2.0), (0.44, 0.85, 0.0, 0.0),
+        GridSpec(ds1=0.03, ds2=0.0, dt=0.03, x1=6.0), 0.18, 1.0 / 6.0),
+    # leading character and zero both real: the second zero steps up to the
+    # claimed bound.  The middle window cannot be certified with the 1.04
+    # kernel of its neighbours (the inequality fails pointwise near lambda2 =
+    # lambda3 = 1.077) and takes 1.06, whose own guard bound still clears both
+    # the 0.10 cap and its 5/48 f(0) threshold
+    10: (rhs_lambda3_real, "lambda3", "lambda1_hi", 1e-3,
+         {0.44: 1.04, 0.60: 1.06, 0.68: 1.04},
+         (1.0, 1.0, 1.0), (0.44, 1.175, 0.44, 0.80),
+         GridSpec(ds1=0.03, ds2=0.03, dt=0.03, x1=6.0), 0.10, 5.0 / 48.0),
+}
 
-    Refuses to certify unless the guard supremum stays below f(0)/6 (and
-    below the recorded 0.18 cap).
-    """
-    kern = WeightKernel(1.25)
-    (guard,) = sup_bounds((SupProblem(kern, k1=1.0, k2=0.0, k3=2.0,
-                                      s11=0.44, s12=0.85, s21=0.0, s22=0.0),),
-                          GridSpec(ds1=0.03, ds2=0.0, dt=0.03, x1=6.0))
-    guard_ok = guard.bound < 0.18 and guard.bound < kern.f0 / 6.0
-    for pub in _data.published_table(9):
+
+def gen_third_zero_table(n: int):
+    """Third-zero bounds of table 9 or 10: one guard per kernel in use, in
+    gamma order; each row is decided by its worst step and certified only
+    under the guard of its own kernel.  A blank fourth-argument column
+    (table 9's lambda2 cap) is bounded by the claimed lambda3."""
+    rhs, step_to, fourth, delta, gamma_by_lo, coeffs, box, grid, cap, frac = _THIRD_ZERO[n]
+    guards = {gamma: sup_bounds((SupProblem(WeightKernel(gamma), *coeffs, *box),), grid)[0]
+              for gamma in sorted(set(gamma_by_lo.values()))}
+    for pub in _data.published_table(n):
         lo, hi, l3 = pub["lambda1_lo"], pub["lambda1_hi"], pub["lambda3"]
-        l2cap = pub["lambda2_cap"]
-        a, b = _step_ends(lo, hi, 1e-4)
-        worst, worst_j = _finite_max(rhs_lambda3_complex(
-            kern, a, b, l2cap if l2cap is not None else l3, l3))
-        label = f"[{lo:g},{hi:g}]" + (f" l2<={l2cap:g}" if l2cap is not None else "")
-        yield _row(worst, {"worst_step": worst_j, "steps": a.size, "lambda2_cap": l2cap,
-                           "guard_bound": guard.bound},
-                   {"guard": guard_ok},
-                   table=9, label=label, lambda1_lo=lo, lambda1_hi=hi,
-                   lambda_star=None, claimed_bound=l3, certificates=(guard,))
-
-
-#: kernel parameter per real-real third-zero window; the middle window cannot
-#: be certified with the 1.04 kernel of its neighbours (the inequality fails
-#: pointwise near lambda2 = lambda3 = 1.077) and takes 1.06, whose own guard
-#: bound still clears both the 0.10 cap and its 5/48 f(0) threshold
-_T10_GAMMA = {0.44: 1.04, 0.60: 1.06, 0.68: 1.04}
-
-
-def gen_table10():
-    """Third-zero bounds when leading character and zero are both real.
-
-    Each kernel parameter in use gets its own guard certificate; a row is
-    certified only under a valid guard for its kernel.
-    """
-    guards = {}
-    for gamma in sorted(set(_T10_GAMMA.values())):
-        kern = WeightKernel(gamma)
-        (cert,) = sup_bounds((SupProblem(kern, k1=1.0, k2=1.0, k3=1.0,
-                                         s11=0.44, s12=1.175, s21=0.44, s22=0.80),),
-                             GridSpec(ds1=0.03, ds2=0.03, dt=0.03, x1=6.0))
-        guards[gamma] = (cert, cert.bound < 0.10 and cert.bound < 5.0 / 48.0 * kern.f0)
-    for pub in _data.published_table(10):
-        lo, hi, l3 = pub["lambda1_lo"], pub["lambda1_hi"], pub["lambda3"]
-        if lo not in _T10_GAMMA:
-            raise RuntimeError(f"table 10: no kernel parameter for the window "
+        l2cap = pub.get("lambda2_cap")
+        if lo not in gamma_by_lo:
+            raise RuntimeError(f"table {n}: no kernel parameter for the window "
                                f"starting at {lo:g}")
-        gamma = _T10_GAMMA[lo]
-        kern = WeightKernel(gamma)
-        guard, guard_ok = guards[gamma]
-        # the second zero steps from the window's lower end up to the claimed bound
-        a, b = _step_ends(lo, l3, 1e-3)
-        worst, worst_j = _finite_max(rhs_lambda3_real(kern, a, b, hi, l3))
+        gamma = gamma_by_lo[lo]
+        guard, kern = guards[gamma], WeightKernel(gamma)
+        a, b = _step_ends(lo, pub[step_to], delta)
+        worst, worst_j = _finite_max(rhs(kern, a, b,
+                                         l3 if pub[fourth] is None else pub[fourth], l3))
+        label = f"[{lo:g},{hi:g}]" + (f" l2<={l2cap:g}" if l2cap is not None else "")
         yield _row(worst, {"worst_step": worst_j, "steps": a.size, "gamma": gamma,
-                           "guard_bound": guard.bound},
-                   {"guard": guard_ok},
-                   table=10, label=f"[{lo:g},{hi:g}]", lambda1_lo=lo, lambda1_hi=hi,
+                           "lambda2_cap": l2cap, "guard_bound": guard.bound},
+                   {"guard": guard.bound < cap and guard.bound < frac * kern.f0},
+                   table=n, label=label, lambda1_lo=lo, lambda1_hi=hi,
                    lambda_star=None, claimed_bound=l3, certificates=(guard,))
 
 
@@ -603,8 +598,9 @@ def gen_table11():
 
 _GENERATORS = {2: gen_table2, 3: gen_table3,
                **{n: functools.partial(gen_second_character_table, n) for n in _SECOND_CHARACTER},
-               7: gen_table7, 8: gen_table8, 9: gen_table9,
-               10: gen_table10, 11: gen_table11}
+               7: gen_table7, 8: gen_table8,
+               **{n: functools.partial(gen_third_zero_table, n) for n in _THIRD_ZERO},
+               11: gen_table11}
 
 
 @functools.lru_cache(maxsize=None)
@@ -613,8 +609,10 @@ def _certify(n: int) -> tuple:
         rows = tuple(_GENERATORS[n]())
     except ArithmeticError as exc:  # a non-finite value or an overflowing exponential
         raise type(exc)(f"table {n}: {exc}") from exc
-    # each certificate once, in first-use order: table 9's guard serves every
-    # row, table 10's one guard per kernel
+    except ValueError as exc:  # the shipped data disagree, e.g. an empty step interval
+        raise RuntimeError(f"table {n}: {exc}") from exc
+    # each certificate once, in first-use order: tables 9 and 10 have one
+    # guard per kernel, which serves every row of that kernel
     certificates = {id(c): c for r in rows for c in r.certificates}
     return rows, tuple(certificates.values())
 

@@ -303,6 +303,29 @@ def test_table_inconsistent_imported_data_fails_row(tmp_path, monkeypatch, capsy
     assert "lambda2_alt_imported" in failed[0]
 
 
+@pytest.mark.parametrize("offset", [0.0, -0.01], ids=["empty", "inverted"])
+@pytest.mark.parametrize("n, end, start", [
+    (4, "lambda2_new", "lambda2_alt"), (5, "lambda2_new", "lambda2_alt"),
+    (6, "lambda2_new", "lambda2_alt"), (9, "lambda1_hi", "lambda1_lo"),
+    (10, "lambda3", "lambda1_lo"),
+])
+def test_empty_step_interval_fails_the_table(tmp_path, monkeypatch, capsys, fresh_tables,
+                                             n, end, start, offset):
+    # shipped columns that leave a stepped row no interval to step over
+    # disagree with each other: one FAILED line that names the table once,
+    # exit 1 and no CSV
+    real = _data.published_table
+    target = real(n)[1]
+    monkeypatch.setattr(_data, "published_table", lambda m: tuple(
+        {**pub, end: pub[start] + offset} if pub is target else pub for pub in real(m)))
+    assert main(["table", str(n), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"FAILED: table {n}: ") and line.count("table") == 1
+    assert not (tmp_path / f"table_{n}.csv").exists()
+
+
 @pytest.mark.parametrize("n", [7, 11])
 def test_uncovered_upstream_window_fails(tmp_path, monkeypatch, capsys, fresh_tables, n):
     # shipped tables that disagree: table 6 cut above 0.62 leaves table 7's
@@ -436,15 +459,26 @@ def _drop_lambda_star_050(monkeypatch):
         k: v for k, v in real(key).items() if key != "lambda_star_table2" or k != 0.5})
 
 
+def _drop_kernel_window(monkeypatch, n, lo):
+    # the kernel parameter by window is the fifth field of the table's entry
+    entry = tables._THIRD_ZERO[n]
+    gamma_by_lo = {k: v for k, v in entry[4].items() if k != lo}
+    monkeypatch.setitem(tables._THIRD_ZERO, n, entry[:4] + (gamma_by_lo,) + entry[5:])
+
+
+def _drop_t9_gamma_066(monkeypatch):
+    _drop_kernel_window(monkeypatch, 9, 0.66)
+
+
 def _drop_t10_gamma_060(monkeypatch):
-    monkeypatch.setattr(tables, "_T10_GAMMA",
-                        {k: v for k, v in tables._T10_GAMMA.items() if k != 0.60})
+    _drop_kernel_window(monkeypatch, 10, 0.60)
 
 
 @pytest.mark.parametrize("n, drop, message", [
     (2, _drop_lambda_star_050,
      "table 2: the imported lambda_star_table2 has no entry for cap 0.5"),
     (10, _drop_t10_gamma_060, "table 10: no kernel parameter for the window starting at 0.6"),
+    (9, _drop_t9_gamma_066, "table 9: no kernel parameter for the window starting at 0.66"),
 ])
 def test_missing_imported_key_fails_closed(tmp_path, monkeypatch, capsys, fresh_tables,
                                            n, drop, message):

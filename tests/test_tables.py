@@ -11,7 +11,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linnik import _data, density, tables
@@ -181,6 +181,7 @@ def test_non_finite_step_penalty_fails():
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(lo=st.floats(0.0, 2.0), span=st.floats(1e-3, 2.0), delta=st.floats(1e-4, 0.5))
+@example(lo=0.5, span=1e-15, delta=1e-3)  # far shorter than a step: still one step
 def test_step_ends_cover_the_interval(lo, span, delta):
     hi = lo + span
     a, b = tables._step_ends(lo, hi, delta)
@@ -193,6 +194,11 @@ def test_step_ends_cover_the_interval(lo, span, delta):
     for bad in (0.0, -delta):
         with pytest.raises(ValueError):
             tables._step_ends(lo, hi, bad)
+    # an empty or inverted interval has no steps
+    for empty in (lo, lo - span):
+        with pytest.raises(ValueError, match="empty step interval"):
+            tables._step_ends(lo, empty, delta)
+
 
 
 def test_rhs_lambda1_with_zero_F_terms_is_D():
@@ -265,18 +271,46 @@ def test_table8_lambda_star_consistency(table_rows):
         assert r.lambda_star == min(t2[r.lambda1_hi], t7[r.lambda1_hi]) == pub["lambda_star"]
 
 
+def _assert_own_guard(r):
+    # the row's one certificate is the guard of its own kernel, and the
+    # guard its check read
+    (guard,) = r.certificates
+    assert guard.problem.kernel.gamma == r.detail["gamma"], r.label
+    assert r.detail["guard_bound"] == guard.bound, r.label
+
+
 def test_table9_guard_below_caps(table_rows):
     kern = WeightKernel(1.25)
     for r in table_rows[9]:
+        _assert_own_guard(r)
         assert r.detail["guard_bound"] < 0.18
         assert r.detail["guard_bound"] < kern.f0 / 6.0
 
 
 def test_table10_guards_below_caps(table_rows):
     for r in table_rows[10]:
+        _assert_own_guard(r)
         kern = WeightKernel(r.detail["gamma"])
         assert r.detail["guard_bound"] < 0.10
         assert r.detail["guard_bound"] < 5.0 / 48.0 * kern.f0
+
+
+@pytest.mark.parametrize("gamma", [1.04, 1.06])
+def test_table10_row_fails_only_under_its_own_guard(monkeypatch, fresh_tables, gamma):
+    # both guards clear both caps, so only an inflated guard tells a row that
+    # reads its own kernel's guard from one that reads another kernel's
+    real = tables.sup_bounds
+
+    def inflated(problems, grid):
+        return tuple(dataclasses.replace(cert, bound=cert.bound + 1.0)
+                     if cert.problem.kernel.gamma == gamma else cert
+                     for cert in real(problems, grid))
+
+    monkeypatch.setattr(tables, "sup_bounds", inflated)
+    for r in tables.generate_table(10)[0]:
+        _assert_own_guard(r)
+        assert r.certified is (r.detail["gamma"] != gamma), r.label
+        assert ("guard" in r.detail.get("failed_checks", ())) is (r.detail["gamma"] == gamma)
 
 
 def test_table6_window_covers_requested_cap(table_rows):
@@ -418,11 +452,14 @@ def test_table_certificates_are_the_row_certificates_once_each(tmp_path):
         assert main(["table", str(n), "--out", str(tmp_path)]) == 0
         audit = json.loads((tmp_path / f"audit_{n}.json").read_text())
         assert len(audit["certificates"]) == len(certificates), n
-    # table 9 shares one guard; table 10 has one per kernel, in gamma order
+    # tables 9 and 10 have one guard per kernel of their entry, in gamma
+    # order: one for table 9, which every row shares
+    for n in (9, 10):
+        certs = tables.generate_table(n)[1]
+        gammas = sorted(set(tables._THIRD_ZERO[n][4].values()))
+        assert [c.problem.kernel.gamma for c in certs] == gammas, n
     rows9, certs9 = tables.generate_table(9)
-    assert len(certs9) == 1 and all(_same_objects(r.certificates, certs9) for r in rows9)
-    certs10 = tables.generate_table(10)[1]
-    assert [c.problem.kernel.gamma for c in certs10] == sorted(set(tables._T10_GAMMA.values()))
+    assert all(_same_objects(r.certificates, certs9) for r in rows9)
     # table 8 reuses table 4's certificates at each cap: the same objects
     by_cap4 = {r.lambda1_hi: r.certificates for r in tables.generate_table(4)[0]}
     for r in tables.generate_table(8)[0]:
@@ -496,6 +533,7 @@ def _inflated_guards(monkeypatch):
 
 #: (table, check, row label, patch): one case per check each table can fail
 FAULTS = [
+    (2, "lambda_star_imported", "0.54", _published(2, "lambda1_hi", 0.54, lambda_star=0.781)),
     (4, "dominance", "0.54", _dominating_case3),
     *((n, "lambda2_alt_imported", "0.54", _shifted_lambda2_alt) for n in (4, 5, 6)),
     (7, "published", "0.54", _published(7, "lambda1_hi", 0.54, lambda2_new=1.18)),
@@ -564,9 +602,13 @@ def test_table11_reads_every_row_across_its_box(monkeypatch, fresh_tables):
 
 
 def test_tables_9_and_10_decide_with_the_tested_rhs(monkeypatch, fresh_tables):
-    # a row of table 9 or 10 is decided by the same RHS function the tests check
-    monkeypatch.setattr(tables, "rhs_lambda3_complex", lambda *args: 1.0)
-    monkeypatch.setattr(tables, "rhs_lambda3_real", lambda *args: 1.0)
+    # a row of table 9 or 10 is decided by the same RHS function the tests
+    # check, read from its _THIRD_ZERO entry: with that RHS replaced, no row
+    # certifies, as one decided by an inline copy would
+    assert tables._THIRD_ZERO[9][0] is rhs_lambda3_complex
+    assert tables._THIRD_ZERO[10][0] is rhs_lambda3_real
     for n in (9, 10):
+        monkeypatch.setitem(tables._THIRD_ZERO, n,
+                            (lambda *args: 1.0,) + tables._THIRD_ZERO[n][1:])
         rows = tables.generate_table(n)[0]
         assert rows and not any(r.certified for r in rows), n
