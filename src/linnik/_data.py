@@ -48,3 +48,11 @@ def hb92_map(key: str) -> dict:
 @lru_cache(maxsize=None)
 def final_cases() -> dict:
     return json.loads(_read_text("final_cases.json"))
+
+
+def fault(where: str, exc: Exception) -> RuntimeError:
+    """The certification failure for shipped data that disagree with each
+    other, met at ``where`` (a table, a counting cell or a case) as ``exc``:
+    a missing key or a value its reader refuses."""
+    what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return RuntimeError(f"{where}: {what}")

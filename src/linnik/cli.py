@@ -3,10 +3,16 @@
 Exit codes: 0 success; 1 certification/reproduction failure, a sampled
 value of A above its certified bound in a table's domination audit, a NaN
 or inf (a non-finite ``eval`` value included), an overflow or a division by
-zero in a computation, or a vanished counting-table cell; 2 usage error, a
-non-finite ``eval`` input and an unreadable ``--params`` or unwritable
-``--out`` path included.  Outputs are deterministic: the domination audit
-draws its samples from the fixed seed AUDIT_SEED.
+zero in a computation, a vanished counting-table cell, or shipped data that
+disagree (one ``FAILED:`` line naming the table, the counting cell or the
+case); 2 usage error, a non-finite ``eval`` input and an unreadable
+``--params`` or unwritable ``--out`` path included.
+
+``table`` and ``verify-final`` write their CSV and audit JSON through
+``_write``, each CSV row read by its column list, once every value is
+computed: a command stopped by an error writes no file.  Outputs are
+deterministic: the domination audit draws its samples from the fixed seed
+AUDIT_SEED.
 """
 
 from __future__ import annotations
@@ -43,6 +49,10 @@ TABLE_CSV_COLUMNS = ("table", "label", "lambda1_lo", "lambda1_hi", "lambda_star"
 DENSITY_CSV_COLUMNS = ("lambda1", "lambda0", "n0", "lam", "published", "computed", "match")
 FINAL_CSV_COLUMNS = ("case", "family", "lambda1_lo", "lambda1_hi", "Lambda",
                      "W", "published_W", "margin", "certified", "reproduces")
+DENSITY_AUDIT_KEYS = ("lambda1", "lambda0", "n0", "lam", "published", "computed",
+                      "gamma", "parabola", "roots", "match")
+FINAL_JSON_CASE_KEYS = ("id", "family", "W", "published_W", "certified", "reproduces",
+                        "margin", "terms", "schedule")
 
 
 def _fmt(value) -> str:
@@ -128,13 +138,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _write_csv(path: Path, columns, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-
 @functools.lru_cache(maxsize=None)
 def _audit(cert) -> dict:
     """The domination audit of one certificate, run once per process: table 8
@@ -143,38 +146,42 @@ def _audit(cert) -> dict:
     return domination_check(cert, samples=2000, seed=AUDIT_SEED)
 
 
+def _write(out: str, names: tuple, columns: tuple, rows, audit: dict) -> None:
+    """Write a command's two files into the directory ``out``: the CSV
+    ``names[0]``, one line per row mapping read by ``columns``, and the audit
+    JSON ``names[1]``."""
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    with open(outdir / names[0], "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+    with open(outdir / names[1], "w") as fh:
+        json.dump(audit, fh, indent=1, sort_keys=True)
+
+
 def cmd_table(args) -> int:
     n = args.number
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    names = (f"table_{n}.csv", f"audit_{n}.json")
     if n in (12, 13):
         records = [r for r in density.regenerated_tables().records if r["table"] == n]
-        _write_csv(outdir / f"table_{n}.csv", DENSITY_CSV_COLUMNS,
-                   [[_fmt(r[c]) for c in DENSITY_CSV_COLUMNS] for r in records])
-        audit = {"table": n, "cells": [
-            {k: rec[k] for k in ("lambda1", "lambda0", "n0", "lam", "published",
-                                 "computed", "gamma", "parabola", "roots", "match")}
-            for rec in records]}
-        with open(outdir / f"audit_{n}.json", "w") as fh:
-            json.dump(audit, fh, indent=1, sort_keys=True)
+        _write(args.out, names, DENSITY_CSV_COLUMNS, records, {"table": n, "cells": [
+            {k: rec[k] for k in DENSITY_AUDIT_KEYS} for rec in records]})
         failures = [r for r in records if r["match"] is False]
+        for r in failures:
+            print(f"MISMATCH table {n} lambda1={r['lambda1']} lam={r['lam']}: "
+                  f"published {r['published']} computed {r['computed']}")
         if failures:
-            for r in failures:
-                print(f"MISMATCH table {n} lambda1={r['lambda1']} lam={r['lam']}: "
-                      f"published {r['published']} computed {r['computed']}")
             return EXIT_FAILED
         print(f"table {n}: {len(records)} cells checked, all printed values match")
         return EXIT_OK
 
     rows, certificates = tables.generate_table(n)
-    _write_csv(outdir / f"table_{n}.csv", TABLE_CSV_COLUMNS,
-               [[_fmt(getattr(r, c)) for c in TABLE_CSV_COLUMNS] for r in rows])
     audits = [_audit(cert) for cert in certificates]
-    with open(outdir / f"audit_{n}.json", "w") as fh:
-        json.dump({"table": n, "seed": AUDIT_SEED,
-                   "certificates": [{**cert.as_record(), "domination_sample": audit}
-                                    for cert, audit in zip(certificates, audits)]},
-                  fh, indent=1, sort_keys=True)
+    _write(args.out, names, TABLE_CSV_COLUMNS, map(vars, rows), {
+        "table": n, "seed": AUDIT_SEED,
+        "certificates": [{**cert.as_record(), "domination_sample": audit}
+                         for cert, audit in zip(certificates, audits)]})
     bad = [r for r in rows if not (r.certified and r.c_reproduced)]
     for r in bad:
         print(f"FAILED table {n} row {r.label}: certified={r.certified} "
@@ -189,35 +196,20 @@ def cmd_table(args) -> int:
               f"{certificates[i].bound!r} by {audits[i]['max_excess']!r}")
     if bad or refuted:
         return EXIT_FAILED
-    print(f"table {n}: {len(rows)} rows certified")
+    worst = min(rows, key=lambda r: r.margin)
+    print(f"table {n}: {len(rows)} rows certified, "
+          f"least margin {worst.margin:.3e} at {worst.label}")
     return EXIT_OK
 
 
 def cmd_verify_final(args) -> int:
     params = _params_from_args(args)
     report = final.verify_all(params)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_rows = []
-    for res in report.results:
-        case = res.case
-        csv_rows.append([case.id, case.family, _fmt(case.lambda1_lo),
-                         _fmt(case.lambda1_hi), _fmt(case.Lambda), _fmt(res.W),
-                         _fmt(case.published_W), _fmt(res.margin),
-                         _fmt(res.certified), _fmt(res.reproduces)])
-    _write_csv(outdir / "final_report.csv", FINAL_CSV_COLUMNS, csv_rows)
-    payload = {
-        "parameters": dataclasses.asdict(params),
-        "passed": report.passed,
-        "cases": [{
-            "id": res.case.id, "family": res.case.family, "W": res.W,
-            "published_W": res.case.published_W, "certified": res.certified,
-            "reproduces": res.reproduces, "margin": res.margin,
-            "terms": res.terms, "schedule": res.schedule,
-        } for res in report.results],
-    }
-    with open(outdir / "final_report.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+    # vars(res) holds the case object under ``case``; the row holds its id
+    rows = [{**vars(res.case), **vars(res), "case": res.case.id} for res in report.results]
+    _write(args.out, ("final_report.csv", "final_report.json"), FINAL_CSV_COLUMNS, rows, {
+        "parameters": dataclasses.asdict(params), "passed": report.passed,
+        "cases": [{k: row[k] for k in FINAL_JSON_CASE_KEYS} for row in rows]})
     worst = min(report.results, key=lambda r: r.margin)
     print(f"{len(report.results)} cases, worst margin {worst.margin:.6f} "
           f"(case {worst.case.id}), passed={report.passed}")

@@ -133,32 +133,37 @@ def gen_density_tables():
     Numeric cells must match integer-exactly.  Dash cells carry no claim; for
     them we record the computed value (the published tables omit entries whose
     quadratic bound is weaker than the classic one).  Returns the full list of
-    cell records; mismatches are flagged, not raised.
+    cell records; mismatches are flagged, not raised.  A cell with a missing
+    column or a value outside its query's range raises RuntimeError naming
+    the table and the cell.
     """
     records = []
     for table in (12, 13):
         for raw in _data.published_table(table):
-            lambda1, lam = raw["lambda1"], raw["lam"]
-            lambda0 = raw["lambda0"] or 0.0
-            n0 = int(raw["n0"] or 0)
-            published = raw["bound"]
-            result = quadratic_N_bound(
-                DensityQuery(lam=lam, lambda11=lambda1, lambda0=lambda0, n0=n0))
+            try:
+                query = DensityQuery(lam=raw["lam"], lambda11=raw["lambda1"],
+                                     lambda0=raw["lambda0"] or 0.0, n0=int(raw["n0"] or 0))
+                published = raw["bound"]
+                claim = None if published == "-" else int(published)
+            except (KeyError, ValueError, TypeError) as exc:
+                raise _data.fault(f"table {table} cell lambda11={raw.get('lambda1')} "
+                                  f"lam={raw.get('lam')}", exc) from exc
+            result = quadratic_N_bound(query)
             rec = {
-                "table": table, "lambda1": lambda1, "lambda0": lambda0 or None,
-                "n0": n0 or None, "lam": lam,
+                "table": table, "lambda1": query.lambda11, "lambda0": query.lambda0 or None,
+                "n0": query.n0 or None, "lam": query.lam,
                 "published": published, "computed": result.bound,
                 "gamma": result.gamma,
                 "parabola": (result.a, result.b, result.c),
                 "roots": result.roots,
             }
-            if published == "-":
+            if claim is None:
                 rec["match"] = None  # unprinted cell: no integer claim to check
                 rec["weaker_than_classic"] = (
                     result.bound is None
-                    or result.bound >= classic_density_bound(lam))
+                    or result.bound >= classic_density_bound(query.lam))
             else:
-                rec["match"] = (result.bound == int(published))
+                rec["match"] = (result.bound == claim)
             records.append(rec)
     return records
 

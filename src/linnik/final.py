@@ -74,8 +74,7 @@ class FinalCase:
         if self.density is not None:
             steps = self.Lambda / DENSITY_GRID
             if abs(steps - round(steps)) > 1e-9:
-                raise ValueError(
-                    f"case {self.id}: Lambda={self.Lambda} is off the density grid")
+                raise ValueError(f"Lambda={self.Lambda} is off the density grid")
 
     @property
     def n_chi(self) -> int:
@@ -108,7 +107,15 @@ class CaseResult:
 
 
 def load_registry() -> List[FinalCase]:
-    return [FinalCase.from_json(obj) for obj in _data.final_cases()["cases"]]
+    """The case rows; a row with a missing field or a value its case refuses
+    raises RuntimeError naming the case."""
+    cases = []
+    for obj in _data.final_cases()["cases"]:
+        try:
+            cases.append(FinalCase.from_json(obj))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise _data.fault(f"case {obj.get('id')}", exc) from exc
+    return cases
 
 
 def lambda_schedule(case: FinalCase):
@@ -254,7 +261,10 @@ def verify_all(params: Optional[LinnikParams] = None) -> Report:
     shipped = params == LinnikParams()
     results = []
     for case in load_registry():
-        res = compute_W(case, params)
+        try:
+            res = compute_W(case, params)
+        except KeyError as exc:  # the case names a counting-table cell that is not there
+            raise _data.fault(f"case {case.id}", exc) from exc
         if shipped:
             res.reproduces = (res.W <= case.published_W + PUBLISHED_W_SLACK_HI
                               and res.W >= case.published_W - PUBLISHED_W_SLACK_LO)

@@ -53,8 +53,9 @@ reads upstream rows is certified only if every one of them is (the
 at most once per process: the result, a tuple of frozen rows and the tuple
 of their certificates, each once in first-use order, is memoised and shared
 by every caller.  A NaN or inf in any decision RHS raises FloatingPointError
-instead of deciding the row; shipped columns that leave a row an empty or
-inverted step interval raise RuntimeError.
+instead of deciding the row, named once after the table where it was met;
+shipped columns that are missing or leave a row an empty or inverted step
+interval raise RuntimeError.
 """
 
 from __future__ import annotations
@@ -608,9 +609,16 @@ def _certify(n: int) -> tuple:
     try:
         rows = tuple(_GENERATORS[n]())
     except ArithmeticError as exc:  # a non-finite value or an overflowing exponential
-        raise type(exc)(f"table {n}: {exc}") from exc
-    except ValueError as exc:  # the shipped data disagree, e.g. an empty step interval
-        raise RuntimeError(f"table {n}: {exc}") from exc
+        if hasattr(exc, "table"):  # met in an upstream table, which named it
+            raise
+        named = type(exc)(f"table {n}: {exc}")
+        named.table = n
+        raise named from exc
+    except (ValueError, KeyError) as exc:
+        # the shipped data disagree, e.g. a missing column or an empty step interval
+        raise _data.fault(f"table {n}", exc) from exc
+    if not rows:
+        raise RuntimeError(f"table {n}: the shipped table has no rows")
     # each certificate once, in first-use order: tables 9 and 10 have one
     # guard per kernel, which serves every row of that kernel
     certificates = {id(c): c for r in rows for c in r.certificates}

@@ -208,9 +208,11 @@ def test_table_non_finite_row_rhs_fails_closed(tmp_path, monkeypatch, capsys, fr
     monkeypatch.setattr(WeightKernel, "F_real",
                         lambda self, x: np.full(np.shape(x), bad) if np.ndim(x) else bad)
     assert main(["table", str(n), "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert "FAILED:" in err
-    assert f"table {n}:" in err
+    (line,) = capsys.readouterr().err.splitlines()
+    # tables 7, 8 and 11 meet the value first in the upstream table they
+    # read first, and name only that table
+    met = {7: 4, 8: 4, 11: 2}.get(n, n)
+    assert line.startswith(f"FAILED: table {met}: ") and line.count("table") == 1
     assert not (tmp_path / f"table_{n}.csv").exists()
 
 
@@ -351,6 +353,17 @@ def test_dropped_interior_row_widens_its_neighbour(tmp_path, monkeypatch, capsys
     assert f"table 8: {rows} rows certified" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n, label", [(8, "0.58"), (10, "[0.68,0.78]")])
+def test_table_success_names_the_binding_row(tmp_path, capsys, table_rows, n, label):
+    # the least margin of the table and the label of the row that has it
+    assert main(["table", str(n), "--out", str(tmp_path)]) == 0
+    rows = table_rows[n]
+    worst = min(rows, key=lambda r: r.margin)
+    assert worst.label == label
+    assert capsys.readouterr().out == (f"table {n}: {len(rows)} rows certified, "
+                                       f"least margin {worst.margin:.3e} at {label}\n")
+
+
 def test_table_12_integer_exact(tmp_path, capsys):
     assert main(["table", "12", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "table_12.csv").read_text().splitlines()
@@ -488,6 +501,79 @@ def test_missing_imported_key_fails_closed(tmp_path, monkeypatch, capsys, fresh_
     assert main(["table", str(n), "--out", str(tmp_path)]) == 1
     assert f"FAILED: {message}" in capsys.readouterr().err
     assert not (tmp_path / f"table_{n}.csv").exists()
+
+
+def _patch_published(monkeypatch, n, change):
+    """Pass each row of the shipped table n, a copy, through change(index, row)."""
+    real = _data.published_table
+    monkeypatch.setattr(_data, "published_table", lambda m: tuple(
+        change(i, dict(pub)) if m == n else pub for i, pub in enumerate(real(m))))
+
+
+def _patch_case_14_6(monkeypatch, change):
+    real = _data.final_cases()
+    cases = [change(dict(c)) if c["id"] == "14.6" else c for c in real["cases"]]
+    monkeypatch.setattr(_data, "final_cases", lambda: {**real, "cases": cases})
+
+
+def _without(row, key):
+    del row[key]
+    return row
+
+
+# shipped data that disagree, one fault per stage that reads them: (argv,
+# patch, the one FAILED line, which names the table, the cell or the case)
+DATA_FAULTS = {
+    "table2-no-rows": (
+        ["table", "2"], lambda mp: mp.setattr(_data, "published_table", lambda m: ()),
+        "FAILED: table 2: the shipped table has no rows"),
+    "table10-no-lambda3": (
+        ["table", "10"], lambda mp: _patch_published(mp, 10, lambda i, r: _without(r, "lambda3")),
+        "FAILED: table 10: missing key 'lambda3'"),
+    "table12-lam-2.5": (
+        ["table", "12"], lambda mp: _patch_published(
+            mp, 12, lambda i, r: {**r, "lam": 2.5} if i == 1 else r),
+        "FAILED: table 12 cell lambda11=0.4 lam=2.5: lam must lie in (0, 2)"),
+    "table12-no-n0": (
+        ["table", "12"], lambda mp: _patch_published(mp, 12, lambda i, r: _without(r, "n0")),
+        "FAILED: table 12 cell lambda11=0.4 lam=0.875: missing key 'n0'"),
+    "table12-blank-lam": (
+        ["table", "12"], lambda mp: _patch_published(
+            mp, 12, lambda i, r: {**r, "lam": None} if i == 1 else r),
+        "FAILED: table 12 cell lambda11=0.4 lam=None: "
+        "'<' not supported between instances of 'float' and 'NoneType'"),
+    "case-null-Lambda": (
+        ["verify-final"], lambda mp: _patch_case_14_6(mp, lambda c: {**c, "Lambda": None}),
+        "FAILED: case 14.6: unsupported operand type(s) for /: 'NoneType' and 'float'"),
+    "case-off-grid": (
+        ["verify-final"], lambda mp: _patch_case_14_6(mp, lambda c: {**c, "Lambda": 1.3261}),
+        "FAILED: case 14.6: Lambda=1.3261 is off the density grid"),
+    "case-family": (
+        ["verify-final"], lambda mp: _patch_case_14_6(mp, lambda c: {**c, "family": "chi_real"}),
+        "FAILED: case 14.6: unknown case family chi_real"),
+    "case-no-published_W": (
+        ["verify-final"], lambda mp: _patch_case_14_6(mp, lambda c: _without(c, "published_W")),
+        "FAILED: case 14.6: missing key 'published_W'"),
+    "case-counting-column": (
+        ["verify-final"], lambda mp: _patch_case_14_6(
+            mp, lambda c: {**c, "density": {"table": 13, "column": "0.69"}}),
+        "FAILED: case 14.6: missing key 'counting table 13, column lambda1 >= 0.69, "
+        "assumption n0=0: no cell at lambda = 1.325'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(DATA_FAULTS))
+def test_shipped_data_fault_fails_closed(tmp_path, monkeypatch, capsys, fresh_tables, fault):
+    # a certification failure (exit 1) with one line that says where, not
+    # a usage error (exit 2); the command writes no file
+    argv, patch, message = DATA_FAULTS[fault]
+    patch(monkeypatch)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+    assert not out.exists()
 
 
 def _replace_case(monkeypatch, case_id, **changes):
