@@ -4,8 +4,8 @@ Exit codes: 0 success; 1 certification/reproduction failure, a sampled
 value of A above its certified bound in a table's domination audit, a NaN
 or inf (a non-finite ``eval`` value included), an overflow or a division by
 zero in a computation, a vanished counting-table cell, or shipped data that
-disagree (one ``FAILED:`` line naming the table, the counting cell or the
-case); 2 usage error, a non-finite ``eval`` input and an unreadable
+disagree (one ``FAILED:`` line naming the table, the counting cell or,
+for every failure inside ``verify-final``, the case); 2 usage error, a non-finite ``eval`` input and an unreadable
 ``--params`` or unwritable ``--out`` path included.
 
 ``table`` and ``verify-final`` write their CSV and audit JSON through

@@ -159,11 +159,11 @@ def n0_schedule(case: FinalCase) -> List[int]:
     return out
 
 
-def _finite(case: FinalCase, name: str, value: float) -> float:
+def _finite(name: str, value: float) -> float:
     """value, or FloatingPointError if it is a NaN or an inf (which max() and
     comparisons would otherwise drop or pass)."""
     if not math.isfinite(value):
-        raise FloatingPointError(f"case {case.id}: {name} is not finite ({value!r})")
+        raise FloatingPointError(f"{name} is not finite ({value!r})")
     return value
 
 
@@ -182,22 +182,23 @@ def c_star(case: FinalCase, params: LinnikParams) -> float:
     ratio_L = math.exp(-params.decay * case.Lambda) * params.B(case.Lambda)
     w_ratio = params.w(l12) / params.w(case.Lambda)
     h2 = case.alpha * complex(params.H2(l11)).real / K2
-    lead = _finite(case, "B(lambda1) - H2 term", params.B(l11) - h2)
+    lead = _finite("B(lambda1) - H2 term", params.B(l11) - h2)
     moved = (exp_lp * max(0.0, lead)
              - ratio_L * w_ratio
              + h2 * math.exp(-params.decay * l11))
-    return max(0.0, _finite(case, "C(lambda')", c_lp), _finite(case, "moved term", moved))
+    return max(0.0, _finite("C(lambda')", c_lp), _finite("moved term", moved))
 
 
 def compute_W(case: FinalCase, params: LinnikParams) -> CaseResult:
-    """W for one case row, with its full term breakdown."""
+    """W for one case row, with its full term breakdown; a failed check raises
+    without naming the case, which ``verify_all`` adds."""
     l3_star, s, grid = lambda_schedule(case)
     base = (params.penalty_integral() / (params.c1 * params.c2 ** 2)
             * math.exp(-params.decay * case.Lambda) * params.B(case.Lambda)
             / params.w(case.Lambda))
-    c_l2 = _finite(case, "C(lambda2)", params.C(case.Lambda, case.lambda2_lo))
+    c_l2 = _finite("C(lambda2)", params.C(case.Lambda, case.lambda2_lo))
     second = max(2.0 * c_l2, 0.0)
-    c_l3 = _finite(case, "C(lambda3*)", params.C(case.Lambda, l3_star))
+    c_l3 = _finite("C(lambda3*)", params.C(case.Lambda, l3_star))
 
     if case.density is not None:
         n0 = n0_schedule(case)
@@ -206,14 +207,13 @@ def compute_W(case: FinalCase, params: LinnikParams) -> CaseResult:
                    for r in range(s))
         schedule = list(zip(grid, n0))
         if any(a < b for a, b in zip(n0, n0[1:])):
-            raise RuntimeError(f"case {case.id}: counting schedule not monotone")
+            raise RuntimeError("counting schedule not monotone")
         if n0[-1] < 4:
-            raise RuntimeError(f"case {case.id}: schedule end below the floor of 4")
+            raise RuntimeError("schedule end below the floor of 4")
     else:
         # no counting table: C(lambda3*) = C(Lambda) = 0 makes both terms vanish
         if abs(c_l3) > 1e-9:
-            raise RuntimeError(
-                f"case {case.id}: density-free row needs lambda3 >= Lambda")
+            raise RuntimeError("density-free row needs lambda3 >= Lambda")
         floor_term, tele, schedule = 0.0, 0.0, []
 
     third = (2 - case.n_chi) * c_l3
@@ -228,9 +228,9 @@ def compute_W(case: FinalCase, params: LinnikParams) -> CaseResult:
         "c_star": cstar_term,
     }
     for name, value in terms.items():
-        if _finite(case, f"term {name}", value) < -1e-12:
-            raise RuntimeError(f"case {case.id}: term {name} negative ({value})")
-    W = _finite(case, "W", sum(terms.values()))
+        if _finite(f"term {name}", value) < -1e-12:
+            raise RuntimeError(f"term {name} negative ({value})")
+    W = _finite("W", sum(terms.values()))
     return CaseResult(case=case, W=W, certified=W < 1.0 - W_MARGIN,
                       margin=1.0 - W, terms=terms, schedule=schedule)
 
@@ -265,6 +265,11 @@ def verify_all(params: Optional[LinnikParams] = None) -> Report:
             res = compute_W(case, params)
         except KeyError as exc:  # the case names a counting-table cell that is not there
             raise _data.fault(f"case {case.id}", exc) from exc
+        except (ArithmeticError, RuntimeError) as exc:
+            # name the case in place: the class and its fields stay (a
+            # QuadratureError keeps its estimate and achieved error)
+            exc.args = (f"case {case.id}: {exc}",)
+            raise
         if shipped:
             res.reproduces = (res.W <= case.published_W + PUBLISHED_W_SLACK_HI
                               and res.W >= case.published_W - PUBLISHED_W_SLACK_LO)

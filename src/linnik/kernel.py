@@ -18,18 +18,19 @@ every row evaluated against it, and ``re_F`` fills a block of whole t rows
 in place without allocating.  All three switch to the same series inside
 SMALL_Z_RADIUS.
 
-All real arithmetic is double precision.  The integrals behind ``w``, the
-penalty integral and ``xf_exp_moment``, each memoized per argument, use
-one fixed Gauss-Legendre rule (:func:`_gauss_legendre`): each is split so
-that its integrand is a polynomial times an exponential, an entire
-function on which the rule converges geometrically, and the 32-node value
-is returned only when the 16-node value agrees with it to within
-max(50 QUAD_TOL, 1e-9 |I|), with QUAD_TOL = 1e-12; otherwise
-:class:`QuadratureError` is raised.
-The error of an n-node rule on such an integrand falls geometrically in n,
-so |I32 - I16| is in effect the 16-node error and bounds the far smaller
-32-node error of the returned value.  A NaN or inf in either value raises
-FloatingPointError.
+All real arithmetic is double precision.  ``w``, the penalty integral and
+``xf_exp_moment`` memoise their values in the method itself, an
+``lru_cache`` keyed on the frozen instance, so equal parameter sets or
+kernels share entries; ``w`` and the penalty are one integral split at v
+(``LinnikParams._split_integral``).  Each uses one fixed Gauss-Legendre
+rule (:func:`_gauss_legendre`) on pieces whose integrand is a polynomial
+times an exponential, an entire function on which the rule converges
+geometrically: the 32-node value is returned only when the 16-node value
+agrees with it to within max(50 QUAD_TOL, 1e-9 |I|), QUAD_TOL = 1e-12;
+otherwise :class:`QuadratureError` is raised.  The error of an n-node rule
+on such an integrand falls geometrically in n, so |I32 - I16| is in effect
+the 16-node error and bounds the far smaller 32-node error of the returned
+value.  A NaN or inf in either value raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -192,9 +193,13 @@ class WeightKernel:
                 + 4.0 * g * g * (1.0 + e) / z**4
                 + 4.0 * (-1.0 + e + 2.0 * g * z * e) / z**6)
 
+    @lru_cache(maxsize=128)
+    def _series_coeffs(self) -> np.ndarray:
+        return np.array([self.moment(n) / math.factorial(n) for n in range(_SERIES_TERMS + 1)])
+
     def _F_series(self, z: np.ndarray) -> np.ndarray:
         out = np.zeros_like(z)
-        for c in _series_coeffs_cached(self.gamma)[::-1]:
+        for c in self._series_coeffs()[::-1]:
             out = out * (-z) + c
         return out
 
@@ -248,23 +253,12 @@ class WeightKernel:
                 + (4.0 * g * g * (1.0 + e)) * (1.0 / x4)
                 + (4.0 * (-1.0 + e + 2.0 * g * x * e)) * (1.0 / (x4 * x2)))
 
+    @lru_cache(maxsize=1024)
     def xf_exp_moment(self, c: float) -> float:
         """int_0^{2 gamma} x f(x) e^{c x} dx, by the checked Gauss-Legendre rule
         (the integrand is a degree-6 polynomial times an exponential); computed
         once per (gamma, c) in a process."""
-        return _xf_exp_moment_cached(self.gamma, c)
-
-
-@lru_cache(maxsize=128)
-def _series_coeffs_cached(gamma: float) -> np.ndarray:
-    kern = WeightKernel(gamma)
-    return np.array([kern.moment(n) / math.factorial(n) for n in range(_SERIES_TERMS + 1)])
-
-
-@lru_cache(maxsize=1024)
-def _xf_exp_moment_cached(gamma: float, c: float) -> float:
-    kern = WeightKernel(gamma)
-    return _gauss_legendre(lambda x: x * kern.f(x) * np.exp(c * x), 0.0, kern.support_end)
+        return _gauss_legendre(lambda x: x * self.f(x) * np.exp(c * x), 0.0, self.support_end)
 
 
 class LatticeWork:
@@ -473,16 +467,34 @@ class LinnikParams:
         m = min(t - self.u + W1_OFFSET, self.v - self.u + W1_OFFSET)
         return math.exp(-self.theta * t / 2.0) * m**0.25
 
+    @lru_cache(maxsize=4096)
     def w(self, s: Optional[float]) -> float:
-        """Reciprocal of int_u^x w1(t)^2 e^{2st} dt; the sentinel s=None means
-        +infinity and returns 0 exactly."""
+        """Reciprocal of int_u^x w1(t)^2 e^{2st} dt, computed once per (parameter
+        set, s); the sentinel s=None means +infinity and returns 0 exactly."""
         if s is None:
             return 0.0
-        return 1.0 / _w_integral(self, float(s))
+        return 1.0 / self._split_integral(2.0 * float(s) - self.theta, 0.0,
+                                          math.sqrt(self.v - self.u + W1_OFFSET))
 
+    @lru_cache(maxsize=64)
     def penalty_integral(self) -> float:
         """int_u^x w1(t)^{-2} min(t-u, v-u) dt, computed once per parameter set."""
-        return _penalty_integral(self)
+        return self._split_integral(self.theta, W1_OFFSET,
+                                    (self.v - self.u) / math.sqrt(self.v - self.u + W1_OFFSET))
+
+    def _split_integral(self, a: float, shift: float, flat: float) -> float:
+        """int_u^x of the integrand of ``w`` (a = 2s - theta, shift 0) or of the
+        penalty (a = theta, shift W1_OFFSET), split at v.
+
+        Both carry the factor min(t - u, v - u) + W1_OFFSET under a square root.
+        On [u, v] the substitution t = u - W1_OFFSET + r^2 (dt = 2 r dr) cancels
+        that root and leaves 2 (r^2 - shift) e^{a t}, a polynomial in r times an
+        exponential; on [v, x] the root is constant and the integrand is flat e^{a t}.
+        """
+        rise = _gauss_legendre(
+            lambda r: 2.0 * (r * r - shift) * np.exp(a * (self.u - W1_OFFSET + r * r)),
+            math.sqrt(W1_OFFSET), math.sqrt(self.v - self.u + W1_OFFSET))
+        return rise + flat * _gauss_legendre(lambda t: np.exp(a * t), self.v, self.x)
 
     def damped_ratio(self, s: float) -> float:
         """e^{-(L-2K)s} B(s) / w(s); nonincreasing in s because L - 2K > 2x."""
@@ -498,37 +510,6 @@ class LinnikParams:
             raise ValueError("lam and Lambda must be positive")
         ratio_L = self.damped_ratio(Lambda)
         return math.exp(-self.decay * lam) * self.B(lam) - self.w(lam) * ratio_L
-
-
-# Both integrals below have the factor min(t - u, v - u) + W1_OFFSET under a
-# square root.  On [u, v] the substitution t = u - W1_OFFSET + r^2
-# (dt = 2 r dr) cancels that root and leaves a polynomial in r times an
-# exponential; on [v, x] the root is the constant sqrt(v - u + W1_OFFSET).
-
-@lru_cache(maxsize=4096)
-def _w_integral(params: LinnikParams, s: float) -> float:
-    """int_u^x w1(t)^2 e^{2st} dt, w1(t)^2 = e^{-theta t} sqrt(min(...))."""
-    u, v, x = params.u, params.v, params.x
-    a = 2.0 * s - params.theta
-    top = v - u + W1_OFFSET
-    rise = _gauss_legendre(lambda r: 2.0 * r * r * np.exp(a * (u - W1_OFFSET + r * r)),
-                           math.sqrt(W1_OFFSET), math.sqrt(top))
-    return rise + math.sqrt(top) * _gauss_legendre(lambda t: np.exp(a * t), v, x)
-
-
-@lru_cache(maxsize=64)
-def _penalty_integral(params: LinnikParams) -> float:
-    """int_u^x min(t - u, v - u) / w1(t)^2 dt."""
-    u, v, x = params.u, params.v, params.x
-    top = v - u + W1_OFFSET
-    lo, hi = math.sqrt(W1_OFFSET), math.sqrt(top)
-    # on [u, v], min(t - u, v - u) = r^2 - W1_OFFSET
-    theta = params.theta
-    rise = _gauss_legendre(
-        lambda r: 2.0 * (r * r - W1_OFFSET) * np.exp(theta * (u - W1_OFFSET + r * r)),
-        lo, hi)
-    return rise + (v - u) / math.sqrt(top) * _gauss_legendre(
-        lambda t: np.exp(theta * t), v, x)
 
 
 def classic_density_bound(lam: float) -> float:

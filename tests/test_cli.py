@@ -621,6 +621,25 @@ def test_each_final_decision_fails_its_case(tmp_path, monkeypatch, capsys, decis
     assert len(failed) == 1 and failed[0].startswith(line), failed
 
 
+# parameter sets under which one computation of the first case fails: B, the
+# penalty integral and w; the one FAILED line names the case
+@pytest.mark.parametrize("content, reason", [
+    ({"K": 1e-200}, "float division by zero"),
+    ({"theta": 1e6}, "non-finite quadrature on ["),
+    ({"theta": -60.0}, "16- and 32-node Gauss-Legendre rules disagree"),
+], ids=["B", "penalty", "w"])
+def test_verify_final_computation_fault_names_its_case(tmp_path, capsys, content, reason):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(content))
+    out = tmp_path / "out"
+    assert main(["verify-final", "--params", str(params), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    failed = [text for text in (captured.out + captured.err).splitlines()
+              if text.startswith("FAILED")]
+    assert len(failed) == 1 and failed[0].startswith(f"FAILED: case 14.1: {reason}"), failed
+    assert not out.exists()
+
+
 def test_eval_w_overflow_fails_closed(capsys):
     assert main(["eval", "w", "--s", "1000"]) == 1
     assert "FAILED:" in capsys.readouterr().err

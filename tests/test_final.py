@@ -5,11 +5,11 @@ import math
 
 import pytest
 
-from linnik import _data
+from linnik import _data, kernel
 from linnik.final import (DensityRef, FinalCase, c_star, compute_W,
                           lambda_schedule, load_registry, n0_schedule,
                           verify_all)
-from linnik.kernel import LinnikParams
+from linnik.kernel import LinnikParams, QuadratureError
 
 PARAMS = LinnikParams()
 
@@ -164,6 +164,32 @@ def test_weaker_exponent_increases_margins(final_report):
 def test_stronger_exponent_fails():
     report = verify_all(LinnikParams(L=4.5))
     assert any(not r.certified for r in report.results)
+
+
+def test_each_w_and_penalty_integral_computed_once(monkeypatch):
+    # a new but equal parameter set reads the memo of w and of the penalty
+    # integral: its second verification integrates nothing
+    LinnikParams.w.cache_clear()
+    LinnikParams.penalty_integral.cache_clear()
+    calls = []
+    real = kernel._gauss_legendre
+    monkeypatch.setattr(kernel, "_gauss_legendre",
+                        lambda fn, a, b: calls.append((a, b)) or real(fn, a, b))
+    verify_all(LinnikParams(L=5.3))
+    first = len(calls)
+    verify_all(LinnikParams(L=5.3))
+    # two pieces per integral: the penalty and the 95 distinct finite w arguments
+    assert first == 2 * (1 + 95)
+    assert len(calls) == first
+
+
+def test_failure_names_its_case_and_keeps_its_class():
+    # verify_all names the case in the message; the exception stays what it was
+    with pytest.raises(QuadratureError, match=r"^case 14\.1: 16- and 32-node") as info:
+        verify_all(LinnikParams(theta=-60.0))
+    assert info.value.estimate > 0.0 and info.value.achieved > 0.0
+    with pytest.raises(ZeroDivisionError, match=r"^case 14\.1: float division by zero$"):
+        verify_all(LinnikParams(K=1e-200))
 
 
 def test_parameter_precondition_audit():

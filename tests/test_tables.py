@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from linnik import _data, density, tables
 from linnik.cli import main
-from linnik.kernel import LatticeWork, WeightKernel, _xf_exp_moment_cached
+from linnik.kernel import LatticeWork, WeightKernel
 from linnik.supbound import _lattice
 from linnik.tables import (CERT_MARGIN, lambda2_D, rhs_lambda1, rhs_lambda2_case,
                            rhs_lambda3_complex, rhs_lambda3_real, rhs_lprime_high,
@@ -365,10 +365,10 @@ def test_each_table_certified_once(monkeypatch, fresh_tables):
 def test_each_xf_moment_integrated_once(fresh_tables):
     # the two problems of a shared supremum group ask for the same moments:
     # 266 requests over tables 2-11, 189 distinct (gamma, c)
-    _xf_exp_moment_cached.cache_clear()
+    WeightKernel.xf_exp_moment.cache_clear()
     for n in range(2, 12):
         tables.generate_table(n)
-    info = _xf_exp_moment_cached.cache_info()
+    info = WeightKernel.xf_exp_moment.cache_info()
     assert (info.misses, info.hits + info.misses) == (189, 266)
 
 
