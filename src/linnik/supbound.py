@@ -4,29 +4,40 @@ A(s1, s2, t) = Re{ k1 F(-s1+it) - k2 F(-(s1-s2)+it) - k3 F(it) } has to be
 bounded above over a parameter box times all real t.  By conjugate symmetry
 t >= 0 suffices.  The certificate combines three ingredients:
 
-  * a finite-grid maximum M0 over [s11,s12] x [s21,s22] x [0,x1],
+  * a finite-grid maximum M0 over a lattice covering the box x [0,x1],
   * first-derivative bounds D1, D2, D3 converting grid spacing into an
     off-grid error term,
   * closed-form tail majorants A1..A4 valid for every t >= x1 (monotone
     decreasing in t, so evaluating them at x1 covers the whole tail).
 
-The final bound max(tail, M0 + ds1/2 D1 + ds2/2 D2 + dt/2 D3) dominates
-A everywhere on box x [0, inf).
+Each problem takes one of two lattices, chosen by its own coefficients and
+box:
+
+  * the (s1, s2, t) lattice over [s11,s12] x [s21,s22] x [0,x1], with the
+    bound max(tail, M0 + ds1/2 D1 + ds2/2 D2 + dt/2 D3);
+  * when k1 = k3 = 0 < k2 and s11 < s12, A = -k2 Re F(-s3+it) depends on
+    s3 = s1 - s2 alone, and the (s3, t) lattice over [s11 - s22, s12 - s21]
+    x [0,x1] with ds3 = max(ds1, ds2) gives max(tail, M0 + ds3/2 D2 +
+    dt/2 D3).  |dA/ds3| <= D2 <= D1, so ds3 D2 <= ds1 D1 + ds2 D2: this
+    slack is never above the first lattice's, on fewer points.
+
+Either bound dominates A everywhere on box x [0, inf).
 
 Several suprema of one table row often share kernel, box and grid and
 differ only in k1, k2, k3.  ``sup_bounds`` certifies such a group with one
-lattice walk; ``sup_bound`` is the group of one.
+walk per lattice its problems take; ``sup_bound`` is the group of one.
 
-M0 is computed by walking the s1 lattice in blocks of whole rows of the
-t lattice, at most BLOCK_POINTS points each unless one row alone is
-longer.  Per s1 block each problem's base k1 F(-s1+it) - k3 F(it) is built
-once; then, one s2 value at a time, the k2 rows F(-(s1-s2)+it) are
-subtracted from it, and each block is reduced to its maximum at once, so no
-lattice-sized array is built.  One ``kernel.LatticeWork`` per grid_max call
-fills every block with the unscaled Re F values the group shares: the
+M0 is computed by ``_walk``, on the s1, s2 and t values of ``grid_max`` or
+on s3, {0} and t for the (s3, t) lattice, in blocks of whole rows of the t
+lattice, at most BLOCK_POINTS points each unless one row alone is longer.
+Per s1 block each problem's base k1 F(-s1+it) - k3 F(it) is built once;
+then, one s2 value at a time, the k2 rows F(-(s1-s2)+it) are subtracted
+from it, and each block is reduced to its maximum at once, so no
+lattice-sized array is built.  One ``kernel.LatticeWork`` per walk fills
+every block with the unscaled Re F values the group shares: the
 trigonometric factors of the t lattice and the k3 row are computed once per
-call, and the raw rows, the block and each problem's base live in buffers
-allocated once per call, so the walk allocates no array per block.
+walk, and the raw rows, the block and each problem's base live in buffers
+allocated once per walk, so the walk allocates no array per block.
 
 Certification fails closed: a NaN or inf anywhere in the lattice, the tail
 or the grid term raises FloatingPointError, and no certificate is produced.
@@ -36,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,7 +115,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SupCertificate:
-    """A proven bound: A(s1,s2,t) <= bound on box x [0, inf)."""
+    """A proven bound: A(s1,s2,t) <= bound on box x [0, inf).
+
+    ``ds3`` is the s3 spacing of a certificate from the (s3, t) walk, and
+    None for one from the (s1, s2, t) walk; only the former records it.
+    """
 
     problem: SupProblem
     grid: GridSpec
@@ -114,11 +129,14 @@ class SupCertificate:
     d3: float
     tail: float
     bound: float
+    ds3: Optional[float] = None
 
     def as_record(self) -> dict:
+        s3_walk = {} if self.ds3 is None else {"ds3": self.ds3}
         return {
             "problem": self.problem.as_record(),
             "grid": self.grid.as_record(),
+            **s3_walk,
             "m0": self.m0,
             "d1": self.d1, "d2": self.d2, "d3": self.d3,
             "tail": self.tail,
@@ -203,8 +221,33 @@ def _fold_max(best: float, block: np.ndarray) -> float:
 
 
 def grid_max(problems: Sequence[SupProblem], grid: GridSpec) -> Tuple[float, ...]:
-    """Exact maximum of A over the lattice for each problem of a group that
-    shares kernel and box, all from one walk in blocks of whole t rows.
+    """Exact maximum of A over the (s1, s2, t) lattice for each problem of a
+    group that shares kernel and box, all from one ``_walk``.  Raises
+    FloatingPointError if a lattice value is not finite."""
+    first = problems[0]
+    return _walk(problems, _lattice(first.s11, first.s12, grid.ds1),
+                 _lattice(first.s21, first.s22, grid.ds2), _lattice(0.0, grid.x1, grid.dt))
+
+
+def _s3_max(problems: Sequence[SupProblem], grid: GridSpec) -> Tuple[float, ...]:
+    """Exact maximum of A = -k2 Re F(-s3+it) over the (s3, t) lattice, s3 on
+    [s11 - s22, s12 - s21] with spacing max(ds1, ds2), for each problem of a
+    group that shares kernel and box and depends on s3 alone.
+
+    It is ``_walk`` on s3 x {0} x t: each base is 0, and s3 - 0.0 is s3
+    exactly.  The s3 range may reach below 0, where SupProblem.s31 clamps.
+    """
+    first = problems[0]
+    return _walk(problems, _lattice(first.s11 - first.s22, first.s12 - first.s21,
+                                    max(grid.ds1, grid.ds2)),
+                 np.zeros(1), _lattice(0.0, grid.x1, grid.dt))
+
+
+def _walk(problems: Sequence[SupProblem], s1_vals: np.ndarray, s2_vals: np.ndarray,
+          t_vals: np.ndarray) -> Tuple[float, ...]:
+    """Maximum of k1 Re F(-s1+it) - k2 Re F(-(s1-s2)+it) - k3 Re F(it) over
+    the lattice s1_vals x s2_vals x t_vals for each problem of a group that
+    shares its kernel, in blocks of whole t rows.
 
     A block holds max(1, BLOCK_POINTS // n_t) values of s1 by all n_t values
     of t; it exceeds BLOCK_POINTS points, and the buffers grow with n_t, only
@@ -218,13 +261,9 @@ def grid_max(problems: Sequence[SupProblem], grid: GridSpec) -> Tuple[float, ...
     computed once per call, in one LatticeWork and in buffers allocated once
     per call.  Raises FloatingPointError if a lattice value is not finite.
     """
-    first = problems[0]
-    s1_vals = _lattice(first.s11, first.s12, grid.ds1)
-    s2_vals = _lattice(first.s21, first.s22, grid.ds2)
-    t_vals = _lattice(0.0, grid.x1, grid.dt)
     m = t_vals.size
     rows = max(1, BLOCK_POINTS // m)
-    work = LatticeWork(first.kernel, t_vals, rows)
+    work = LatticeWork(problems[0].kernel, t_vals, rows)
     with_k2 = [j for j, p in enumerate(problems) if p.k2]
     any_k1 = any(p.k1 for p in problems)
     raw3 = np.empty(m)
@@ -258,9 +297,21 @@ def grid_max(problems: Sequence[SupProblem], grid: GridSpec) -> Tuple[float, ...
     return tuple(best)
 
 
+def _depends_on_s3(p: SupProblem) -> bool:
+    """Whether A of p is -k2 Re F(-s3+it), a function of s3 = s1 - s2 and t
+    alone, on a box whose s1 side is not a point."""
+    return p.k1 == 0.0 and p.k3 == 0.0 and p.k2 > 0.0 and p.s11 < p.s12
+
+
 def sup_bounds(problems: Sequence[SupProblem], grid: GridSpec) -> Tuple[SupCertificate, ...]:
     """Certify an upper bound for sup A over box x [0, inf) for each problem
-    of a group that shares kernel and box, with one grid_max walk.
+    of a group that shares kernel and box.
+
+    Each problem is walked on one of two lattices, by its own coefficients
+    and box whatever its group: a problem that depends on s3 = s1 - s2 alone
+    (``_depends_on_s3``) on the (s3, t) lattice with ds3 = max(ds1, ds2),
+    every other on the (s1, s2, t) lattice of ``grid_max``.  The problems of
+    a group on one lattice share one walk.
 
     Raises ValueError when the problems differ in kernel or box, or (from
     tail_bound) when x1 < 4, and FloatingPointError instead of certifying
@@ -275,14 +326,28 @@ def sup_bounds(problems: Sequence[SupProblem], grid: GridSpec) -> Tuple[SupCerti
         raise ValueError("a supremum group must share its kernel and (s1, s2) box")
     tails = [tail_bound(p, grid.x1) for p in problems]
     derivs = [derivative_bounds(p) for p in problems]
+    on_s3 = [_depends_on_s3(p) for p in problems]
+    m0s = {}
+    for walk, flag in ((grid_max, False), (_s3_max, True)):
+        group = [j for j, s3 in enumerate(on_s3) if s3 is flag]
+        if group:
+            m0s.update(zip(group, walk([problems[j] for j in group], grid)))
     certs = []
-    for p, tail, (d1, d2, d3), m0 in zip(problems, tails, derivs, grid_max(problems, grid)):
-        grid_term = m0 + 0.5 * grid.ds1 * d1 + 0.5 * grid.ds2 * d2 + 0.5 * grid.dt * d3
+    for j, (p, tail, (d1, d2, d3)) in enumerate(zip(problems, tails, derivs)):
+        if on_s3[j]:
+            # |dA/ds3| <= k2 M(s32) = D2, and D2 <= D1 when k1 = 0, so this
+            # slack is never above the (s1, s2) walk's
+            ds3 = max(grid.ds1, grid.ds2)
+            grid_term = m0s[j] + 0.5 * ds3 * d2 + 0.5 * grid.dt * d3
+        else:
+            ds3 = None
+            grid_term = (m0s[j] + 0.5 * grid.ds1 * d1 + 0.5 * grid.ds2 * d2
+                         + 0.5 * grid.dt * d3)
         if not (math.isfinite(tail) and math.isfinite(grid_term)):
             raise FloatingPointError(
                 f"non-finite sup bound: tail {tail!r}, grid term {grid_term!r}")
-        certs.append(SupCertificate(problem=p, grid=grid, m0=m0, d1=d1, d2=d2, d3=d3,
-                                    tail=tail, bound=max(tail, grid_term)))
+        certs.append(SupCertificate(problem=p, grid=grid, m0=m0s[j], d1=d1, d2=d2, d3=d3,
+                                    tail=tail, bound=max(tail, grid_term), ds3=ds3))
     return tuple(certs)
 
 

@@ -33,6 +33,21 @@ GRIDS = [GridSpec(0.0, 0.004, 0.004, 15.0),
          GridSpec(0.004, 0.0, 0.004, 15.0),
          GridSpec(0.015, 0.007, 0.015, 7.0)]
 
+# problems whose A = -k2 Re F(-s3+it) depends on s3 = s1 - s2 alone, over a
+# box whose s1 side is not a point: sup_bound walks them on (s3, t)
+S3_CASES = [
+    # the second supremum of a second-character row (tables 4 and 8)
+    (SupProblem(WeightKernel(0.94), k1=0.0, k2=0.25, k3=0.0,
+                s11=0.903, s12=1.69, s21=0.34, s22=0.52), GridSpec(0.015, 0.007, 0.015, 7.0)),
+    # the one supremum of a table-5 row
+    (SupProblem(WeightKernel(1.01), k1=0.0, k2=0.25, k3=0.0,
+                s11=0.82, s12=1.5, s21=0.34, s22=0.5), GridSpec(0.010, 0.007, 0.010, 7.0)),
+    # s11 < s22, and ds2 > ds1: the s3 lattice, spaced ds2, runs from -0.25
+    # through 0 to 0.4, so rows near z = 0 take the series value
+    (SupProblem(WeightKernel(1.1), k1=0.0, k2=0.8, k3=0.0,
+                s11=0.2, s12=0.5, s21=0.1, s22=0.45), GridSpec(0.01, 0.015, 0.015, 7.0)),
+]
+
 
 def test_A_zero_when_terms_cancel():
     prob = SupProblem(KERN, k1=0.7, k2=0.7, k3=0.0, s11=0.5, s12=0.9, s21=0.0, s22=0.0)
@@ -298,9 +313,10 @@ def test_full_lattice_cases_cover_the_block_edges():
     pytest.param(2, lambda p: p.s12, id="1"),          # k1: no s1 - s2 reaches s12
     pytest.param(2, lambda p: p.s11 - p.s22, id="3"),  # k2: s11 - s22 is below every s1
     pytest.param(1, lambda p: 0.0, id="k3"),           # k3: the row s = 0
+    pytest.param(3, lambda p: p.s11 - p.s22, id="s3"),  # the first row of the s3 walk
 ])
 def test_non_finite_lattice_value_refuses_certificate(monkeypatch, bad, index, target):
-    prob, grid = PROBLEMS[index], GRIDS[index]
+    prob, grid = (list(zip(PROBLEMS, GRIDS)) + S3_CASES)[index]
     honest = sup_bound(prob, grid)
     assert honest.bound > honest.tail  # a bound lowered to the tail would show
     real = LatticeWork.re_F
@@ -320,6 +336,57 @@ def test_non_finite_lattice_value_refuses_certificate(monkeypatch, bad, index, t
     with pytest.raises(FloatingPointError):
         sup_bound(prob, grid)
     assert hits
+
+
+def _s3_lattice(prob, grid):
+    return _lattice(prob.s11 - prob.s22, prob.s12 - prob.s21, max(grid.ds1, grid.ds2))
+
+
+@pytest.mark.parametrize("prob,grid", S3_CASES)
+def test_s3_walk_equals_brute_force_s3_lattice_max(prob, grid):
+    cert = sup_bound(prob, grid)
+    s3, t = _s3_lattice(prob, grid), _lattice(0.0, grid.x1, grid.dt)
+    brute = np.max(-prob.k2 * np.real(prob.kernel.F(-s3[:, None] + 1j * t)))
+    assert cert.ds3 == max(grid.ds1, grid.ds2)
+    assert cert.m0 == pytest.approx(brute, rel=1e-12)
+    assert cert.bound == max(cert.tail, cert.m0 + 0.5 * cert.ds3 * cert.d2
+                             + 0.5 * grid.dt * cert.d3)
+
+
+@pytest.mark.parametrize("prob,grid", S3_CASES)
+def test_s3_certificate_dominates_monte_carlo_over_the_box(prob, grid):
+    check = domination_check(sup_bound(prob, grid), samples=100_000, seed=1234)
+    assert check["max_excess"] <= 0.0
+
+
+def test_s3_lattice_crosses_zero_through_the_series_disk(monkeypatch):
+    prob, grid = S3_CASES[2]
+    s3 = _s3_lattice(prob, grid)
+    assert prob.s11 < prob.s22 and s3[0] < 0.0 < s3[-1]
+    assert np.any(np.abs(s3) < SMALL_Z_RADIUS)
+    # the walk hands re_F the s3 rows themselves, those near 0 included
+    seen = []
+    real = LatticeWork.re_F
+
+    def recorded(self, s, out):
+        seen.extend(s)
+        return real(self, s, out)
+
+    monkeypatch.setattr(LatticeWork, "re_F", recorded)
+    sup_bound(prob, grid)
+    assert np.array_equal(seen, s3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gamma=st.floats(0.5, 1.3), k2=st.floats(0.05, 2.0), s11=box_start,
+       w1=st.floats(0.01, 0.3), s21=st.floats(0.0, 1.0), w2=box_width,
+       ds1=st.floats(0.03, 0.2), ds2=st.floats(0.03, 0.2), dt=st.floats(0.05, 0.2))
+def test_s3_slack_never_above_the_box_walk_slack(gamma, k2, s11, w1, s21, w2, ds1, ds2, dt):
+    prob = SupProblem(WeightKernel(gamma), 0.0, k2, 0.0, s11, s11 + w1, s21, s21 + w2)
+    grid = GridSpec(ds1, ds2 if w2 else 0.0, dt, 4.0)
+    cert = sup_bound(prob, grid)
+    assert cert.ds3 == max(grid.ds1, grid.ds2)
+    assert 0.5 * cert.ds3 * cert.d2 <= 0.5 * grid.ds1 * cert.d1 + 0.5 * grid.ds2 * cert.d2
 
 
 def test_non_finite_derivative_bound_refuses_certificate(monkeypatch):

@@ -373,9 +373,10 @@ def test_each_xf_moment_integrated_once(fresh_tables):
 
 
 def test_each_raw_lattice_row_evaluated_once_per_group(monkeypatch, fresh_tables):
-    # a group's walk evaluates Re F on the k1 rows (s1), the k2 rows (s1 - s2)
-    # and the k3 row (s = 0) once each, whichever of its problems use them:
-    # 6 246 488 points over the 94 groups of tables 2-11
+    # a group's (s1, s2) walk evaluates Re F on the k1 rows (s1), the k2 rows
+    # (s1 - s2) and the k3 row (s = 0) once each, whichever of its problems
+    # use them, and its (s3, t) walk the s3 rows once: 4 815 478 points over
+    # the 94 groups of tables 2-11, in 112 walks
     points, groups = [], []
     real_re_F, real_sup_bounds = LatticeWork.re_F, tables.sup_bounds
 
@@ -394,15 +395,48 @@ def test_each_raw_lattice_row_evaluated_once_per_group(monkeypatch, fresh_tables
         tables.generate_table(n)
 
     def raw_points(problems, grid):
+        # the points of each walk of the group: the (s1, s2) walk of the
+        # problems that need it, and the s3 walk of those whose A depends on
+        # s1 - s2 alone over a box whose s1 side is not a point
         p = problems[0]
         n1 = _lattice(p.s11, p.s12, grid.ds1).size
         n2 = _lattice(p.s21, p.s22, grid.ds2).size
+        n3 = _lattice(p.s11 - p.s22, p.s12 - p.s21, max(grid.ds1, grid.ds2)).size
         n_t = _lattice(0.0, grid.x1, grid.dt).size
-        return n_t * (n1 * any(q.k1 for q in problems) + n1 * n2 * any(q.k2 for q in problems)
-                      + any(q.k3 for q in problems))
+        on_s3 = [q.k1 == q.k3 == 0.0 < q.k2 and q.s11 < q.s12 for q in problems]
+        box = [q for q, s3 in zip(problems, on_s3) if not s3]
+        walks = [n_t * n3] if any(on_s3) else []
+        if box:
+            walks.append(n_t * (n1 * any(q.k1 for q in box) + n1 * n2 * any(q.k2 for q in box)
+                                + any(q.k3 for q in box)))
+        return walks
 
-    assert len(groups) == 94
-    assert sum(points) == sum(raw_points(*g) for g in groups) == 6_246_488
+    walks = [w for g in groups for w in raw_points(*g)]
+    assert len(groups) == 94 and len(walks) == 112
+    assert sum(points) == sum(walks) == 4_815_478
+
+
+def test_each_bound_rederived_from_its_record():
+    # the (s1, s2, t) walk's slack is ds1 D1/2 + ds2 D2/2 + dt D3/2; a record
+    # with ds3 comes from the (s3, t) walk, whose slack is ds3 D2/2 + dt D3/2.
+    # 41 records of tables 2-11 carry ds3: table 4's 18 B suprema, table 5's
+    # 17 and the 6 table 8 reuses from table 4
+    on_s3 = []
+    for n in range(2, 12):
+        for cert in tables.generate_table(n)[1]:
+            r = json.loads(json.dumps(cert.as_record()))
+            g, (k1, k2, k3) = r["grid"], (r["problem"][k] for k in ("k1", "k2", "k3"))
+            if "ds3" in r:
+                on_s3.append(n)
+                s1_box = r["problem"]["s1_box"]
+                assert k1 == k3 == 0.0 < k2 and s1_box[0] < s1_box[1]
+                assert r["ds3"] == max(g["ds1"], g["ds2"])
+                grid_term = r["m0"] + 0.5 * r["ds3"] * r["d2"] + 0.5 * g["dt"] * r["d3"]
+            else:
+                grid_term = (r["m0"] + 0.5 * g["ds1"] * r["d1"] + 0.5 * g["ds2"] * r["d2"]
+                             + 0.5 * g["dt"] * r["d3"])
+            assert r["bound"] == max(r["tail"], grid_term)
+    assert on_s3 == [4] * 18 + [5] * 17 + [8] * 6
 
 
 def test_certification_never_takes_complex_F(monkeypatch, fresh_tables):
