@@ -8,15 +8,15 @@ coefficient ``C``, and the classic zero-density bound.
 
 ``WeightKernel.F`` serves scalar and scattered complex arguments.
 ``WeightKernel.F_real`` serves the real axis (every row right-hand side,
-step end and counting cell) in real arithmetic, with the same bits as the
-real part of ``F``.  ``LatticeWork`` evaluates only Re F on an outer
-product of real parts and imaginary parts, the lattice blocks of the sup
-certificates, from a Horner form in 1/z with one exponential per row.  It
-is a workspace built for one certificate's t lattice: its buffers are
-allocated once, the constructor takes the cos/sin pair of each t once for
-every row evaluated against it, and ``re_F`` fills a block of whole t rows
-in place without allocating.  All three switch to the same series inside
-SMALL_Z_RADIUS.
+step end and counting cell) in real arithmetic.  The two run one series and
+one closed form, so ``F_real`` carries the same bits as the real part of
+``F``.  ``LatticeWork`` evaluates only Re F on an outer product of real
+parts and imaginary parts, the lattice blocks of the sup certificates, from
+a Horner form in 1/z with one exponential per row.  It is a workspace
+built for one certificate's t lattice: its buffers are allocated once, the
+constructor takes the cos/sin pair of each t once for every row evaluated
+against it, and ``re_F`` fills a block of whole t rows in place without
+allocating.  All three switch to the same series inside SMALL_Z_RADIUS.
 
 All real arithmetic is double precision.  ``w``, the penalty integral and
 ``xf_exp_moment`` memoise their values in the method itself, an
@@ -152,7 +152,7 @@ class WeightKernel:
             raise ValueError("f is only defined for t >= 0")
         g = self.gamma
         inside = -arr**5 / 30.0 + (2.0 * g * g / 3.0) * arr**3 \
-            - (4.0 * g**3 / 3.0) * arr**2 + 16.0 * g**5 / 15.0
+            - (4.0 * g**3 / 3.0) * arr**2 + self.f0
         out = np.where(arr < 2.0 * g, inside, 0.0)
         if np.isscalar(t) or out.ndim == 0:
             return float(out)
@@ -164,7 +164,7 @@ class WeightKernel:
         return (-T**(n + 6) / (30.0 * (n + 6))
                 + (2.0 * g * g / 3.0) * T**(n + 4) / (n + 4)
                 - (4.0 * g**3 / 3.0) * T**(n + 3) / (n + 3)
-                + (16.0 * g**5 / 15.0) * T**(n + 1) / (n + 1))
+                + self.f0 * T**(n + 1) / (n + 1))
 
     def F(self, z: ArrayLike) -> ArrayLike:
         """Laplace transform of f, vectorized over complex z.
@@ -173,25 +173,10 @@ class WeightKernel:
         inside |z| < SMALL_Z_RADIUS, where the z^-6 cancellation would cost
         more digits than the 1e-9 cross-check budget allows.
         """
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.empty_like(z_arr)
-        small = np.abs(z_arr) < SMALL_Z_RADIUS
-        if small.any():
-            out[small] = self._F_series(z_arr[small])
-        big = ~small
-        if big.any():
-            out[big] = self._F_direct(z_arr[big])
+        out = self._F(np.atleast_1d(np.asarray(z, dtype=complex)), np.exp)
         if np.isscalar(z) or np.asarray(z).ndim == 0:
             return complex(out[0])
         return out
-
-    def _F_direct(self, z: np.ndarray) -> np.ndarray:
-        g = self.gamma
-        e = np.exp(-2.0 * g * z)
-        return ((16.0 * g**5 / 15.0) / z
-                - (8.0 * g**3 / 3.0) / z**3
-                + 4.0 * g * g * (1.0 + e) / z**4
-                + 4.0 * (-1.0 + e + 2.0 * g * z * e) / z**6)
 
     @lru_cache(maxsize=128)
     def _series_coeffs(self) -> np.ndarray:
@@ -207,51 +192,45 @@ class WeightKernel:
         """F at real arguments, in real arithmetic; bit for bit the real part
         of ``F(x + 0j)``.
 
-        Inside SMALL_Z_RADIUS the Maclaurin series runs on the real x (a
-        complex Horner step with a zero imaginary part adds exact zeros).
-        Outside it, the grouped closed form of ``F`` runs in the operation
-        order numpy applies to x + 0j:
-
-            A (1/x) - B (1/x3) + (C (1 + e)) (1/x4) + (4 (-1 + e + 2 gamma x e)) (1/x6)
-
-        with x2 = x x, x3 = x2 x, x4 = x2 x2 and x6 = x4 x2, because numpy's
-        complex z**3, z**4 and z**6 are unfused products by repeated squaring,
-        its complex division a/(x + 0j) is Smith's algorithm, a (1/x) rather
-        than a/x, and every product with a zero imaginary part adds an exact
-        zero.  e = exp(-2 gamma x) must be libm's exponential: a scalar takes
-        it from ``math.exp``, an array from the real part of numpy's
-        per-element complex exp; numpy's SIMD float64 ``np.exp`` differs from
-        libm's in the last bit for about 5% of arguments.  A Python float or
-        0-d input gives a float, any other input an array of its shape.
-        A NaN or inf argument gives a non-finite value; a scalar whose
-        exponential overflows raises OverflowError.
+        Both run the same series and the same closed form, ``F`` in complex
+        arithmetic and this in real: a complex sum, product or division whose
+        operands have zero imaginary parts adds exact zeros to the real ones.
+        e = exp(-2 gamma x) must be libm's exponential: a scalar takes it from
+        ``math.exp``, an array from the real part of numpy's per-element
+        complex exp; numpy's SIMD float64 ``np.exp`` differs from libm's in
+        the last bit for about 5% of arguments.  A Python float or 0-d input
+        gives a float, any other input an array of its shape.  A NaN or inf
+        argument gives a non-finite value; a scalar whose exponential
+        overflows raises OverflowError.
         """
-        g = self.gamma
         if isinstance(x, float) or np.ndim(x) == 0:
             x = float(x)
             if abs(x) < SMALL_Z_RADIUS:
                 return float(self._F_series(np.array([x]))[0])
-            return self._F_axis(x, math.exp(-2.0 * g * x))
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        small = np.abs(x) < SMALL_Z_RADIUS
+            return self._F_closed(x, math.exp(-2.0 * self.gamma * x))
+        return self._F(np.asarray(x, dtype=float), lambda a: np.exp(a + 0j).real)
+
+    def _F(self, z: np.ndarray, exp) -> np.ndarray:
+        """F on a real or complex array: the series inside SMALL_Z_RADIUS,
+        the closed form with e = exp(-2 gamma z) outside it."""
+        out = np.empty_like(z)
+        small = np.abs(z) < SMALL_Z_RADIUS
         if small.any():
-            out[small] = self._F_series(x[small])
+            out[small] = self._F_series(z[small])
         big = ~small
-        xb = x[big]
-        out[big] = self._F_axis(xb, np.exp(-2.0 * g * xb + 0j).real)
+        zb = z[big]
+        out[big] = self._F_closed(zb, exp(-2.0 * self.gamma * zb))
         return out
 
-    def _F_axis(self, x, e):
-        """The closed form of F on the real axis, e = exp(-2 gamma x); see
-        :meth:`F_real`."""
+    def _F_closed(self, z, e):
+        """The closed form of F at z != 0, real or complex, with e = exp(-2 gamma z)."""
         g = self.gamma
-        x2 = x * x
-        x4 = x2 * x2
-        return ((16.0 * g**5 / 15.0) * (1.0 / x)
-                - (8.0 * g**3 / 3.0) * (1.0 / (x2 * x))
-                + (4.0 * g * g * (1.0 + e)) * (1.0 / x4)
-                + (4.0 * (-1.0 + e + 2.0 * g * x * e)) * (1.0 / (x4 * x2)))
+        z2 = z * z
+        z4 = z2 * z2
+        return (self.f0 * (1.0 / z)
+                - (8.0 * g**3 / 3.0) * (1.0 / (z2 * z))
+                + (4.0 * g * g * (1.0 + e)) * (1.0 / z4)
+                + (4.0 * (-1.0 + e + 2.0 * g * z * e)) * (1.0 / (z4 * z2)))
 
     @lru_cache(maxsize=1024)
     def xf_exp_moment(self, c: float) -> float:
@@ -270,7 +249,7 @@ class LatticeWork:
 
         P = w (A + w^2 (-B + w (C - 4 w^2))),   Q = w^4 (C + w (8 gamma + 4 w)),
 
-    A = 16 gamma^5/15, B = 8 gamma^3/3, C = 4 gamma^2, and
+    A = f(0) = 16 gamma^5/15, B = 8 gamma^3/3, C = 4 gamma^2, and
     e = exp(-2 gamma z) = exp(2 gamma s) (cos 2 gamma t - i sin 2 gamma t).
     The constructor computes the trigonometric factor, t^2 and -t once for
     its t; :meth:`re_F` then takes one exponential per s and runs the Horner
@@ -283,7 +262,7 @@ class LatticeWork:
         g = kernel.gamma
         self.kernel = kernel
         self._two_g = 2.0 * g
-        self._a = 16.0 * g**5 / 15.0
+        self._a = kernel.f0
         self._b = 8.0 * g**3 / 3.0
         self._c = 4.0 * g * g
         self._d = 8.0 * g

@@ -171,7 +171,7 @@ def tail_bound(problem: SupProblem, x1: float) -> float:
     s31, s32 = problem.s31, problem.s32
     t = x1
     t2 = t * t
-    a1 = (16.0 * g**5 / 15.0) * (
+    a1 = problem.kernel.f0 * (
         t2 * max(0.0, s32 * k2 - s11 * k1) + s11 * s32 * max(0.0, s11 * k2 - s32 * k1)
     ) / ((s32 * s32 + t2) * (s11 * s11 + t2))
     a2 = 8.0 * g**3 * k2 * s32 * t2 / (s31 * s31 + t2) ** 3

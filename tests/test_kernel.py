@@ -125,14 +125,20 @@ def test_re_F_lattice_matches_F(gamma, shape):
 
 
 def test_re_F_lattice_against_mpmath_oracle():
+    # the lattice form and both parts of complex F; t = 45 is the far end of
+    # the domination audit's t range, 3 x1 for x1 = 15
     points = [(0.0, 0.0), (SMALL_Z_RADIUS * (1 + 1e-9), 0.0), (0.1, 0.1),
-              (0.0, 0.1501), (-0.1, 0.5), (0.9, 3.7), (2.5, 11.0), (4.0, 0.0)]
+              (0.0, 0.1501), (-0.1, 0.5), (0.9, 3.7), (2.5, 11.0), (4.0, 0.0),
+              (0.9, 45.0)]
     for gamma in (0.5, 1.3):
         kern = WeightKernel(gamma)
         for s, t in points:
-            got = _re_F_lattice(kern, np.array([s]), np.array([t]))[0, 0]
-            want = mp_laplace(gamma, complex(-s, t)).real
-            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (gamma, s, t)
+            want = mp_laplace(gamma, complex(-s, t))
+            got = kern.F(complex(-s, t))
+            lattice = _re_F_lattice(kern, np.array([s]), np.array([t]))[0, 0]
+            for value, exact in ((lattice, want.real), (got.real, want.real),
+                                 (got.imag, want.imag)):
+                assert abs(value - exact) <= 1e-10 * max(1.0, abs(exact)), (gamma, s, t)
 
 
 def test_lattice_work_reuse_matches_a_fresh_workspace():
@@ -199,6 +205,20 @@ def test_F_real_is_bitwise_the_complex_path(gamma):
         assert scalar.hex() == want.hex() == float(np.real(kern.F(complex(xi, 0.0)))).hex()
         assert kern.F_real(np.float64(xi)).hex() == scalar.hex()
         assert kern.F_real(np.array(xi)).hex() == scalar.hex()
+
+
+def test_real_axis_accuracy_just_outside_the_series_disk():
+    # the closed forms cancel worst where they take over from the series:
+    # F_real and the lattice form (t = 0) against the mpmath oracle for
+    # |x| in [SMALL_Z_RADIUS, 2 SMALL_Z_RADIUS], spaced geometrically
+    r = SMALL_Z_RADIUS * 2.0 ** np.linspace(0.0, 1.0, 8)
+    x = np.concatenate([-r, r])
+    for gamma in F_REAL_GAMMAS:
+        kern = WeightKernel(gamma)
+        want = np.array([mp_laplace(gamma, complex(v, 0.0)).real for v in x.tolist()])
+        lattice = _re_F_lattice(kern, -x, np.array([0.0]))[:, 0]
+        assert np.abs(kern.F_real(x) - want).max() <= 1e-10, gamma
+        assert np.abs(lattice - want).max() <= 2e-10, gamma
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
