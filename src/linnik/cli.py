@@ -30,6 +30,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import density, final, tables
 from .kernel import LinnikParams, WeightKernel, classic_density_bound
 from .supbound import domination_check
@@ -91,7 +93,8 @@ def _finite_or_inf(text: str) -> Optional[float]:
     return None if text.lower() in ("inf", "infinity") else _finite_float(text)
 
 
-def cmd_eval(args) -> int:
+def _eval_value(args):
+    """The value of ``eval``'s function at its arguments."""
     name = args.function
     if len(args.z) > 2:
         raise ValueError(f"--z takes RE [IM], got {len(args.z)} values")
@@ -102,26 +105,29 @@ def cmd_eval(args) -> int:
         if args.gamma is None:
             raise ValueError("eval f/F requires --gamma")
         kern = WeightKernel(args.gamma)
-        if name == "f":
-            value = kern.f(args.t)
-        else:
-            value = kern.F(z)
-    elif name == "classic_density":
-        value = classic_density_bound(args.lam)
-    else:
-        params = _params_from_args(args)
-        if name == "B":
-            value = params.B(args.lam)
-        elif name == "H2":
-            value = params.H2(z)
-        elif name == "H":
-            value = params.H(z)
-        elif name == "w1":
-            value = params.w1(args.t)
-        elif name == "w":
-            value = params.w(args.s)
-        else:  # C
-            value = params.C(args.Lambda, args.lam)
+        return kern.f(args.t) if name == "f" else kern.F(z)
+    if name == "classic_density":
+        return classic_density_bound(args.lam)
+    params = _params_from_args(args)
+    if name == "B":
+        return params.B(args.lam)
+    if name == "H2":
+        return params.H2(z)
+    if name == "H":
+        return params.H(z)
+    if name == "w1":
+        return params.w1(args.t)
+    if name == "w":
+        return params.w(args.s)
+    return params.C(args.Lambda, args.lam)
+
+
+def cmd_eval(args) -> int:
+    name = args.function
+    # numpy's overflow and invalid-value warnings are silenced: a value they
+    # leave non-finite fails the check below with one FAILED: line
+    with np.errstate(all="ignore"):
+        value = _eval_value(args)
     if not cmath.isfinite(value):
         raise FloatingPointError(f"eval {name}: the value is not finite ({value!r})")
     if args.json:

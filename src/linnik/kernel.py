@@ -19,7 +19,8 @@ against it, and ``re_F`` fills a block of whole t rows in place without
 allocating.  All three switch to the same series inside SMALL_Z_RADIUS.
 
 All real arithmetic is double precision.  ``w``, the penalty integral and
-``xf_exp_moment`` memoise their values in the method itself, an
+``xf_moments`` (the first and second moments of x f(x) e^{cx})
+memoise their values in the method itself, an
 ``lru_cache`` keyed on the frozen instance, so equal parameter sets or
 kernels share entries; ``w`` and the penalty are one integral split at v
 (``LinnikParams._split_integral``).  Each uses one fixed Gauss-Legendre
@@ -39,7 +40,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,7 +54,7 @@ _SERIES_TERMS = 26
 # |K*z| below which (1 - exp(-K z))/z is evaluated by series.
 _H2_SERIES_RADIUS = 0.2
 
-#: absolute tolerance of every Gauss-Legendre integral: w, the penalty and xf_exp_moment
+#: absolute tolerance of every Gauss-Legendre integral: w, the penalty and xf_moments
 QUAD_TOL = 1e-12
 
 #: offset in the density weight w1(t) = e^{-theta t/2} (min(t-u, v-u) + W1_OFFSET)^{1/4}
@@ -93,19 +94,31 @@ _GL32 = _legendre_rule(32)
 _GL_NODES = np.concatenate([_GL16[0], _GL32[0]])
 
 
-def _gauss_legendre(fn, a: float, b: float) -> float:
+def _gauss_legendre(fn, a: float, b: float):
     """int_a^b fn(t) dt by the 32-node Gauss-Legendre rule, checked against
     the 16-node rule.
 
-    ``fn`` maps an array of nodes to an array of values; both rules are
-    evaluated in one call.  Raises FloatingPointError when either value is
-    not finite and QuadratureError when |I32 - I16| > max(50 QUAD_TOL, 1e-9 |I32|).
+    ``fn`` maps an array of nodes to an array of values, or to a 2-D stack
+    of such arrays, one row per integrand; both rules are evaluated in one
+    call.  An array gives one float, a stack a tuple of floats, one per row,
+    each checked alone.  Raises FloatingPointError when a value is not
+    finite and QuadratureError when |I32 - I16| > max(50 QUAD_TOL, 1e-9 |I32|).
     """
     half = 0.5 * (b - a)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = fn(0.5 * (a + b) + half * _GL_NODES)
+        if vals.ndim == 2:
+            i16 = half * np.sum(_GL16[1] * vals[:, :16], axis=1)
+            i32 = half * np.sum(_GL32[1] * vals[:, 16:], axis=1)
+            return tuple(_checked_rule(float(lo), float(hi), a, b) for lo, hi in zip(i16, i32))
         i16 = half * float(np.sum(_GL16[1] * vals[:16]))
         i32 = half * float(np.sum(_GL32[1] * vals[16:]))
+    return _checked_rule(i16, i32, a, b)
+
+
+def _checked_rule(i16: float, i32: float, a: float, b: float) -> float:
+    """i32, the 32-node value on [a, b], once it is finite and the 16-node
+    value i16 agrees with it (see ``_gauss_legendre``)."""
     if not (math.isfinite(i16) and math.isfinite(i32)):
         raise FloatingPointError(
             f"non-finite quadrature on [{a!r}, {b!r}]: {i32!r} (16 nodes: {i16!r})")
@@ -233,11 +246,29 @@ class WeightKernel:
                 + (4.0 * (-1.0 + e + 2.0 * g * z * e)) * (1.0 / (z4 * z2)))
 
     @lru_cache(maxsize=1024)
+    def xf_moments(self, c: float) -> Tuple[float, float]:
+        """(int_0^{2 gamma} x f(x) e^{c x} dx, int_0^{2 gamma} x^2 f(x) e^{c x} dx),
+        from one checked Gauss-Legendre pass that evaluates x f(x) e^{c x}
+        once and multiplies it by x for the second integrand (a degree-6 and
+        a degree-7 polynomial times an exponential); computed once per
+        (gamma, c) in a process.
+
+        f takes its factored form (2 gamma - x)^3 (4 gamma^2 + 6 gamma x +
+        x^2) / 30, which, unlike the expanded form of :meth:`f`, does not
+        cancel at the nodes next to 2 gamma.  Both moments increase in c.
+        """
+        g = self.gamma
+
+        def integrands(x):
+            u = 2.0 * g - x
+            xf = x * (u * u * u) * (4.0 * g * g + 6.0 * g * x + x * x) / 30.0 * np.exp(c * x)
+            return np.stack((xf, x * xf))
+
+        return _gauss_legendre(integrands, 0.0, self.support_end)
+
     def xf_exp_moment(self, c: float) -> float:
-        """int_0^{2 gamma} x f(x) e^{c x} dx, by the checked Gauss-Legendre rule
-        (the integrand is a degree-6 polynomial times an exponential); computed
-        once per (gamma, c) in a process."""
-        return _gauss_legendre(lambda x: x * self.f(x) * np.exp(c * x), 0.0, self.support_end)
+        """int_0^{2 gamma} x f(x) e^{c x} dx, the first of :meth:`xf_moments`."""
+        return self.xf_moments(c)[0]
 
 
 class LatticeWork:

@@ -5,23 +5,45 @@ bounded above over a parameter box times all real t.  By conjugate symmetry
 t >= 0 suffices.  The certificate combines three ingredients:
 
   * a finite-grid maximum M0 over a lattice covering the box x [0,x1],
-  * first-derivative bounds D1, D2, D3 converting grid spacing into an
-    off-grid error term,
+  * a grid term bounding A off the lattice: M0 plus the smaller of two
+    slacks,
   * closed-form tail majorants A1..A4 valid for every t >= x1 (monotone
     decreasing in t, so evaluating them at x1 covers the whole tail).
+
+The two slacks of a lattice with spacings h_i:
+
+  * first order, sum_i h_i/2 D_i, with D1, D2, D3 the first-derivative
+    bounds of ``derivative_bounds``;
+  * second order, sum_i h_i^2/8 M_ii, with M11, M22, Mtt the
+    second-derivative bounds of ``second_derivative_bounds``.  On a lattice
+    cell the tensor-product linear interpolant of A is a convex combination
+    of its corner values, so it stays <= M0; interpolating one coordinate
+    at a time errs by at most h_i^2/8 sup |d_i^2 A| per coordinate (de Boor,
+    A Practical Guide to Splines, ch. 2; Tucker, Validated Numerics, 2011).
+    With M2(c) = int x^2 f(x) e^{cx} dx, increasing in c since f >= 0,
+    |d^2 Re F(-s+it)| <= M2(s) in s and in t, so M11 = k1 M2(s12) + k2
+    M2(s32), M22 = k2 M2(s32) and Mtt = M11 + k3 M2(0).
 
 Each problem takes one of two lattices, chosen by its own coefficients and
 box:
 
   * the (s1, s2, t) lattice over [s11,s12] x [s21,s22] x [0,x1], with the
-    bound max(tail, M0 + ds1/2 D1 + ds2/2 D2 + dt/2 D3);
+    bound max(tail, M0 + min(ds1/2 D1 + ds2/2 D2 + dt/2 D3,
+    ds1^2/8 M11 + ds2^2/8 M22 + dt^2/8 Mtt));
   * when k1 = k3 = 0 < k2 and s11 < s12, A = -k2 Re F(-s3+it) depends on
     s3 = s1 - s2 alone, and the (s3, t) lattice over [s11 - s22, s12 - s21]
-    x [0,x1] with ds3 = max(ds1, ds2) gives max(tail, M0 + ds3/2 D2 +
-    dt/2 D3).  |dA/ds3| <= D2 <= D1, so ds3 D2 <= ds1 D1 + ds2 D2: this
-    slack is never above the first lattice's, on fewer points.
+    x [0,x1] with ds3 = max(ds1, ds2) gives max(tail, M0 + min(ds3/2 D2 +
+    dt/2 D3, ds3^2/8 M22 + dt^2/8 Mtt)); there M11 = M22 = Mtt = k2 M2(s32)
+    bounds both second derivatives.
 
 Either bound dominates A everywhere on box x [0, inf).
+
+The spacings come from a ``GridSpec``: one given by the caller, or the one
+``budget_grid`` chooses for a tail cutoff x1.  The budget rule spends
+SLACK_BUDGET min_p(k1 + k2 + k3) of second-order slack, an equal share
+beta per coordinate the walks step along, and takes on each the coarsest
+spacing h_i = min(width_i, sqrt(8 beta / max_p M_ii)) that keeps every
+problem of the group within its share.
 
 Several suprema of one table row often share kernel, box and grid and
 differ only in k1, k2, k3.  ``sup_bounds`` certifies such a group with one
@@ -40,14 +62,14 @@ walk, and the raw rows, the block and each problem's base live in buffers
 allocated once per walk, so the walk allocates no array per block.
 
 Certification fails closed: a NaN or inf anywhere in the lattice, the tail
-or the grid term raises FloatingPointError, and no certificate is produced.
+or either slack raises FloatingPointError, and no certificate is produced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +78,10 @@ from .kernel import LatticeWork, WeightKernel
 #: lattice points evaluated and reduced to their maximum at once by grid_max;
 #: a block holds max(1, BLOCK_POINTS // n_t) whole t rows
 BLOCK_POINTS = 4096
+
+#: second-order slack ``budget_grid`` spends per unit of the least
+#: coefficient sum k1 + k2 + k3 of a group, shared among its coordinates
+SLACK_BUDGET = 1e-3
 
 
 @dataclass(frozen=True)
@@ -117,8 +143,10 @@ class GridSpec:
 class SupCertificate:
     """A proven bound: A(s1,s2,t) <= bound on box x [0, inf).
 
-    ``ds3`` is the s3 spacing of a certificate from the (s3, t) walk, and
-    None for one from the (s1, s2, t) walk; only the former records it.
+    ``d1..d3`` bound the first derivatives and ``m11``, ``m22``, ``mtt``
+    the second ones.  ``ds3`` is the s3 spacing of a certificate from the
+    (s3, t) walk, and None for one from the (s1, s2, t) walk; only the
+    former records it.
     """
 
     problem: SupProblem
@@ -127,6 +155,9 @@ class SupCertificate:
     d1: float
     d2: float
     d3: float
+    m11: float
+    m22: float
+    mtt: float
     tail: float
     bound: float
     ds3: Optional[float] = None
@@ -139,6 +170,7 @@ class SupCertificate:
             **s3_walk,
             "m0": self.m0,
             "d1": self.d1, "d2": self.d2, "d3": self.d3,
+            "m11": self.m11, "m22": self.m22, "mtt": self.mtt,
             "tail": self.tail,
             "bound": self.bound,
         }
@@ -194,6 +226,19 @@ def derivative_bounds(problem: SupProblem) -> Tuple[float, float, float]:
     d2 = problem.k2 * kern.xf_exp_moment(problem.s32) if problem.k2 else 0.0
     d3 = d0 * i1 + (problem.k3 * kern.xf_exp_moment(0.0) if problem.k3 else 0.0)
     return d1, d2, d3
+
+
+def second_derivative_bounds(problem: SupProblem) -> Tuple[float, float, float]:
+    """Uniform bounds (M11, M22, Mtt) on |d^2A/ds1^2|, |d^2A/ds2^2| and
+    |d^2A/dt^2| over the box: k1 M2(s12) + k2 M2(s32), k2 M2(s32) and
+    M11 + k3 M2(0), with M2 the second of ``WeightKernel.xf_moments``.  When A
+    depends on s3 = s1 - s2 alone (k1 = k3 = 0), all three are k2 M2(s32),
+    which bounds |d^2A/ds3^2| as well."""
+    moments = problem.kernel.xf_moments
+    m22 = problem.k2 * moments(problem.s32)[1] if problem.k2 else 0.0
+    m11 = (problem.k1 * moments(problem.s12)[1] if problem.k1 else 0.0) + m22
+    mtt = m11 + (problem.k3 * moments(0.0)[1] if problem.k3 else 0.0)
+    return m11, m22, mtt
 
 
 def _lattice(a: float, b: float, step: float) -> np.ndarray:
@@ -303,20 +348,69 @@ def _depends_on_s3(p: SupProblem) -> bool:
     return p.k1 == 0.0 and p.k3 == 0.0 and p.k2 > 0.0 and p.s11 < p.s12
 
 
-def sup_bounds(problems: Sequence[SupProblem], grid: GridSpec) -> Tuple[SupCertificate, ...]:
+def _two_digits_down(x: float) -> float:
+    """x > 0 rounded down to two significant decimal digits, up to the one
+    rounding of x 10^e: the spacing is then a short decimal, the same on
+    every platform unless x lies within rounding of one, where a last-bit
+    difference in a moment could move it."""
+    e = 1 - math.floor(math.log10(x))  # 10 <= x 10^e < 100
+    scale = 10.0 ** abs(e)  # exact: a power of ten below 1e23
+    return math.floor(x * scale) / scale if e >= 0 else math.floor(x / scale) * scale
+
+
+def budget_grid(problems: Sequence[SupProblem], x1: float) -> GridSpec:
+    """A lattice with tail cutoff x1, as coarse as an equal split of the
+    budget allows, on which the second-order slack of each problem of a
+    group that shares kernel and box stays within SLACK_BUDGET min_p(k1 +
+    k2 + k3).
+
+    The walks step along t over [0, x1] and along s1 and s2 where the box is
+    not a point; when every problem depends on s3 alone (``_depends_on_s3``)
+    the one walk steps along t and s3 over [s11 - s22, s12 - s21], and ds1
+    = ds2 = ds3 where the box is not a point.  Each coordinate walked gets an
+    equal share beta of the budget and the spacing h = min(width, sqrt(8
+    beta / max_p M_ii)), the root rounded down to two significant digits,
+    and the whole width where no problem curves along it.
+    The minimum runs over the problems with a nonzero coefficient: A of one
+    without is 0 and takes no slack.  Raises ValueError when x1 < 4.
+    """
+    if x1 < 4.0:
+        raise ValueError("tail bounds require x1 >= 4")
+    p = problems[0]
+    m11, m22, mtt = (max(m) for m in zip(*map(second_derivative_bounds, problems)))
+    on_s3 = all(map(_depends_on_s3, problems))
+    if on_s3:
+        coords = ((p.s12 - p.s21) - (p.s11 - p.s22), m22), (x1, mtt)
+    else:
+        coords = (p.s12 - p.s11, m11), (p.s22 - p.s21, m22), (x1, mtt)
+    least = min((q.k1 + q.k2 + q.k3 for q in problems if q.k1 + q.k2 + q.k3 > 0), default=0.0)
+    beta = SLACK_BUDGET * least / sum(width > 0 for width, _ in coords)
+    h = [min(width, _two_digits_down(math.sqrt(8.0 * beta / m))) if m > 0 else width
+         for width, m in coords]
+    if on_s3:
+        return GridSpec(ds1=h[0], ds2=h[0] if p.s22 > p.s21 else 0.0, dt=h[1], x1=x1)
+    return GridSpec(ds1=h[0], ds2=h[1], dt=h[2], x1=x1)
+
+
+def sup_bounds(problems: Sequence[SupProblem],
+               grid: Union[GridSpec, float]) -> Tuple[SupCertificate, ...]:
     """Certify an upper bound for sup A over box x [0, inf) for each problem
     of a group that shares kernel and box.
 
-    Each problem is walked on one of two lattices, by its own coefficients
-    and box whatever its group: a problem that depends on s3 = s1 - s2 alone
-    (``_depends_on_s3``) on the (s3, t) lattice with ds3 = max(ds1, ds2),
-    every other on the (s1, s2, t) lattice of ``grid_max``.  The problems of
-    a group on one lattice share one walk.
+    ``grid`` is a GridSpec, or a tail cutoff x1 for which ``budget_grid``
+    chooses the lattice.  Each problem is walked on one of two lattices, by
+    its own coefficients and box whatever its group: a problem that depends
+    on s3 = s1 - s2 alone (``_depends_on_s3``) on the (s3, t) lattice with
+    ds3 = max(ds1, ds2), every other on the (s1, s2, t) lattice of
+    ``grid_max``.  The problems of a group on one lattice share one walk.
+    Each bound is max(tail, M0 + min(first-order slack, second-order
+    slack)).
 
     Raises ValueError when the problems differ in kernel or box, or (from
     tail_bound) when x1 < 4, and FloatingPointError instead of certifying
-    when a tail or grid term is not finite (builtin max(tail, nan) would
-    return tail).  An empty group certifies nothing.
+    when a tail or either slack is not finite (builtin max(tail, nan) would
+    return tail, and min(first, nan) first; M0 is finite by ``_fold_max``).
+    An empty group certifies nothing.
     """
     problems = tuple(problems)
     if not problems:
@@ -324,8 +418,10 @@ def sup_bounds(problems: Sequence[SupProblem], grid: GridSpec) -> Tuple[SupCerti
     shared = [(p.kernel, p.s11, p.s12, p.s21, p.s22) for p in problems]
     if any(key != shared[0] for key in shared):
         raise ValueError("a supremum group must share its kernel and (s1, s2) box")
+    if not isinstance(grid, GridSpec):
+        grid = budget_grid(problems, grid)
     tails = [tail_bound(p, grid.x1) for p in problems]
-    derivs = [derivative_bounds(p) for p in problems]
+    derivs = [derivative_bounds(p) + second_derivative_bounds(p) for p in problems]
     on_s3 = [_depends_on_s3(p) for p in problems]
     m0s = {}
     for walk, flag in ((grid_max, False), (_s3_max, True)):
@@ -333,25 +429,28 @@ def sup_bounds(problems: Sequence[SupProblem], grid: GridSpec) -> Tuple[SupCerti
         if group:
             m0s.update(zip(group, walk([problems[j] for j in group], grid)))
     certs = []
-    for j, (p, tail, (d1, d2, d3)) in enumerate(zip(problems, tails, derivs)):
+    for j, (p, tail, (d1, d2, d3, m11, m22, mtt)) in enumerate(zip(problems, tails, derivs)):
         if on_s3[j]:
-            # |dA/ds3| <= k2 M(s32) = D2, and D2 <= D1 when k1 = 0, so this
-            # slack is never above the (s1, s2) walk's
+            # |dA/ds3| <= k2 M(s32) = D2, and D2 <= D1 when k1 = 0; |d^2A/ds3^2|
+            # <= M22 = M11, and ds3^2 <= ds1^2 + ds2^2: neither slack is ever
+            # above the (s1, s2) walk's
             ds3 = max(grid.ds1, grid.ds2)
-            grid_term = m0s[j] + 0.5 * ds3 * d2 + 0.5 * grid.dt * d3
+            steps = ((ds3, d2, m22), (grid.dt, d3, mtt))
         else:
             ds3 = None
-            grid_term = (m0s[j] + 0.5 * grid.ds1 * d1 + 0.5 * grid.ds2 * d2
-                         + 0.5 * grid.dt * d3)
-        if not (math.isfinite(tail) and math.isfinite(grid_term)):
-            raise FloatingPointError(
-                f"non-finite sup bound: tail {tail!r}, grid term {grid_term!r}")
+            steps = ((grid.ds1, d1, m11), (grid.ds2, d2, m22), (grid.dt, d3, mtt))
+        first = sum(0.5 * h * d for h, d, _ in steps)
+        second = sum(h * h / 8.0 * m for h, _, m in steps)
+        if not all(map(math.isfinite, (tail, first, second))):
+            raise FloatingPointError(f"non-finite sup bound: tail {tail!r}, "
+                                     f"first-order slack {first!r}, second-order {second!r}")
         certs.append(SupCertificate(problem=p, grid=grid, m0=m0s[j], d1=d1, d2=d2, d3=d3,
-                                    tail=tail, bound=max(tail, grid_term), ds3=ds3))
+                                    m11=m11, m22=m22, mtt=mtt, tail=tail,
+                                    bound=max(tail, m0s[j] + min(first, second)), ds3=ds3))
     return tuple(certs)
 
 
-def sup_bound(problem: SupProblem, grid: GridSpec) -> SupCertificate:
+def sup_bound(problem: SupProblem, grid: Union[GridSpec, float]) -> SupCertificate:
     """Certify an upper bound for sup A over box x [0, inf): the group of
     one, ``sup_bounds((problem,), grid)[0]``."""
     return sup_bounds((problem,), grid)[0]

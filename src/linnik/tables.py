@@ -22,13 +22,14 @@ The ``rhs_*`` functions below are the inequalities that decide the rows.
 The stepped rows (tables 4-6, 9 and 10) evaluate them, or the split form
 of ``delta_step_max``, on the one step lattice of ``_step_ends``;
 ``delta_step_max`` evaluates F once per step end for all the stepped
-penalty cases of a row.  Every supremum is certified by ``sup_bounds``:
-the rows of tables 3 and 4 and table 11's order-2 branch pass their pair
-of suprema, which share kernel, box and grid, to one lattice walk.
+penalty cases of a row.  Every supremum is certified by ``sup_bounds``
+on the lattice ``supbound.budget_grid`` chooses: a table gives only its
+tail cutoff x1.  The rows of tables 3 and 4 and table 11's order-2 branch
+pass their pair of suprema, which share kernel and box, to one call.
 
 Tables 4, 5 and 6 share one generator, ``gen_second_character_table``: they
 differ only in the entry of ``_SECOND_CHARACTER`` that names their suprema,
-stepped and dominated penalty cases, kernel and lattice.  Every one of their
+stepped and dominated penalty cases, kernel and tail cutoff.  Every one of their
 rows checks that its stepping start lambda2_alt is HB92's value at the cap
 (the window's lower end above lambda1 = 0.70, where HB92 stops).  Tables 9
 and 10 share ``gen_third_zero_table`` in the same way: their entries of
@@ -70,7 +71,7 @@ import numpy as np
 
 from . import _data
 from .kernel import WeightKernel
-from .supbound import GridSpec, SupProblem, sup_bounds
+from .supbound import SupProblem, sup_bounds
 
 #: a row is certified only if its decision RHS is below -CERT_MARGIN
 CERT_MARGIN = 1e-6
@@ -326,13 +327,11 @@ def gen_table2():
             lam_star = lam_star_map[cap]
             prob = SupProblem(kern, k1=k, k2=k * k + 0.75, k3=0.0,
                               s11=lam_star, s12=lam_star, s21=lo, s22=cap)
-            grid = GridSpec(ds1=0.0, ds2=0.004, dt=0.004, x1=15.0)
         else:
             lam_star = cap
             prob = SupProblem(kern, k1=k, k2=0.0, k3=k * k + 0.75,
                               s11=lo, s12=cap, s21=0.0, s22=0.0)
-            grid = GridSpec(ds1=0.004, ds2=0.0, dt=0.004, x1=15.0)
-        (cert,) = sup_bounds((prob,), grid)
+        (cert,) = sup_bounds((prob,), 15.0)
         rhs = rhs_lprime_high(kern, k, lam_star, cap, pub["lambda_prime"], cert.bound)
         # a blank published lambda* stands for lambda* = lambda1
         published_star = cap if pub["lambda_star"] is None else pub["lambda_star"]
@@ -350,13 +349,12 @@ def gen_table3():
         gamma = 1.21 - 5.0 * cap / 12.0
         k = 0.77 + cap / 10.0
         kern = WeightKernel(gamma)
-        grid = GridSpec(ds1=0.004, ds2=0.0, dt=0.004, x1=15.0)
         # the doubling of the first supremum lives in its coefficients
         cert_a, cert_b = sup_bounds(
             (SupProblem(kern, k1=2.0 * k, k2=0.0, k3=2.0 * (k * k + 0.75),
                         s11=lo, s12=cap, s21=0.0, s22=0.0),
              SupProblem(kern, k1=0.5, k2=0.0, k3=2.0 * k,
-                        s11=lo, s12=cap, s21=0.0, s22=0.0)), grid)
+                        s11=lo, s12=cap, s21=0.0, s22=0.0)), 15.0)
         rhs = rhs_lprime_low(kern, k, cap, pub["lambda_prime"],
                              cert_a.bound / 2.0, cert_b.bound)
         yield _row(rhs, {"gamma": gamma, "k": k, "rhs": rhs}, {},
@@ -371,20 +369,20 @@ def gen_table3():
 HB92_LAMBDA2_ALT_MAX = 0.70
 
 
-#: table -> (first window's lower end, (gamma, k) at the cap, lattice, the
+#: table -> (first window's lower end, (gamma, k) at the cap, tail cutoff x1, the
 #: suprema of each row, the penalty cases stepped from lambda2_alt to the
 #: claimed bound, the cases the last stepped one must dominate); supremum A
 #: has k1 = 1/4, k2 = k (column C1), B has k2 = 1/4 (column C2)
 _SECOND_CHARACTER = {
     # cases 1, 2, 3, 4, 6, 8
     4: (0.34, lambda cap: (0.42 + cap, 0.59 + 0.4 * cap),
-        GridSpec(ds1=0.015, ds2=0.007, dt=0.015, x1=7.0), ("A", "B"), (1, 2), (3, 4, 6, 8)),
+        7.0, ("A", "B"), (1, 2), (3, 4, 6, 8)),
     # case 5
     5: (0.34, lambda cap: (0.76 + cap / 2.0, 0.84),
-        GridSpec(ds1=0.010, ds2=0.007, dt=0.010, x1=7.0), ("B",), (5,), ()),
+        7.0, ("B",), (5,), ()),
     # case 7 (real leading character, complex zero): rows start at lambda1 >= 0.50
     6: (0.50, lambda cap: (0.61 + cap / 2.0, 0.81),
-        GridSpec(ds1=0.015, ds2=0.015, dt=0.015, x1=7.0), ("A",), (7,), ()),
+        7.0, ("A",), (7,), ()),
 }
 
 
@@ -396,7 +394,7 @@ def gen_second_character_table(n: int):
     claimed bound, and checks that lambda2_alt is the imported HB92 start.
     Table 8 reuses a table-4 row's ``certificates`` at the same cap.
     """
-    first_lo, gamma_k, grid, sups, stepped, dominated = _SECOND_CHARACTER[n]
+    first_lo, gamma_k, x1, sups, stepped, dominated = _SECOND_CHARACTER[n]
     alt_map = _data.hb92_map("lambda2_alt")
     for pub, lo in _chained(n, first_lo):
         cap, alt, neu = pub["lambda1_hi"], pub["lambda2_alt"], pub["lambda2_new"]
@@ -404,7 +402,7 @@ def gen_second_character_table(n: int):
         kern = WeightKernel(gamma)
         k1k2 = {"A": (0.25, k), "B": (0.0, 0.25)}
         row_certs = sup_bounds(tuple(SupProblem(kern, *k1k2[s], k3=0.0, s11=alt, s12=neu,
-                                                s21=lo, s22=cap) for s in sups), grid)
+                                                s21=lo, s22=cap) for s in sups), x1)
         sup = {s: c.bound for s, c in zip(sups, row_certs)}
         d_by_case = MappingProxyType({
             c: lambda2_D(c, k, kern.f0, sup.get("A", 0.0), sup.get("B", 0.0))
@@ -506,13 +504,13 @@ def gen_table8():
 #: table -> (stepped right-hand side, the published column its steps run up
 #: to from the window's lower end, the column of its fourth argument, step,
 #: kernel parameter by window lower end, and the guard supremum's (k1, k2,
-#: k3), box (s11, s12, s21, s22), lattice, cap and fraction of f(0))
+#: k3), box (s11, s12, s21, s22), tail cutoff x1, cap and fraction of f(0))
 _THIRD_ZERO = {
     # complex leading character: the first zero steps over its window
     9: (rhs_lambda3_complex, "lambda1_hi", "lambda2_cap", 1e-4,
         dict.fromkeys((0.62, 0.64, 0.66, 0.68), 1.25),
         (1.0, 0.0, 2.0), (0.44, 0.85, 0.0, 0.0),
-        GridSpec(ds1=0.03, ds2=0.0, dt=0.03, x1=6.0), 0.18, 1.0 / 6.0),
+        6.0, 0.18, 1.0 / 6.0),
     # leading character and zero both real: the second zero steps up to the
     # claimed bound.  The middle window cannot be certified with the 1.04
     # kernel of its neighbours (the inequality fails pointwise near lambda2 =
@@ -521,7 +519,7 @@ _THIRD_ZERO = {
     10: (rhs_lambda3_real, "lambda3", "lambda1_hi", 1e-3,
          {0.44: 1.04, 0.60: 1.06, 0.68: 1.04},
          (1.0, 1.0, 1.0), (0.44, 1.175, 0.44, 0.80),
-         GridSpec(ds1=0.03, ds2=0.03, dt=0.03, x1=6.0), 0.10, 5.0 / 48.0),
+         6.0, 0.10, 5.0 / 48.0),
 }
 
 
@@ -530,8 +528,8 @@ def gen_third_zero_table(n: int):
     gamma order; each row is decided by its worst step and certified only
     under the guard of its own kernel.  A blank fourth-argument column
     (table 9's lambda2 cap) is bounded by the claimed lambda3."""
-    rhs, step_to, fourth, delta, gamma_by_lo, coeffs, box, grid, cap, frac = _THIRD_ZERO[n]
-    guards = {gamma: sup_bounds((SupProblem(WeightKernel(gamma), *coeffs, *box),), grid)[0]
+    rhs, step_to, fourth, delta, gamma_by_lo, coeffs, box, x1, cap, frac = _THIRD_ZERO[n]
+    guards = {gamma: sup_bounds((SupProblem(WeightKernel(gamma), *coeffs, *box),), x1)[0]
               for gamma in sorted(set(gamma_by_lo.values()))}
     for pub in _data.published_table(n):
         lo, hi, l3 = pub["lambda1_lo"], pub["lambda1_hi"], pub["lambda3"]
@@ -582,7 +580,7 @@ def gen_table11():
         certs = sup_bounds(tuple(SupProblem(kern, k1=k1, k2=k2, k3=0.0, s11=lam_star,
                                             s12=lam_star, s21=l_old, s22=l_ann)
                                  for k1, k2 in _L1_SUPS.get(ordc, ())),
-                           GridSpec(ds1=0.0, ds2=0.005, dt=0.005, x1=12.0))
+                           12.0)
         total_c = sum(c.bound for c in certs)
         D = _L1_FRACTION[ordc] * kern.f0 + total_c
         rhs = rhs_lambda1(kern, lam_star, l_new, D)

@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -686,6 +687,20 @@ def test_arithmetic_and_os_errors_map_to_exit_codes(tmp_path, capsys, argv, code
     argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
     assert main(argv) == code
     assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("argv", [
+    ["F", "--gamma", "1", "--z", "-400"], ["H", "--z", "-1000"], ["H2", "--z", "-3000"],
+], ids=" ".join)
+def test_eval_non_finite_value_prints_only_its_failed_line(capsys, argv):
+    # numpy's overflow and invalid-value warnings would each print a block to
+    # stderr before the FAILED: line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", *argv]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED: eval ") and err.count("\n") == 1
 
 
 def test_eval_H_prints_plain_floats(capsys):

@@ -427,18 +427,23 @@ def test_gauss_legendre_rule_and_its_checks():
 
 def test_xf_exp_moment_against_mpmath_oracle():
     import mpmath
-    # gamma 2.5 and c 4 give the largest moments a SupProblem admits (s12 <= 4).
-    # There the 32-node rule in 40-digit arithmetic is within 7e-16 of the
-    # oracle, but f loses ~1e-7 of its value to cancellation at the node next
-    # to 2 gamma, weighted by e^{20}: the double-precision moment is 1.6e-13 off
-    for gamma, rel in ((0.5, 1e-13), (0.9, 1e-13), (1.3, 1e-13), (2.5, 5e-13)):
+    # gamma 2.5 and c 4 give the largest moments a SupProblem admits (s12 <=
+    # 4).  With f in its expanded form the first moment was 1.6e-13 off there:
+    # f lost ~1e-7 of its value to cancellation at the node next to 2 gamma,
+    # weighted by e^{20}.  The factored form keeps both moments within a few
+    # units of the last place everywhere
+    for gamma in (0.5, 0.9, 1.3, 2.5):
         kern = WeightKernel(gamma)
         g = mpmath.mpf(gamma)
         f = lambda x: -x**5 / 30 + 2 * g**2 / 3 * x**3 - 4 * g**3 / 3 * x**2 + 16 * g**5 / 15
         for c in (0.0, 0.7, 2.0, 4.0):
             with mpmath.workdps(30):
-                oracle = mpmath.quad(lambda x: x * f(x) * mpmath.exp(c * x), [0, 2 * g])
-            assert kern.xf_exp_moment(c) == pytest.approx(float(oracle), rel=rel), (gamma, c)
+                oracle = [mpmath.quad(lambda x: x**n * f(x) * mpmath.exp(c * x), [0, 2 * g])
+                          for n in (1, 2)]
+            first, second = kern.xf_moments(c)
+            assert kern.xf_exp_moment(c) == first
+            assert first == pytest.approx(float(oracle[0]), rel=2e-15), (gamma, c)
+            assert second == pytest.approx(float(oracle[1]), rel=2e-15), (gamma, c)
 
 
 def test_C_vanishes_at_split_point():

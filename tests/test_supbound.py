@@ -6,14 +6,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linnik import supbound
 from linnik.kernel import SMALL_Z_RADIUS, LatticeWork, WeightKernel
-from linnik.supbound import (BLOCK_POINTS, A_eval, GridSpec, SupProblem, _lattice,
-                             derivative_bounds, domination_check, grid_max,
-                             sup_bound, sup_bounds, tail_bound)
+from linnik.supbound import (BLOCK_POINTS, SLACK_BUDGET, A_eval, GridSpec, SupProblem,
+                             _lattice, budget_grid, derivative_bounds, domination_check,
+                             grid_max, second_derivative_bounds, sup_bound, sup_bounds,
+                             tail_bound)
 
 KERN = WeightKernel(0.93)
 
@@ -126,6 +127,71 @@ def test_derivative_bounds_dominate_finite_differences(prob):
         assert abs(g1) <= d1 * (1 + 1e-6) + 1e-9
         assert abs(g2) <= d2 * (1 + 1e-6) + 1e-9
         assert abs(g3) <= d3 * (1 + 1e-6) + 1e-9
+
+
+@pytest.mark.parametrize("prob", PROBLEMS + [case[0] for case in S3_CASES])
+def test_second_derivative_bounds_dominate_finite_differences(prob):
+    rng = np.random.default_rng(35)
+    m11, m22, mtt = second_derivative_bounds(prob)
+    h = 1e-4
+    for _ in range(300):
+        s1 = rng.uniform(prob.s11 + h, max(prob.s12 - h, prob.s11 + h))
+        s2 = rng.uniform(prob.s21 + h, max(prob.s22 - h, prob.s21 + h))
+        t = rng.uniform(h, 12.0)
+        a = A_eval(prob, s1, s2, t)
+        g11 = (A_eval(prob, s1 + h, s2, t) - 2 * a + A_eval(prob, s1 - h, s2, t)) / h**2
+        g22 = (A_eval(prob, s1, s2 + h, t) - 2 * a + A_eval(prob, s1, s2 - h, t)) / h**2
+        gtt = (A_eval(prob, s1, s2, t + h) - 2 * a + A_eval(prob, s1, s2, t - h)) / h**2
+        # the difference quotients carry ~1e-16 |A| / h^2 of rounding
+        assert abs(g11) <= m11 * (1 + 1e-6) + 1e-6
+        assert abs(g22) <= m22 * (1 + 1e-6) + 1e-6
+        assert abs(gtt) <= mtt * (1 + 1e-6) + 1e-6
+    if prob.k1 == prob.k3 == 0.0:
+        # A depends on s3 = s1 - s2 alone, and each bound is k2 M2(s32)
+        assert m11 == m22 == mtt == prob.k2 * prob.kernel.xf_moments(prob.s32)[1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gamma=st.floats(0.5, 1.3), k1=st.floats(0.0, 2.0), k2=st.floats(0.0, 2.0),
+       k3=st.floats(0.0, 2.0), s11=st.floats(0.0, 3.5), w1=st.floats(0.0, 0.4),
+       s21=st.floats(0.0, 1.0), w2=st.floats(0.0, 0.4), t0=st.floats(0.0, 12.0),
+       h1=st.floats(0.001, 0.3), h2=st.floats(0.001, 0.3), ht=st.floats(0.001, 0.3),
+       u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0), s3_walk=st.booleans())
+# a cell centred on t = 0, where A = k1 Re F(-s1+it) falls from its maximum by
+# k1 (h^2/8 M2(s1) - h^4/384 M4(s1)) at the corners: the h^2/8 term is sharp
+@example(gamma=1.0, k1=1.0, k2=0.0, k3=0.0, s11=0.5, w1=0.0, s21=0.0, w2=0.0, t0=-0.05,
+         h1=0.1, h2=0.1, ht=0.1, u=0.0, v=0.0, s3_walk=False)
+def test_second_order_term_dominates_a_dense_cell(gamma, k1, k2, k3, s11, w1, s21, w2, t0,
+                                                  h1, h2, ht, u, v, s3_walk):
+    # a cell of either walk inside the box, placed at (u, v): the maximum of A
+    # at its corners plus sum h_i^2/8 M_ii bounds A at every point of the cell
+    if s3_walk:
+        k1 = k3 = 0.0
+    prob = SupProblem(WeightKernel(gamma), k1, k2, k3, s11, min(4.0, s11 + w1), s21, s21 + w2)
+    m11, m22, mtt = second_derivative_bounds(prob)
+    n = 9
+    if s3_walk:
+        # the (s3, t) walk: s3 on [s11 - s22, s12 - s21], M33 = M22
+        width = (prob.s12 - prob.s21) - (prob.s11 - prob.s22)
+        h1 = min(h1, width)
+        lo3 = prob.s11 - prob.s22 + u * (width - h1)
+        s3, t = np.meshgrid(np.linspace(lo3, lo3 + h1, n), np.linspace(t0, t0 + ht, n))
+        corners = max(A_eval(prob, a, 0.0, b) for a in (lo3, lo3 + h1) for b in (t0, t0 + ht))
+        dense = np.max(A_eval(prob, s3, 0.0, t))
+        slack = h1 * h1 / 8.0 * m22 + ht * ht / 8.0 * mtt
+    else:
+        h1, h2 = min(h1, prob.s12 - prob.s11), min(h2, prob.s22 - prob.s21)
+        lo1 = prob.s11 + u * (prob.s12 - prob.s11 - h1)
+        lo2 = prob.s21 + v * (prob.s22 - prob.s21 - h2)
+        s1, s2, t = np.meshgrid(np.linspace(lo1, lo1 + h1, n), np.linspace(lo2, lo2 + h2, n),
+                                np.linspace(t0, t0 + ht, n))
+        corners = max(A_eval(prob, a, b, c) for a in (lo1, lo1 + h1) for b in (lo2, lo2 + h2)
+                      for c in (t0, t0 + ht))
+        dense = np.max(A_eval(prob, s1, s2, t))
+        slack = h1 * h1 / 8.0 * m11 + h2 * h2 / 8.0 * m22 + ht * ht / 8.0 * mtt
+    # rounding of F, relative to |Re F(-s+it)| <= F(-s) <= F(-s12) per term
+    tol = (k1 + k2 + k3) * 1e-12 * prob.kernel.F_real(-prob.s12)
+    assert dense <= corners + slack + tol
 
 
 def test_grid_max_degenerate_box():
@@ -274,6 +340,38 @@ def test_group_walk_equals_each_full_lattice_evaluation(prob, grid, order):
         assert sup_bounds(group, grid) == tuple(sup_bound(p, grid) for p in group)
 
 
+def _budget_groups():
+    """Groups of each lattice shape: the single problems, the mixed groups
+    of each, and the s3 cases alone."""
+    groups = [(p,) for p in PROBLEMS] + [(p,) for p, _ in S3_CASES]
+    groups += [g for p in PROBLEMS[1:] for g in _mixed_groups(p)]
+    return groups
+
+
+@pytest.mark.parametrize("group", _budget_groups())
+def test_budget_grid_keeps_each_problem_within_the_budget(group):
+    grid = budget_grid(group, 7.0)
+    first = group[0]
+    widths = (first.s12 - first.s11, first.s22 - first.s21, grid.x1)
+    assert grid.x1 == 7.0
+    for h, width in zip((grid.ds1, grid.ds2, grid.dt), widths):
+        # the whole width, or a two-digit decimal below it
+        assert h == width or (0.0 < h < width and float(f"{h:.1e}") == h)
+    budget = SLACK_BUDGET * min(p.k1 + p.k2 + p.k3 for p in group)
+    for cert in sup_bounds(group, 7.0):
+        assert cert.grid == grid
+        if cert.ds3 is None:
+            steps = ((grid.ds1, cert.m11), (grid.ds2, cert.m22), (grid.dt, cert.mtt))
+        else:
+            steps = ((cert.ds3, cert.m22), (grid.dt, cert.mtt))
+        assert sum(h * h / 8.0 * m for h, m in steps) <= budget * (1 + 1e-12)
+    if all(p.k1 == p.k3 == 0.0 for p in group):
+        # one (s3, t) walk, spaced ds3 = ds1 = ds2
+        assert grid.ds1 == grid.ds2 == max(grid.ds1, grid.ds2)
+    with pytest.raises(ValueError):
+        budget_grid(group, 3.9)
+
+
 def test_group_must_share_kernel_and_box():
     prob, grid = PROBLEMS[2], GRIDS[2]
     for other in (dataclasses.replace(prob, kernel=WeightKernel(0.79)),
@@ -309,14 +407,16 @@ def test_full_lattice_cases_cover_the_block_edges():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("index,target", [
-    pytest.param(2, lambda p: p.s12, id="1"),          # k1: no s1 - s2 reaches s12
-    pytest.param(2, lambda p: p.s11 - p.s22, id="3"),  # k2: s11 - s22 is below every s1
-    pytest.param(1, lambda p: 0.0, id="k3"),           # k3: the row s = 0
-    pytest.param(3, lambda p: p.s11 - p.s22, id="s3"),  # the first row of the s3 walk
+@pytest.mark.parametrize("case,target", [
+    pytest.param(FULL_LATTICE_CASES[2], lambda p: p.s12, id="1"),  # k1: no s1 - s2 reaches s12
+    # k2: s11 - s22 is below every s1
+    pytest.param(FULL_LATTICE_CASES[2], lambda p: p.s11 - p.s22, id="3"),
+    # k3: the row s = 0, on a swept-s1 problem whose tail does not decide its bound
+    pytest.param(FULL_LATTICE_CASES[4], lambda p: 0.0, id="k3"),
+    pytest.param(S3_CASES[0], lambda p: p.s11 - p.s22, id="s3"),  # the first row of the s3 walk
 ])
-def test_non_finite_lattice_value_refuses_certificate(monkeypatch, bad, index, target):
-    prob, grid = (list(zip(PROBLEMS, GRIDS)) + S3_CASES)[index]
+def test_non_finite_lattice_value_refuses_certificate(monkeypatch, bad, case, target):
+    prob, grid = case
     honest = sup_bound(prob, grid)
     assert honest.bound > honest.tail  # a bound lowered to the tail would show
     real = LatticeWork.re_F
@@ -349,8 +449,10 @@ def test_s3_walk_equals_brute_force_s3_lattice_max(prob, grid):
     brute = np.max(-prob.k2 * np.real(prob.kernel.F(-s3[:, None] + 1j * t)))
     assert cert.ds3 == max(grid.ds1, grid.ds2)
     assert cert.m0 == pytest.approx(brute, rel=1e-12)
-    assert cert.bound == max(cert.tail, cert.m0 + 0.5 * cert.ds3 * cert.d2
-                             + 0.5 * grid.dt * cert.d3)
+    first = 0.5 * cert.ds3 * cert.d2 + 0.5 * grid.dt * cert.d3
+    second = cert.ds3 * cert.ds3 / 8.0 * cert.m22 + grid.dt * grid.dt / 8.0 * cert.mtt
+    assert cert.m11 == cert.m22 == cert.mtt
+    assert cert.bound == max(cert.tail, cert.m0 + min(first, second))
 
 
 @pytest.mark.parametrize("prob,grid", S3_CASES)
@@ -387,6 +489,8 @@ def test_s3_slack_never_above_the_box_walk_slack(gamma, k2, s11, w1, s21, w2, ds
     cert = sup_bound(prob, grid)
     assert cert.ds3 == max(grid.ds1, grid.ds2)
     assert 0.5 * cert.ds3 * cert.d2 <= 0.5 * grid.ds1 * cert.d1 + 0.5 * grid.ds2 * cert.d2
+    assert (cert.ds3**2 / 8.0 * cert.m22
+            <= grid.ds1**2 / 8.0 * cert.m11 + grid.ds2**2 / 8.0 * cert.m22)
 
 
 def test_non_finite_derivative_bound_refuses_certificate(monkeypatch):
@@ -395,6 +499,22 @@ def test_non_finite_derivative_bound_refuses_certificate(monkeypatch):
     monkeypatch.setattr(supbound, "derivative_bounds", lambda p: (math.nan, d2, d3))
     with pytest.raises(FloatingPointError):
         sup_bound(prob, grid)
+
+
+@pytest.mark.parametrize("grid", [GRIDS[2], 7.0], ids=["given", "budget"])
+def test_non_finite_second_moment_refuses_certificate(monkeypatch, grid):
+    # builtin min(first, nan) returns first: the second-order slack is checked
+    # before the smaller slack is taken, on a given lattice and on one
+    # budget_grid chooses
+    prob = PROBLEMS[2]
+    m11, m22, mtt = second_derivative_bounds(prob)
+    monkeypatch.setattr(WeightKernel, "xf_moments", lambda self, c: (1.0, math.nan))
+    with pytest.raises(FloatingPointError, match="second-order"):
+        sup_bound(prob, grid)
+    monkeypatch.undo()
+    monkeypatch.setattr(supbound, "second_derivative_bounds", lambda p: (m11, m22, math.nan))
+    with pytest.raises(FloatingPointError, match="second-order"):
+        sup_bound(prob, GRIDS[2])
 
 
 def test_sup_bound_rejects_small_x1():
@@ -408,7 +528,8 @@ def test_certificate_record_round_trips_to_json():
     blob = json.loads(json.dumps(record))
     assert blob["bound"] == cert.bound
     assert blob["m0"] == cert.m0
-    assert set(blob) == {"problem", "grid", "m0", "d1", "d2", "d3", "tail", "bound"}
+    assert set(blob) == {"problem", "grid", "m0", "d1", "d2", "d3", "m11", "m22", "mtt",
+                         "tail", "bound"}
 
 
 def test_problem_validation():

@@ -244,6 +244,18 @@ def test_row_margins_exceed_threshold(table_rows):
             assert r.margin > CERT_MARGIN, (n, r.label, r.margin)
 
 
+#: each table's least margin when its lattices were hand-set and its
+#: suprema took the first-order slack alone, rounded down to four digits
+LEAST_MARGIN_FLOOR = {2: 2.170e-4, 3: 1.998e-4, 4: 2.724e-4, 5: 2.776e-3, 6: 1.561e-3,
+                      7: 2.724e-4, 8: 6.684e-5, 9: 2.942e-4, 10: 1.219e-5, 11: 0.8682}
+
+
+def test_no_least_margin_below_its_floor(table_rows):
+    # a coarser lattice must not buy its points with a thinner margin
+    for n, rows in table_rows.items():
+        assert min(r.margin for r in rows) >= LEAST_MARGIN_FLOOR[n], n
+
+
 def test_table4_case_dominance(table_rows):
     for r in table_rows[4]:
         D = r.detail["D_by_case"]
@@ -363,20 +375,24 @@ def test_each_table_certified_once(monkeypatch, fresh_tables):
 
 
 def test_each_xf_moment_integrated_once(fresh_tables):
-    # the two problems of a shared supremum group ask for the same moments:
-    # 266 requests over tables 2-11, 189 distinct (gamma, c)
-    WeightKernel.xf_exp_moment.cache_clear()
+    # the two problems of a shared supremum group ask for the same moments,
+    # and one pass gives both moments at each (gamma, c): 189 distinct (gamma,
+    # c) over tables 2-11, for 726 requests, 266 of the first moment (D1-D3)
+    # and 230 of the second (M11, M22, Mtt) in budget_grid and again in
+    # sup_bounds
+    WeightKernel.xf_moments.cache_clear()
     for n in range(2, 12):
         tables.generate_table(n)
-    info = WeightKernel.xf_exp_moment.cache_info()
-    assert (info.misses, info.hits + info.misses) == (189, 266)
+    info = WeightKernel.xf_moments.cache_info()
+    assert (info.misses, info.hits + info.misses) == (189, 726)
 
 
 def test_each_raw_lattice_row_evaluated_once_per_group(monkeypatch, fresh_tables):
     # a group's (s1, s2) walk evaluates Re F on the k1 rows (s1), the k2 rows
     # (s1 - s2) and the k3 row (s = 0) once each, whichever of its problems
-    # use them, and its (s3, t) walk the s3 rows once: 4 815 478 points over
-    # the 94 groups of tables 2-11, in 112 walks
+    # use them, and its (s3, t) walk the s3 rows once: 295 327 points over
+    # the 94 groups of tables 2-11, in 112 walks, on the lattices budget_grid
+    # chooses
     points, groups = [], []
     real_re_F, real_sup_bounds = LatticeWork.re_F, tables.sup_bounds
 
@@ -384,10 +400,13 @@ def test_each_raw_lattice_row_evaluated_once_per_group(monkeypatch, fresh_tables
         points.append(out.size)
         return real_re_F(self, s, out)
 
-    def recorded(problems, grid):
+    def recorded(problems, x1):
+        certs = real_sup_bounds(problems, x1)
         if problems:  # an empty group walks no lattice
-            groups.append((problems, grid))
-        return real_sup_bounds(problems, grid)
+            # the tables give a tail cutoff, and budget_grid the lattice
+            assert certs[0].grid.x1 == x1 and all(c.grid is certs[0].grid for c in certs)
+            groups.append((problems, certs[0].grid))
+        return certs
 
     monkeypatch.setattr(LatticeWork, "re_F", counted)
     monkeypatch.setattr(tables, "sup_bounds", recorded)
@@ -413,14 +432,16 @@ def test_each_raw_lattice_row_evaluated_once_per_group(monkeypatch, fresh_tables
 
     walks = [w for g in groups for w in raw_points(*g)]
     assert len(groups) == 94 and len(walks) == 112
-    assert sum(points) == sum(walks) == 4_815_478
+    assert sum(points) == sum(walks) == 295_327
 
 
 def test_each_bound_rederived_from_its_record():
-    # the (s1, s2, t) walk's slack is ds1 D1/2 + ds2 D2/2 + dt D3/2; a record
-    # with ds3 comes from the (s3, t) walk, whose slack is ds3 D2/2 + dt D3/2.
-    # 41 records of tables 2-11 carry ds3: table 4's 18 B suprema, table 5's
-    # 17 and the 6 table 8 reuses from table 4
+    # the (s1, s2, t) walk's first-order slack is ds1 D1/2 + ds2 D2/2 + dt D3/2
+    # and its second-order slack ds1^2 M11/8 + ds2^2 M22/8 + dt^2 Mtt/8; a
+    # record with ds3 comes from the (s3, t) walk, whose slacks are ds3 D2/2
+    # + dt D3/2 and ds3^2 M22/8 + dt^2 Mtt/8.  The bound is max(tail, m0 +
+    # min(first, second)).  41 records of tables 2-11 carry ds3: table 4's 18
+    # B suprema, table 5's 17 and the 6 table 8 reuses from table 4
     on_s3 = []
     for n in range(2, 12):
         for cert in tables.generate_table(n)[1]:
@@ -431,11 +452,13 @@ def test_each_bound_rederived_from_its_record():
                 s1_box = r["problem"]["s1_box"]
                 assert k1 == k3 == 0.0 < k2 and s1_box[0] < s1_box[1]
                 assert r["ds3"] == max(g["ds1"], g["ds2"])
-                grid_term = r["m0"] + 0.5 * r["ds3"] * r["d2"] + 0.5 * g["dt"] * r["d3"]
+                steps = ((r["ds3"], r["d2"], r["m22"]), (g["dt"], r["d3"], r["mtt"]))
             else:
-                grid_term = (r["m0"] + 0.5 * g["ds1"] * r["d1"] + 0.5 * g["ds2"] * r["d2"]
-                             + 0.5 * g["dt"] * r["d3"])
-            assert r["bound"] == max(r["tail"], grid_term)
+                steps = ((g["ds1"], r["d1"], r["m11"]), (g["ds2"], r["d2"], r["m22"]),
+                         (g["dt"], r["d3"], r["mtt"]))
+            first = sum(0.5 * h * d for h, d, _ in steps)
+            second = sum(h * h / 8.0 * m for h, _, m in steps)
+            assert r["bound"] == max(r["tail"], r["m0"] + min(first, second))
     assert on_s3 == [4] * 18 + [5] * 17 + [8] * 6
 
 
@@ -453,13 +476,14 @@ def test_certification_never_takes_complex_F(monkeypatch, fresh_tables):
 
 #: sha256 of the certificate inputs and row decisions of tables 2-11; a
 #: refactor of the generators must leave it unchanged
-CERTIFIED_INPUTS_SHA256 = "17dad03df09c4c3c4390549e63fff77da3f59440ea4c32bcf0535858b5d103c8"
+CERTIFIED_INPUTS_SHA256 = "ebe4be2d527bfaba823bec892c73eecbc7ac72d87fad409d9e7a6b10a6a42086"
 
 
 def test_certified_inputs_unchanged():
     # margins and bounds go through libm and may differ across platforms; the
-    # boxes, coefficients, lattices and claims come from IEEE arithmetic on
-    # parsed decimals, so their digest is the same everywhere
+    # boxes, coefficients and claims come from IEEE arithmetic on parsed
+    # decimals, and budget_grid rounds each spacing it takes from the moments
+    # down to two significant digits, so their digest is the same everywhere
     digest = hashlib.sha256()
     for n in range(2, 12):
         rows, certificates = tables.generate_table(n)
