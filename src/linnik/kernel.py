@@ -12,11 +12,11 @@ step end and counting cell) in real arithmetic.  The two run one series and
 one closed form, so ``F_real`` carries the same bits as the real part of
 ``F``.  ``LatticeWork`` evaluates only Re F on an outer product of real
 parts and imaginary parts, the lattice blocks of the sup certificates, from
-a Horner form in 1/z with one exponential per row.  It is a workspace
-built for one certificate's t lattice: its buffers are allocated once, the
-constructor takes the cos/sin pair of each t once for every row evaluated
-against it, and ``re_F`` fills a block of whole t rows in place without
-allocating.  All three switch to the same series inside SMALL_Z_RADIUS.
+a Horner form in 1/z with one exponential per row.  It is built for one
+certificate's t lattice: the constructor takes the cos/sin pair, t^2 and
+-t of each t once for every row evaluated against it, and ``re_F``
+returns one block of whole t rows at a time.  All three switch to the
+same series inside SMALL_Z_RADIUS.
 
 All real arithmetic is double precision.  ``w``, the penalty integral and
 ``xf_moments`` (the first and second moments of x f(x) e^{cx})
@@ -272,8 +272,8 @@ class WeightKernel:
 
 
 class LatticeWork:
-    """Re F(-s_i + i t_j) on blocks of at most ``rows`` values of s by every
-    t given to the constructor, evaluated in buffers allocated once.
+    """Re F(-s_i + i t_j) on the outer product of any 1-D s with the t given
+    to the constructor.
 
     The lattice evaluator behind the sup certificates.  With
     w = 1/z = conj(z)/(s^2 + t^2) the closed form is F = P(w) + e Q(w),
@@ -284,12 +284,11 @@ class LatticeWork:
     e = exp(-2 gamma z) = exp(2 gamma s) (cos 2 gamma t - i sin 2 gamma t).
     The constructor computes the trigonometric factor, t^2 and -t once for
     its t; :meth:`re_F` then takes one exponential per s and runs the Horner
-    form in place, so evaluating a block allocates no array.  Points with
-    |z| < SMALL_Z_RADIUS, z = 0 included, take the series value, as in
-    :meth:`WeightKernel.F`.
+    form on a block of rows.  Points with |z| < SMALL_Z_RADIUS, z = 0
+    included, take the series value, as in :meth:`WeightKernel.F`.
     """
 
-    def __init__(self, kernel: WeightKernel, t: np.ndarray, rows: int):
+    def __init__(self, kernel: WeightKernel, t: np.ndarray):
         g = kernel.gamma
         self.kernel = kernel
         self._two_g = 2.0 * g
@@ -298,63 +297,33 @@ class LatticeWork:
         self._c = 4.0 * g * g
         self._d = 8.0 * g
         t = np.asarray(t, dtype=float)
-        m = t.size
-        # inv, w, w2, p and q; re_F views the first s.size rows of each
-        self._blocks = (np.empty((rows, m)), *(np.empty((rows, m), dtype=complex)
-                                                for _ in range(4)))
-        phase = self._phase = np.empty(m, dtype=complex)
-        t2 = self._t2 = np.empty(m)
-        np.multiply(self._two_g, t, out=t2)
-        np.cos(t2, out=phase.real)
-        np.multiply(-self._two_g, t, out=t2)
-        np.sin(t2, out=phase.imag)
-        np.multiply(t, t, out=t2)
-        self._neg_t = np.negative(t)
+        self._phase = np.empty(t.size, dtype=complex)
+        self._phase.real = np.cos(self._two_g * t)
+        self._phase.imag = np.sin(-self._two_g * t)
+        self._t2 = t * t
+        self._neg_t = -t
         self._small_cols = np.flatnonzero(np.abs(t) < SMALL_Z_RADIUS)
         self._small_t = t[self._small_cols]
-        self._s2, self._neg_s, self._exp = np.empty(rows), np.empty(rows), np.empty(rows)
 
-    def re_F(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write Re F(-s_i + i t_j) for the 1-D s (at most ``rows`` values) and
-        the workspace's t into ``out``, of shape (s.size, t.size), and return
-        ``out``."""
+    def re_F(self, s: np.ndarray) -> np.ndarray:
+        """Re F(-s_i + i t_j) for the 1-D s and the workspace's t, a new array
+        of shape (s.size, t.size)."""
         s = np.asarray(s, dtype=float)
-        n = s.size
-        inv, w, w2, p, q = (block[:n] for block in self._blocks)
-        s2, neg_s, ex = self._s2[:n], self._neg_s[:n], self._exp[:n]
-        rows = None
-        if self._small_cols.size and np.abs(s, out=ex).min() < SMALL_Z_RADIUS:
-            rows = np.flatnonzero(ex < SMALL_Z_RADIUS)
-        np.multiply(s, s, out=s2)
-        np.negative(s, out=neg_s)
         # near z = 0, w overflows (z = 0 gives NaN): those points take the series
         # value below, and grid_max refuses any other non-finite value
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.add(s2[:, None], self._t2, out=inv)
-            np.reciprocal(inv, out=inv)
-            np.multiply(neg_s[:, None], inv, out=w.real)
-            np.multiply(self._neg_t, inv, out=w.imag)
-            np.multiply(w, w, out=w2)
-            np.multiply(w2, -4.0, out=p)
-            p += self._c
-            p *= w
-            p -= self._b
-            p *= w2
-            p += self._a
-            p *= w
-            np.multiply(w, 4.0, out=q)
-            q += self._d
-            q *= w
-            q += self._c
-            q *= w2
-            q *= w2
-            np.multiply(self._two_g, s, out=ex)
-            np.exp(ex, out=ex)
-            np.multiply(ex[:, None], self._phase, out=w)  # e; w is not read again
-            q *= w
+            inv = np.reciprocal((s * s)[:, None] + self._t2)
+            w = np.empty(inv.shape, dtype=complex)
+            w.real = -s[:, None] * inv
+            w.imag = self._neg_t * inv
+            w2 = w * w
+            p = (((w2 * -4.0 + self._c) * w - self._b) * w2 + self._a) * w
+            q = ((w * 4.0 + self._d) * w + self._c) * w2 * w2
+            q *= np.exp(self._two_g * s)[:, None] * self._phase
             # Re(P + e Q): complex addition is componentwise
-            np.add(p.real, q.real, out=out)
-        if rows is not None:
+            out = p.real + q.real
+        rows = np.flatnonzero(np.abs(s) < SMALL_Z_RADIUS)
+        if rows.size and self._small_cols.size:
             cols = self._small_cols
             z = -s[rows, None] + 1j * self._small_t
             near = np.abs(z) < SMALL_Z_RADIUS

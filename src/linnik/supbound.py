@@ -45,30 +45,32 @@ beta per coordinate the walks step along, and takes on each the coarsest
 spacing h_i = min(width_i, sqrt(8 beta / max_p M_ii)) that keeps every
 problem of the group within its share.
 
-Several suprema of one table row often share kernel, box and grid and
-differ only in k1, k2, k3.  ``sup_bounds`` certifies such a group with one
-walk per lattice its problems take; ``sup_bound`` is the group of one.
+Several suprema of one table row often share kernel, box and tail cutoff
+and differ only in k1, k2, k3.  ``sup_bounds`` certifies such a group on
+the one lattice ``budget_grid`` chooses for it; ``sup_bound`` is the group
+of one.
 
-M0 is computed by ``_walk``, on the s1, s2 and t values of ``grid_max`` or
-on s3, {0} and t for the (s3, t) lattice, in blocks of whole rows of the t
-lattice, at most BLOCK_POINTS points each unless one row alone is longer.
-Per s1 block each problem's base k1 F(-s1+it) - k3 F(it) is built once;
-then, one s2 value at a time, the k2 rows F(-(s1-s2)+it) are subtracted
-from it, and each block is reduced to its maximum at once, so no
-lattice-sized array is built.  One ``kernel.LatticeWork`` per walk fills
-every block with the unscaled Re F values the group shares: the
-trigonometric factors of the t lattice and the k3 row are computed once per
-walk, and the raw rows, the block and each problem's base live in buffers
-allocated once per walk, so the walk allocates no array per block.
+M0 is computed by ``_walk``, one walk per problem, on the s1, s2 and t
+values of ``grid_max`` or on s3, {0} and t for the (s3, t) lattice of
+``_s3_max``, in blocks of whole rows of the t lattice, at most
+BLOCK_POINTS points each unless one row alone is longer.  Per s1 block
+the base k1 F(-s1+it) - k3 F(it) is built once; then, one s2 value at a
+time, the k2 rows F(-(s1-s2)+it) are subtracted from it, and each block
+is reduced to its maximum at once, so no lattice-sized array is built.
+One ``kernel.LatticeWork`` per walk computes the trigonometric factors of
+the t lattice once, and the k3 row is evaluated once per walk.
 
-Certification fails closed: a NaN or inf anywhere in the lattice, the tail
-or either slack raises FloatingPointError, and no certificate is produced.
+Certification fails closed: ``SupProblem`` and ``GridSpec`` refuse a NaN
+or infinite field with a ValueError that names it, and a NaN or inf
+anywhere in the lattice, the tail or either slack raises
+FloatingPointError, and no certificate is produced.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -82,6 +84,15 @@ BLOCK_POINTS = 4096
 #: second-order slack ``budget_grid`` spends per unit of the least
 #: coefficient sum k1 + k2 + k3 of a group, shared among its coordinates
 SLACK_BUDGET = 1e-3
+
+
+def _require_finite(record) -> None:
+    """Raise ValueError naming the first number field of a dataclass that
+    is NaN or infinite."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +109,7 @@ class SupProblem:
     s22: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (0.0 <= self.s11 <= self.s12 <= 4.0):
             raise ValueError(f"need 0 <= s11 <= s12 <= 4, got [{self.s11}, {self.s12}]")
         if not (0.0 <= self.s21 <= self.s22):
@@ -132,6 +144,7 @@ class GridSpec:
     x1: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.ds1 < 0 or self.ds2 < 0 or self.dt < 0:
             raise ValueError("spacings must be nonnegative")
 
@@ -265,81 +278,54 @@ def _fold_max(best: float, block: np.ndarray) -> float:
     return max(best, hi)
 
 
-def grid_max(problems: Sequence[SupProblem], grid: GridSpec) -> Tuple[float, ...]:
-    """Exact maximum of A over the (s1, s2, t) lattice for each problem of a
-    group that shares kernel and box, all from one ``_walk``.  Raises
+def grid_max(problem: SupProblem, grid: GridSpec) -> float:
+    """Exact maximum of A over the (s1, s2, t) lattice.  Raises
     FloatingPointError if a lattice value is not finite."""
-    first = problems[0]
-    return _walk(problems, _lattice(first.s11, first.s12, grid.ds1),
-                 _lattice(first.s21, first.s22, grid.ds2), _lattice(0.0, grid.x1, grid.dt))
+    return _walk(problem, _lattice(problem.s11, problem.s12, grid.ds1),
+                 _lattice(problem.s21, problem.s22, grid.ds2), _lattice(0.0, grid.x1, grid.dt))
 
 
-def _s3_max(problems: Sequence[SupProblem], grid: GridSpec) -> Tuple[float, ...]:
+def _s3_max(problem: SupProblem, grid: GridSpec) -> float:
     """Exact maximum of A = -k2 Re F(-s3+it) over the (s3, t) lattice, s3 on
-    [s11 - s22, s12 - s21] with spacing max(ds1, ds2), for each problem of a
-    group that shares kernel and box and depends on s3 alone.
+    [s11 - s22, s12 - s21] with spacing max(ds1, ds2), for a problem that
+    depends on s3 alone.
 
-    It is ``_walk`` on s3 x {0} x t: each base is 0, and s3 - 0.0 is s3
+    It is ``_walk`` on s3 x {0} x t: the base is 0, and s3 - 0.0 is s3
     exactly.  The s3 range may reach below 0, where SupProblem.s31 clamps.
     """
-    first = problems[0]
-    return _walk(problems, _lattice(first.s11 - first.s22, first.s12 - first.s21,
-                                    max(grid.ds1, grid.ds2)),
+    return _walk(problem, _lattice(problem.s11 - problem.s22, problem.s12 - problem.s21,
+                                   max(grid.ds1, grid.ds2)),
                  np.zeros(1), _lattice(0.0, grid.x1, grid.dt))
 
 
-def _walk(problems: Sequence[SupProblem], s1_vals: np.ndarray, s2_vals: np.ndarray,
-          t_vals: np.ndarray) -> Tuple[float, ...]:
+def _walk(p: SupProblem, s1_vals: np.ndarray, s2_vals: np.ndarray,
+          t_vals: np.ndarray) -> float:
     """Maximum of k1 Re F(-s1+it) - k2 Re F(-(s1-s2)+it) - k3 Re F(it) over
-    the lattice s1_vals x s2_vals x t_vals for each problem of a group that
-    shares its kernel, in blocks of whole t rows.
+    the lattice s1_vals x s2_vals x t_vals, in blocks of whole t rows.
 
     A block holds max(1, BLOCK_POINTS // n_t) values of s1 by all n_t values
-    of t; it exceeds BLOCK_POINTS points, and the buffers grow with n_t, only
-    when n_t does.  Per s1 block the walk writes the unscaled Re F of the k1
-    rows (s1) once and builds each problem's base, k1 Re F(-s1+it) - k3 Re
-    F(it); then, per s2 value, it writes the unscaled Re F of the k2 rows
-    (s1 - s2) once and each problem with a k2 term folds base - k2 Re F.
-    Each problem applies the operations a walk of that problem alone
-    applies, in the same order, so each maximum is bit-identical to that
-    problem's own walk.  The trigonometric factors and the k3 row are
-    computed once per call, in one LatticeWork and in buffers allocated once
-    per call.  Raises FloatingPointError if a lattice value is not finite.
+    of t; it exceeds BLOCK_POINTS points only when n_t does.  Per s1 block
+    the walk builds the base k1 Re F(-s1+it) - k3 Re F(it) and, without a
+    k2 term, folds it; otherwise, per s2 value, it folds base - k2 Re
+    F(-(s1-s2)+it).  The trigonometric factors of the t lattice and the k3
+    row are computed once per call, in one LatticeWork.  Raises
+    FloatingPointError if a lattice value is not finite.
     """
-    m = t_vals.size
-    rows = max(1, BLOCK_POINTS // m)
-    work = LatticeWork(problems[0].kernel, t_vals, rows)
-    with_k2 = [j for j, p in enumerate(problems) if p.k2]
-    any_k1 = any(p.k1 for p in problems)
-    raw3 = np.empty(m)
-    if any(p.k3 for p in problems):
-        work.re_F(np.zeros(1), raw3[None, :])
-    f3s = [raw3 * p.k3 if p.k3 else None for p in problems]
-    bufs = [np.empty((rows, m)) for _ in range(3)] + [np.empty(rows)]
-    base_bufs = [np.empty((rows, m)) for _ in problems]
-    best = [-math.inf] * len(problems)
+    rows = max(1, BLOCK_POINTS // t_vals.size)
+    work = LatticeWork(p.kernel, t_vals)
+    f3 = work.re_F(np.zeros(1))[0] * p.k3 if p.k3 else None
+    best = -math.inf
     for i in range(0, s1_vals.size, rows):
         s1 = s1_vals[i:i + rows]
-        raw1, raw2, block, s3 = (buf[:s1.size] for buf in bufs)
-        bases = [buf[:s1.size] for buf in base_bufs]
-        if any_k1:
-            work.re_F(s1, raw1)
-        for j, (p, base) in enumerate(zip(problems, bases)):
-            if p.k1:
-                np.multiply(raw1, p.k1, out=base)
-            else:
-                base.fill(0.0)
-            if p.k3:
-                base -= f3s[j]
-            if not p.k2:
-                best[j] = _fold_max(best[j], base)
-        for s2 in s2_vals if with_k2 else ():
-            work.re_F(np.subtract(s1, s2, out=s3), raw2)
-            for j in with_k2:
-                np.multiply(raw2, problems[j].k2, out=block)
-                np.subtract(bases[j], block, out=block)
-                best[j] = _fold_max(best[j], block)
-    return tuple(best)
+        base = work.re_F(s1) * p.k1 if p.k1 else np.zeros((s1.size, t_vals.size))
+        if p.k3:
+            base -= f3
+        if not p.k2:
+            best = _fold_max(best, base)
+            continue
+        for s2 in s2_vals:
+            best = _fold_max(best, base - work.re_F(s1 - s2) * p.k2)
+    return best
 
 
 def _depends_on_s3(p: SupProblem) -> bool:
@@ -398,13 +384,12 @@ def sup_bounds(problems: Sequence[SupProblem],
     of a group that shares kernel and box.
 
     ``grid`` is a GridSpec, or a tail cutoff x1 for which ``budget_grid``
-    chooses the lattice.  Each problem is walked on one of two lattices, by
-    its own coefficients and box whatever its group: a problem that depends
-    on s3 = s1 - s2 alone (``_depends_on_s3``) on the (s3, t) lattice with
-    ds3 = max(ds1, ds2), every other on the (s1, s2, t) lattice of
-    ``grid_max``.  The problems of a group on one lattice share one walk.
-    Each bound is max(tail, M0 + min(first-order slack, second-order
-    slack)).
+    chooses the lattice.  Each problem is walked alone on one of two
+    lattices, by its own coefficients and box whatever its group: a problem
+    that depends on s3 = s1 - s2 alone (``_depends_on_s3``) on the (s3, t)
+    lattice of ``_s3_max`` with ds3 = max(ds1, ds2), every other on the
+    (s1, s2, t) lattice of ``grid_max``.  Each bound is max(tail, M0 +
+    min(first-order slack, second-order slack)).
 
     Raises ValueError when the problems differ in kernel or box, or (from
     tail_bound) when x1 < 4, and FloatingPointError instead of certifying
@@ -422,15 +407,11 @@ def sup_bounds(problems: Sequence[SupProblem],
         grid = budget_grid(problems, grid)
     tails = [tail_bound(p, grid.x1) for p in problems]
     derivs = [derivative_bounds(p) + second_derivative_bounds(p) for p in problems]
-    on_s3 = [_depends_on_s3(p) for p in problems]
-    m0s = {}
-    for walk, flag in ((grid_max, False), (_s3_max, True)):
-        group = [j for j, s3 in enumerate(on_s3) if s3 is flag]
-        if group:
-            m0s.update(zip(group, walk([problems[j] for j in group], grid)))
     certs = []
-    for j, (p, tail, (d1, d2, d3, m11, m22, mtt)) in enumerate(zip(problems, tails, derivs)):
-        if on_s3[j]:
+    for p, tail, (d1, d2, d3, m11, m22, mtt) in zip(problems, tails, derivs):
+        on_s3 = _depends_on_s3(p)
+        m0 = (_s3_max if on_s3 else grid_max)(p, grid)
+        if on_s3:
             # |dA/ds3| <= k2 M(s32) = D2, and D2 <= D1 when k1 = 0; |d^2A/ds3^2|
             # <= M22 = M11, and ds3^2 <= ds1^2 + ds2^2: neither slack is ever
             # above the (s1, s2) walk's
@@ -444,9 +425,9 @@ def sup_bounds(problems: Sequence[SupProblem],
         if not all(map(math.isfinite, (tail, first, second))):
             raise FloatingPointError(f"non-finite sup bound: tail {tail!r}, "
                                      f"first-order slack {first!r}, second-order {second!r}")
-        certs.append(SupCertificate(problem=p, grid=grid, m0=m0s[j], d1=d1, d2=d2, d3=d3,
+        certs.append(SupCertificate(problem=p, grid=grid, m0=m0, d1=d1, d2=d2, d3=d3,
                                     m11=m11, m22=m22, mtt=mtt, tail=tail,
-                                    bound=max(tail, m0s[j] + min(first, second)), ds3=ds3))
+                                    bound=max(tail, m0 + min(first, second)), ds3=ds3))
     return tuple(certs)
 
 

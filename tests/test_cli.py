@@ -190,7 +190,10 @@ def test_table_published_cap_violation_fails(tmp_path, monkeypatch, capsys, tabl
 
 
 def test_table_non_finite_lattice_fails_closed(tmp_path, monkeypatch, capsys, fresh_tables):
-    def nan_lattice(self, s, out):
+    real = LatticeWork.re_F
+
+    def nan_lattice(self, s):
+        out = real(self, s)
         out.fill(np.nan)
         return out
 

@@ -108,8 +108,8 @@ LATTICE_SHAPES = {
 
 
 def _re_F_lattice(kern, s, t):
-    """Re F on s x t from a fresh workspace of exactly that size."""
-    return LatticeWork(kern, t, s.size).re_F(s, np.empty((s.size, t.size)))
+    """Re F on s x t from a fresh workspace."""
+    return LatticeWork(kern, t).re_F(s)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.8, 1.05, 1.3])
@@ -143,15 +143,15 @@ def test_re_F_lattice_against_mpmath_oracle():
 
 def test_lattice_work_reuse_matches_a_fresh_workspace():
     # full blocks, a smaller one reaching into the series disk at z = 0, then
-    # full blocks again: no row slice or series patch of an earlier block may
-    # leak into a later one
+    # full blocks again: no series patch of an earlier block may leak into
+    # the workspace's t factors or a later block
     kern = WeightKernel(1.05)
     t = np.linspace(0.0, 15.0, 512)
     full = np.linspace(0.1, 4.0, 8)
     small = np.array([0.0, 0.05, 0.9])
-    work = LatticeWork(kern, t, 8)
+    work = LatticeWork(kern, t)
     for s in (full, small, full):
-        got = work.re_F(s, np.empty((s.size, t.size)))
+        got = work.re_F(s)
         assert np.array_equal(got, _re_F_lattice(kern, s, t))
 
 

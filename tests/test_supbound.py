@@ -197,7 +197,7 @@ def test_second_order_term_dominates_a_dense_cell(gamma, k1, k2, k3, s11, w1, s2
 def test_grid_max_degenerate_box():
     prob = SupProblem(KERN, k1=1.0, k2=0.5, k3=0.25, s11=0.4, s12=0.4, s21=0.1, s22=0.1)
     grid = GridSpec(0.0, 0.0, 0.0, 0.0)
-    (m0,) = grid_max((prob,), grid)
+    m0 = grid_max(prob, grid)
     assert m0 == pytest.approx(float(A_eval(prob, 0.4, 0.1, 0.0)), rel=1e-14)
 
 
@@ -227,13 +227,13 @@ def test_lattice_keeps_the_sorted_clamped_values_through_b():
 def test_zero_spacing_needs_degenerate_interval():
     prob = PROBLEMS[2]
     with pytest.raises(ValueError):
-        grid_max((prob,), GridSpec(0.0, 0.007, 0.015, 7.0))
+        grid_max(prob, GridSpec(0.0, 0.007, 0.015, 7.0))
 
 
 @pytest.mark.parametrize("prob,grid", list(zip(PROBLEMS, GRIDS)))
 def test_grid_max_below_bound(prob, grid):
     cert = sup_bound(prob, grid)
-    assert grid_max((prob,), grid) == (cert.m0,) and cert.m0 <= cert.bound
+    assert grid_max(prob, grid) == cert.m0 and cert.m0 <= cert.bound
     assert cert.bound >= 0.0
 
 
@@ -266,13 +266,13 @@ def test_grid_max_equals_brute_force_lattice_max(gamma, k1, k2, k3, s11, w1, s21
     # per term, the lattice kernel and F each keep the 1e-10 closed-form budget
     # plus rounding relative to |Re F| <= F(-s12)
     tol = (k1 + k2 + k3) * (2e-10 + 1e-12 * prob.kernel.F_real(-prob.s12))
-    (m0,) = grid_max((prob,), grid)
+    m0 = grid_max(prob, grid)
     assert abs(m0 - brute) <= tol
 
 
 # rows per s1 block is max(1, BLOCK_POINTS // n_t); n_t is 468 at x1 = 7,
-# dt = 0.015, so 8 rows; per s1 block the walk folds each base, then one
-# block per s2 value
+# dt = 0.015, so 8 rows; per s1 block the walk folds the base of a problem
+# without a k2 term, else one block per s2 value
 FULL_LATTICE_CASES = list(zip(PROBLEMS, GRIDS)) + [
     # n_t = 5001 > BLOCK_POINTS: one s1 value per block, blocks wider than BLOCK_POINTS
     (SupProblem(WeightKernel(1.0), k1=0.8, k2=1.3, k3=0.6,
@@ -304,11 +304,7 @@ def _full_lattice(prob, grid):
     s2 = _lattice(prob.s21, prob.s22, grid.ds2)
     t = _lattice(0.0, grid.x1, grid.dt)
     s3 = (s1[:, None] - s2).ravel()
-    work = LatticeWork(prob.kernel, t, s3.size)
-
-    def re_F(s):
-        return work.re_F(s, np.empty((s.size, t.size)))
-
+    re_F = LatticeWork(prob.kernel, t).re_F
     base = prob.k1 * re_F(s1) - prob.k3 * re_F(np.zeros(1))
     lattice = np.repeat(base, s2.size, axis=0) - prob.k2 * re_F(s3)
     return lattice.reshape(s1.size, s2.size, t.size)
@@ -317,7 +313,7 @@ def _full_lattice(prob, grid):
 @pytest.mark.parametrize("prob,grid", FULL_LATTICE_CASES)
 def test_grid_max_equals_one_full_lattice_evaluation(prob, grid):
     # the block split changes no lattice value, so not the maximum either
-    assert grid_max((prob,), grid) == (np.max(_full_lattice(prob, grid)),)
+    assert grid_max(prob, grid) == np.max(_full_lattice(prob, grid))
 
 
 def _mixed_groups(prob):
@@ -336,7 +332,8 @@ def test_group_walk_equals_each_full_lattice_evaluation(prob, grid, order):
     # a problem's maximum does not depend on its place in the group
     for group in _mixed_groups(prob):
         group = group[::order]
-        assert grid_max(group, grid) == tuple(np.max(_full_lattice(p, grid)) for p in group)
+        for p in group:
+            assert grid_max(p, grid) == np.max(_full_lattice(p, grid))
         assert sup_bounds(group, grid) == tuple(sup_bound(p, grid) for p in group)
 
 
@@ -423,9 +420,9 @@ def test_non_finite_lattice_value_refuses_certificate(monkeypatch, bad, case, ta
     s_bad = target(prob)
     hits = []
 
-    def corrupted(self, s, out):
+    def corrupted(self, s):
         # the term is picked by its s value, whatever the block layout
-        real(self, s, out)
+        out = real(self, s)
         row = np.flatnonzero(s == s_bad)
         if row.size:
             hits.append(row[0])
@@ -470,9 +467,9 @@ def test_s3_lattice_crosses_zero_through_the_series_disk(monkeypatch):
     seen = []
     real = LatticeWork.re_F
 
-    def recorded(self, s, out):
+    def recorded(self, s):
         seen.extend(s)
-        return real(self, s, out)
+        return real(self, s)
 
     monkeypatch.setattr(LatticeWork, "re_F", recorded)
     sup_bound(prob, grid)
@@ -539,3 +536,15 @@ def test_problem_validation():
         SupProblem(KERN, k1=-1.0, k2=0.0, k3=0.0, s11=0.1, s12=0.4, s21=0.0, s22=0.0)
     with pytest.raises(ValueError):
         SupProblem(KERN, k1=1.0, k2=0.0, k3=0.0, s11=0.1, s12=4.5, s21=0.0, s22=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("record,field", [(PROBLEMS[2], f) for f in
+                                          ("k1", "k2", "k3", "s11", "s12", "s21", "s22")]
+                         + [(GRIDS[2], f) for f in ("ds1", "ds2", "dt", "x1")],
+                         ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_non_finite_input_is_refused_by_name(record, field, bad):
+    # refused when built, not later as a lattice error, a NaN-to-int
+    # conversion or an overflow
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        dataclasses.replace(record, **{field: bad})

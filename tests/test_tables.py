@@ -387,18 +387,18 @@ def test_each_xf_moment_integrated_once(fresh_tables):
     assert (info.misses, info.hits + info.misses) == (189, 726)
 
 
-def test_each_raw_lattice_row_evaluated_once_per_group(monkeypatch, fresh_tables):
-    # a group's (s1, s2) walk evaluates Re F on the k1 rows (s1), the k2 rows
-    # (s1 - s2) and the k3 row (s = 0) once each, whichever of its problems
-    # use them, and its (s3, t) walk the s3 rows once: 295 327 points over
-    # the 94 groups of tables 2-11, in 112 walks, on the lattices budget_grid
-    # chooses
+def test_each_raw_lattice_row_evaluated_once_per_walk(monkeypatch, fresh_tables):
+    # each problem's walk evaluates Re F on its k1 rows (s1), its k2 rows
+    # (s1 - s2) and its k3 row (s = 0) once each, and an (s3, t) walk its s3
+    # rows once: 305 245 points in 132 walks, one per problem of the 94
+    # groups of tables 2-11, on the lattices budget_grid chooses
     points, groups = [], []
     real_re_F, real_sup_bounds = LatticeWork.re_F, tables.sup_bounds
 
-    def counted(self, s, out):
+    def counted(self, s):
+        out = real_re_F(self, s)
         points.append(out.size)
-        return real_re_F(self, s, out)
+        return out
 
     def recorded(problems, x1):
         certs = real_sup_bounds(problems, x1)
@@ -413,26 +413,20 @@ def test_each_raw_lattice_row_evaluated_once_per_group(monkeypatch, fresh_tables
     for n in range(2, 12):
         tables.generate_table(n)
 
-    def raw_points(problems, grid):
-        # the points of each walk of the group: the (s1, s2) walk of the
-        # problems that need it, and the s3 walk of those whose A depends on
-        # s1 - s2 alone over a box whose s1 side is not a point
-        p = problems[0]
-        n1 = _lattice(p.s11, p.s12, grid.ds1).size
-        n2 = _lattice(p.s21, p.s22, grid.ds2).size
-        n3 = _lattice(p.s11 - p.s22, p.s12 - p.s21, max(grid.ds1, grid.ds2)).size
+    def raw_points(q, grid):
+        # the (s3, t) walk of a problem whose A depends on s1 - s2 alone over
+        # a box whose s1 side is not a point, else the (s1, s2, t) walk
+        n1 = _lattice(q.s11, q.s12, grid.ds1).size
+        n2 = _lattice(q.s21, q.s22, grid.ds2).size
+        n3 = _lattice(q.s11 - q.s22, q.s12 - q.s21, max(grid.ds1, grid.ds2)).size
         n_t = _lattice(0.0, grid.x1, grid.dt).size
-        on_s3 = [q.k1 == q.k3 == 0.0 < q.k2 and q.s11 < q.s12 for q in problems]
-        box = [q for q, s3 in zip(problems, on_s3) if not s3]
-        walks = [n_t * n3] if any(on_s3) else []
-        if box:
-            walks.append(n_t * (n1 * any(q.k1 for q in box) + n1 * n2 * any(q.k2 for q in box)
-                                + any(q.k3 for q in box)))
-        return walks
+        if q.k1 == q.k3 == 0.0 < q.k2 and q.s11 < q.s12:
+            return n_t * n3
+        return n_t * (n1 * bool(q.k1) + n1 * n2 * bool(q.k2) + bool(q.k3))
 
-    walks = [w for g in groups for w in raw_points(*g)]
-    assert len(groups) == 94 and len(walks) == 112
-    assert sum(points) == sum(walks) == 295_327
+    walks = [raw_points(q, grid) for problems, grid in groups for q in problems]
+    assert len(groups) == 94 and len(walks) == 132
+    assert sum(points) == sum(walks) == 305_245
 
 
 def test_each_bound_rederived_from_its_record():
