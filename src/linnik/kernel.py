@@ -19,11 +19,11 @@ returns one block of whole t rows at a time.  All three switch to the
 same series inside SMALL_Z_RADIUS.
 
 All real arithmetic is double precision.  ``w``, the penalty integral and
-``xf_moments`` (the first and second moments of x f(x) e^{cx})
-memoise their values in the method itself, an
-``lru_cache`` keyed on the frozen instance, so equal parameter sets or
-kernels share entries; ``w`` and the penalty are one integral split at v
-(``LinnikParams._split_integral``).  Each uses one fixed Gauss-Legendre
+``xf_moments`` (M2(c) = int x^2 f(x) e^{cx} dx, which bounds the second
+derivatives of the sup certificates) memoise their values in the method
+itself, an ``lru_cache`` keyed on the frozen instance, so equal parameter
+sets or kernels share entries; ``w`` and the penalty are one integral split
+at v (``LinnikParams._split_integral``).  Each uses one fixed Gauss-Legendre
 rule (:func:`_gauss_legendre`) on pieces whose integrand is a polynomial
 times an exponential, an entire function on which the rule converges
 geometrically: the 32-node value is returned only when the 16-node value
@@ -40,7 +40,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -94,31 +94,19 @@ _GL32 = _legendre_rule(32)
 _GL_NODES = np.concatenate([_GL16[0], _GL32[0]])
 
 
-def _gauss_legendre(fn, a: float, b: float):
+def _gauss_legendre(fn, a: float, b: float) -> float:
     """int_a^b fn(t) dt by the 32-node Gauss-Legendre rule, checked against
     the 16-node rule.
 
-    ``fn`` maps an array of nodes to an array of values, or to a 2-D stack
-    of such arrays, one row per integrand; both rules are evaluated in one
-    call.  An array gives one float, a stack a tuple of floats, one per row,
-    each checked alone.  Raises FloatingPointError when a value is not
+    ``fn`` maps an array of nodes to an array of values; both rules are
+    evaluated in one call.  Raises FloatingPointError when a value is not
     finite and QuadratureError when |I32 - I16| > max(50 QUAD_TOL, 1e-9 |I32|).
     """
     half = 0.5 * (b - a)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = fn(0.5 * (a + b) + half * _GL_NODES)
-        if vals.ndim == 2:
-            i16 = half * np.sum(_GL16[1] * vals[:, :16], axis=1)
-            i32 = half * np.sum(_GL32[1] * vals[:, 16:], axis=1)
-            return tuple(_checked_rule(float(lo), float(hi), a, b) for lo, hi in zip(i16, i32))
         i16 = half * float(np.sum(_GL16[1] * vals[:16]))
         i32 = half * float(np.sum(_GL32[1] * vals[16:]))
-    return _checked_rule(i16, i32, a, b)
-
-
-def _checked_rule(i16: float, i32: float, a: float, b: float) -> float:
-    """i32, the 32-node value on [a, b], once it is finite and the 16-node
-    value i16 agrees with it (see ``_gauss_legendre``)."""
     if not (math.isfinite(i16) and math.isfinite(i32)):
         raise FloatingPointError(
             f"non-finite quadrature on [{a!r}, {b!r}]: {i32!r} (16 nodes: {i16!r})")
@@ -126,6 +114,15 @@ def _checked_rule(i16: float, i32: float, a: float, b: float) -> float:
     if err > max(50.0 * QUAD_TOL, 1e-9 * abs(i32)):
         raise QuadratureError("16- and 32-node Gauss-Legendre rules disagree", i32, err)
     return i32
+
+
+def _require_finite(record) -> None:
+    """Raise ValueError naming the first number field of a dataclass that
+    is NaN or infinite."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +138,7 @@ class WeightKernel:
     gamma: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.gamma >= 0.5):
             raise ValueError(f"gamma must be >= 0.5, got {self.gamma}")
 
@@ -159,9 +157,9 @@ class WeightKernel:
         return 8.0 * self.gamma**6 / 9.0
 
     def f(self, t: ArrayLike) -> ArrayLike:
-        """Evaluate f(t) for t >= 0 (vectorized)."""
+        """Evaluate f(t) for t >= 0 (vectorized); a NaN argument is refused."""
         arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):
             raise ValueError("f is only defined for t >= 0")
         g = self.gamma
         inside = -arr**5 / 30.0 + (2.0 * g * g / 3.0) * arr**3 \
@@ -246,29 +244,23 @@ class WeightKernel:
                 + (4.0 * (-1.0 + e + 2.0 * g * z * e)) * (1.0 / (z4 * z2)))
 
     @lru_cache(maxsize=1024)
-    def xf_moments(self, c: float) -> Tuple[float, float]:
-        """(int_0^{2 gamma} x f(x) e^{c x} dx, int_0^{2 gamma} x^2 f(x) e^{c x} dx),
-        from one checked Gauss-Legendre pass that evaluates x f(x) e^{c x}
-        once and multiplies it by x for the second integrand (a degree-6 and
-        a degree-7 polynomial times an exponential); computed once per
-        (gamma, c) in a process.
+    def xf_moments(self, c: float) -> float:
+        """M2(c) = int_0^{2 gamma} x^2 f(x) e^{c x} dx, a degree-7 polynomial
+        times an exponential, by one checked Gauss-Legendre pass; computed
+        once per (gamma, c) in a process.
 
         f takes its factored form (2 gamma - x)^3 (4 gamma^2 + 6 gamma x +
         x^2) / 30, which, unlike the expanded form of :meth:`f`, does not
-        cancel at the nodes next to 2 gamma.  Both moments increase in c.
+        cancel at the nodes next to 2 gamma.  M2 increases in c.
         """
         g = self.gamma
 
-        def integrands(x):
+        def integrand(x):
             u = 2.0 * g - x
-            xf = x * (u * u * u) * (4.0 * g * g + 6.0 * g * x + x * x) / 30.0 * np.exp(c * x)
-            return np.stack((xf, x * xf))
+            return x * (x * (u * u * u) * (4.0 * g * g + 6.0 * g * x + x * x) / 30.0
+                        * np.exp(c * x))
 
-        return _gauss_legendre(integrands, 0.0, self.support_end)
-
-    def xf_exp_moment(self, c: float) -> float:
-        """int_0^{2 gamma} x f(x) e^{c x} dx, the first of :meth:`xf_moments`."""
-        return self.xf_moments(c)[0]
+        return _gauss_legendre(integrand, 0.0, self.support_end)
 
 
 class LatticeWork:

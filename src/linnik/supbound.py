@@ -5,36 +5,30 @@ bounded above over a parameter box times all real t.  By conjugate symmetry
 t >= 0 suffices.  The certificate combines three ingredients:
 
   * a finite-grid maximum M0 over a lattice covering the box x [0,x1],
-  * a grid term bounding A off the lattice: M0 plus the smaller of two
-    slacks,
+  * a slack bounding A off the lattice,
   * closed-form tail majorants A1..A4 valid for every t >= x1 (monotone
     decreasing in t, so evaluating them at x1 covers the whole tail).
 
-The two slacks of a lattice with spacings h_i:
-
-  * first order, sum_i h_i/2 D_i, with D1, D2, D3 the first-derivative
-    bounds of ``derivative_bounds``;
-  * second order, sum_i h_i^2/8 M_ii, with M11, M22, Mtt the
-    second-derivative bounds of ``second_derivative_bounds``.  On a lattice
-    cell the tensor-product linear interpolant of A is a convex combination
-    of its corner values, so it stays <= M0; interpolating one coordinate
-    at a time errs by at most h_i^2/8 sup |d_i^2 A| per coordinate (de Boor,
-    A Practical Guide to Splines, ch. 2; Tucker, Validated Numerics, 2011).
-    With M2(c) = int x^2 f(x) e^{cx} dx, increasing in c since f >= 0,
-    |d^2 Re F(-s+it)| <= M2(s) in s and in t, so M11 = k1 M2(s12) + k2
-    M2(s32), M22 = k2 M2(s32) and Mtt = M11 + k3 M2(0).
+The slack of a lattice with spacings h_i is sum_i h_i^2/8 M_ii, with M11,
+M22, Mtt the second-derivative bounds of ``curvature_bounds``.  On
+a lattice cell the tensor-product linear interpolant of A is a convex
+combination of its corner values, so it stays <= M0; interpolating one
+coordinate at a time errs by at most h_i^2/8 sup |d_i^2 A| per coordinate
+(de Boor, A Practical Guide to Splines, ch. 2; Tucker, Validated Numerics,
+2011).  With M2(c) = int x^2 f(x) e^{cx} dx, increasing in c since f >= 0,
+|d^2 Re F(-s+it)| <= M2(s) in s and in t, so M11 = k1 M2(s12) + k2 M2(s32),
+M22 = k2 M2(s32) and Mtt = M11 + k3 M2(0).
 
 Each problem takes one of two lattices, chosen by its own coefficients and
 box:
 
   * the (s1, s2, t) lattice over [s11,s12] x [s21,s22] x [0,x1], with the
-    bound max(tail, M0 + min(ds1/2 D1 + ds2/2 D2 + dt/2 D3,
-    ds1^2/8 M11 + ds2^2/8 M22 + dt^2/8 Mtt));
+    bound max(tail, M0 + ds1^2/8 M11 + ds2^2/8 M22 + dt^2/8 Mtt);
   * when k1 = k3 = 0 < k2 and s11 < s12, A = -k2 Re F(-s3+it) depends on
     s3 = s1 - s2 alone, and the (s3, t) lattice over [s11 - s22, s12 - s21]
-    x [0,x1] with ds3 = max(ds1, ds2) gives max(tail, M0 + min(ds3/2 D2 +
-    dt/2 D3, ds3^2/8 M22 + dt^2/8 Mtt)); there M11 = M22 = Mtt = k2 M2(s32)
-    bounds both second derivatives.
+    x [0,x1] with ds3 = max(ds1, ds2) gives max(tail, M0 + ds3^2/8 M22 +
+    dt^2/8 Mtt); there M11 = M22 = Mtt = k2 M2(s32) bounds both second
+    derivatives.
 
 Either bound dominates A everywhere on box x [0, inf).
 
@@ -62,20 +56,19 @@ the t lattice once, and the k3 row is evaluated once per walk.
 
 Certification fails closed: ``SupProblem`` and ``GridSpec`` refuse a NaN
 or infinite field with a ValueError that names it, and a NaN or inf
-anywhere in the lattice, the tail or either slack raises
+anywhere in the lattice, the tail or the slack raises
 FloatingPointError, and no certificate is produced.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .kernel import LatticeWork, WeightKernel
+from .kernel import LatticeWork, WeightKernel, _require_finite
 
 #: lattice points evaluated and reduced to their maximum at once by grid_max;
 #: a block holds max(1, BLOCK_POINTS // n_t) whole t rows
@@ -84,15 +77,6 @@ BLOCK_POINTS = 4096
 #: second-order slack ``budget_grid`` spends per unit of the least
 #: coefficient sum k1 + k2 + k3 of a group, shared among its coordinates
 SLACK_BUDGET = 1e-3
-
-
-def _require_finite(record) -> None:
-    """Raise ValueError naming the first number field of a dataclass that
-    is NaN or infinite."""
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -156,18 +140,14 @@ class GridSpec:
 class SupCertificate:
     """A proven bound: A(s1,s2,t) <= bound on box x [0, inf).
 
-    ``d1..d3`` bound the first derivatives and ``m11``, ``m22``, ``mtt``
-    the second ones.  ``ds3`` is the s3 spacing of a certificate from the
-    (s3, t) walk, and None for one from the (s1, s2, t) walk; only the
-    former records it.
+    ``m11``, ``m22``, ``mtt`` bound the second derivatives.  ``ds3`` is the
+    s3 spacing of a certificate from the (s3, t) walk, and None for one from
+    the (s1, s2, t) walk; only the former records it.
     """
 
     problem: SupProblem
     grid: GridSpec
     m0: float
-    d1: float
-    d2: float
-    d3: float
     m11: float
     m22: float
     mtt: float
@@ -182,7 +162,6 @@ class SupCertificate:
             "grid": self.grid.as_record(),
             **s3_walk,
             "m0": self.m0,
-            "d1": self.d1, "d2": self.d2, "d3": self.d3,
             "m11": self.m11, "m22": self.m22, "mtt": self.mtt,
             "tail": self.tail,
             "bound": self.bound,
@@ -229,28 +208,16 @@ def tail_bound(problem: SupProblem, x1: float) -> float:
     return a1 + a2 + a3 + a4
 
 
-def derivative_bounds(problem: SupProblem) -> Tuple[float, float, float]:
-    """Uniform bounds (D1, D2, D3) on |dA/ds1|, |dA/ds2|, |dA/dt| over the box."""
-    kern = problem.kernel
-    d0 = max(problem.k2 - problem.k1,
-             problem.k1 - problem.k2 * math.exp(-2.0 * kern.gamma * problem.s22))
-    i1 = kern.xf_exp_moment(problem.s12)
-    d1 = d0 * i1
-    d2 = problem.k2 * kern.xf_exp_moment(problem.s32) if problem.k2 else 0.0
-    d3 = d0 * i1 + (problem.k3 * kern.xf_exp_moment(0.0) if problem.k3 else 0.0)
-    return d1, d2, d3
-
-
-def second_derivative_bounds(problem: SupProblem) -> Tuple[float, float, float]:
+def curvature_bounds(problem: SupProblem) -> Tuple[float, float, float]:
     """Uniform bounds (M11, M22, Mtt) on |d^2A/ds1^2|, |d^2A/ds2^2| and
     |d^2A/dt^2| over the box: k1 M2(s12) + k2 M2(s32), k2 M2(s32) and
-    M11 + k3 M2(0), with M2 the second of ``WeightKernel.xf_moments``.  When A
-    depends on s3 = s1 - s2 alone (k1 = k3 = 0), all three are k2 M2(s32),
-    which bounds |d^2A/ds3^2| as well."""
+    M11 + k3 M2(0), with M2 ``WeightKernel.xf_moments``.  When A depends on
+    s3 = s1 - s2 alone (k1 = k3 = 0), all three are k2 M2(s32), which
+    bounds |d^2A/ds3^2| as well."""
     moments = problem.kernel.xf_moments
-    m22 = problem.k2 * moments(problem.s32)[1] if problem.k2 else 0.0
-    m11 = (problem.k1 * moments(problem.s12)[1] if problem.k1 else 0.0) + m22
-    mtt = m11 + (problem.k3 * moments(0.0)[1] if problem.k3 else 0.0)
+    m22 = problem.k2 * moments(problem.s32) if problem.k2 else 0.0
+    m11 = (problem.k1 * moments(problem.s12) if problem.k1 else 0.0) + m22
+    mtt = m11 + (problem.k3 * moments(0.0) if problem.k3 else 0.0)
     return m11, m22, mtt
 
 
@@ -363,7 +330,7 @@ def budget_grid(problems: Sequence[SupProblem], x1: float) -> GridSpec:
     if x1 < 4.0:
         raise ValueError("tail bounds require x1 >= 4")
     p = problems[0]
-    m11, m22, mtt = (max(m) for m in zip(*map(second_derivative_bounds, problems)))
+    m11, m22, mtt = (max(m) for m in zip(*map(curvature_bounds, problems)))
     on_s3 = all(map(_depends_on_s3, problems))
     if on_s3:
         coords = ((p.s12 - p.s21) - (p.s11 - p.s22), m22), (x1, mtt)
@@ -389,12 +356,12 @@ def sup_bounds(problems: Sequence[SupProblem],
     that depends on s3 = s1 - s2 alone (``_depends_on_s3``) on the (s3, t)
     lattice of ``_s3_max`` with ds3 = max(ds1, ds2), every other on the
     (s1, s2, t) lattice of ``grid_max``.  Each bound is max(tail, M0 +
-    min(first-order slack, second-order slack)).
+    sum_i h_i^2/8 M_ii).
 
     Raises ValueError when the problems differ in kernel or box, or (from
     tail_bound) when x1 < 4, and FloatingPointError instead of certifying
-    when a tail or either slack is not finite (builtin max(tail, nan) would
-    return tail, and min(first, nan) first; M0 is finite by ``_fold_max``).
+    when a tail or the slack is not finite (builtin max(tail, nan) would
+    return tail; M0 is finite by ``_fold_max``).
     An empty group certifies nothing.
     """
     problems = tuple(problems)
@@ -405,29 +372,26 @@ def sup_bounds(problems: Sequence[SupProblem],
         raise ValueError("a supremum group must share its kernel and (s1, s2) box")
     if not isinstance(grid, GridSpec):
         grid = budget_grid(problems, grid)
-    tails = [tail_bound(p, grid.x1) for p in problems]
-    derivs = [derivative_bounds(p) + second_derivative_bounds(p) for p in problems]
     certs = []
-    for p, tail, (d1, d2, d3, m11, m22, mtt) in zip(problems, tails, derivs):
+    for p in problems:
+        tail = tail_bound(p, grid.x1)
+        m11, m22, mtt = curvature_bounds(p)
         on_s3 = _depends_on_s3(p)
         m0 = (_s3_max if on_s3 else grid_max)(p, grid)
         if on_s3:
-            # |dA/ds3| <= k2 M(s32) = D2, and D2 <= D1 when k1 = 0; |d^2A/ds3^2|
-            # <= M22 = M11, and ds3^2 <= ds1^2 + ds2^2: neither slack is ever
-            # above the (s1, s2) walk's
+            # |d^2A/ds3^2| <= M22 = M11 and ds3^2 <= ds1^2 + ds2^2: the slack
+            # is never above the (s1, s2) walk's
             ds3 = max(grid.ds1, grid.ds2)
-            steps = ((ds3, d2, m22), (grid.dt, d3, mtt))
+            steps = ((ds3, m22), (grid.dt, mtt))
         else:
             ds3 = None
-            steps = ((grid.ds1, d1, m11), (grid.ds2, d2, m22), (grid.dt, d3, mtt))
-        first = sum(0.5 * h * d for h, d, _ in steps)
-        second = sum(h * h / 8.0 * m for h, _, m in steps)
-        if not all(map(math.isfinite, (tail, first, second))):
+            steps = ((grid.ds1, m11), (grid.ds2, m22), (grid.dt, mtt))
+        slack = sum(h * h / 8.0 * m for h, m in steps)
+        if not (math.isfinite(tail) and math.isfinite(slack)):
             raise FloatingPointError(f"non-finite sup bound: tail {tail!r}, "
-                                     f"first-order slack {first!r}, second-order {second!r}")
-        certs.append(SupCertificate(problem=p, grid=grid, m0=m0, d1=d1, d2=d2, d3=d3,
-                                    m11=m11, m22=m22, mtt=mtt, tail=tail,
-                                    bound=max(tail, m0 + min(first, second)), ds3=ds3))
+                                     f"second-order slack {slack!r}")
+        certs.append(SupCertificate(problem=p, grid=grid, m0=m0, m11=m11, m22=m22, mtt=mtt,
+                                    tail=tail, bound=max(tail, m0 + slack), ds3=ds3))
     return tuple(certs)
 
 

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from linnik import supbound
 from linnik.kernel import SMALL_Z_RADIUS, LatticeWork, WeightKernel
 from linnik.supbound import (BLOCK_POINTS, SLACK_BUDGET, A_eval, GridSpec, SupProblem,
-                             _lattice, budget_grid, derivative_bounds, domination_check,
-                             grid_max, second_derivative_bounds, sup_bound, sup_bounds,
-                             tail_bound)
+                             _lattice, budget_grid, curvature_bounds, domination_check,
+                             grid_max, sup_bound, sup_bounds, tail_bound)
 
 KERN = WeightKernel(0.93)
 
@@ -101,38 +100,10 @@ def test_tail_nonincreasing_in_x1():
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
-def test_derivative_bounds_degenerate_cases():
-    prob = SupProblem(KERN, k1=0.8, k2=0.0, k3=1.0, s11=0.1, s12=0.5, s21=0.0, s22=0.0)
-    d1, d2, d3 = derivative_bounds(prob)
-    assert d2 == 0.0
-    assert d1 == pytest.approx(0.8 * prob.kernel.xf_exp_moment(0.5), rel=1e-12)
-    prob2 = SupProblem(KERN, k1=0.6, k2=0.6, k3=0.5, s11=0.2, s12=0.4, s21=0.0, s22=0.0)
-    d1b, _, d3b = derivative_bounds(prob2)
-    assert d1b == 0.0  # d0 = max(0, k1 - k2 e^0) = 0
-    assert d3b == pytest.approx(0.5 * prob2.kernel.xf_exp_moment(0.0), rel=1e-12)
-
-
-@pytest.mark.parametrize("prob", PROBLEMS)
-def test_derivative_bounds_dominate_finite_differences(prob):
-    rng = np.random.default_rng(33)
-    d1, d2, d3 = derivative_bounds(prob)
-    h = 1e-6
-    for _ in range(300):
-        s1 = rng.uniform(prob.s11 + h, max(prob.s12 - h, prob.s11 + h))
-        s2 = rng.uniform(prob.s21 + h, max(prob.s22 - h, prob.s21 + h))
-        t = rng.uniform(h, 12.0)
-        g1 = (A_eval(prob, s1 + h, s2, t) - A_eval(prob, s1 - h, s2, t)) / (2 * h)
-        g2 = (A_eval(prob, s1, s2 + h, t) - A_eval(prob, s1, s2 - h, t)) / (2 * h)
-        g3 = (A_eval(prob, s1, s2, t + h) - A_eval(prob, s1, s2, t - h)) / (2 * h)
-        assert abs(g1) <= d1 * (1 + 1e-6) + 1e-9
-        assert abs(g2) <= d2 * (1 + 1e-6) + 1e-9
-        assert abs(g3) <= d3 * (1 + 1e-6) + 1e-9
-
-
 @pytest.mark.parametrize("prob", PROBLEMS + [case[0] for case in S3_CASES])
 def test_second_derivative_bounds_dominate_finite_differences(prob):
     rng = np.random.default_rng(35)
-    m11, m22, mtt = second_derivative_bounds(prob)
+    m11, m22, mtt = curvature_bounds(prob)
     h = 1e-4
     for _ in range(300):
         s1 = rng.uniform(prob.s11 + h, max(prob.s12 - h, prob.s11 + h))
@@ -148,7 +119,7 @@ def test_second_derivative_bounds_dominate_finite_differences(prob):
         assert abs(gtt) <= mtt * (1 + 1e-6) + 1e-6
     if prob.k1 == prob.k3 == 0.0:
         # A depends on s3 = s1 - s2 alone, and each bound is k2 M2(s32)
-        assert m11 == m22 == mtt == prob.k2 * prob.kernel.xf_moments(prob.s32)[1]
+        assert m11 == m22 == mtt == prob.k2 * prob.kernel.xf_moments(prob.s32)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -168,7 +139,7 @@ def test_second_order_term_dominates_a_dense_cell(gamma, k1, k2, k3, s11, w1, s2
     if s3_walk:
         k1 = k3 = 0.0
     prob = SupProblem(WeightKernel(gamma), k1, k2, k3, s11, min(4.0, s11 + w1), s21, s21 + w2)
-    m11, m22, mtt = second_derivative_bounds(prob)
+    m11, m22, mtt = curvature_bounds(prob)
     n = 9
     if s3_walk:
         # the (s3, t) walk: s3 on [s11 - s22, s12 - s21], M33 = M22
@@ -446,10 +417,9 @@ def test_s3_walk_equals_brute_force_s3_lattice_max(prob, grid):
     brute = np.max(-prob.k2 * np.real(prob.kernel.F(-s3[:, None] + 1j * t)))
     assert cert.ds3 == max(grid.ds1, grid.ds2)
     assert cert.m0 == pytest.approx(brute, rel=1e-12)
-    first = 0.5 * cert.ds3 * cert.d2 + 0.5 * grid.dt * cert.d3
-    second = cert.ds3 * cert.ds3 / 8.0 * cert.m22 + grid.dt * grid.dt / 8.0 * cert.mtt
+    slack = cert.ds3 * cert.ds3 / 8.0 * cert.m22 + grid.dt * grid.dt / 8.0 * cert.mtt
     assert cert.m11 == cert.m22 == cert.mtt
-    assert cert.bound == max(cert.tail, cert.m0 + min(first, second))
+    assert cert.bound == max(cert.tail, cert.m0 + slack)
 
 
 @pytest.mark.parametrize("prob,grid", S3_CASES)
@@ -485,31 +455,21 @@ def test_s3_slack_never_above_the_box_walk_slack(gamma, k2, s11, w1, s21, w2, ds
     grid = GridSpec(ds1, ds2 if w2 else 0.0, dt, 4.0)
     cert = sup_bound(prob, grid)
     assert cert.ds3 == max(grid.ds1, grid.ds2)
-    assert 0.5 * cert.ds3 * cert.d2 <= 0.5 * grid.ds1 * cert.d1 + 0.5 * grid.ds2 * cert.d2
     assert (cert.ds3**2 / 8.0 * cert.m22
             <= grid.ds1**2 / 8.0 * cert.m11 + grid.ds2**2 / 8.0 * cert.m22)
 
 
-def test_non_finite_derivative_bound_refuses_certificate(monkeypatch):
-    prob, grid = PROBLEMS[2], GRIDS[2]
-    d1, d2, d3 = derivative_bounds(prob)
-    monkeypatch.setattr(supbound, "derivative_bounds", lambda p: (math.nan, d2, d3))
-    with pytest.raises(FloatingPointError):
-        sup_bound(prob, grid)
-
-
 @pytest.mark.parametrize("grid", [GRIDS[2], 7.0], ids=["given", "budget"])
 def test_non_finite_second_moment_refuses_certificate(monkeypatch, grid):
-    # builtin min(first, nan) returns first: the second-order slack is checked
-    # before the smaller slack is taken, on a given lattice and on one
-    # budget_grid chooses
+    # builtin max(tail, nan) returns tail: the slack is checked before the
+    # bound is taken, on a given lattice and on one budget_grid chooses
     prob = PROBLEMS[2]
-    m11, m22, mtt = second_derivative_bounds(prob)
-    monkeypatch.setattr(WeightKernel, "xf_moments", lambda self, c: (1.0, math.nan))
+    m11, m22, mtt = curvature_bounds(prob)
+    monkeypatch.setattr(WeightKernel, "xf_moments", lambda self, c: math.nan)
     with pytest.raises(FloatingPointError, match="second-order"):
         sup_bound(prob, grid)
     monkeypatch.undo()
-    monkeypatch.setattr(supbound, "second_derivative_bounds", lambda p: (m11, m22, math.nan))
+    monkeypatch.setattr(supbound, "curvature_bounds", lambda p: (m11, m22, math.nan))
     with pytest.raises(FloatingPointError, match="second-order"):
         sup_bound(prob, GRIDS[2])
 
@@ -525,8 +485,7 @@ def test_certificate_record_round_trips_to_json():
     blob = json.loads(json.dumps(record))
     assert blob["bound"] == cert.bound
     assert blob["m0"] == cert.m0
-    assert set(blob) == {"problem", "grid", "m0", "d1", "d2", "d3", "m11", "m22", "mtt",
-                         "tail", "bound"}
+    assert set(blob) == {"problem", "grid", "m0", "m11", "m22", "mtt", "tail", "bound"}
 
 
 def test_problem_validation():

@@ -375,16 +375,14 @@ def test_each_table_certified_once(monkeypatch, fresh_tables):
 
 
 def test_each_xf_moment_integrated_once(fresh_tables):
-    # the two problems of a shared supremum group ask for the same moments,
-    # and one pass gives both moments at each (gamma, c): 189 distinct (gamma,
-    # c) over tables 2-11, for 726 requests, 266 of the first moment (D1-D3)
-    # and 230 of the second (M11, M22, Mtt) in budget_grid and again in
-    # sup_bounds
+    # the two problems of a shared supremum group ask for the same moments:
+    # 171 distinct (gamma, c) over tables 2-11, for 460 requests of M2 (M11,
+    # M22, Mtt), 230 in budget_grid and again 230 in sup_bounds
     WeightKernel.xf_moments.cache_clear()
     for n in range(2, 12):
         tables.generate_table(n)
     info = WeightKernel.xf_moments.cache_info()
-    assert (info.misses, info.hits + info.misses) == (189, 726)
+    assert (info.misses, info.hits + info.misses) == (171, 460)
 
 
 def test_each_raw_lattice_row_evaluated_once_per_walk(monkeypatch, fresh_tables):
@@ -430,29 +428,27 @@ def test_each_raw_lattice_row_evaluated_once_per_walk(monkeypatch, fresh_tables)
 
 
 def test_each_bound_rederived_from_its_record():
-    # the (s1, s2, t) walk's first-order slack is ds1 D1/2 + ds2 D2/2 + dt D3/2
-    # and its second-order slack ds1^2 M11/8 + ds2^2 M22/8 + dt^2 Mtt/8; a
-    # record with ds3 comes from the (s3, t) walk, whose slacks are ds3 D2/2
-    # + dt D3/2 and ds3^2 M22/8 + dt^2 Mtt/8.  The bound is max(tail, m0 +
-    # min(first, second)).  41 records of tables 2-11 carry ds3: table 4's 18
-    # B suprema, table 5's 17 and the 6 table 8 reuses from table 4
+    # the (s1, s2, t) walk's slack is ds1^2 M11/8 + ds2^2 M22/8 + dt^2 Mtt/8;
+    # a record with ds3 comes from the (s3, t) walk, whose slack is ds3^2
+    # M22/8 + dt^2 Mtt/8.  The bound is max(tail, m0 + slack).  41 records of
+    # tables 2-11 carry ds3: table 4's 18 B suprema, table 5's 17 and the 6
+    # table 8 reuses from table 4; no record carries a first-derivative bound
     on_s3 = []
     for n in range(2, 12):
         for cert in tables.generate_table(n)[1]:
             r = json.loads(json.dumps(cert.as_record()))
+            assert not {"d1", "d2", "d3"} & set(r)
             g, (k1, k2, k3) = r["grid"], (r["problem"][k] for k in ("k1", "k2", "k3"))
             if "ds3" in r:
                 on_s3.append(n)
                 s1_box = r["problem"]["s1_box"]
                 assert k1 == k3 == 0.0 < k2 and s1_box[0] < s1_box[1]
                 assert r["ds3"] == max(g["ds1"], g["ds2"])
-                steps = ((r["ds3"], r["d2"], r["m22"]), (g["dt"], r["d3"], r["mtt"]))
+                steps = ((r["ds3"], r["m22"]), (g["dt"], r["mtt"]))
             else:
-                steps = ((g["ds1"], r["d1"], r["m11"]), (g["ds2"], r["d2"], r["m22"]),
-                         (g["dt"], r["d3"], r["mtt"]))
-            first = sum(0.5 * h * d for h, d, _ in steps)
-            second = sum(h * h / 8.0 * m for h, _, m in steps)
-            assert r["bound"] == max(r["tail"], r["m0"] + min(first, second))
+                steps = ((g["ds1"], r["m11"]), (g["ds2"], r["m22"]), (g["dt"], r["mtt"]))
+            slack = sum(h * h / 8.0 * m for h, m in steps)
+            assert r["bound"] == max(r["tail"], r["m0"] + slack)
     assert on_s3 == [4] * 18 + [5] * 17 + [8] * 6
 
 
