@@ -6,16 +6,10 @@ import csv
 import json
 from functools import lru_cache
 from importlib import resources
-from typing import Optional
 
 
 def _read_text(relpath: str) -> str:
     return resources.files("linnik.data").joinpath(relpath).read_text(encoding="utf-8")
-
-
-def _maybe_float(s: str) -> Optional[float]:
-    s = s.strip()
-    return float(s) if s else None
 
 
 @lru_cache(maxsize=None)
@@ -30,7 +24,7 @@ def published_table(n: int) -> tuple:
             if key in ("ord", "bound"):
                 row[key] = val  # ord is a label, bound an integer literal or "-"
             else:
-                row[key] = _maybe_float(val)
+                row[key] = float(val) if val else None  # a blank cell is None
         rows.append(row)
     return tuple(rows)
 
@@ -50,9 +44,24 @@ def final_cases() -> dict:
     return json.loads(_read_text("final_cases.json"))
 
 
-def fault(where: str, exc: Exception) -> RuntimeError:
-    """The certification failure for shipped data that disagree with each
-    other, met at ``where`` (a table, a counting cell or a case) as ``exc``:
-    a missing key or a value its reader refuses."""
-    what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-    return RuntimeError(f"{where}: {what}")
+#: what each stage's guard catches and names: data faults (a missing key, a
+#: value its reader refuses), then computation faults
+FAULTS = (KeyError, ValueError, TypeError, ArithmeticError, RuntimeError)
+
+
+def named(where: str, exc: Exception) -> Exception:
+    """``exc``, met at ``where`` (a table, a counting cell or a case), named
+    once: an outer stage leaves a fault that an inner one named.  A
+    computation fault (ArithmeticError, RuntimeError) keeps its class and
+    fields, its message prefixed "<where>: "; a data fault becomes
+    RuntimeError("<where>: <what>"), caused by ``exc``."""
+    if hasattr(exc, "where"):
+        return exc
+    if isinstance(exc, (ArithmeticError, RuntimeError)):
+        exc.args = (f"{where}: {exc}",)
+    else:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        cause, exc = exc, RuntimeError(f"{where}: {what}")
+        exc.__cause__ = cause
+    exc.where = where
+    return exc

@@ -1,12 +1,12 @@
 """Command-line interface: kernel evaluation, table certification, final check.
 
-Exit codes: 0 success; 1 certification/reproduction failure, a sampled
-value of A above its certified bound in a table's domination audit, a NaN
-or inf (a non-finite ``eval`` value included), an overflow or a division by
-zero in a computation, a vanished counting-table cell, or shipped data that
-disagree (one ``FAILED:`` line naming the table, the counting cell or,
-for every failure inside ``verify-final``, the case); 2 usage error, a non-finite ``eval`` input and an unreadable
-``--params`` or unwritable ``--out`` path included.
+Exit codes: 0 success; 1 a certification or reproduction failure, or a
+fault (a NaN or inf, an overflow or a division by zero, a failed quadrature,
+a vanished counting-table cell, shipped data that disagree): one ``FAILED:``
+line, named by ``_data.named`` after the innermost table, counting cell or
+case that met it, or after ``eval``'s function; 2 usage error, a non-finite
+``eval`` input and an unreadable ``--params`` or unwritable ``--out`` path
+included.
 
 ``table`` and ``verify-final`` write their CSV and audit JSON through
 ``_write``, each CSV row read by its column list, once every value is
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                             allow_abbrev=False)
     # argparse takes only -123 and -1.5 for negative numbers, and -1e6 for an
     # option; eval has no option that looks like a number, so widen the match.
-    # The matcher is a private argparse attribute (checked on Python 3.11);
+    # The matcher is a private argparse attribute (checked on Python 3.10-3.13);
     # test_cli asserts that argparse still has it.
     p_eval._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     p_eval.add_argument("function", choices=EVAL_FUNCTIONS)
@@ -281,8 +281,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    # a NaN or inf, an overflow or division by zero, a failed quadrature or
-    # a broken counting-table lookup
+    # a computation fault, or a shipped-data fault that a stage named
     except (ArithmeticError, RuntimeError) as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return EXIT_FAILED

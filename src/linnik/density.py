@@ -90,17 +90,13 @@ def quadratic_N_bound(query: DensityQuery) -> DensityBound:
     Guards: F(lam - lambda11) > f(0)/6 (applicability) and
     (F(lam - lambda11) - f(0)/6)^2 > F(-lambda11) f(0)/6 (concavity).
     Raises FloatingPointError when a coefficient of the parabola is not
-    finite, an overflowing exponential of an F argument included.
+    finite and OverflowError when an F argument's exponential overflows.
     """
     gamma = density_gamma(query)
     kern = WeightKernel(gamma)
-    where = f"at lambda11 = {query.lambda11!r}, lam = {query.lam!r}"
-    try:
-        p = kern.F_real(query.lam - query.lambda11)
-        g = kern.F_real(-query.lambda11)
-        beta = query.n0 * (kern.F_real(query.lambda0 - query.lambda11) - p) if query.n0 else 0.0
-    except OverflowError as exc:  # the exponential of a scalar argument
-        raise FloatingPointError(f"non-finite parabola ({exc}) {where}") from exc
+    p = kern.F_real(query.lam - query.lambda11)
+    g = kern.F_real(-query.lambda11)
+    beta = query.n0 * (kern.F_real(query.lambda0 - query.lambda11) - p) if query.n0 else 0.0
     c6 = kern.f0 / 6.0
     alpha = p - c6
     a = g * c6 - alpha * alpha
@@ -108,7 +104,7 @@ def quadratic_N_bound(query: DensityQuery) -> DensityBound:
     c = EPSILON - beta * beta
     # a NaN fails both guards below and would read as a vacuous bound
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise FloatingPointError(f"non-finite parabola {(a, b, c)!r} {where}")
+        raise FloatingPointError(f"non-finite parabola {(a, b, c)!r}")
     guards_ok = (p > c6) and (alpha * alpha > g * c6)
     if not guards_ok:
         return DensityBound(a, b, c, gamma, False, None, None)
@@ -133,9 +129,9 @@ def gen_density_tables():
     Numeric cells must match integer-exactly.  Dash cells carry no claim; for
     them we record the computed value (the published tables omit entries whose
     quadratic bound is weaker than the classic one).  Returns the full list of
-    cell records; mismatches are flagged, not raised.  A cell with a missing
-    column or a value outside its query's range raises RuntimeError naming
-    the table and the cell.
+    cell records; mismatches are flagged, not raised.  A fault in a cell's
+    query or bound, a missing column or a non-finite parabola, is named
+    after the table and the cell by ``_data.named``.
     """
     records = []
     for table in (12, 13):
@@ -145,10 +141,10 @@ def gen_density_tables():
                                      lambda0=raw["lambda0"] or 0.0, n0=int(raw["n0"] or 0))
                 published = raw["bound"]
                 claim = None if published == "-" else int(published)
-            except (KeyError, ValueError, TypeError) as exc:
-                raise _data.fault(f"table {table} cell lambda11={raw.get('lambda1')} "
-                                  f"lam={raw.get('lam')}", exc) from exc
-            result = quadratic_N_bound(query)
+                result = quadratic_N_bound(query)
+            except _data.FAULTS as exc:
+                raise _data.named(f"table {table} cell lambda11={raw.get('lambda1')} "
+                                  f"lam={raw.get('lam')}", exc)
             rec = {
                 "table": table, "lambda1": query.lambda11, "lambda0": query.lambda0 or None,
                 "n0": query.n0 or None, "lam": query.lam,

@@ -5,11 +5,16 @@ zeros, a split point Lambda, and (usually) a counting-table column with a
 branch hypothesis.  W collects every contribution to the weighted zero sum
 relative to the main term; W < 1 for all rows is exactly the positivity that
 the headline exponent L reduces to.
+
+A malformed case is refused when the registry loads, and ``load_registry``
+and ``verify_all`` name each fault of a case after it by ``_data.named``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -46,15 +51,27 @@ class DensityRef:
     def from_json(obj) -> Optional["DensityRef"]:
         if obj is None:
             return None
+        if not isinstance(obj, Mapping):
+            raise TypeError(f"density must be a mapping or null, got {obj!r}")
         branch = obj.get("branch") or {}
         return DensityRef(table=obj["table"], column=float(obj["column"]),
                           lambda0=branch.get("lambda0"),
                           n_lo=branch.get("n_lo", 0), n_hi=branch.get("n_hi"))
 
 
+#: the number fields of a case, and those of them whose null is a sentinel:
+#: an unbounded window and a missing second-zero bound
+CASE_NUMBERS = ("lambda1_lo", "lambda1_hi", "lambda_prime_lo", "lambda2_lo",
+                "lambda3_lo", "Lambda", "published_W")
+CASE_NULLABLE = ("lambda1_hi", "lambda_prime_lo")
+
+
 @dataclass(frozen=True)
 class FinalCase:
-    """One row of the case registry."""
+    """One row of the case registry.  It refuses a number field that is not
+    a finite real (a bool included), a null outside ``CASE_NULLABLE``, an
+    empty lambda1 window and a counting table's Lambda off the density grid;
+    ``from_json`` refuses a density that is not a mapping or null."""
 
     id: str
     family: str
@@ -75,6 +92,16 @@ class FinalCase:
             steps = self.Lambda / DENSITY_GRID
             if abs(steps - round(steps)) > 1e-9:
                 raise ValueError(f"Lambda={self.Lambda} is off the density grid")
+        for name in CASE_NUMBERS:
+            value = getattr(self, name)
+            if value is None and name in CASE_NULLABLE:
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if self.lambda1_hi is not None and not self.lambda1_lo < self.lambda1_hi:
+            raise ValueError(f"empty lambda1 window [{self.lambda1_lo!r}, "
+                             f"{self.lambda1_hi!r}]")
 
     @property
     def n_chi(self) -> int:
@@ -108,13 +135,13 @@ class CaseResult:
 
 def load_registry() -> List[FinalCase]:
     """The case rows; a row with a missing field or a value its case refuses
-    raises RuntimeError naming the case."""
+    raises RuntimeError named after the case by ``_data.named``."""
     cases = []
     for obj in _data.final_cases()["cases"]:
         try:
             cases.append(FinalCase.from_json(obj))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise _data.fault(f"case {obj.get('id')}", exc) from exc
+        except _data.FAULTS as exc:
+            raise _data.named(f"case {obj.get('id')}", exc)
     return cases
 
 
@@ -191,7 +218,7 @@ def c_star(case: FinalCase, params: LinnikParams) -> float:
 
 def compute_W(case: FinalCase, params: LinnikParams) -> CaseResult:
     """W for one case row, with its full term breakdown; a failed check raises
-    without naming the case, which ``verify_all`` adds."""
+    without naming the case, which ``verify_all`` names."""
     l3_star, s, grid = lambda_schedule(case)
     base = (params.penalty_integral() / (params.c1 * params.c2 ** 2)
             * math.exp(-params.decay * case.Lambda) * params.B(case.Lambda)
@@ -256,6 +283,8 @@ class Report:
 def verify_all(params: Optional[LinnikParams] = None) -> Report:
     """Certify every case row, and compare it against the published W when
     ``params`` are the shipped parameters, the only ones it was published for.
+    A fault of a counting-table cell keeps the cell's name; any other fault
+    met in a case is named after it, a QuadratureError keeping its fields.
     """
     params = params or LinnikParams()
     shipped = params == LinnikParams()
@@ -263,15 +292,10 @@ def verify_all(params: Optional[LinnikParams] = None) -> Report:
     for case in load_registry():
         try:
             res = compute_W(case, params)
-        except KeyError as exc:  # the case names a counting-table cell that is not there
-            raise _data.fault(f"case {case.id}", exc) from exc
-        except (ArithmeticError, RuntimeError) as exc:
-            # name the case in place: the class and its fields stay (a
-            # QuadratureError keeps its estimate and achieved error)
-            exc.args = (f"case {case.id}: {exc}",)
-            raise
-        if shipped:
-            res.reproduces = (res.W <= case.published_W + PUBLISHED_W_SLACK_HI
-                              and res.W >= case.published_W - PUBLISHED_W_SLACK_LO)
+            if shipped:
+                res.reproduces = (res.W <= case.published_W + PUBLISHED_W_SLACK_HI
+                                  and res.W >= case.published_W - PUBLISHED_W_SLACK_LO)
+        except _data.FAULTS as exc:
+            raise _data.named(f"case {case.id}", exc)
         results.append(res)
     return Report(params=params, results=results)

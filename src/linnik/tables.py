@@ -53,10 +53,10 @@ reads upstream rows is certified only if every one of them is (the
 ``upstream_certified`` check).  ``generate_table`` certifies each table
 at most once per process: the result, a tuple of frozen rows and the tuple
 of their certificates, each once in first-use order, is memoised and shared
-by every caller.  A NaN or inf in any decision RHS raises FloatingPointError
-instead of deciding the row, named once after the table where it was met;
-shipped columns that are missing or leave a row an empty or inverted step
-interval raise RuntimeError.
+by every caller.  ``_certify`` names each fault by ``_data.named``, once,
+after the innermost table that met it: a NaN or inf in a decision RHS keeps
+its FloatingPointError, and shipped columns that are missing, blank where a
+claim is due or leave a row an empty step interval raise RuntimeError.
 """
 
 from __future__ import annotations
@@ -101,6 +101,7 @@ class TableRow:
     published_C: tuple = ()
     computed_C: tuple = ()
     certified: bool = False
+    c_reproduced: bool = False
     margin: float = math.nan
     detail: Mapping = field(default_factory=dict)
     certificates: tuple = field(default=(), repr=False, compare=False)
@@ -108,12 +109,6 @@ class TableRow:
 
     def __post_init__(self):
         object.__setattr__(self, "detail", MappingProxyType(dict(self.detail)))
-
-    @property
-    def c_reproduced(self) -> bool:
-        """Every computed sup bound within the published cap plus slack."""
-        return all(c <= p + PUBLISHED_C_SLACK
-                   for c, p in zip(self.computed_C, self.published_C))
 
 
 def _finite_max(rhs) -> tuple:
@@ -136,6 +131,8 @@ def _row(rhs, detail: dict, checks: dict, **fields) -> TableRow:
     Certified iff the worst RHS is below -CERT_MARGIN and every named check
     holds, ``upstream_certified`` among them when the row reads upstream
     rows; the names of the failing checks go to detail["failed_checks"].
+    Reproduced (``c_reproduced``) iff every computed sup bound is within its
+    published cap plus PUBLISHED_C_SLACK.
     """
     upstream = fields.get("upstream", ())
     if upstream:
@@ -144,8 +141,10 @@ def _row(rhs, detail: dict, checks: dict, **fields) -> TableRow:
     failed = tuple(name for name, ok in checks.items() if not ok)
     if failed:
         detail = {**detail, "failed_checks": failed}
-    return TableRow(certified=worst < -CERT_MARGIN and not failed, margin=-worst,
-                    detail=detail, **fields)
+    reproduced = all(c <= p + PUBLISHED_C_SLACK for c, p in
+                     zip(fields.get("computed_C", ()), fields.get("published_C", ())))
+    return TableRow(certified=worst < -CERT_MARGIN and not failed, c_reproduced=reproduced,
+                    margin=-worst, detail=detail, **fields)
 
 
 # --------------------------------------------------------------------------
@@ -322,7 +321,7 @@ def gen_table2():
         kern = WeightKernel(gamma)
         if cap <= 0.68:
             if cap not in lam_star_map:
-                raise RuntimeError(f"table 2: the imported lambda_star_table2 has no "
+                raise RuntimeError(f"the imported lambda_star_table2 has no "
                                    f"entry for cap {cap:g}")
             lam_star = lam_star_map[cap]
             prob = SupProblem(kern, k1=k, k2=k * k + 0.75, k3=0.0,
@@ -444,7 +443,9 @@ def gen_table7():
     for pub, lo in _chained(7, 0.34):
         cap = pub["lambda1_hi"]
         if pub["lambda2_new"] is None:
-            continue  # rows beyond 0.68 only restate the imported bounds
+            if cap < HB92_LAMBDA2_ALT_MAX:
+                raise ValueError(f"row {cap:g} has no lambda2_new below lambda1 = 0.7")
+            continue  # from HB92's last cap on, the rows restate its imported bounds
         used = tuple(r for m in ((4, 5, 6) if cap > case7_floor else (4, 5))
                      for r in _window_rows(m, lo, cap))
         candidates = tuple(r.claimed_bound for r in used)
@@ -535,8 +536,7 @@ def gen_third_zero_table(n: int):
         lo, hi, l3 = pub["lambda1_lo"], pub["lambda1_hi"], pub["lambda3"]
         l2cap = pub.get("lambda2_cap")
         if lo not in gamma_by_lo:
-            raise RuntimeError(f"table {n}: no kernel parameter for the window "
-                               f"starting at {lo:g}")
+            raise RuntimeError(f"no kernel parameter for the window starting at {lo:g}")
         gamma = gamma_by_lo[lo]
         guard, kern = guards[gamma], WeightKernel(gamma)
         a, b = _step_ends(lo, pub[step_to], delta)
@@ -606,17 +606,10 @@ _GENERATORS = {2: gen_table2, 3: gen_table3,
 def _certify(n: int) -> tuple:
     try:
         rows = tuple(_GENERATORS[n]())
-    except ArithmeticError as exc:  # a non-finite value or an overflowing exponential
-        if hasattr(exc, "table"):  # met in an upstream table, which named it
-            raise
-        named = type(exc)(f"table {n}: {exc}")
-        named.table = n
-        raise named from exc
-    except (ValueError, KeyError) as exc:
-        # the shipped data disagree, e.g. a missing column or an empty step interval
-        raise _data.fault(f"table {n}", exc) from exc
-    if not rows:
-        raise RuntimeError(f"table {n}: the shipped table has no rows")
+        if not rows:
+            raise RuntimeError("the shipped table has no rows")
+    except _data.FAULTS as exc:
+        raise _data.named(f"table {n}", exc)
     # each certificate once, in first-use order: tables 9 and 10 have one
     # guard per kernel, which serves every row of that kernel
     certificates = {id(c): c for r in rows for c in r.certificates}

@@ -262,10 +262,12 @@ def test_table_12_non_finite_cell_argument_fails_closed(tmp_path, monkeypatch, c
     monkeypatch.setattr(WeightKernel, "F_real",
                         lambda self, x: real_F(self, bad if len(cells) - 1 == target else x))
     assert main(["table", "12", "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    # math.exp raises OverflowError at x = -1e300, which names the cell too
-    assert err.startswith("FAILED: non-finite parabola")
-    assert f"lambda11 = {cells[target].lambda11!r}, lam = {cells[target].lam!r}" in err
+    (line,) = capsys.readouterr().err.splitlines()
+    # math.exp raises OverflowError at x = -1e300, named after the cell too
+    reason = "math range error" if bad == -1e300 else "non-finite parabola ("
+    cell = cells[target]
+    assert line.startswith(f"FAILED: table 12 cell lambda11={cell.lambda11!r} "
+                           f"lam={cell.lam!r}: {reason}"), line
     assert not (tmp_path / "table_12.csv").exists()
 
 
@@ -335,13 +337,14 @@ def test_empty_step_interval_fails_the_table(tmp_path, monkeypatch, capsys, fres
 @pytest.mark.parametrize("n", [7, 11])
 def test_uncovered_upstream_window_fails(tmp_path, monkeypatch, capsys, fresh_tables, n):
     # shipped tables that disagree: table 6 cut above 0.62 leaves table 7's
-    # window [0.62, 0.64] without a case-7 row, and table 11 reads table 7
+    # window [0.62, 0.64] without a case-7 row, and table 11 reads table 7:
+    # the line names table 7, which reads the rows, once
     real = _data.published_table
     monkeypatch.setattr(_data, "published_table", lambda m: tuple(
         pub for pub in real(m) if m != 6 or pub["lambda1_hi"] <= 0.62))
     assert main(["table", str(n), "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert "FAILED: the rows of table 6 do not cover lambda1 in [0.62, 0.64]" in err
+    assert capsys.readouterr().err.splitlines() == [
+        "FAILED: table 7: the rows of table 6 do not cover lambda1 in [0.62, 0.64]"]
 
 
 @pytest.mark.parametrize("dropped, rows", [(2, 6), (8, 5)])
@@ -500,10 +503,10 @@ def _drop_t10_gamma_060(monkeypatch):
 def test_missing_imported_key_fails_closed(tmp_path, monkeypatch, capsys, fresh_tables,
                                            n, drop, message):
     # shipped data that disagree with each other fail certification (exit 1);
-    # they are not bad input (exit 2)
+    # they are not bad input (exit 2).  The one line names the table once
     drop(monkeypatch)
     assert main(["table", str(n), "--out", str(tmp_path)]) == 1
-    assert f"FAILED: {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"FAILED: {message}"]
     assert not (tmp_path / f"table_{n}.csv").exists()
 
 
@@ -514,9 +517,10 @@ def _patch_published(monkeypatch, n, change):
         change(i, dict(pub)) if m == n else pub for i, pub in enumerate(real(m))))
 
 
-def _patch_case_14_6(monkeypatch, change):
+def _patch_case(monkeypatch, case_id, change):
+    """Pass the shipped case case_id, a copy, through change(case)."""
     real = _data.final_cases()
-    cases = [change(dict(c)) if c["id"] == "14.6" else c for c in real["cases"]]
+    cases = [change(dict(c)) if c["id"] == case_id else c for c in real["cases"]]
     monkeypatch.setattr(_data, "final_cases", lambda: {**real, "cases": cases})
 
 
@@ -547,20 +551,22 @@ DATA_FAULTS = {
         "FAILED: table 12 cell lambda11=0.4 lam=None: "
         "'<' not supported between instances of 'float' and 'NoneType'"),
     "case-null-Lambda": (
-        ["verify-final"], lambda mp: _patch_case_14_6(mp, lambda c: {**c, "Lambda": None}),
+        ["verify-final"], lambda mp: _patch_case(mp, "14.6", lambda c: {**c, "Lambda": None}),
         "FAILED: case 14.6: unsupported operand type(s) for /: 'NoneType' and 'float'"),
     "case-off-grid": (
-        ["verify-final"], lambda mp: _patch_case_14_6(mp, lambda c: {**c, "Lambda": 1.3261}),
+        ["verify-final"], lambda mp: _patch_case(mp, "14.6", lambda c: {**c, "Lambda": 1.3261}),
         "FAILED: case 14.6: Lambda=1.3261 is off the density grid"),
     "case-family": (
-        ["verify-final"], lambda mp: _patch_case_14_6(mp, lambda c: {**c, "family": "chi_real"}),
+        ["verify-final"], lambda mp: _patch_case(
+            mp, "14.6", lambda c: {**c, "family": "chi_real"}),
         "FAILED: case 14.6: unknown case family chi_real"),
     "case-no-published_W": (
-        ["verify-final"], lambda mp: _patch_case_14_6(mp, lambda c: _without(c, "published_W")),
+        ["verify-final"], lambda mp: _patch_case(
+            mp, "14.6", lambda c: _without(c, "published_W")),
         "FAILED: case 14.6: missing key 'published_W'"),
     "case-counting-column": (
-        ["verify-final"], lambda mp: _patch_case_14_6(
-            mp, lambda c: {**c, "density": {"table": 13, "column": "0.69"}}),
+        ["verify-final"], lambda mp: _patch_case(
+            mp, "14.6", lambda c: {**c, "density": {"table": 13, "column": "0.69"}}),
         "FAILED: case 14.6: missing key 'counting table 13, column lambda1 >= 0.69, "
         "assumption n0=0: no cell at lambda = 1.325'"),
 }
@@ -578,6 +584,81 @@ def test_shipped_data_fault_fails_closed(tmp_path, monkeypatch, capsys, fresh_ta
     assert captured.out == ""
     assert captured.err.splitlines() == [message]
     assert not out.exists()
+
+
+def _run_shipped_fault(argv, out, capsys):
+    """Run argv; a shipped-data fault may fail certification (exit 1), never
+    the command line (exit 2) nor escape as a traceback.  Returns stderr's
+    lines: none, or the one FAILED line of a raised fault."""
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code in (0, 1) and (code == 1 or not err), (code, err)
+    if err:
+        assert len(err) == 1 and err[0].startswith("FAILED: "), err
+        assert not out.exists()  # a command stopped by an error writes no file
+    return err
+
+
+def _blank(row, key):
+    # a blank CSV cell: an empty label or printed bound, an absent number
+    return {**row, key: "" if key in ("ord", "bound") else None}
+
+
+# each column of row index 1 of every published table, blanked in turn
+BLANKED_CELLS = [(n, key) for n in range(2, 14) for key in _data.published_table(n)[1]]
+# blanks that must fail, with their line: only table 7's rows from HB92's
+# last cap on, 0.70 and 0.702, restate imported bounds and may leave the
+# claim blank; row index 1 is the row at 0.38
+BLANK_FAULTS = {
+    (7, "lambda2_new"): "FAILED: table 7: row 0.38 has no lambda2_new below lambda1 = 0.7",
+}
+
+
+@pytest.mark.parametrize("n, key", BLANKED_CELLS, ids=[f"{n}-{k}" for n, k in BLANKED_CELLS])
+def test_blank_published_cell_fails_closed(tmp_path, monkeypatch, capsys, fresh_tables,
+                                           n, key):
+    blanked = _blank(_data.published_table(n)[1], key)
+    _patch_published(monkeypatch, n, lambda i, row: blanked if i == 1 else row)
+    err = _run_shipped_fault(["table", str(n)], tmp_path / "out", capsys)
+    place = (f"table {n} cell lambda11={blanked['lambda1']} lam={blanked['lam']}"
+             if n >= 12 else f"table {n}")
+    assert all(line.startswith(f"FAILED: {place}: ") for line in err), err
+    if (n, key) in BLANK_FAULTS:
+        assert err == [BLANK_FAULTS[n, key]]
+
+
+# each field of a case without and with a counting table, set to null and
+# then to a string
+CASE_PROBES = [(case["id"], key, value) for case in _data.final_cases()["cases"]
+               if case["id"] in ("14.1", "16.10c") for key in case for value in (None, "x")]
+
+
+@pytest.mark.parametrize("case_id, key, value", CASE_PROBES,
+                         ids=[f"{c}-{k}-{v}" for c, k, v in CASE_PROBES])
+def test_malformed_case_field_fails_closed(tmp_path, monkeypatch, capsys, case_id, key, value):
+    _patch_case(monkeypatch, case_id, lambda case: {**case, key: value})
+    err = _run_shipped_fault(["verify-final"], tmp_path / "out", capsys)
+    place = f"case {value if key == 'id' else case_id}"
+    assert all(line.startswith(f"FAILED: {place}: ") for line in err), err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"lambda2_lo": None}, "lambda2_lo must be a finite number, got None"),
+    ({"lambda1_hi": 0.58}, "empty lambda1 window [0.68, 0.58]"),
+    ({"published_W": True}, "published_W must be a finite number, got True"),
+], ids=["null-lambda2", "inverted-window", "bool-published-W"])
+def test_malformed_case_fails_under_other_params(tmp_path, monkeypatch, capsys, change,
+                                                 message):
+    # parameters other than the shipped ones skip the reproduction check,
+    # which alone caught the first two: a null lambda2_lo read as +infinity
+    # gave 16.10c W = 0.88473, and the inverted window W = 0.99281.  A true
+    # published W read as 1 passed even that check
+    _patch_case(monkeypatch, "16.10c", lambda case: {**case, **change})
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"L": 5.2000001}))
+    err = _run_shipped_fault(["verify-final", "--params", str(params)], tmp_path / "out",
+                             capsys)
+    assert err == [f"FAILED: case 16.10c: {message}"]
 
 
 def _replace_case(monkeypatch, case_id, **changes):
