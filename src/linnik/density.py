@@ -131,11 +131,16 @@ def gen_density_tables():
     quadratic bound is weaker than the classic one).  Returns the full list of
     cell records; mismatches are flagged, not raised.  A fault in a cell's
     query or bound, a missing column or a non-finite parabola, is named
-    after the table and the cell by ``_data.named``.
+    after the table and the cell by ``_data.named``, and one in reading the
+    shipped table, a non-numeric cell, after the table.
     """
     records = []
     for table in (12, 13):
-        for raw in _data.published_table(table):
+        try:
+            rows = _data.published_table(table)
+        except _data.FAULTS as exc:
+            raise _data.named(f"table {table}", exc)
+        for raw in rows:
             try:
                 query = DensityQuery(lam=raw["lam"], lambda11=raw["lambda1"],
                                      lambda0=raw["lambda0"] or 0.0, n0=int(raw["n0"] or 0))

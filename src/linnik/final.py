@@ -135,13 +135,16 @@ class CaseResult:
 
 def load_registry() -> List[FinalCase]:
     """The case rows; a row with a missing field or a value its case refuses
-    raises RuntimeError named after the case by ``_data.named``."""
+    raises RuntimeError named after the case by ``_data.named``; a registry
+    with no cases raises RuntimeError."""
     cases = []
     for obj in _data.final_cases()["cases"]:
         try:
             cases.append(FinalCase.from_json(obj))
         except _data.FAULTS as exc:
             raise _data.named(f"case {obj.get('id')}", exc)
+    if not cases:
+        raise RuntimeError("the case registry has no cases")
     return cases
 
 
@@ -156,6 +159,14 @@ def lambda_schedule(case: FinalCase):
     s = int(math.floor((case.Lambda - l3_star) / DENSITY_GRID + 1e-9))
     grid = [case.Lambda - DENSITY_GRID * r for r in range(s + 1)]
     return l3_star, s, grid
+
+
+def w_arguments(case: FinalCase) -> list:
+    """Every argument at which ``compute_W`` reads ``w`` for this case: the
+    schedule grid (Lambda first), lambda1_hi, lambda', lambda2 and lambda3*;
+    a None is +infinity, where w is 0 without an integral."""
+    l3_star, _, grid = lambda_schedule(case)
+    return [*grid, case.lambda1_hi, case.lambda_prime_lo, case.lambda2_lo, l3_star]
 
 
 def n0_schedule(case: FinalCase) -> List[int]:
@@ -208,7 +219,7 @@ def c_star(case: FinalCase, params: LinnikParams) -> float:
     c_lp = params.C(case.Lambda, lp)
     ratio_L = math.exp(-params.decay * case.Lambda) * params.B(case.Lambda)
     w_ratio = params.w(l12) / params.w(case.Lambda)
-    h2 = case.alpha * complex(params.H2(l11)).real / K2
+    h2 = case.alpha * params.H2(l11) / K2
     lead = _finite("B(lambda1) - H2 term", params.B(l11) - h2)
     moved = (exp_lp * max(0.0, lead)
              - ratio_L * w_ratio
@@ -288,8 +299,12 @@ def verify_all(params: Optional[LinnikParams] = None) -> Report:
     """
     params = params or LinnikParams()
     shipped = params == LinnikParams()
+    cases = load_registry()
+    # every case's w integrals in one batch; a failing one is not stored, so
+    # the case that reads it raises its fault below
+    params.prime_w(s for case in cases for s in w_arguments(case))
     results = []
-    for case in load_registry():
+    for case in cases:
         try:
             res = compute_W(case, params)
             if shipped:

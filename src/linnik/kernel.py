@@ -18,20 +18,26 @@ certificate's t lattice: the constructor takes the cos/sin pair, t^2 and
 returns one block of whole t rows at a time.  All three switch to the
 same series inside SMALL_Z_RADIUS.
 
-All real arithmetic is double precision.  ``w``, the penalty integral and
+All real arithmetic is double precision, and ``H2`` of a real scalar runs
+in it too, with the bits of the complex path.  The penalty integral,
 ``xf_moments`` (M2(c) = int x^2 f(x) e^{cx} dx, which bounds the second
-derivatives of the sup certificates) memoise their values in the method
-itself, an ``lru_cache`` keyed on the frozen instance, so equal parameter
-sets or kernels share entries; ``w`` and the penalty are one integral split
+derivatives of the sup certificates), ``damped_ratio`` and ``C`` memoise
+their values in the method itself, a bounded ``lru_cache`` keyed on the
+frozen instance, so equal parameter sets or kernels share entries.  ``w``
+reads a per-parameter-set memo of its integrals that ``prime_w`` fills in
+one batch, all missing arguments in one vectorised pass; a ``w`` read that
+misses runs the batch of one.  ``w`` and the penalty are one integral split
 at v (``LinnikParams._split_integral``).  Each uses one fixed Gauss-Legendre
-rule (:func:`_gauss_legendre`) on pieces whose integrand is a polynomial
-times an exponential, an entire function on which the rule converges
-geometrically: the 32-node value is returned only when the 16-node value
-agrees with it to within max(50 QUAD_TOL, 1e-9 |I|), QUAD_TOL = 1e-12;
-otherwise :class:`QuadratureError` is raised.  The error of an n-node rule
-on such an integrand falls geometrically in n, so |I32 - I16| is in effect
-the 16-node error and bounds the far smaller 32-node error of the returned
-value.  A NaN or inf in either value raises FloatingPointError.
+rule (:func:`_gauss_legendre`, one row per integral) on pieces whose
+integrand is a polynomial times an exponential, an entire function on which
+the rule converges geometrically: a row's 32-node value is used only when
+its 16-node value agrees with it to within max(50 QUAD_TOL, 1e-9 |I|),
+QUAD_TOL = 1e-12; otherwise the row fails with :class:`QuadratureError`.
+The error of an n-node rule on such an integrand falls geometrically in n,
+so |I32 - I16| is in effect the 16-node error and bounds the far smaller
+32-node error of the returned value.  A NaN or inf in either value fails
+the row with FloatingPointError.  A failed row is never memoised: the read
+that needs it raises its fault.
 """
 
 from __future__ import annotations
@@ -94,26 +100,41 @@ _GL32 = _legendre_rule(32)
 _GL_NODES = np.concatenate([_GL16[0], _GL32[0]])
 
 
-def _gauss_legendre(fn, a: float, b: float) -> float:
-    """int_a^b fn(t) dt by the 32-node Gauss-Legendre rule, checked against
-    the 16-node rule.
+def _gauss_legendre(fn, a: float, b: float):
+    """Per row, int_a^b of the row's integrand by the 32-node Gauss-Legendre
+    rule, checked against the 16-node rule.
 
-    ``fn`` maps an array of nodes to an array of values; both rules are
-    evaluated in one call.  Raises FloatingPointError when a value is not
-    finite and QuadratureError when |I32 - I16| > max(50 QUAD_TOL, 1e-9 |I32|).
+    ``fn`` maps the 1-D array of nodes of both rules on [a, b] to one row of
+    values per integral (a 1-D array is the one row of a single integral), so
+    every row of both rules is evaluated in one call.  Returns (values,
+    faults): each row's 32-node value as a float, and for each row None or
+    the error it fails with, FloatingPointError when a value is not finite
+    and QuadratureError when |I32 - I16| > max(50 QUAD_TOL, 1e-9 |I32|).
     """
     half = 0.5 * (b - a)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = fn(0.5 * (a + b) + half * _GL_NODES)
-        i16 = half * float(np.sum(_GL16[1] * vals[:16]))
-        i32 = half * float(np.sum(_GL32[1] * vals[16:]))
-    if not (math.isfinite(i16) and math.isfinite(i32)):
-        raise FloatingPointError(
-            f"non-finite quadrature on [{a!r}, {b!r}]: {i32!r} (16 nodes: {i16!r})")
-    err = abs(i32 - i16)
-    if err > max(50.0 * QUAD_TOL, 1e-9 * abs(i32)):
-        raise QuadratureError("16- and 32-node Gauss-Legendre rules disagree", i32, err)
-    return i32
+        vals = np.atleast_2d(fn(0.5 * (a + b) + half * _GL_NODES))
+        i16 = half * np.sum(_GL16[1] * vals[:, :16], axis=1)
+        i32 = half * np.sum(_GL32[1] * vals[:, 16:], axis=1)
+    values, faults = i32.tolist(), []
+    for v16, v32 in zip(i16.tolist(), values):
+        err = abs(v32 - v16)
+        if not (math.isfinite(v16) and math.isfinite(v32)):
+            faults.append(FloatingPointError(
+                f"non-finite quadrature on [{a!r}, {b!r}]: {v32!r} (16 nodes: {v16!r})"))
+        elif err > max(50.0 * QUAD_TOL, 1e-9 * abs(v32)):
+            faults.append(QuadratureError("16- and 32-node Gauss-Legendre rules disagree",
+                                          v32, err))
+        else:
+            faults.append(None)
+    return values, faults
+
+
+def _checked(values, faults) -> float:
+    """The value of a one-row quadrature, or its fault raised."""
+    if faults[0] is not None:
+        raise faults[0]
+    return values[0]
 
 
 def _require_finite(record) -> None:
@@ -260,7 +281,7 @@ class WeightKernel:
             return x * (x * (u * u * u) * (4.0 * g * g + 6.0 * g * x + x * x) / 30.0
                         * np.exp(c * x))
 
-        return _gauss_legendre(integrand, 0.0, self.support_end)
+        return _checked(*_gauss_legendre(integrand, 0.0, self.support_end))
 
 
 class LatticeWork:
@@ -402,9 +423,26 @@ class LinnikParams:
     # -- H and H2 -------------------------------------------------------
 
     def H2(self, z: ArrayLike) -> ArrayLike:
-        """((1 - e^{-Kz})/z)^2, with value K^2 at z = 0."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
+        """((1 - e^{-Kz})/z)^2, with value K^2 at z = 0.
+
+        A real scalar gives a float, computed in real arithmetic with the
+        bits of the real part of the complex path: with a zero imaginary part
+        numpy's complex division by z is (1 - e) * (1/z), which a plain
+        float ``/`` does not always match in the last bit.
+        """
         K = self.K
+        if isinstance(z, numbers.Real):
+            z = float(z)
+            w = K * z
+            if abs(w) < _H2_SERIES_RADIUS:
+                acc = 0.0
+                for n in range(18, -1, -1):
+                    acc = acc * (-w) + 1.0 / math.factorial(n + 1)
+                g = K * acc
+            else:
+                g = (1.0 - math.exp(-w)) * (1.0 / z)
+            return g * g
+        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
         w = K * z_arr
         g = np.empty_like(z_arr)
         small = np.abs(w) < _H2_SERIES_RADIUS
@@ -438,43 +476,79 @@ class LinnikParams:
         m = min(t - self.u + W1_OFFSET, self.v - self.u + W1_OFFSET)
         return math.exp(-self.theta * t / 2.0) * m**0.25
 
-    @lru_cache(maxsize=4096)
+    @lru_cache(maxsize=16)
+    def _w_integrals(self) -> dict:
+        """The memo of ``w`` for this parameter set: s -> int_u^x w1(t)^2
+        e^{2st} dt, holding only integrals that passed their checks."""
+        return {}
+
+    def prime_w(self, arguments) -> dict:
+        """Integrate, in one batch, every finite argument of ``w`` that its memo
+        lacks, and store the integrals that pass their checks; returns
+        {s: fault} for those that fail, which are not stored."""
+        memo = self._w_integrals()
+        todo = list(dict.fromkeys(s for s in arguments if s is not None and s not in memo))
+        if not todo:
+            return {}
+        values, faults = self._split_integral(2.0 * np.array(todo, dtype=float) - self.theta,
+                                              0.0, math.sqrt(self.v - self.u + W1_OFFSET))
+        for s, value, fault in zip(todo, values, faults):
+            if fault is None:
+                memo[s] = value
+        return {s: fault for s, fault in zip(todo, faults) if fault is not None}
+
     def w(self, s: Optional[float]) -> float:
-        """Reciprocal of int_u^x w1(t)^2 e^{2st} dt, computed once per (parameter
-        set, s); the sentinel s=None means +infinity and returns 0 exactly."""
+        """Reciprocal of int_u^x w1(t)^2 e^{2st} dt, integrated once per (parameter
+        set, s) by ``prime_w``, as a batch of one when the memo lacks s; the
+        sentinel s=None means +infinity and returns 0 exactly."""
         if s is None:
             return 0.0
-        return 1.0 / self._split_integral(2.0 * float(s) - self.theta, 0.0,
-                                          math.sqrt(self.v - self.u + W1_OFFSET))
+        memo = self._w_integrals()
+        if s not in memo:
+            faults = self.prime_w((s,))
+            if faults:
+                raise faults[s]
+        return 1.0 / memo[s]
 
     @lru_cache(maxsize=64)
     def penalty_integral(self) -> float:
         """int_u^x w1(t)^{-2} min(t-u, v-u) dt, computed once per parameter set."""
-        return self._split_integral(self.theta, W1_OFFSET,
-                                    (self.v - self.u) / math.sqrt(self.v - self.u + W1_OFFSET))
+        return _checked(*self._split_integral(
+            np.array([self.theta]), W1_OFFSET,
+            (self.v - self.u) / math.sqrt(self.v - self.u + W1_OFFSET)))
 
-    def _split_integral(self, a: float, shift: float, flat: float) -> float:
-        """int_u^x of the integrand of ``w`` (a = 2s - theta, shift 0) or of the
-        penalty (a = theta, shift W1_OFFSET), split at v.
+    def _split_integral(self, a: np.ndarray, shift: float, flat: float):
+        """(values, faults) as from :func:`_gauss_legendre`: per entry of the 1-D
+        ``a``, int_u^x of the integrand of ``w`` (a = 2s - theta, shift 0) or
+        of the penalty (a = theta, shift W1_OFFSET), split at v.
 
         Both carry the factor min(t - u, v - u) + W1_OFFSET under a square root.
         On [u, v] the substitution t = u - W1_OFFSET + r^2 (dt = 2 r dr) cancels
         that root and leaves 2 (r^2 - shift) e^{a t}, a polynomial in r times an
         exponential; on [v, x] the root is constant and the integrand is flat e^{a t}.
+        A row fails with the first fault of its two pieces.
         """
-        rise = _gauss_legendre(
+        a = a[:, None]
+        rise, rise_faults = _gauss_legendre(
             lambda r: 2.0 * (r * r - shift) * np.exp(a * (self.u - W1_OFFSET + r * r)),
             math.sqrt(W1_OFFSET), math.sqrt(self.v - self.u + W1_OFFSET))
-        return rise + flat * _gauss_legendre(lambda t: np.exp(a * t), self.v, self.x)
+        level, level_faults = _gauss_legendre(lambda t: np.exp(a * t), self.v, self.x)
+        return ([r + flat * e for r, e in zip(rise, level)],
+                [f or g for f, g in zip(rise_faults, level_faults)])
 
+    @lru_cache(maxsize=64)
     def damped_ratio(self, s: float) -> float:
-        """e^{-(L-2K)s} B(s) / w(s); nonincreasing in s because L - 2K > 2x."""
+        """e^{-(L-2K)s} B(s) / w(s), computed once per (parameter set, s);
+        nonincreasing in s because L - 2K > 2x."""
         return math.exp(-self.decay * s) * self.B(s) / self.w(s)
 
     # -- the C coefficient ----------------------------------------------
 
+    # a parameter set's 46 cases read C at about 150 distinct (Lambda, lam)
+    @lru_cache(maxsize=256)
     def C(self, Lambda: float, lam: Optional[float]) -> float:
-        """w(lam) * (ratio(lam) - ratio(Lambda)); C(None) = 0 by convention."""
+        """w(lam) * (ratio(lam) - ratio(Lambda)), computed once per (parameter
+        set, Lambda, lam); C(None) = 0 by convention."""
         if lam is None:
             return 0.0
         if lam <= 0 or Lambda <= 0:

@@ -577,9 +577,14 @@ def gen_table11():
         upstream = tuple(r for m in ((3, 6) if ordc == "2" else (2, 7))
                          for r in _window_rows(m, l_old, l_ann))
         lam_star = min(r.claimed_bound for r in upstream)
+        sups = _L1_SUPS.get(ordc, ())
+        # a row that certifies suprema reproduces their published sum; only
+        # ord ge6, which has none, may leave C blank
+        if sups and pub["C"] is None:
+            raise ValueError(f"row ord {ordc} has no C for its suprema")
         certs = sup_bounds(tuple(SupProblem(kern, k1=k1, k2=k2, k3=0.0, s11=lam_star,
                                             s12=lam_star, s21=l_old, s22=l_ann)
-                                 for k1, k2 in _L1_SUPS.get(ordc, ())),
+                                 for k1, k2 in sups),
                            12.0)
         total_c = sum(c.bound for c in certs)
         D = _L1_FRACTION[ordc] * kern.f0 + total_c

@@ -529,6 +529,16 @@ def _without(row, key):
     return row
 
 
+def _patch_csv(monkeypatch, n, old, new):
+    """Replace the text ``old`` of the shipped CSV of table n by ``new``, read
+    through the real parser."""
+    real = _data._read_text
+    monkeypatch.setattr(_data, "_read_text", lambda path: (
+        real(path).replace(old, new) if path == f"tables_published/table{n}.csv"
+        else real(path)))
+    monkeypatch.setattr(_data, "published_table", _data.published_table.__wrapped__)
+
+
 # shipped data that disagree, one fault per stage that reads them: (argv,
 # patch, the one FAILED line, which names the table, the cell or the case)
 DATA_FAULTS = {
@@ -550,6 +560,16 @@ DATA_FAULTS = {
             mp, 12, lambda i, r: {**r, "lam": None} if i == 1 else r),
         "FAILED: table 12 cell lambda11=0.4 lam=None: "
         "'<' not supported between instances of 'float' and 'NoneType'"),
+    "table12-non-numeric": (
+        ["table", "12"], lambda mp: _patch_csv(mp, 12, "0.40,,,0.900,11", "0.40,,x,0.900,11"),
+        "FAILED: table 12: could not convert string to float: 'x'"),
+    "table13-non-numeric": (
+        ["verify-final"], lambda mp: _patch_csv(mp, 13, "0.64,,,0.900,9", "0.64,,,x,9"),
+        "FAILED: table 13: could not convert string to float: 'x'"),
+    "registry-no-cases": (
+        ["verify-final"], lambda mp: mp.setattr(
+            _data, "final_cases", lambda real=_data.final_cases(): {**real, "cases": []}),
+        "FAILED: the case registry has no cases"),
     "case-null-Lambda": (
         ["verify-final"], lambda mp: _patch_case(mp, "14.6", lambda c: {**c, "Lambda": None}),
         "FAILED: case 14.6: unsupported operand type(s) for /: 'NoneType' and 'float'"),
@@ -611,6 +631,7 @@ BLANKED_CELLS = [(n, key) for n in range(2, 14) for key in _data.published_table
 # claim blank; row index 1 is the row at 0.38
 BLANK_FAULTS = {
     (7, "lambda2_new"): "FAILED: table 7: row 0.38 has no lambda2_new below lambda1 = 0.7",
+    (11, "C"): "FAILED: table 11: row ord 5 has no C for its suprema",
 }
 
 

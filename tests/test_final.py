@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from linnik import _data, kernel
+from linnik import _data, final, kernel
 from linnik.final import (DensityRef, FinalCase, c_star, compute_W,
                           lambda_schedule, load_registry, n0_schedule,
                           verify_all)
@@ -166,21 +166,55 @@ def test_stronger_exponent_fails():
     assert any(not r.certified for r in report.results)
 
 
-def test_each_w_and_penalty_integral_computed_once(monkeypatch):
-    # a new but equal parameter set reads the memo of w and of the penalty
-    # integral: its second verification integrates nothing
-    LinnikParams.w.cache_clear()
-    LinnikParams.penalty_integral.cache_clear()
-    calls = []
+def _count_rows(monkeypatch) -> list:
+    """The number of rows of each Gauss-Legendre pass run from now on."""
+    rows = []
     real = kernel._gauss_legendre
-    monkeypatch.setattr(kernel, "_gauss_legendre",
-                        lambda fn, a, b: calls.append((a, b)) or real(fn, a, b))
+
+    def counting(fn, a, b):
+        values, faults = real(fn, a, b)
+        rows.append(len(values))
+        return values, faults
+
+    monkeypatch.setattr(kernel, "_gauss_legendre", counting)
+    return rows
+
+
+def test_each_w_and_penalty_integral_computed_once(monkeypatch):
+    # verify_all integrates the 95 distinct finite w arguments of the
+    # registry in one batch and the penalty once, each integral in two pieces
+    # (on [u, v] and [v, x]); a new but equal parameter set reads both memos
+    # and integrates nothing
+    LinnikParams._w_integrals.cache_clear()
+    LinnikParams.penalty_integral.cache_clear()
+    rows = _count_rows(monkeypatch)
     verify_all(LinnikParams(L=5.3))
-    first = len(calls)
+    assert rows == [95, 95, 1, 1]
     verify_all(LinnikParams(L=5.3))
-    # two pieces per integral: the penalty and the 95 distinct finite w arguments
-    assert first == 2 * (1 + 95)
-    assert len(calls) == first
+    assert rows == [95, 95, 1, 1]
+
+
+def test_primed_w_memo_leaves_no_case_an_integral(monkeypatch):
+    # after verify_all's batch no compute_W integrates w: w_arguments lists
+    # every argument a case reads, through C and damped_ratio too
+    params = LinnikParams(L=5.25)
+    for memo in (LinnikParams._w_integrals, LinnikParams.C, LinnikParams.damped_ratio):
+        memo.cache_clear()
+    params.penalty_integral()
+    rows = _count_rows(monkeypatch)
+    per_case = []
+    real = final.compute_W
+
+    def compute(case, p):
+        before = len(rows)
+        result = real(case, p)
+        per_case.append(len(rows) - before)
+        return result
+
+    monkeypatch.setattr(final, "compute_W", compute)
+    verify_all(params)
+    assert rows == [95, 95]
+    assert per_case == [0] * 46
 
 
 def test_failure_names_its_case_and_keeps_its_class():

@@ -307,6 +307,25 @@ def test_H2_series_crossover():
         assert abs(complex(PARAMS.H2(z)) - oracle) < 1e-13, r
 
 
+def test_H2_of_a_float_is_bitwise_the_complex_path():
+    # both branches, the switch at |K x| = 0.2 with the floats next to it,
+    # and arguments where a plain float division differs in the last bit
+    rng = np.random.default_rng(11)
+    xs = [0.0, 1e-300, *rng.uniform(-3.0, 3.0, 300), *rng.uniform(0.3, 1.5, 300)]
+    for K in (0.32, 0.25, 0.5):
+        params = LinnikParams(K=K)
+        edges = [0.2 / K, -0.2 / K]
+        for edge in edges[:2]:
+            below = above = edge
+            for _ in range(3):
+                below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+                edges += [below, above]
+        for x in [*xs, *edges]:
+            value = params.H2(float(x))
+            assert type(value) is float
+            assert value == complex(params.H2(np.array([x]))[0]).real, (K, x)
+
+
 def test_H_is_damped_H2():
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -426,15 +445,43 @@ def test_gauss_legendre_rule_and_its_checks():
         np.testing.assert_allclose(weights, ref_weights, rtol=1e-13)
     # exact on a degree-31 polynomial; the 16-node rule is exact to degree 31
     # as well, so the check passes
-    value = _gauss_legendre(lambda t: 32.0 * t**31, 0.0, 1.0)
-    assert value == pytest.approx(1.0, rel=1e-14)
-    # sqrt has an endpoint singularity the fixed rule cannot resolve
+    (value,), (fault,) = _gauss_legendre(lambda t: 32.0 * t**31, 0.0, 1.0)
+    assert fault is None and value == pytest.approx(1.0, rel=1e-14)
+    # each row is checked on its own: sqrt has an endpoint singularity the
+    # fixed rule cannot resolve, and a bare |I32 - I16| > tol test would pass
+    # a NaN
+    bads = (math.nan, math.inf, -math.inf)
+    values, faults = _gauss_legendre(lambda t: np.stack(
+        [32.0 * t**31, np.sqrt(t), *(np.where(t > 0.9, bad, t) for bad in bads)]), 0.0, 1.0)
+    assert values[0] == value and faults[0] is None
+    assert isinstance(faults[1], QuadratureError)
+    assert str(faults[1]).startswith("16- and 32-node Gauss-Legendre rules disagree")
+    for fault in faults[2:]:
+        assert isinstance(fault, FloatingPointError)
+        assert str(fault).startswith("non-finite quadrature on [0.0, 1.0]: ")
+
+
+def test_w_batch_is_bitwise_one_row_at_a_time():
+    # the registry's w arguments under a parameter set, with two that fail:
+    # past s ~ 31 the rules disagree, and at 1e3 e^{2st} overflows
+    from linnik.final import load_registry, w_arguments
+    params = LinnikParams(theta=1.2, c1=0.1)
+    args = [s for case in load_registry() for s in w_arguments(case)] + [100.0, 1e3]
+    finite = list(dict.fromkeys(s for s in args[:-2] if s is not None))
+    LinnikParams._w_integrals.cache_clear()
+    one_by_one = [params.w(s) for s in finite]
+    LinnikParams._w_integrals.cache_clear()
+    faults = params.prime_w(args)
+    assert sorted(faults) == [100.0, 1e3]
+    assert isinstance(faults[100.0], QuadratureError)
+    assert isinstance(faults[1e3], FloatingPointError)
+    assert len(params._w_integrals()) == len(finite)
+    assert [params.w(s) for s in finite] == one_by_one
+    assert params.prime_w(args[:-2]) == {}
+    # a failed row is not stored: each read integrates it again and raises
     with pytest.raises(QuadratureError):
-        _gauss_legendre(np.sqrt, 0.0, 1.0)
-    # a bare |I32 - I16| > tol test would pass a NaN
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(FloatingPointError):
-            _gauss_legendre(lambda t: np.where(t > 0.9, bad, t), 0.0, 1.0)
+        params.w(100.0)
+    assert 100.0 not in params._w_integrals()
 
 
 def test_xf_exp_moment_against_mpmath_oracle():
