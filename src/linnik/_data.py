@@ -4,12 +4,28 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from functools import lru_cache
 from importlib import resources
 
 
 def _read_text(relpath: str) -> str:
     return resources.files("linnik.data").joinpath(relpath).read_text(encoding="utf-8")
+
+
+def _finite(text: str) -> float:
+    """The number ``text``; a NaN or an infinity is refused."""
+    if math.isfinite(value := float(text)):
+        return value
+    raise ValueError(f"not a finite number: {text!r}")
+
+
+def _load_json(relpath: str):
+    """The shipped JSON file ``relpath``; a NaN, an Infinity or a float overflow is refused."""
+    try:
+        return json.loads(_read_text(relpath), parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:
+        raise ValueError(f"{relpath}: {exc}") from None
 
 
 @lru_cache(maxsize=None)
@@ -24,14 +40,14 @@ def published_table(n: int) -> tuple:
             if key in ("ord", "bound"):
                 row[key] = val  # ord is a label, bound an integer literal or "-"
             else:
-                row[key] = float(val) if val else None  # a blank cell is None
+                row[key] = _finite(val) if val else None  # a blank cell is None
         rows.append(row)
     return tuple(rows)
 
 
 @lru_cache(maxsize=None)
 def hb92() -> dict:
-    return json.loads(_read_text("hb92_inputs.json"))
+    return _load_json("hb92_inputs.json")
 
 
 def hb92_map(key: str) -> dict:
@@ -41,7 +57,7 @@ def hb92_map(key: str) -> dict:
 
 @lru_cache(maxsize=None)
 def final_cases() -> dict:
-    return json.loads(_read_text("final_cases.json"))
+    return _load_json("final_cases.json")
 
 
 #: what each stage's guard catches and names: data faults (a missing key, a

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import density, final, tables
+from . import _data, density, final, tables
 from .kernel import LinnikParams, WeightKernel, classic_density_bound
 from .supbound import domination_check
 
@@ -109,38 +109,29 @@ def _eval_value(args):
     if name == "classic_density":
         return classic_density_bound(args.lam)
     params = _params_from_args(args)
-    if name == "B":
-        return params.B(args.lam)
-    if name == "H2":
-        return params.H2(z)
-    if name == "H":
-        return params.H(z)
-    if name == "w1":
-        return params.w1(args.t)
-    if name == "w":
-        return params.w(args.s)
-    return params.C(args.Lambda, args.lam)
+    if name == "C":
+        return params.C(args.Lambda, args.lam)
+    return getattr(params, name)({"B": args.lam, "H2": z, "H": z, "w1": args.t, "w": args.s}[name])
 
 
 def cmd_eval(args) -> int:
     name = args.function
-    # numpy's overflow and invalid-value warnings are silenced: a value they
-    # leave non-finite fails the check below with one FAILED: line
-    with np.errstate(all="ignore"):
-        value = _eval_value(args)
-    if not cmath.isfinite(value):
-        raise FloatingPointError(f"eval {name}: the value is not finite ({value!r})")
+    try:
+        # numpy's warnings are silenced: a non-finite value fails the check below
+        with np.errstate(all="ignore"):
+            value = _eval_value(args)
+        if not cmath.isfinite(value):
+            raise FloatingPointError(f"the value is not finite ({value!r})")
+    except (ArithmeticError, RuntimeError) as exc:
+        raise _data.named(f"eval {name}", exc)
     if args.json:
-        if isinstance(value, complex):
-            payload = {"re": value.real, "im": value.imag}
-        else:
-            payload = float(value)
+        payload = ({"re": value.real, "im": value.imag} if isinstance(value, complex)
+                   else float(value))
         print(json.dumps({"function": name, "value": payload}, sort_keys=True))
+    elif isinstance(value, complex):
+        print(f"{value.real!r} {value.imag!r}")
     else:
-        if isinstance(value, complex):
-            print(f"{value.real!r} {value.imag!r}")
-        else:
-            print(repr(float(value)))
+        print(repr(float(value)))
     return EXIT_OK
 
 

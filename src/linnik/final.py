@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 from . import _data
 from .density import regenerated_tables
-from .kernel import LinnikParams
+from .kernel import LinnikParams, _require_finite
 
 #: a case is certified only if W stays below 1 by this margin
 W_MARGIN = 1e-4
@@ -46,6 +46,9 @@ class DensityRef:
     lambda0: Optional[float] = None
     n_lo: int = 0
     n_hi: Optional[int] = None  # None = unbounded branch
+
+    def __post_init__(self):  # a NaN or +inf lambda0 would cap every point at n_hi
+        _require_finite(self)
 
     @staticmethod
     def from_json(obj) -> Optional["DensityRef"]:
@@ -135,10 +138,14 @@ class CaseResult:
 
 def load_registry() -> List[FinalCase]:
     """The case rows; a row with a missing field or a value its case refuses
-    raises RuntimeError named after the case by ``_data.named``; a registry
-    with no cases raises RuntimeError."""
+    raises RuntimeError named after the case by ``_data.named``, and a
+    registry that does not parse or has no cases raises RuntimeError."""
+    try:
+        objs = _data.final_cases()["cases"]
+    except _data.FAULTS as exc:
+        raise _data.named("the case registry", exc)
     cases = []
-    for obj in _data.final_cases()["cases"]:
+    for obj in objs:
         try:
             cases.append(FinalCase.from_json(obj))
         except _data.FAULTS as exc:

@@ -18,8 +18,8 @@ certificate's t lattice: the constructor takes the cos/sin pair, t^2 and
 returns one block of whole t rows at a time.  All three switch to the
 same series inside SMALL_Z_RADIUS.
 
-All real arithmetic is double precision, and ``H2`` of a real scalar runs
-in it too, with the bits of the complex path.  The penalty integral,
+All real arithmetic is double precision, and ``H2`` of a real runs in it
+too, with the bits of the real part of its complex value.  The penalty integral,
 ``xf_moments`` (M2(c) = int x^2 f(x) e^{cx} dx, which bounds the second
 derivatives of the sup certificates), ``damped_ratio`` and ``C`` memoise
 their values in the method itself, a bounded ``lru_cache`` keyed on the
@@ -42,6 +42,7 @@ that needs it raises its fault.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -57,8 +58,10 @@ import numpy as np
 SMALL_Z_RADIUS = 0.15
 _SERIES_TERMS = 26
 
-# |K*z| below which (1 - exp(-K z))/z is evaluated by series.
+# |K*z| below which (1 - exp(-K z))/z is evaluated by series, and the series'
+# Horner coefficients 1/(n+1)!, n = 18 .. 0, in terms of w = K z
 _H2_SERIES_RADIUS = 0.2
+_H2_SERIES = tuple(1.0 / math.factorial(n + 1) for n in range(18, -1, -1))
 
 #: absolute tolerance of every Gauss-Legendre integral: w, the penalty and xf_moments
 QUAD_TOL = 1e-12
@@ -139,11 +142,14 @@ def _checked(values, faults) -> float:
 
 def _require_finite(record) -> None:
     """Raise ValueError naming the first number field of a dataclass that
-    is NaN or infinite."""
+    is NaN or infinite, or a bool."""
     for f in fields(record):
         value = getattr(record, f.name)
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        try:
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        except TypeError:  # not a number: None, a string, a kernel
+            pass
 
 
 @dataclass(frozen=True)
@@ -422,50 +428,29 @@ class LinnikParams:
 
     # -- H and H2 -------------------------------------------------------
 
-    def H2(self, z: ArrayLike) -> ArrayLike:
+    def H2(self, z: complex) -> complex:
         """((1 - e^{-Kz})/z)^2, with value K^2 at z = 0.
 
-        A real scalar gives a float, computed in real arithmetic with the
-        bits of the real part of the complex path: with a zero imaginary part
-        numpy's complex division by z is (1 - e) * (1/z), which a plain
-        float ``/`` does not always match in the last bit.
+        A real z gives a float, by ``math.exp``, with the bits of the real part
+        of ``H2(complex(z, 0))``, by ``cmath.exp``: the closed form divides as
+        (1 - e) * (1/z), which a plain float ``/`` does not always match in the
+        last bit.  An exponential that overflows raises OverflowError.
         """
         K = self.K
-        if isinstance(z, numbers.Real):
-            z = float(z)
-            w = K * z
-            if abs(w) < _H2_SERIES_RADIUS:
-                acc = 0.0
-                for n in range(18, -1, -1):
-                    acc = acc * (-w) + 1.0 / math.factorial(n + 1)
-                g = K * acc
-            else:
-                g = (1.0 - math.exp(-w)) * (1.0 / z)
-            return g * g
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        w = K * z_arr
-        g = np.empty_like(z_arr)
-        small = np.abs(w) < _H2_SERIES_RADIUS
-        if small.any():
-            ws = w[small]
-            acc = np.zeros_like(ws)
-            for n in range(18, -1, -1):
-                acc = acc * (-ws) + 1.0 / math.factorial(n + 1)
-            g[small] = K * acc
-        big = ~small
-        if big.any():
-            g[big] = (1.0 - np.exp(-w[big])) / z_arr[big]
-        out = g * g
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return complex(out[0])
-        return out
+        z, exp = (float(z), math.exp) if isinstance(z, numbers.Real) else (complex(z), cmath.exp)
+        w = K * z
+        if abs(w) < _H2_SERIES_RADIUS:
+            acc = 0.0
+            for c in _H2_SERIES:
+                acc = acc * (-w) + c
+            g = K * acc
+        else:
+            g = (1.0 - exp(-w)) * (1.0 / z)
+        return g * g
 
-    def H(self, z: ArrayLike) -> ArrayLike:
+    def H(self, z: complex) -> complex:
         """Laplace transform of the triangle weight: e^{-(L-2K)z} H2(z)."""
-        out = np.exp(-self.decay * np.asarray(z, dtype=complex)) * self.H2(z)
-        if np.isscalar(z) or np.asarray(z).ndim == 0:
-            return complex(out)
-        return out
+        return cmath.exp(-self.decay * z) * self.H2(z)
 
     # -- density weight w1, its reciprocal integral w, penalty ----------
 

@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -539,6 +540,16 @@ def _patch_csv(monkeypatch, n, old, new):
     monkeypatch.setattr(_data, "published_table", _data.published_table.__wrapped__)
 
 
+def _patch_json(monkeypatch, old, new):
+    """Replace the text ``old`` of the shipped JSON files by ``new``, read
+    through the real loaders."""
+    real = _data._read_text
+    monkeypatch.setattr(_data, "_read_text", lambda path: (
+        real(path).replace(old, new) if path.endswith(".json") else real(path)))
+    for loader in (_data.hb92, _data.final_cases):
+        monkeypatch.setattr(_data, loader.__name__, loader.__wrapped__)
+
+
 # shipped data that disagree, one fault per stage that reads them: (argv,
 # patch, the one FAILED line, which names the table, the cell or the case)
 DATA_FAULTS = {
@@ -566,6 +577,28 @@ DATA_FAULTS = {
     "table13-non-numeric": (
         ["verify-final"], lambda mp: _patch_csv(mp, 13, "0.64,,,0.900,9", "0.64,,,x,9"),
         "FAILED: table 13: could not convert string to float: 'x'"),
+    "table12-nan": (
+        ["table", "12"], lambda mp: _patch_csv(mp, 12, "0.40,,,0.900,11", "0.40,,,nan,11"),
+        "FAILED: table 12: not a finite number: 'nan'"),
+    "table13-inf": (
+        ["verify-final"], lambda mp: _patch_csv(mp, 13, "0.64,,,0.900,9", "0.64,,,inf,9"),
+        "FAILED: table 13: not a finite number: 'inf'"),
+    # unrefused, table 7 certified all 17 rows and dropped table 6 from the
+    # minimum of rows 0.64-0.68
+    "hb92-NaN": (
+        ["table", "7"], lambda mp: _patch_json(mp, '"2": 0.518', '"2": NaN'),
+        "FAILED: table 7: hb92_inputs.json: not a finite number: 'NaN'"),
+    "hb92-overflow": (
+        ["table", "11"], lambda mp: _patch_json(mp, '"5": 0.397', '"5": 1e999'),
+        "FAILED: table 11: hb92_inputs.json: not a finite number: '1e999'"),
+    "registry-Infinity": (
+        ["verify-final"], lambda mp: _patch_json(
+            mp, '"lambda3_lo": 0.902,', '"lambda3_lo": -Infinity,'),
+        "FAILED: the case registry: final_cases.json: not a finite number: '-Infinity'"),
+    "registry-unparseable": (
+        ["verify-final"], lambda mp: _patch_json(mp, '"L": 5.2,', '"L": 5.2,,'),
+        "FAILED: the case registry: final_cases.json: "
+        "Expecting property name enclosed in double quotes: line 4 column 12 (char 488)"),
     "registry-no-cases": (
         ["verify-final"], lambda mp: mp.setattr(
             _data, "final_cases", lambda real=_data.final_cases(): {**real, "cases": []}),
@@ -682,6 +715,24 @@ def test_malformed_case_fails_under_other_params(tmp_path, monkeypatch, capsys, 
     assert err == [f"FAILED: case 16.10c: {message}"]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("field", ["lambda0", "n_lo", "n_hi"])
+def test_non_finite_branch_field_fails_its_case(tmp_path, monkeypatch, capsys, field, bad):
+    # unrefused, a NaN or +inf lambda0 applied the branch's upper cap at every
+    # schedule point: 16.5c's W read 0.8639, and verify-final passed
+    def change(case):
+        density = case["density"]
+        branch = {**density["branch"], field: bad}
+        return {**case, "density": {**density, "branch": branch}}
+
+    _patch_case(monkeypatch, "16.5c", change)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"L": 5.2000001}))
+    err = _run_shipped_fault(["verify-final", "--params", str(params)], tmp_path / "out",
+                             capsys)
+    assert err == [f"FAILED: case 16.5c: {field} must be finite, got {bad!r}"]
+
+
 def _replace_case(monkeypatch, case_id, **changes):
     real = final.load_registry
     monkeypatch.setattr(final, "load_registry", lambda: [
@@ -796,16 +847,19 @@ def test_arithmetic_and_os_errors_map_to_exit_codes(tmp_path, capsys, argv, code
 
 @pytest.mark.parametrize("argv", [
     ["F", "--gamma", "1", "--z", "-400"], ["H", "--z", "-1000"], ["H2", "--z", "-3000"],
+    ["classic_density", "--lambda", "1e5"], ["B", "--lambda", "1e-320"], ["w", "--s", "100"],
 ], ids=" ".join)
 def test_eval_non_finite_value_prints_only_its_failed_line(capsys, argv):
-    # numpy's overflow and invalid-value warnings would each print a block to
-    # stderr before the FAILED: line
+    # an overflow, a division by zero, a failed quadrature or a non-finite
+    # value prints one FAILED: line that names the function once; numpy's
+    # overflow and invalid-value warnings would each print a block before it
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["eval", *argv]) == 1
     assert caught == []
-    err = capsys.readouterr().err
-    assert err.startswith("FAILED: eval ") and err.count("\n") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"FAILED: eval {argv[0]}: "), lines
+    assert lines[0].count("eval ") == 1, lines
 
 
 def test_eval_H_prints_plain_floats(capsys):
