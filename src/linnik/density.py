@@ -176,12 +176,15 @@ class DensityTables:
     read-only mappings.  Lookup raises KeyError naming the column and the
     missing lambda value, so a broken schedule is loud, never silently
     padded, and RuntimeError for a printed cell whose bound vanished.
+    ``schedules`` keeps each final case's counting schedule read from these
+    cells by ``final.n0_schedule``, so it is dropped with them.
     """
 
     def __init__(self):
         self.records = tuple(MappingProxyType(rec) for rec in gen_density_tables())
         self._cells = {(rec["table"], rec["lambda1"], rec["n0"] or 0, round(rec["lam"], 3)):
                        rec["computed"] for rec in self.records if rec["published"] != "-"}
+        self.schedules = {}
 
     def lookup(self, table: int, column: float, lam: float, n0: int = 0) -> int:
         key = (table, column, n0, round(lam, 3))

@@ -8,6 +8,13 @@ the headline exponent L reduces to.
 
 A malformed case is refused when the registry loads, and ``load_registry``
 and ``verify_all`` name each fault of a case after it by ``_data.named``.
+
+What does not depend on the parameters is built once per process:
+``load_registry`` builds the cases once per object the registry loader
+returns, with the distinct arguments of ``w`` they read; each case computes
+its Lambda schedule once; and the counting tables keep each case's counting
+schedule.  ``verify_all`` itself does only per-parameter-set work: the
+batch of ``w`` integrals, the penalty, ``C`` and each case's ``W``.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from . import _data
@@ -106,6 +114,14 @@ class FinalCase:
             raise ValueError(f"empty lambda1 window [{self.lambda1_lo!r}, "
                              f"{self.lambda1_hi!r}]")
 
+    @cached_property
+    def _schedule(self):
+        """``lambda_schedule(self)``, computed once per case."""
+        l3_star = min(self.lambda3_lo, self.Lambda)
+        s = int(math.floor((self.Lambda - l3_star) / DENSITY_GRID + 1e-9))
+        grid = [self.Lambda - DENSITY_GRID * r for r in range(s + 1)]
+        return l3_star, s, grid
+
     @property
     def n_chi(self) -> int:
         return FAMILIES[self.family][0]
@@ -136,12 +152,22 @@ class CaseResult:
     reproduces: Optional[bool] = None
 
 
-def load_registry() -> List[FinalCase]:
-    """The case rows; a row with a missing field or a value its case refuses
-    raises RuntimeError named after the case by ``_data.named``, and a
-    registry that does not parse or has no cases raises RuntimeError."""
+#: the last registry built: (the loader's object, its cases, the distinct
+#: finite w arguments they read)
+_registry = (None, (), [])
+
+
+def load_registry() -> Tuple[FinalCase, ...]:
+    """The case rows, built once per object ``_data.final_cases()`` returns;
+    a row with a missing field or a value its case refuses raises
+    RuntimeError named after the case by ``_data.named``, and a registry that
+    does not parse or has no cases raises RuntimeError."""
+    global _registry
     try:
-        objs = _data.final_cases()["cases"]
+        source = _data.final_cases()
+        if source is _registry[0]:
+            return _registry[1]
+        objs = source["cases"]
     except _data.FAULTS as exc:
         raise _data.named("the case registry", exc)
     cases = []
@@ -152,7 +178,15 @@ def load_registry() -> List[FinalCase]:
             raise _data.named(f"case {obj.get('id')}", exc)
     if not cases:
         raise RuntimeError("the case registry has no cases")
+    cases = tuple(cases)
+    _registry = (source, cases, _distinct_w_arguments(cases))
     return cases
+
+
+def _distinct_w_arguments(cases) -> list:
+    """The distinct finite arguments of ``w`` that the cases read, in order."""
+    return [s for s in dict.fromkeys(s for case in cases for s in w_arguments(case))
+            if s is not None]
 
 
 def lambda_schedule(case: FinalCase):
@@ -160,12 +194,10 @@ def lambda_schedule(case: FinalCase):
 
     s = floor((Lambda - lambda3*) / DENSITY_GRID); when the third-zero bound reaches
     Lambda the schedule collapses to the single point Lambda and every
-    density term carries the factor C(Lambda) = 0.
+    density term carries the factor C(Lambda) = 0.  Computed once per case;
+    every call returns the same grid list.
     """
-    l3_star = min(case.lambda3_lo, case.Lambda)
-    s = int(math.floor((case.Lambda - l3_star) / DENSITY_GRID + 1e-9))
-    grid = [case.Lambda - DENSITY_GRID * r for r in range(s + 1)]
-    return l3_star, s, grid
+    return case._schedule
 
 
 def w_arguments(case: FinalCase) -> list:
@@ -177,7 +209,9 @@ def w_arguments(case: FinalCase) -> list:
 
 
 def n0_schedule(case: FinalCase) -> List[int]:
-    """Counting bounds N0(Lambda_r) along the schedule.
+    """Counting bounds N0(Lambda_r) along the schedule, read once per case
+    from the counting tables and kept by them; every call returns the same
+    list.  A failed lookup is not kept: each call raises it.
 
     Branch semantics: above lambda0 the column regenerated under the branch's
     lower hypothesis applies; at or below lambda0 the unconditional column is
@@ -186,6 +220,9 @@ def n0_schedule(case: FinalCase) -> List[int]:
     if case.density is None:
         raise ValueError(f"case {case.id} uses no counting table")
     tables = regenerated_tables()
+    out = tables.schedules.get(case)
+    if out is not None:
+        return out
     ref = case.density
     _, _, grid = lambda_schedule(case)
     out = []
@@ -201,6 +238,7 @@ def n0_schedule(case: FinalCase) -> List[int]:
             if ref.lambda0 is not None and ref.n_hi is not None:
                 base = min(base, ref.n_hi)
             out.append(base)
+    tables.schedules[case] = out
     return out
 
 
@@ -309,7 +347,8 @@ def verify_all(params: Optional[LinnikParams] = None) -> Report:
     cases = load_registry()
     # every case's w integrals in one batch; a failing one is not stored, so
     # the case that reads it raises its fault below
-    params.prime_w(s for case in cases for s in w_arguments(case))
+    _, built, arguments = _registry
+    params.prime_w(arguments if cases is built else _distinct_w_arguments(cases))
     results = []
     for case in cases:
         try:

@@ -23,16 +23,19 @@ too, with the bits of the real part of its complex value.  The penalty integral,
 ``xf_moments`` (M2(c) = int x^2 f(x) e^{cx} dx, which bounds the second
 derivatives of the sup certificates), ``damped_ratio`` and ``C`` memoise
 their values in the method itself, a bounded ``lru_cache`` keyed on the
-frozen instance, so equal parameter sets or kernels share entries.  ``w``
-reads a per-parameter-set memo of its integrals that ``prime_w`` fills in
-one batch, all missing arguments in one vectorised pass; a ``w`` read that
-misses runs the batch of one.  ``w`` and the penalty are one integral split
-at v (``LinnikParams._split_integral``).  Each uses one fixed Gauss-Legendre
-rule (:func:`_gauss_legendre`, one row per integral) on pieces whose
-integrand is a polynomial times an exponential, an entire function on which
-the rule converges geometrically: a row's 32-node value is used only when
-its 16-node value agrees with it to within max(50 QUAD_TOL, 1e-9 |I|),
-QUAD_TOL = 1e-12; otherwise the row fails with :class:`QuadratureError`.
+frozen instance, so equal parameter sets or kernels share entries, and each
+value is computed once per kernel or parameter set while its memo holds it.
+A ``LinnikParams`` takes its hash once, when it is built, since every memo
+hit hashes it.  ``w`` reads a per-parameter-set memo of its integrals that
+``prime_w`` fills in one batch, all missing arguments in one vectorised
+pass; a ``w`` read that misses runs the batch of one.  ``w`` and the
+penalty are one integral split at v (``LinnikParams._split_integral``).
+Each uses one fixed Gauss-Legendre rule (:func:`_gauss_legendre`, one row
+per integral) on pieces whose integrand is a polynomial times an
+exponential, an entire function on which the rule converges geometrically:
+a row's 32-node value is used only when its 16-node value agrees with it
+to within max(50 QUAD_TOL, 1e-9 |I|), QUAD_TOL = 1e-12; otherwise the
+row fails with :class:`QuadratureError`.
 The error of an n-node rule on such an integrand falls geometrically in n,
 so |I32 - I16| is in effect the 16-node error and bounds the far smaller
 32-node error of the returned value.  A NaN or inf in either value fails
@@ -222,8 +225,9 @@ class WeightKernel:
 
     def _F_series(self, z: np.ndarray) -> np.ndarray:
         out = np.zeros_like(z)
+        neg_z = -z  # negation is exact: the same bits as -z at every step
         for c in self._series_coeffs()[::-1]:
-            out = out * (-z) + c
+            out = out * neg_z + c
         return out
 
     def F_real(self, x: ArrayLike) -> ArrayLike:
@@ -384,6 +388,12 @@ class LinnikParams:
         if not self.L - 2.0 * self.K > max(3.0, 2.0 * self.x):
             raise ValueError(
                 f"need L - 2K > max(3, 2x): {self.L - 2 * self.K} vs {max(3.0, 2.0 * self.x)}")
+        # the dataclass hash, taken once: every memoised method hashes self
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name)
+                                                      for f in fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def u(self) -> float:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from linnik import _data, final, kernel
+from linnik import _data, density, final, kernel
 from linnik.final import (DensityRef, FinalCase, c_star, compute_W,
                           lambda_schedule, load_registry, n0_schedule,
                           verify_all)
@@ -215,6 +215,65 @@ def test_primed_w_memo_leaves_no_case_an_integral(monkeypatch):
     verify_all(params)
     assert rows == [95, 95]
     assert per_case == [0] * 46
+
+
+def _bits(report) -> list:
+    return [(r.case.id, r.W.hex(), r.margin.hex(), {k: v.hex() for k, v in r.terms.items()},
+             [(lam.hex(), n0) for lam, n0 in r.schedule]) for r in report.results]
+
+
+def test_warm_verify_all_does_only_per_parameter_work(monkeypatch, fresh_tables):
+    # after one verify_all, another parameter set builds no case and reads no
+    # counting cell, and its W, margins, terms and schedules carry the bits
+    # of a run with every memo cold
+    built, looked_up = [], []
+    real_post_init, real_lookup = FinalCase.__post_init__, density.DensityTables.lookup
+    monkeypatch.setattr(FinalCase, "__post_init__",
+                        lambda case: built.append(case.id) or real_post_init(case))
+    monkeypatch.setattr(density.DensityTables, "lookup",
+                        lambda tables, *args, **kw: looked_up.append(args)
+                        or real_lookup(tables, *args, **kw))
+    verify_all()
+    built.clear()
+    looked_up.clear()
+    warm = verify_all(LinnikParams(L=5.3))
+    assert built == [] and looked_up == []
+
+    _data.final_cases.cache_clear()
+    density.regenerated_tables.cache_clear()
+    for memo in (LinnikParams._w_integrals, LinnikParams.penalty_integral,
+                 LinnikParams.C, LinnikParams.damped_ratio):
+        memo.cache_clear()
+    cold = verify_all(LinnikParams(L=5.3))
+    assert len(built) == 46 and len(looked_up) > 0
+    assert _bits(warm) == _bits(cold)
+
+
+def test_next_verify_all_sees_patched_registry_and_tables(monkeypatch, fresh_tables):
+    verify_all()
+    real = _data.final_cases()
+    patched = {**real, "cases": [{**c, "published_W": 0.5} if c["id"] == "14.1" else c
+                                 for c in real["cases"][:-1]]}
+    monkeypatch.setattr(_data, "final_cases", lambda: patched)
+    report = verify_all()
+    assert len(report.results) == 45 and not report.all_reproduced
+    assert [r.case.id for r in report.results if not r.reproduces] == ["14.1"]
+
+    # a vanished cell of the counting tables fails the cases that read it,
+    # at every call: a failed lookup is never kept
+    records = density.gen_density_tables()
+    for cell in records:
+        if cell["published"] != "-":
+            cell.update(computed=None, match=False)
+    monkeypatch.setattr(density, "gen_density_tables", lambda: records)
+    density.regenerated_tables.cache_clear()
+    case = _registry_case("15.1")
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=r"^case 14\.2: .*bound vanished"):
+            verify_all()
+        with pytest.raises(RuntimeError, match="bound vanished"):
+            n0_schedule(case)
+    assert density.regenerated_tables().schedules == {}
 
 
 def test_failure_names_its_case_and_keeps_its_class():

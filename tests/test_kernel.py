@@ -219,6 +219,25 @@ def test_F_real_is_bitwise_the_complex_path(gamma):
         assert kern.F_real(np.array(xi)).hex() == scalar.hex()
 
 
+@pytest.mark.parametrize("gamma", F_REAL_GAMMAS)
+def test_F_series_is_bitwise_the_per_step_negation(gamma):
+    # the Horner loop negates z once: negation is exact, so every value
+    # carries the bits of the loop that negated z at each step
+    kern = WeightKernel(gamma)
+    rng = np.random.default_rng(28)
+    radius = SMALL_Z_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, 5000))
+    for z in (rng.uniform(-SMALL_Z_RADIUS, SMALL_Z_RADIUS, 5000),
+              radius * np.exp(1j * rng.uniform(-np.pi, np.pi, 5000))):
+        want = np.zeros_like(z)
+        for c in kern._series_coeffs()[::-1]:
+            want = want * (-z) + c
+        got = kern._F_series(z)
+        assert got.dtype == z.dtype
+        for part in (np.real, np.imag):
+            assert [v.hex() for v in part(got).tolist()] == \
+                [v.hex() for v in part(want).tolist()]
+
+
 def test_real_axis_accuracy_just_outside_the_series_disk():
     # the closed forms cancel worst where they take over from the series:
     # F_real and the lattice form (t = 0) against the mpmath oracle for
