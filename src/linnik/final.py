@@ -11,8 +11,8 @@ and ``verify_all`` name each fault of a case after it by ``_data.named``.
 
 What does not depend on the parameters is built once per process:
 ``load_registry`` builds the cases once per object the registry loader
-returns, with the distinct arguments of ``w`` they read; each case computes
-its Lambda schedule once; and the counting tables keep each case's counting
+returns; each case computes its Lambda schedule and the arguments of ``w``
+it reads once; and the counting tables keep each case's counting
 schedule.  ``verify_all`` itself does only per-parameter-set work: the
 batch of ``w`` integrals, the penalty, ``C`` and each case's ``W``.
 """
@@ -119,8 +119,14 @@ class FinalCase:
         """``lambda_schedule(self)``, computed once per case."""
         l3_star = min(self.lambda3_lo, self.Lambda)
         s = int(math.floor((self.Lambda - l3_star) / DENSITY_GRID + 1e-9))
-        grid = [self.Lambda - DENSITY_GRID * r for r in range(s + 1)]
+        grid = tuple(self.Lambda - DENSITY_GRID * r for r in range(s + 1))
         return l3_star, s, grid
+
+    @cached_property
+    def _w_arguments(self):
+        """``w_arguments(self)``, computed once per case."""
+        l3_star, _, grid = self._schedule
+        return (*grid, self.lambda1_hi, self.lambda_prime_lo, self.lambda2_lo, l3_star)
 
     @property
     def n_chi(self) -> int:
@@ -152,9 +158,8 @@ class CaseResult:
     reproduces: Optional[bool] = None
 
 
-#: the last registry built: (the loader's object, its cases, the distinct
-#: finite w arguments they read)
-_registry = (None, (), [])
+#: the last registry built: (the loader's object, its cases)
+_registry = (None, ())
 
 
 def load_registry() -> Tuple[FinalCase, ...]:
@@ -179,14 +184,8 @@ def load_registry() -> Tuple[FinalCase, ...]:
     if not cases:
         raise RuntimeError("the case registry has no cases")
     cases = tuple(cases)
-    _registry = (source, cases, _distinct_w_arguments(cases))
+    _registry = (source, cases)
     return cases
-
-
-def _distinct_w_arguments(cases) -> list:
-    """The distinct finite arguments of ``w`` that the cases read, in order."""
-    return [s for s in dict.fromkeys(s for case in cases for s in w_arguments(case))
-            if s is not None]
 
 
 def lambda_schedule(case: FinalCase):
@@ -195,23 +194,24 @@ def lambda_schedule(case: FinalCase):
     s = floor((Lambda - lambda3*) / DENSITY_GRID); when the third-zero bound reaches
     Lambda the schedule collapses to the single point Lambda and every
     density term carries the factor C(Lambda) = 0.  Computed once per case;
-    every call returns the same grid list.
+    each call returns a new grid list.
     """
-    return case._schedule
+    l3_star, s, grid = case._schedule
+    return l3_star, s, list(grid)
 
 
-def w_arguments(case: FinalCase) -> list:
+def w_arguments(case: FinalCase) -> Tuple[Optional[float], ...]:
     """Every argument at which ``compute_W`` reads ``w`` for this case: the
     schedule grid (Lambda first), lambda1_hi, lambda', lambda2 and lambda3*;
-    a None is +infinity, where w is 0 without an integral."""
-    l3_star, _, grid = lambda_schedule(case)
-    return [*grid, case.lambda1_hi, case.lambda_prime_lo, case.lambda2_lo, l3_star]
+    a None is +infinity, where w is 0 without an integral.  Computed once
+    per case."""
+    return case._w_arguments
 
 
-def n0_schedule(case: FinalCase) -> List[int]:
+def n0_schedule(case: FinalCase) -> Tuple[int, ...]:
     """Counting bounds N0(Lambda_r) along the schedule, read once per case
-    from the counting tables and kept by them; every call returns the same
-    list.  A failed lookup is not kept: each call raises it.
+    from the counting tables and kept by them as a tuple.  A failed lookup
+    is not kept: each call raises it.
 
     Branch semantics: above lambda0 the column regenerated under the branch's
     lower hypothesis applies; at or below lambda0 the unconditional column is
@@ -238,6 +238,7 @@ def n0_schedule(case: FinalCase) -> List[int]:
             if ref.lambda0 is not None and ref.n_hi is not None:
                 base = min(base, ref.n_hi)
             out.append(base)
+    out = tuple(out)
     tables.schedules[case] = out
     return out
 
@@ -347,8 +348,7 @@ def verify_all(params: Optional[LinnikParams] = None) -> Report:
     cases = load_registry()
     # every case's w integrals in one batch; a failing one is not stored, so
     # the case that reads it raises its fault below
-    _, built, arguments = _registry
-    params.prime_w(arguments if cases is built else _distinct_w_arguments(cases))
+    params.prime_w(s for case in cases for s in w_arguments(case))
     results = []
     for case in cases:
         try:

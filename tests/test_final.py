@@ -90,6 +90,17 @@ def test_n0_schedule_monotone_along_grid():
         assert all(a >= b for a, b in zip(n0, n0[1:])), case.id
 
 
+def test_schedules_kept_per_case_are_not_edited_by_a_caller():
+    # lambda_schedule hands out a new grid list; the counting schedule and
+    # the w arguments are kept as tuples, so an edit fails loudly
+    case = _registry_case("16.4b")
+    grid = lambda_schedule(case)[2]
+    grid.append(0.0)
+    assert lambda_schedule(case)[2] == grid[:-1]
+    assert isinstance(n0_schedule(case), tuple)
+    assert isinstance(final.w_arguments(case), tuple)
+
+
 def test_n0_schedule_requires_density():
     with pytest.raises(ValueError):
         n0_schedule(_case(density=None))
