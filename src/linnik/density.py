@@ -176,8 +176,9 @@ class DensityTables:
     read-only mappings.  Lookup raises KeyError naming the column and the
     missing lambda value, so a broken schedule is loud, never silently
     padded, and RuntimeError for a printed cell whose bound vanished.
-    ``schedules`` keeps each final case's counting schedule read from these
-    cells by ``final.n0_schedule``, so it is dropped with them.
+    ``schedules`` keeps each final case's counting schedule that
+    ``final.n0_schedule`` read from these cells and checked, so it is
+    dropped with them; a schedule that fails its checks is never kept.
     """
 
     def __init__(self):

@@ -6,15 +6,16 @@ branch hypothesis.  W collects every contribution to the weighted zero sum
 relative to the main term; W < 1 for all rows is exactly the positivity that
 the headline exponent L reduces to.
 
-A malformed case is refused when the registry loads, and ``load_registry``
-and ``verify_all`` name each fault of a case after it by ``_data.named``.
-
-What does not depend on the parameters is built once per process:
-``load_registry`` builds the cases once per object the registry loader
-returns; each case computes its Lambda schedule and the arguments of ``w``
-it reads once; and the counting tables keep each case's counting
-schedule.  ``verify_all`` itself does only per-parameter-set work: the
+What does not depend on the parameters is built and checked once.  Per
+object the registry loader returns, ``load_registry`` builds the cases; each
+``FinalCase`` refuses a malformed row and computes its lambda3*, Lambda grid
+and ``w`` arguments once.  Per case and counting-table regeneration,
+``n0_schedule`` reads the counting column and refuses one that is not
+monotone or ends below 4; the tables keep only a column that passes.
+``verify_all`` and ``compute_W`` do only per-parameter-set arithmetic: the
 batch of ``w`` integrals, the penalty, ``C`` and each case's ``W``.
+``load_registry`` and ``verify_all`` name each fault of a case after it by
+``_data.named``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ DENSITY_GRID = 0.025
 
 @dataclass(frozen=True)
 class DensityRef:
+    """A case's counting column and its branch: N(lambda0) in [n_lo, n_hi].
+    It refuses a non-finite field, a count that is not a non-negative int, a
+    count without lambda0 and n_hi < n_lo."""
+
     table: int
     column: float
     lambda0: Optional[float] = None
@@ -57,6 +62,13 @@ class DensityRef:
 
     def __post_init__(self):  # a NaN or +inf lambda0 would cap every point at n_hi
         _require_finite(self)
+        for name, count in (("n_lo", self.n_lo), ("n_hi", self.n_hi)):
+            if count is not None and (type(count) is not int or count < 0):
+                raise ValueError(f"{name} must be a non-negative integer, got {count!r}")
+        if self.lambda0 is None and (self.n_lo or self.n_hi is not None):
+            raise ValueError("a branch count needs lambda0")
+        if self.n_hi is not None and self.n_hi < self.n_lo:
+            raise ValueError(f"empty count branch [{self.n_lo}, {self.n_hi}]")
 
     @staticmethod
     def from_json(obj) -> Optional["DensityRef"]:
@@ -81,8 +93,10 @@ CASE_NULLABLE = ("lambda1_hi", "lambda_prime_lo")
 class FinalCase:
     """One row of the case registry.  It refuses a number field that is not
     a finite real (a bool included), a null outside ``CASE_NULLABLE``, an
-    empty lambda1 window and a counting table's Lambda off the density grid;
-    ``from_json`` refuses a density that is not a mapping or null."""
+    empty lambda1 window, a counting table's Lambda off the density grid and
+    a row with no counting table whose lambda3 is below Lambda (its density
+    terms vanish only by C(lambda3*) = C(Lambda) = 0); ``from_json`` refuses
+    a density that is not a mapping or null."""
 
     id: str
     family: str
@@ -113,20 +127,30 @@ class FinalCase:
         if self.lambda1_hi is not None and not self.lambda1_lo < self.lambda1_hi:
             raise ValueError(f"empty lambda1 window [{self.lambda1_lo!r}, "
                              f"{self.lambda1_hi!r}]")
+        if self.density is None and self.lambda3_lo < self.Lambda:
+            raise ValueError("density-free row needs lambda3 >= Lambda")
 
     @cached_property
-    def _schedule(self):
-        """``lambda_schedule(self)``, computed once per case."""
-        l3_star = min(self.lambda3_lo, self.Lambda)
-        s = int(math.floor((self.Lambda - l3_star) / DENSITY_GRID + 1e-9))
-        grid = tuple(self.Lambda - DENSITY_GRID * r for r in range(s + 1))
-        return l3_star, s, grid
+    def l3_star(self) -> float:
+        """min(lambda3, Lambda), the third-zero bound the schedule stops at."""
+        return min(self.lambda3_lo, self.Lambda)
 
     @cached_property
-    def _w_arguments(self):
-        """``w_arguments(self)``, computed once per case."""
-        l3_star, _, grid = self._schedule
-        return (*grid, self.lambda1_hi, self.lambda_prime_lo, self.lambda2_lo, l3_star)
+    def grid(self) -> Tuple[float, ...]:
+        """(Lambda_0 .. Lambda_s) with Lambda_r = Lambda - DENSITY_GRID r and
+        s = floor((Lambda - lambda3*) / DENSITY_GRID); when the third-zero
+        bound reaches Lambda the schedule collapses to the single point Lambda
+        and every density term carries the factor C(Lambda) = 0."""
+        s = int(math.floor((self.Lambda - self.l3_star) / DENSITY_GRID + 1e-9))
+        return tuple(self.Lambda - DENSITY_GRID * r for r in range(s + 1))
+
+    @cached_property
+    def w_arguments(self) -> Tuple[Optional[float], ...]:
+        """Every argument at which ``compute_W`` reads ``w`` for this case: the
+        grid (Lambda first), lambda1_hi, lambda', lambda2 and lambda3*; a None
+        is +infinity, where w is 0 without an integral."""
+        return (*self.grid, self.lambda1_hi, self.lambda_prime_lo, self.lambda2_lo,
+                self.l3_star)
 
     @property
     def n_chi(self) -> int:
@@ -188,30 +212,11 @@ def load_registry() -> Tuple[FinalCase, ...]:
     return cases
 
 
-def lambda_schedule(case: FinalCase):
-    """(lambda3*, s, [Lambda_0 .. Lambda_s]) with Lambda_r = Lambda - DENSITY_GRID r.
-
-    s = floor((Lambda - lambda3*) / DENSITY_GRID); when the third-zero bound reaches
-    Lambda the schedule collapses to the single point Lambda and every
-    density term carries the factor C(Lambda) = 0.  Computed once per case;
-    each call returns a new grid list.
-    """
-    l3_star, s, grid = case._schedule
-    return l3_star, s, list(grid)
-
-
-def w_arguments(case: FinalCase) -> Tuple[Optional[float], ...]:
-    """Every argument at which ``compute_W`` reads ``w`` for this case: the
-    schedule grid (Lambda first), lambda1_hi, lambda', lambda2 and lambda3*;
-    a None is +infinity, where w is 0 without an integral.  Computed once
-    per case."""
-    return case._w_arguments
-
-
 def n0_schedule(case: FinalCase) -> Tuple[int, ...]:
-    """Counting bounds N0(Lambda_r) along the schedule, read once per case
-    from the counting tables and kept by them as a tuple.  A failed lookup
-    is not kept: each call raises it.
+    """Counting bounds N0(Lambda_r) along the case's grid, read once per case
+    from the counting tables and kept by them as a tuple.  A column that is
+    not monotone or ends below the floor of 4 raises RuntimeError; neither
+    it nor a failed lookup is kept, so each call raises again.
 
     Branch semantics: above lambda0 the column regenerated under the branch's
     lower hypothesis applies; at or below lambda0 the unconditional column is
@@ -224,22 +229,20 @@ def n0_schedule(case: FinalCase) -> Tuple[int, ...]:
     if out is not None:
         return out
     ref = case.density
-    _, _, grid = lambda_schedule(case)
     out = []
-    for lam in grid:
+    for lam in case.grid:
         if ref.lambda0 is not None and lam > ref.lambda0 + 1e-9:
             # above the branch point: the column regenerated under the
-            # branch's lower hypothesis (or the unconditional one for a
-            # bounded-above branch)
-            out.append(tables.lookup(ref.table, ref.column, lam,
-                                     n0=ref.n_lo if ref.n_lo > 0 else 0))
+            # branch's lower hypothesis (the unconditional one for n_lo = 0)
+            out.append(tables.lookup(ref.table, ref.column, lam, n0=ref.n_lo))
         else:
             base = tables.lookup(ref.table, ref.column, lam)
-            if ref.lambda0 is not None and ref.n_hi is not None:
-                base = min(base, ref.n_hi)
-            out.append(base)
-    out = tuple(out)
-    tables.schedules[case] = out
+            out.append(base if ref.n_hi is None else min(base, ref.n_hi))
+    if any(a < b for a, b in zip(out, out[1:])):
+        raise RuntimeError("counting schedule not monotone")
+    if out[-1] < 4:
+        raise RuntimeError("schedule end below the floor of 4")
+    out = tables.schedules[case] = tuple(out)
     return out
 
 
@@ -276,28 +279,21 @@ def c_star(case: FinalCase, params: LinnikParams) -> float:
 def compute_W(case: FinalCase, params: LinnikParams) -> CaseResult:
     """W for one case row, with its full term breakdown; a failed check raises
     without naming the case, which ``verify_all`` names."""
-    l3_star, s, grid = lambda_schedule(case)
     base = (params.penalty_integral() / (params.c1 * params.c2 ** 2)
             * math.exp(-params.decay * case.Lambda) * params.B(case.Lambda)
             / params.w(case.Lambda))
     c_l2 = _finite("C(lambda2)", params.C(case.Lambda, case.lambda2_lo))
     second = max(2.0 * c_l2, 0.0)
-    c_l3 = _finite("C(lambda3*)", params.C(case.Lambda, l3_star))
+    c_l3 = _finite("C(lambda3*)", params.C(case.Lambda, case.l3_star))
 
     if case.density is not None:
         n0 = n0_schedule(case)
         floor_term = (n0[-1] - 4) * c_l3
-        tele = sum((n0[r] - n0[r + 1]) * params.C(case.Lambda, grid[r + 1])
-                   for r in range(s))
-        schedule = list(zip(grid, n0))
-        if any(a < b for a, b in zip(n0, n0[1:])):
-            raise RuntimeError("counting schedule not monotone")
-        if n0[-1] < 4:
-            raise RuntimeError("schedule end below the floor of 4")
+        tele = sum((a - b) * params.C(case.Lambda, lam)
+                   for a, b, lam in zip(n0, n0[1:], case.grid[1:]))
+        schedule = list(zip(case.grid, n0))
     else:
         # no counting table: C(lambda3*) = C(Lambda) = 0 makes both terms vanish
-        if abs(c_l3) > 1e-9:
-            raise RuntimeError("density-free row needs lambda3 >= Lambda")
         floor_term, tele, schedule = 0.0, 0.0, []
 
     third = (2 - case.n_chi) * c_l3
@@ -348,7 +344,7 @@ def verify_all(params: Optional[LinnikParams] = None) -> Report:
     cases = load_registry()
     # every case's w integrals in one batch; a failing one is not stored, so
     # the case that reads it raises its fault below
-    params.prime_w(s for case in cases for s in w_arguments(case))
+    params.prime_w(s for case in cases for s in case.w_arguments)
     results = []
     for case in cases:
         try:

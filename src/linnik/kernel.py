@@ -66,6 +66,10 @@ _SERIES_TERMS = 26
 _H2_SERIES_RADIUS = 0.2
 _H2_SERIES = tuple(1.0 / math.factorial(n + 1) for n in range(18, -1, -1))
 
+# the Horner coefficients 1/(j+2)!, j = 10 .. 0, of (x - 1 + e^{-x}) / x^2,
+# which B sums for x = 2 K lam < 0.2
+_B_SERIES = tuple(1.0 / math.factorial(j + 2) for j in range(10, -1, -1))
+
 #: absolute tolerance of every Gauss-Legendre integral: w, the penalty and xf_moments
 QUAD_TOL = 1e-12
 
@@ -420,21 +424,22 @@ class LinnikParams:
         B(lam) = (1-e^{-2K lam})/(6 K^2 lam) + (2K lam - 1 + e^{-2K lam})/(2 K^2 lam^2).
         The second numerator cancels catastrophically for small arguments and
         switches to its Taylor series there; expm1 keeps the first stable.
+        With x = 2 K lam, the series branch writes both terms in x alone, so a
+        tiny lam does not underflow and B tends to 1 + 1/(3K).
         """
         if lam <= 0:
             raise ValueError("lam must be positive")
         K = self.K
         xv = 2.0 * K * lam
-        t1 = -math.expm1(-xv) / (6.0 * K * K * lam)
         if xv < 0.2:
-            # x - 1 + e^{-x} = sum_{k>=2} (-x)^k / k!, summed without cancellation
+            # (x - 1 + e^{-x}) / x^2 = sum_{k>=2} (-x)^(k-2) / k!, summed
+            # without cancellation
             acc = 0.0
-            for j in range(10, -1, -1):
-                acc = acc * (-xv) + 1.0 / math.factorial(j + 2)
-            num = xv * xv * acc
-        else:
-            num = xv - 1.0 + math.exp(-xv)
-        return t1 + num / (2.0 * K * K * lam * lam)
+            for c in _B_SERIES:
+                acc = acc * (-xv) + c
+            return (-math.expm1(-xv) / xv) / (3.0 * K) + 2.0 * acc
+        t1 = -math.expm1(-xv) / (6.0 * K * K * lam)
+        return t1 + (xv - 1.0 + math.exp(-xv)) / (2.0 * K * K * lam * lam)
 
     # -- H and H2 -------------------------------------------------------
 

@@ -525,6 +525,12 @@ def _patch_case(monkeypatch, case_id, change):
     monkeypatch.setattr(_data, "final_cases", lambda: {**real, "cases": cases})
 
 
+def _with_branch(case, **fields):
+    """case, a copy, whose counting branch also has the given fields."""
+    density = case["density"]
+    return {**case, "density": {**density, "branch": {**density.get("branch", {}), **fields}}}
+
+
 def _without(row, key):
     del row[key]
     return row
@@ -622,6 +628,21 @@ DATA_FAULTS = {
             mp, "14.6", lambda c: {**c, "density": {"table": 13, "column": "0.69"}}),
         "FAILED: case 14.6: missing key 'counting table 13, column lambda1 >= 0.69, "
         "assumption n0=0: no cell at lambda = 1.325'"),
+    # unrefused, a count without lambda0 was ignored and 14.2 passed; n_lo -1
+    # read the unconditional column; n_lo 2.5 and n_hi below n_lo failed
+    # only as a missing counting cell
+    "branch-count-without-lambda0": (
+        ["verify-final"], lambda mp: _patch_case(mp, "14.2", lambda c: _with_branch(c, n_hi=2)),
+        "FAILED: case 14.2: a branch count needs lambda0"),
+    "branch-negative-count": (
+        ["verify-final"], lambda mp: _patch_case(mp, "16.2b", lambda c: _with_branch(c, n_lo=-1)),
+        "FAILED: case 16.2b: n_lo must be a non-negative integer, got -1"),
+    "branch-fractional-count": (
+        ["verify-final"], lambda mp: _patch_case(mp, "16.2b", lambda c: _with_branch(c, n_lo=2.5)),
+        "FAILED: case 16.2b: n_lo must be a non-negative integer, got 2.5"),
+    "branch-empty": (
+        ["verify-final"], lambda mp: _patch_case(mp, "16.4b", lambda c: _with_branch(c, n_hi=6)),
+        "FAILED: case 16.4b: empty count branch [7, 6]"),
 }
 
 
@@ -720,12 +741,7 @@ def test_malformed_case_fails_under_other_params(tmp_path, monkeypatch, capsys, 
 def test_non_finite_branch_field_fails_its_case(tmp_path, monkeypatch, capsys, field, bad):
     # unrefused, a NaN or +inf lambda0 applied the branch's upper cap at every
     # schedule point: 16.5c's W read 0.8639, and verify-final passed
-    def change(case):
-        density = case["density"]
-        branch = {**density["branch"], field: bad}
-        return {**case, "density": {**density, "branch": branch}}
-
-    _patch_case(monkeypatch, "16.5c", change)
+    _patch_case(monkeypatch, "16.5c", lambda case: _with_branch(case, **{field: bad}))
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"L": 5.2000001}))
     err = _run_shipped_fault(["verify-final", "--params", str(params)], tmp_path / "out",
@@ -733,10 +749,11 @@ def test_non_finite_branch_field_fails_its_case(tmp_path, monkeypatch, capsys, f
     assert err == [f"FAILED: case 16.5c: {field} must be finite, got {bad!r}"]
 
 
-def _replace_case(monkeypatch, case_id, **changes):
-    real = final.load_registry
-    monkeypatch.setattr(final, "load_registry", lambda: [
-        dataclasses.replace(c, **changes) if c.id == case_id else c for c in real()])
+def _patch_column(monkeypatch, table, column, bound):
+    """Make the counting cells of one column read bound(lam) instead."""
+    real = density.DensityTables.lookup
+    monkeypatch.setattr(density.DensityTables, "lookup", lambda tables, t, c, lam, n0=0: (
+        bound(lam) if (t, c) == (table, column) else real(tables, t, c, lam, n0)))
 
 
 def _patch_for_case(monkeypatch, name, case_id, value):
@@ -748,27 +765,28 @@ def _patch_for_case(monkeypatch, name, case_id, value):
 
 # each decision verify-final makes, made to fail for one case: (the FAILED
 # line that names the case, patch); 16.10c has the thinnest margin, 1.64e-4,
-# and 14.1 has no counting table
+# 14.1 has no counting table, and 14.2 is the first case to read table 12's
+# column 0.40, whose schedule n0_schedule checks when it reads the cells
 FINAL_DECISIONS = {
     "W_MARGIN": ("FAILED case 16.10c: W=",
                  lambda mp: mp.setattr(final, "W_MARGIN", 2e-4)),
     "reproduces": ("FAILED case 14.1: W=",
-                   lambda mp: _replace_case(mp, "14.1", published_W=0.8)),
+                   lambda mp: _patch_case(mp, "14.1", lambda c: {**c, "published_W": 0.8})),
     "monotone_schedule": ("FAILED: case 14.2: counting schedule not monotone",
-                          lambda mp: _patch_for_case(mp, "n0_schedule", "14.2",
-                                                     lambda n0: [n0[1] - 1, *n0[1:]])),
+                          lambda mp: _patch_column(mp, 12, 0.40, lambda lam: round(100 / lam))),
     "floor_of_4": ("FAILED: case 14.2: schedule end below the floor of 4",
-                   lambda mp: _patch_for_case(mp, "n0_schedule", "14.2",
-                                              lambda n0: [3] * len(n0))),
+                   lambda mp: _patch_column(mp, 12, 0.40, lambda lam: 3)),
     "negative_term": ("FAILED: case 16.2a: term c_star negative",
                       lambda mp: _patch_for_case(mp, "c_star", "16.2a", lambda c: -1.0)),
     "density_free_lambda3": ("FAILED: case 14.1: density-free row needs lambda3",
-                             lambda mp: _replace_case(mp, "14.1", lambda3_lo=1.2)),
+                             lambda mp: _patch_case(mp, "14.1",
+                                                    lambda c: {**c, "lambda3_lo": 1.2})),
 }
 
 
 @pytest.mark.parametrize("decision", sorted(FINAL_DECISIONS))
-def test_each_final_decision_fails_its_case(tmp_path, monkeypatch, capsys, decision):
+def test_each_final_decision_fails_its_case(tmp_path, monkeypatch, capsys, fresh_tables,
+                                            decision):
     line, patch = FINAL_DECISIONS[decision]
     patch(monkeypatch)
     assert main(["verify-final", "--out", str(tmp_path)]) == 1
@@ -832,12 +850,12 @@ def test_bad_tol_is_usage_error(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("argv, code, prefix", [
-    (["eval", "B", "--lambda", "1e-320"], 1, "FAILED:"),                # ZeroDivisionError
+    (["eval", "w", "--s", "-1e6"], 1, "FAILED:"),                       # ZeroDivisionError
     (["eval", "classic_density", "--lambda", "1e5"], 1, "FAILED:"),     # OverflowError
     (["eval", "F", "--gamma", "1e200", "--z", "1"], 1, "FAILED:"),      # OverflowError
     (["verify-final", "--params", "{dir}"], 2, "error:"),               # IsADirectoryError
     (["table", "9", "--out", "{file}"], 2, "error:"),                   # FileExistsError
-], ids=["B-underflow", "classic-overflow", "F-overflow", "params-dir", "out-file"])
+], ids=["w-division", "classic-overflow", "F-overflow", "params-dir", "out-file"])
 def test_arithmetic_and_os_errors_map_to_exit_codes(tmp_path, capsys, argv, code, prefix):
     (tmp_path / "file").write_text("")
     argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
@@ -847,7 +865,7 @@ def test_arithmetic_and_os_errors_map_to_exit_codes(tmp_path, capsys, argv, code
 
 @pytest.mark.parametrize("argv", [
     ["F", "--gamma", "1", "--z", "-400"], ["H", "--z", "-1000"], ["H2", "--z", "-3000"],
-    ["classic_density", "--lambda", "1e5"], ["B", "--lambda", "1e-320"], ["w", "--s", "100"],
+    ["classic_density", "--lambda", "1e5"], ["w", "--s", "-1e6"], ["w", "--s", "100"],
 ], ids=" ".join)
 def test_eval_non_finite_value_prints_only_its_failed_line(capsys, argv):
     # an overflow, a division by zero, a failed quadrature or a non-finite

@@ -7,11 +7,14 @@ import pytest
 
 from linnik import _data, density, final, kernel
 from linnik.final import (DensityRef, FinalCase, c_star, compute_W,
-                          lambda_schedule, load_registry, n0_schedule,
-                          verify_all)
+                          load_registry, n0_schedule, verify_all)
 from linnik.kernel import LinnikParams, QuadratureError
 
 PARAMS = LinnikParams()
+
+
+#: a counting column for built cases whose lambda3 is below Lambda
+REF = DensityRef(table=12, column=0.60)
 
 
 def _case(**kw):
@@ -32,29 +35,35 @@ def _registry_case(case_id: str) -> FinalCase:
 # ------------------------------------------------------------ schedule -----
 
 def test_schedule_collapses_when_third_zero_reaches_split():
-    l3s, s, grid = lambda_schedule(_case(lambda3_lo=1.29, Lambda=1.29))
-    assert (l3s, s) == (1.29, 0)
-    assert grid == [1.29]
+    case = _case(lambda3_lo=1.29, Lambda=1.29)
+    assert case.l3_star == 1.29
+    assert case.grid == (1.29,)
 
 
 def test_schedule_depth_19():
-    l3s, s, grid = lambda_schedule(_case(lambda3_lo=0.857, Lambda=1.350))
-    assert s == 19
+    grid = _case(lambda3_lo=0.857, Lambda=1.350, density=REF).grid
+    assert len(grid) - 1 == 19
     assert grid[-1] == pytest.approx(0.875)
 
 
 def test_schedule_three_points():
-    l3s, s, grid = lambda_schedule(_case(lambda3_lo=1.175, Lambda=1.225))
-    assert s == 2
-    assert grid == pytest.approx([1.225, 1.200, 1.175])
+    grid = _case(lambda3_lo=1.175, Lambda=1.225, density=REF).grid
+    assert grid == pytest.approx((1.225, 1.200, 1.175))
 
 
 def test_schedule_consistency_across_registry():
     # Lambda_{s+1} < lambda3* <= Lambda_s for every shipped case
     for case in load_registry():
-        l3s, s, grid = lambda_schedule(case)
-        assert grid[s] >= l3s - 1e-12, case.id
-        assert grid[s] - 0.025 < l3s, case.id
+        assert case.grid[-1] >= case.l3_star - 1e-12, case.id
+        assert case.grid[-1] - 0.025 < case.l3_star, case.id
+
+
+def test_density_free_case_below_its_split_is_refused():
+    # with no counting table, W drops both density terms, which is sound
+    # only when C(lambda3*) = C(Lambda) = 0
+    with pytest.raises(ValueError, match=r"^density-free row needs lambda3 >= Lambda$"):
+        _case(lambda3_lo=1.299, Lambda=1.300)
+    assert _case(lambda3_lo=1.300, Lambda=1.300).l3_star == 1.300
 
 
 # ------------------------------------------------------- counting lookups --
@@ -63,9 +72,8 @@ def test_n0_schedule_with_band_branch():
     # the documented band example: N(1.075) in [7, 10] uses the capped
     # unconditional column below the branch point and the >=7 column above
     case = _registry_case("16.4b")
-    grid = lambda_schedule(case)[2]
     n0 = n0_schedule(case)
-    by_lam = dict(zip([round(x, 3) for x in grid], n0))
+    by_lam = dict(zip([round(x, 3) for x in case.grid], n0))
     assert by_lam[1.300] == 101 and by_lam[1.125] == 23 and by_lam[1.100] == 21
     # every point at or below the branch is capped at 10
     assert all(by_lam[k] == 10 for k in by_lam if k <= 1.075)
@@ -74,11 +82,10 @@ def test_n0_schedule_with_band_branch():
 def test_n0_schedule_unconditional():
     case = _registry_case("15.1")
     n0 = n0_schedule(case)
-    grid = lambda_schedule(case)[2]
     keine = {round(float(r["lam"]), 3): int(r["bound"])
              for r in _data.published_table(12)
              if r["lambda1"] == 0.62 and not r["n0"] and r["bound"] != "-"}
-    for lam, val in zip(grid, n0):
+    for lam, val in zip(case.grid, n0):
         assert val == keine[round(lam, 3)]
 
 
@@ -91,19 +98,35 @@ def test_n0_schedule_monotone_along_grid():
 
 
 def test_schedules_kept_per_case_are_not_edited_by_a_caller():
-    # lambda_schedule hands out a new grid list; the counting schedule and
-    # the w arguments are kept as tuples, so an edit fails loudly
+    # the grid, the w arguments and the counting schedule are kept as
+    # tuples, so an edit fails loudly
     case = _registry_case("16.4b")
-    grid = lambda_schedule(case)[2]
-    grid.append(0.0)
-    assert lambda_schedule(case)[2] == grid[:-1]
-    assert isinstance(n0_schedule(case), tuple)
-    assert isinstance(final.w_arguments(case), tuple)
+    for kept in (case.grid, case.w_arguments, n0_schedule(case)):
+        assert isinstance(kept, tuple)
+        with pytest.raises(AttributeError):
+            kept.append(0.0)
+
+
+@pytest.mark.parametrize("bound, message", [
+    (lambda lam: round(100 / lam), "counting schedule not monotone"),
+    (lambda lam: 3, "schedule end below the floor of 4"),
+], ids=["not-monotone", "below-floor"])
+def test_failed_counting_column_is_never_kept(monkeypatch, fresh_tables, bound, message):
+    # n0_schedule checks a column when it reads it, and keeps only one that
+    # passes: each call reads the cells again and raises again
+    real = density.DensityTables.lookup
+    monkeypatch.setattr(density.DensityTables, "lookup", lambda tables, t, c, lam, n0=0: (
+        bound(lam) if c == 0.62 else real(tables, t, c, lam, n0)))
+    case = _registry_case("15.1")
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            n0_schedule(case)
+    assert density.regenerated_tables().schedules == {}
 
 
 def test_n0_schedule_requires_density():
-    with pytest.raises(ValueError):
-        n0_schedule(_case(density=None))
+    with pytest.raises(ValueError, match="uses no counting table"):
+        n0_schedule(_case(lambda3_lo=1.300, density=None))
 
 
 # ------------------------------------------------------------- c_star ------
@@ -206,8 +229,8 @@ def test_each_w_and_penalty_integral_computed_once(monkeypatch):
 
 
 def test_primed_w_memo_leaves_no_case_an_integral(monkeypatch):
-    # after verify_all's batch no compute_W integrates w: w_arguments lists
-    # every argument a case reads, through C and damped_ratio too
+    # after verify_all's batch no compute_W integrates w: FinalCase.w_arguments
+    # lists every argument a case reads, through C and damped_ratio too
     params = LinnikParams(L=5.25)
     for memo in (LinnikParams._w_integrals, LinnikParams.C, LinnikParams.damped_ratio):
         memo.cache_clear()

@@ -275,6 +275,13 @@ def test_B_limit_value():
     assert PARAMS.B(1e-9) == pytest.approx(1.0 / (3.0 * 0.32) + 1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("lam", [1e-160, 1e-300, 1e-320])
+def test_B_of_a_tiny_lambda_is_its_limit(lam):
+    # x^2 sum / (2 K^2 lam^2) underflowed: B(1e-160) read 2.03926 and
+    # B(1e-300) divided by zero
+    assert abs(PARAMS.B(lam) - (1.0 + 1.0 / (3.0 * PARAMS.K))) <= 1e-12
+
+
 def test_B_decreasing():
     assert PARAMS.B(1.29) < PARAMS.B(0.5)
 
@@ -473,9 +480,9 @@ def test_gauss_legendre_rule_and_its_checks():
 def test_w_batch_is_bitwise_one_row_at_a_time():
     # the registry's w arguments under a parameter set, with two that fail:
     # past s ~ 31 the rules disagree, and at 1e3 e^{2st} overflows
-    from linnik.final import load_registry, w_arguments
+    from linnik.final import load_registry
     params = LinnikParams(theta=1.2, c1=0.1)
-    args = [s for case in load_registry() for s in w_arguments(case)] + [100.0, 1e3]
+    args = [s for case in load_registry() for s in case.w_arguments] + [100.0, 1e3]
     finite = list(dict.fromkeys(s for s in args[:-2] if s is not None))
     LinnikParams._w_integrals.cache_clear()
     one_by_one = [params.w(s) for s in finite]
