@@ -7,13 +7,16 @@ relative to the main term; W < 1 for all rows is exactly the positivity that
 the headline exponent L reduces to.
 
 What does not depend on the parameters is built and checked once.  Per
-object the registry loader returns, ``load_registry`` builds the cases; each
-``FinalCase`` refuses a malformed row and computes its lambda3*, Lambda grid
-and ``w`` arguments once.  Per case and counting-table regeneration,
-``n0_schedule`` reads the counting column and refuses one that is not
-monotone or ends below 4; the tables keep only a column that passes.
-``verify_all`` and ``compute_W`` do only per-parameter-set arithmetic: the
-batch of ``w`` integrals, the penalty, ``C`` and each case's ``W``.
+object the registry loader returns, ``load_registry`` builds the cases and
+lists the distinct ``w`` arguments they read; each ``FinalCase`` refuses a
+malformed row and computes its hash, lambda3*, Lambda grid and ``w``
+arguments once.  Per case and counting-table regeneration, ``n0_schedule``
+reads the counting column and refuses one that is not monotone or ends below
+4; the tables keep only a column that passes.  ``verify_all`` and
+``compute_W`` do only per-parameter-set arithmetic: once per set the batch
+of ``w`` integrals and the penalty, once per (set, Lambda) the terms of
+``_at_split``, once per (set, grid) the ``_C_column`` of C values, and the
+rest of each case's ``W``, every value rounded as when each case computed it.
 ``load_registry`` and ``verify_all`` name each fault of a case after it by
 ``_data.named``.
 """
@@ -22,9 +25,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 from typing import List, Optional, Tuple
 
 from . import _data
@@ -46,6 +50,9 @@ FAMILIES = {
 }
 
 DENSITY_GRID = 0.025
+
+#: the shipped parameters, the only ones the published W values hold for
+SHIPPED = LinnikParams()
 
 
 @dataclass(frozen=True)
@@ -113,10 +120,6 @@ class FinalCase:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown case family {self.family}")
-        if self.density is not None:
-            steps = self.Lambda / DENSITY_GRID
-            if abs(steps - round(steps)) > 1e-9:
-                raise ValueError(f"Lambda={self.Lambda} is off the density grid")
         for name in CASE_NUMBERS:
             value = getattr(self, name)
             if value is None and name in CASE_NULLABLE:
@@ -124,11 +127,21 @@ class FinalCase:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if self.density is not None:
+            steps = self.Lambda / DENSITY_GRID
+            if abs(steps - round(steps)) > 1e-9:
+                raise ValueError(f"Lambda={self.Lambda} is off the density grid")
         if self.lambda1_hi is not None and not self.lambda1_lo < self.lambda1_hi:
             raise ValueError(f"empty lambda1 window [{self.lambda1_lo!r}, "
                              f"{self.lambda1_hi!r}]")
         if self.density is None and self.lambda3_lo < self.Lambda:
             raise ValueError("density-free row needs lambda3 >= Lambda")
+        # the dataclass hash, taken once: each n0_schedule lookup hashes self
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name)
+                                                      for f in fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def l3_star(self) -> float:
@@ -182,8 +195,9 @@ class CaseResult:
     reproduces: Optional[bool] = None
 
 
-#: the last registry built: (the loader's object, its cases)
-_registry = (None, ())
+#: the last registry built: (the loader's object, its cases, the distinct
+#: finite arguments at which they read ``w``, in the order they read them)
+_registry = (None, (), ())
 
 
 def load_registry() -> Tuple[FinalCase, ...]:
@@ -208,7 +222,8 @@ def load_registry() -> Tuple[FinalCase, ...]:
     if not cases:
         raise RuntimeError("the case registry has no cases")
     cases = tuple(cases)
-    _registry = (source, cases)
+    _registry = (source, cases, tuple(dict.fromkeys(
+        s for case in cases for s in case.w_arguments if s is not None)))
     return cases
 
 
@@ -254,6 +269,23 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
+@lru_cache(maxsize=64)
+def _at_split(params: LinnikParams, Lambda: float) -> Tuple[float, float]:
+    """(base, ratio_L) at split point Lambda, once per (parameter set, Lambda):
+    W's base term penalty / (c1 c2^2) e^{-(L-2K) Lambda} B(Lambda) / w(Lambda)
+    and c_star's e^{-(L-2K) Lambda} B(Lambda), each rounded as written."""
+    scale = params.penalty_integral() / (params.c1 * params.c2 ** 2)
+    damp, b = math.exp(-params.decay * Lambda), params.B(Lambda)
+    return scale * damp * b / params.w(Lambda), damp * b
+
+
+@lru_cache(maxsize=64)
+def _C_column(params: LinnikParams, grid: Tuple[float, ...]) -> Tuple[float, ...]:
+    """C(Lambda_0, Lambda_r), r = 1 .. s, along a case's grid, once per
+    (parameter set, grid): the cases that share a grid share its column."""
+    return tuple(params.C(grid[0], lam) for lam in grid[1:])
+
+
 def c_star(case: FinalCase, params: LinnikParams) -> float:
     """Max of the three first-zero contribution candidates.
 
@@ -266,7 +298,7 @@ def c_star(case: FinalCase, params: LinnikParams) -> float:
     K2 = params.K * params.K
     exp_lp = 0.0 if lp is None else math.exp(-params.decay * lp)
     c_lp = params.C(case.Lambda, lp)
-    ratio_L = math.exp(-params.decay * case.Lambda) * params.B(case.Lambda)
+    ratio_L = _at_split(params, case.Lambda)[1]
     w_ratio = params.w(l12) / params.w(case.Lambda)
     h2 = case.alpha * params.H2(l11) / K2
     lead = _finite("B(lambda1) - H2 term", params.B(l11) - h2)
@@ -279,9 +311,7 @@ def c_star(case: FinalCase, params: LinnikParams) -> float:
 def compute_W(case: FinalCase, params: LinnikParams) -> CaseResult:
     """W for one case row, with its full term breakdown; a failed check raises
     without naming the case, which ``verify_all`` names."""
-    base = (params.penalty_integral() / (params.c1 * params.c2 ** 2)
-            * math.exp(-params.decay * case.Lambda) * params.B(case.Lambda)
-            / params.w(case.Lambda))
+    base = _at_split(params, case.Lambda)[0]
     c_l2 = _finite("C(lambda2)", params.C(case.Lambda, case.lambda2_lo))
     second = max(2.0 * c_l2, 0.0)
     c_l3 = _finite("C(lambda3*)", params.C(case.Lambda, case.l3_star))
@@ -289,8 +319,9 @@ def compute_W(case: FinalCase, params: LinnikParams) -> CaseResult:
     if case.density is not None:
         n0 = n0_schedule(case)
         floor_term = (n0[-1] - 4) * c_l3
-        tele = sum((a - b) * params.C(case.Lambda, lam)
-                   for a, b, lam in zip(n0, n0[1:], case.grid[1:]))
+        # sum((a - b) * C(Lambda, lam)) in grid order; an empty sum is int 0
+        tele = sum(map(operator.mul, map(operator.sub, n0, n0[1:]),
+                       _C_column(params, case.grid)))
         schedule = list(zip(case.grid, n0))
     else:
         # no counting table: C(lambda3*) = C(Lambda) = 0 makes both terms vanish
@@ -308,7 +339,8 @@ def compute_W(case: FinalCase, params: LinnikParams) -> CaseResult:
         "c_star": cstar_term,
     }
     for name, value in terms.items():
-        if _finite(f"term {name}", value) < -1e-12:
+        if not -1e-12 <= value < math.inf:  # a NaN fails too
+            _finite(f"term {name}", value)
             raise RuntimeError(f"term {name} negative ({value})")
     W = _finite("W", sum(terms.values()))
     return CaseResult(case=case, W=W, certified=W < 1.0 - W_MARGIN,
@@ -339,12 +371,13 @@ def verify_all(params: Optional[LinnikParams] = None) -> Report:
     A fault of a counting-table cell keeps the cell's name; any other fault
     met in a case is named after it, a QuadratureError keeping its fields.
     """
-    params = params or LinnikParams()
-    shipped = params == LinnikParams()
+    params = params or SHIPPED
+    shipped = params == SHIPPED
     cases = load_registry()
-    # every case's w integrals in one batch; a failing one is not stored, so
-    # the case that reads it raises its fault below
-    params.prime_w(s for case in cases for s in case.w_arguments)
+    # every case's w integrals in one batch, from the registry's list (an
+    # argument missing there is integrated when first read, to the same
+    # bits); a failing one is not stored, so its reader raises its fault below
+    params.prime_w(_registry[2])
     results = []
     for case in cases:
         try:

@@ -24,7 +24,9 @@ too, with the bits of the real part of its complex value.  The penalty integral,
 derivatives of the sup certificates), ``damped_ratio`` and ``C`` memoise
 their values in the method itself, a bounded ``lru_cache`` keyed on the
 frozen instance, so equal parameter sets or kernels share entries, and each
-value is computed once per kernel or parameter set while its memo holds it.
+value is computed once per kernel or parameter set while its memo holds it:
+M2 once per (kernel, c), the penalty once per set, ``damped_ratio`` once per
+(set, s) and ``C`` once per (set, Lambda, lam).
 A ``LinnikParams`` takes its hash once, when it is built, since every memo
 hit hashes it.  ``w`` reads a per-parameter-set memo of its integrals that
 ``prime_w`` fills in one batch, all missing arguments in one vectorised
@@ -35,7 +37,9 @@ per integral) on pieces whose integrand is a polynomial times an
 exponential, an entire function on which the rule converges geometrically:
 a row's 32-node value is used only when its 16-node value agrees with it
 to within max(50 QUAD_TOL, 1e-9 |I|), QUAD_TOL = 1e-12; otherwise the
-row fails with :class:`QuadratureError`.
+row fails with :class:`QuadratureError`.  Array comparisons decide pass or
+fail for all rows of a pass at once, and a fault is built only for a row
+that fails.
 The error of an n-node rule on such an integrand falls geometrically in n,
 so |I32 - I16| is in effect the 16-node error and bounds the far smaller
 32-node error of the returned value.  A NaN or inf in either value fails
@@ -126,17 +130,20 @@ def _gauss_legendre(fn, a: float, b: float):
         vals = np.atleast_2d(fn(0.5 * (a + b) + half * _GL_NODES))
         i16 = half * np.sum(_GL16[1] * vals[:, :16], axis=1)
         i32 = half * np.sum(_GL32[1] * vals[:, 16:], axis=1)
+        # pass or fail for every row at once: a finite I32 makes the bound
+        # finite, and an error within it makes I16 finite too
+        passed = np.isfinite(i32) & (np.abs(i32 - i16)
+                                     <= np.fmax(1e-9 * np.abs(i32), 50.0 * QUAD_TOL))
     values, faults = i32.tolist(), []
-    for v16, v32 in zip(i16.tolist(), values):
-        err = abs(v32 - v16)
-        if not (math.isfinite(v16) and math.isfinite(v32)):
+    for ok, v16, v32 in zip(passed.tolist(), i16.tolist(), values):
+        if ok:
+            faults.append(None)
+        elif not (math.isfinite(v16) and math.isfinite(v32)):
             faults.append(FloatingPointError(
                 f"non-finite quadrature on [{a!r}, {b!r}]: {v32!r} (16 nodes: {v16!r})"))
-        elif err > max(50.0 * QUAD_TOL, 1e-9 * abs(v32)):
-            faults.append(QuadratureError("16- and 32-node Gauss-Legendre rules disagree",
-                                          v32, err))
         else:
-            faults.append(None)
+            faults.append(QuadratureError("16- and 32-node Gauss-Legendre rules disagree",
+                                          v32, abs(v32 - v16)))
     return values, faults
 
 

@@ -611,7 +611,7 @@ DATA_FAULTS = {
         "FAILED: the case registry has no cases"),
     "case-null-Lambda": (
         ["verify-final"], lambda mp: _patch_case(mp, "14.6", lambda c: {**c, "Lambda": None}),
-        "FAILED: case 14.6: unsupported operand type(s) for /: 'NoneType' and 'float'"),
+        "FAILED: case 14.6: Lambda must be a finite number, got None"),
     "case-off-grid": (
         ["verify-final"], lambda mp: _patch_case(mp, "14.6", lambda c: {**c, "Lambda": 1.3261}),
         "FAILED: case 14.6: Lambda=1.3261 is off the density grid"),

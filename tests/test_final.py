@@ -228,11 +228,17 @@ def test_each_w_and_penalty_integral_computed_once(monkeypatch):
     assert rows == [95, 95, 1, 1]
 
 
+#: every memo of a value that depends on the parameter set
+PARAMETER_MEMOS = (LinnikParams._w_integrals, LinnikParams.penalty_integral, LinnikParams.C,
+                   LinnikParams.damped_ratio, final._at_split, final._C_column)
+
+
 def test_primed_w_memo_leaves_no_case_an_integral(monkeypatch):
     # after verify_all's batch no compute_W integrates w: FinalCase.w_arguments
-    # lists every argument a case reads, through C and damped_ratio too
+    # lists every argument a case reads, through C, damped_ratio and the
+    # per-Lambda terms too
     params = LinnikParams(L=5.25)
-    for memo in (LinnikParams._w_integrals, LinnikParams.C, LinnikParams.damped_ratio):
+    for memo in PARAMETER_MEMOS:
         memo.cache_clear()
     params.penalty_integral()
     rows = _count_rows(monkeypatch)
@@ -275,12 +281,26 @@ def test_warm_verify_all_does_only_per_parameter_work(monkeypatch, fresh_tables)
 
     _data.final_cases.cache_clear()
     density.regenerated_tables.cache_clear()
-    for memo in (LinnikParams._w_integrals, LinnikParams.penalty_integral,
-                 LinnikParams.C, LinnikParams.damped_ratio):
+    for memo in PARAMETER_MEMOS:
         memo.cache_clear()
     cold = verify_all(LinnikParams(L=5.3))
     assert len(built) == 46 and len(looked_up) > 0
     assert _bits(warm) == _bits(cold)
+
+
+def test_memos_keep_every_parameter_apart():
+    # each set differs from the one before it in L, in c1 and c2, or in K: a
+    # memo keyed without one of them hands a set the values of the set run
+    # just before it, which differs between the two orders
+    a = LinnikParams(L=5.3)
+    b = dataclasses.replace(a, c1=0.112, c2=0.272)
+    c = dataclasses.replace(b, K=0.33)
+    runs = []
+    for order in ((a, b, c), (c, b, a)):
+        for memo in PARAMETER_MEMOS:
+            memo.cache_clear()
+        runs.append({params: _bits(verify_all(params)) for params in order})
+    assert runs[0] == runs[1]
 
 
 def test_next_verify_all_sees_patched_registry_and_tables(monkeypatch, fresh_tables):

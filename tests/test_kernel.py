@@ -466,15 +466,23 @@ def test_gauss_legendre_rule_and_its_checks():
     # each row is checked on its own: sqrt has an endpoint singularity the
     # fixed rule cannot resolve, and a bare |I32 - I16| > tol test would pass
     # a NaN
-    bads = (math.nan, math.inf, -math.inf)
-    values, faults = _gauss_legendre(lambda t: np.stack(
-        [32.0 * t**31, np.sqrt(t), *(np.where(t > 0.9, bad, t) for bad in bads)]), 0.0, 1.0)
+    rows = (lambda t: 32.0 * t**31, np.sqrt,
+            *(lambda t, bad=bad: np.where(t > 0.9, bad, t) for bad in (math.nan, math.inf,
+                                                                      -math.inf)))
+    values, faults = _gauss_legendre(lambda t: np.stack([row(t) for row in rows]), 0.0, 1.0)
     assert values[0] == value and faults[0] is None
     assert isinstance(faults[1], QuadratureError)
     assert str(faults[1]).startswith("16- and 32-node Gauss-Legendre rules disagree")
     for fault in faults[2:]:
         assert isinstance(fault, FloatingPointError)
         assert str(fault).startswith("non-finite quadrature on [0.0, 1.0]: ")
+    # the batch gives each row the value and fault of a call on that row alone
+    for row, value, fault in zip(rows, values, faults):
+        (alone,), (alone_fault,) = _gauss_legendre(row, 0.0, 1.0)
+        assert value.hex() == alone.hex()
+        assert (type(fault), str(fault)) == (type(alone_fault), str(alone_fault))
+        for field in ("estimate", "achieved"):
+            assert getattr(fault, field, None) == getattr(alone_fault, field, None)
 
 
 def test_w_batch_is_bitwise_one_row_at_a_time():
