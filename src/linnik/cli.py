@@ -12,7 +12,9 @@ included.
 ``_write``, each CSV row read by its column list, once every value is
 computed: a command stopped by an error writes no file.  Outputs are
 deterministic: the domination audit draws its samples from the fixed seed
-AUDIT_SEED.
+AUDIT_SEED.  Each certificate is audited once per process, and the
+certificates of one ``table`` command that share kernel, box and x1 share
+their draws and their F terms.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import _data, density, final, tables
 from .kernel import LinnikParams, WeightKernel, classic_density_bound
-from .supbound import domination_check
+from .supbound import domination_checks
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -135,12 +137,20 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-@functools.lru_cache(maxsize=None)
-def _audit(cert) -> dict:
-    """The domination audit of one certificate, run once per process: table 8
-    reuses the certificates of table 4.  Callers share the dict and only
-    read it."""
-    return domination_check(cert, samples=2000, seed=AUDIT_SEED)
+#: the domination audit of each certificate audited in this process, by
+#: certificate: table 8 reuses the certificates of table 4
+_AUDITS: dict = {}
+
+
+def _audits(certificates) -> list:
+    """The domination audit of each certificate, each run once per process.
+
+    The certificates not yet audited are audited in one ``domination_checks``
+    call, so those that share kernel, box and x1 share their draws and their
+    F terms.  Callers share the dicts and only read them."""
+    new = [cert for cert in dict.fromkeys(certificates) if cert not in _AUDITS]
+    _AUDITS.update(zip(new, domination_checks(new, samples=2000, seed=AUDIT_SEED)))
+    return [_AUDITS[cert] for cert in certificates]
 
 
 def _write(out: str, names: tuple, columns: tuple, rows, audit: dict) -> None:
@@ -174,7 +184,7 @@ def cmd_table(args) -> int:
         return EXIT_OK
 
     rows, certificates = tables.generate_table(n)
-    audits = [_audit(cert) for cert in certificates]
+    audits = _audits(certificates)
     _write(args.out, names, TABLE_CSV_COLUMNS, map(vars, rows), {
         "table": n, "seed": AUDIT_SEED,
         "certificates": [{**cert.as_record(), "domination_sample": audit}

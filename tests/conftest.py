@@ -14,12 +14,13 @@ def fresh_tables():
     """Empty table, counting-table and audit memos before and after the test,
     for tests that patch the kernel or the data: rows certified under a patch
     must not leak out, and rows certified earlier must not hide the patch."""
-    memos = (tables._certify, density.regenerated_tables, cli._audit)
-    for memo in memos:
-        memo.cache_clear()
+    clears = (tables._certify.cache_clear, density.regenerated_tables.cache_clear,
+              cli._AUDITS.clear)
+    for clear in clears:
+        clear()
     yield
-    for memo in memos:
-        memo.cache_clear()
+    for clear in clears:
+        clear()
 
 
 @pytest.fixture(scope="session")

@@ -136,13 +136,13 @@ def test_table_csv_deterministic_across_jobs(tmp_path, capsys, fresh_tables):
 def test_each_certificate_audited_once(tmp_path, monkeypatch, capsys, fresh_tables):
     # table 8 reuses the certificates of table 4; their audits are not rerun
     audited = []
-    real = cli.domination_check
+    real = cli.domination_checks
 
-    def counting(cert, **kwargs):
-        audited.append(cert)
-        return real(cert, **kwargs)
+    def counting(certs, **kwargs):
+        audited.extend(certs)
+        return real(certs, **kwargs)
 
-    monkeypatch.setattr(cli, "domination_check", counting)
+    monkeypatch.setattr(cli, "domination_checks", counting)
     for n in range(2, 12):
         assert main(["table", str(n), "--out", str(tmp_path)]) == 0
     distinct = {c for n in range(2, 12) for c in tables.generate_table(n)[1]}
@@ -166,6 +166,33 @@ def test_table_refuted_certificate_fails(tmp_path, monkeypatch, capsys, fresh_ta
     audit = json.loads((tmp_path / f"audit_{n}.json").read_text())["certificates"]
     assert failed and all(line.startswith(f"FAILED table {n} certificate ") for line in failed)
     assert len(failed) == sum(cert["domination_sample"]["max_excess"] > 0 for cert in audit)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_table_nan_audit_term_fails_each_reader(tmp_path, monkeypatch, capsys, fresh_tables,
+                                                n):
+    # a NaN in the shared Re F(it) term of the audit refutes every certificate
+    # that reads it, and only those: table 3 pairs k3 readers in each group,
+    # table 2 mixes k3 readers with certificates that do not read the term
+    real = WeightKernel.F
+
+    def nan_on_imaginary_axis(self, z):
+        out = real(self, z)
+        if np.ndim(z) and not np.any(np.real(z)):
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(WeightKernel, "F", nan_on_imaginary_axis)
+    assert main(["table", str(n), "--out", str(tmp_path)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAILED")]
+    audit = json.loads((tmp_path / f"audit_{n}.json").read_text())["certificates"]
+    readers = [i for i, cert in enumerate(audit) if cert["problem"]["k3"] > 0]
+    assert readers
+    assert failed == [f"FAILED table {n} certificate {i}: a sampled value exceeds the bound "
+                      f"{audit[i]['bound']!r} by nan" for i in readers]
+    assert all(math.isnan(cert["domination_sample"]["max_excess"]) == (i in readers)
+               for i, cert in enumerate(audit))
 
 
 def test_table_published_cap_violation_fails(tmp_path, monkeypatch, capsys, table_rows,

@@ -12,6 +12,22 @@ from linnik.kernel import LinnikParams, QuadratureError
 
 PARAMS = LinnikParams()
 
+#: every memo of a value that depends on the parameter set
+PARAMETER_MEMOS = (LinnikParams._w_integrals, LinnikParams.penalty_integral, LinnikParams.C,
+                   LinnikParams.damped_ratio, final._at_split, final._C_column)
+
+
+@pytest.fixture
+def fresh_parameter_memos():
+    """Empty parameter memos before and after the test, for tests that patch
+    a per-parameter function: a value computed under the patch must not
+    leak out, and one computed earlier must not hide the patch."""
+    for memo in PARAMETER_MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in PARAMETER_MEMOS:
+        memo.cache_clear()
+
 
 #: a counting column for built cases whose lambda3 is below Lambda
 REF = DensityRef(table=12, column=0.60)
@@ -148,7 +164,7 @@ def test_c_star_nonnegative_across_registry():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
 @pytest.mark.parametrize("method", ["H2", "B", "w"])
-def test_non_finite_input_refuses_every_case(monkeypatch, method, bad):
+def test_non_finite_input_refuses_every_case(monkeypatch, fresh_parameter_memos, method, bad):
     # max(0.0, c_lp, nan) returns a finite value and `nan < -1e-12` is False,
     # so a NaN or inf must be refused explicitly
     monkeypatch.setattr(LinnikParams, method, lambda self, *args: bad)
@@ -226,11 +242,6 @@ def test_each_w_and_penalty_integral_computed_once(monkeypatch):
     assert rows == [95, 95, 1, 1]
     verify_all(LinnikParams(L=5.3))
     assert rows == [95, 95, 1, 1]
-
-
-#: every memo of a value that depends on the parameter set
-PARAMETER_MEMOS = (LinnikParams._w_integrals, LinnikParams.penalty_integral, LinnikParams.C,
-                   LinnikParams.damped_ratio, final._at_split, final._C_column)
 
 
 def test_primed_w_memo_leaves_no_case_an_integral(monkeypatch):

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linnik import supbound
+from linnik import supbound, tables
 from linnik.kernel import SMALL_Z_RADIUS, LatticeWork, WeightKernel
 from linnik.supbound import (BLOCK_POINTS, SLACK_BUDGET, A_eval, GridSpec, SupProblem,
                              _lattice, budget_grid, curvature_bounds, domination_check,
-                             grid_max, sup_bound, sup_bounds, tail_bound)
+                             domination_checks, grid_max, sup_bound, sup_bounds, tail_bound)
 
 KERN = WeightKernel(0.93)
 
@@ -213,6 +213,80 @@ def test_certificate_dominates_monte_carlo(prob, grid):
     cert = sup_bound(prob, grid)
     check = domination_check(cert, samples=100_000, seed=1234)
     assert check["max_excess"] <= 0.0
+
+
+def _audit_alone(cert, samples: int, seed: int) -> dict:
+    """The audit of one certificate with its own draws, summed by A_eval."""
+    rng = np.random.default_rng(seed)
+    p, hi = cert.problem, 3.0 * cert.grid.x1
+    s1 = rng.uniform(p.s11, p.s12, samples)
+    s2 = rng.uniform(p.s21, p.s22, samples)
+    t = rng.uniform(0.0, hi, samples)
+    return {"seed": seed, "samples": samples, "t_hi": hi,
+            "max_excess": float(np.max(A_eval(p, s1, s2, t) - cert.bound))}
+
+
+def _group_key(cert):
+    p = cert.problem
+    return p.kernel, p.s11, p.s12, p.s21, p.s22, cert.grid.x1
+
+
+def _table_pairs(n: int) -> list:
+    """The certificates of table n, in groups of two that share kernel, box
+    and x1."""
+    groups = {}
+    for cert in tables.generate_table(n)[1]:
+        groups.setdefault(_group_key(cert), []).append(cert)
+    assert all(len(g) == 2 for g in groups.values())
+    return list(groups.values())
+
+
+def test_group_audit_gives_each_certificate_its_own_record():
+    # table 3 pairs two k1/k3 certificates in each group, table 4 an A (k1,
+    # k2) with a B (k2 alone) certificate; the list's order mixes the groups
+    certs = [c for n in range(2, 12) for c in tables.generate_table(n)[1]]
+    assert len(set(certs)) == 132
+    assert any(a.problem.k1 and not b.problem.k1 for a, b in _table_pairs(4))
+    assert all(a.problem.k3 and b.problem.k3 for a, b in _table_pairs(3))
+    expected = [_audit_alone(c, 2000, 0) for c in certs]
+    assert list(domination_checks(certs, samples=2000, seed=0)) == expected
+    assert list(domination_checks(certs[::-1], samples=2000, seed=0)) == expected[::-1]
+    assert [domination_check(c, samples=2000, seed=0) for c in certs] == expected
+    assert domination_checks((), samples=2000, seed=0) == ()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_group_audit_refutes_only_the_understated_certificate(n):
+    a, b = _table_pairs(n)[0]
+    low = dataclasses.replace(a, bound=a.m0 - 1.0)
+    (checked_low, checked_b), (checked_a, same_b) = (
+        domination_checks(group, samples=2000, seed=0) for group in ((low, b), (a, b)))
+    assert checked_low["max_excess"] > 0.0 >= checked_a["max_excess"]
+    assert checked_b == same_b == _audit_alone(b, 2000, 0)
+
+
+def test_nan_in_a_shared_audit_term_reaches_every_reader(monkeypatch):
+    # Re F(it), the k3 term, is evaluated once per group; a NaN in it gives a
+    # NaN excess to each certificate that reads it and to no other
+    certs = [c for n in (2, 3) for c in tables.generate_table(n)[1]]
+    clean = domination_checks(certs, samples=2000, seed=0)
+    real = WeightKernel.F
+
+    def nan_on_imaginary_axis(self, z):
+        out = real(self, z)
+        if np.ndim(z) and not np.any(np.real(z)):
+            out[-1] = np.nan
+        return out
+
+    monkeypatch.setattr(WeightKernel, "F", nan_on_imaginary_axis)
+    patched = domination_checks(certs, samples=2000, seed=0)
+    readers = [i for i, c in enumerate(certs) if c.problem.k3]
+    assert 0 < len(readers) < len(certs)
+    for i, (c, p) in enumerate(zip(clean, patched)):
+        if i in readers:
+            assert math.isnan(p["max_excess"]) and not p["max_excess"] <= 0.0
+        else:
+            assert p == c
 
 
 coefficient = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
