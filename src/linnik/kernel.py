@@ -14,8 +14,9 @@ one closed form, so ``F_real`` carries the same bits as the real part of
 parts and imaginary parts, the lattice blocks of the sup certificates, from
 a Horner form in 1/z with one exponential per row.  It is built for one
 certificate's t lattice: the constructor takes the cos/sin pair, t^2 and
--t of each t once for every row evaluated against it, and ``re_F``
-returns one block of whole t rows at a time.  All three switch to the
+-t of each t once for every row evaluated against it, ``take`` hands out
+the factors of a subset of its t values, and ``re_F`` returns one block
+of whole t rows at a time.  All three switch to the
 same series inside SMALL_Z_RADIUS.
 
 All real arithmetic is double precision, and ``H2`` of a real runs in it
@@ -50,6 +51,7 @@ that needs it raises its fault.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -331,6 +333,7 @@ class LatticeWork:
         self._c = 4.0 * g * g
         self._d = 8.0 * g
         t = np.asarray(t, dtype=float)
+        self._t = t
         self._phase = np.empty(t.size, dtype=complex)
         self._phase.real = np.cos(self._two_g * t)
         self._phase.imag = np.sin(-self._two_g * t)
@@ -339,20 +342,41 @@ class LatticeWork:
         self._small_cols = np.flatnonzero(np.abs(t) < SMALL_Z_RADIUS)
         self._small_t = t[self._small_cols]
 
+    @property
+    def size(self) -> int:
+        """The number of t values, the length of every row of :meth:`re_F`."""
+        return self._t.size
+
+    def take(self, cols: np.ndarray) -> "LatticeWork":
+        """The workspace of the t values at the indices ``cols``: its factors
+        are this one's, indexed rather than recomputed, so each value of its
+        :meth:`re_F` is bit for bit the value at the same (s, t) here."""
+        part = copy.copy(self)
+        part._t = t = self._t[cols]
+        part._phase = self._phase[cols]
+        part._t2 = self._t2[cols]
+        part._neg_t = self._neg_t[cols]
+        part._small_cols = np.flatnonzero(np.abs(t) < SMALL_Z_RADIUS)
+        part._small_t = t[part._small_cols]
+        return part
+
     def re_F(self, s: np.ndarray) -> np.ndarray:
         """Re F(-s_i + i t_j) for the 1-D s and the workspace's t, a new array
         of shape (s.size, t.size)."""
         s = np.asarray(s, dtype=float)
         # near z = 0, w overflows (z = 0 gives NaN): those points take the series
-        # value below, and grid_max refuses any other non-finite value
+        # value below, and the sup walks refuse any other non-finite value
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inv = np.reciprocal((s * s)[:, None] + self._t2)
             w = np.empty(inv.shape, dtype=complex)
             w.real = -s[:, None] * inv
             w.imag = self._neg_t * inv
+            del inv
             w2 = w * w
             p = (((w2 * -4.0 + self._c) * w - self._b) * w2 + self._a) * w
             q = ((w * 4.0 + self._d) * w + self._c) * w2 * w2
+            # freed before the phase product, the largest temporary of a call
+            del w, w2
             q *= np.exp(self._two_g * s)[:, None] * self._phase
             # Re(P + e Q): complex addition is componentwise
             out = p.real + q.real

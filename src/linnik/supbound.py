@@ -49,17 +49,25 @@ the record it would get alone; ``domination_check`` is the group of one.
 
 M0 is computed by ``_walk``, one walk per problem, on the s1, s2 and t
 values of ``grid_max`` or on s3, {0} and t for the (s3, t) lattice of
-``_s3_max``, in blocks of whole rows of the t lattice, at most
-BLOCK_POINTS points each unless one row alone is longer.  Per s1 block
-the base k1 F(-s1+it) - k3 F(it) is built once; then, one s2 value at a
-time, the k2 rows F(-(s1-s2)+it) are subtracted from it, and each block
-is reduced to its maximum at once, so no lattice-sized array is built.
-One ``kernel.LatticeWork`` per walk computes the trigonometric factors of
-the t lattice once, and the k3 row is evaluated once per walk.
+``_s3_max``.  When the t lattice is fine enough that every COARSE_STEP-th
+t alone would keep the t slack within the budget, Mtt (COARSE_STEP
+dt)^2/8 <= SLACK_BUDGET (k1 + k2 + k3), the walk first evaluates those
+coarse columns and then only the columns between them that the bound
+|d^2A/dt^2| <= Mtt, plus an error budget, cannot rule out; the points of
+a pruned segment are never evaluated.  The lattices ``budget_grid``
+chooses for the tables do not pass this gate, so their walks evaluate
+every point.  Each pass runs one block loop: per block of s1 rows the
+base k1 F(-s1+it) - k3 F(it) is built once, and the k2 rows
+F(-(s1-s2)+it) of a chunk of s2 values are evaluated in one call, at most
+BLOCK_POINTS points unless one t row alone is longer, and subtracted from
+the broadcast base; each block is reduced to its maximum at once, so no
+lattice-sized array is built.  One ``kernel.LatticeWork`` per walk
+computes the trigonometric factors of the t lattice once, and the k3 row
+is evaluated once per pass, on that pass's columns.
 
 Certification fails closed: ``SupProblem`` and ``GridSpec`` refuse a NaN
 or infinite field with a ValueError that names it, and a NaN or inf
-anywhere in the lattice, the tail or the slack raises
+anywhere the walk evaluates, in the tail or in the slack raises
 FloatingPointError, and no certificate is produced.
 """
 
@@ -73,9 +81,13 @@ import numpy as np
 
 from .kernel import LatticeWork, WeightKernel, _require_finite
 
-#: lattice points evaluated and reduced to their maximum at once by grid_max;
-#: a block holds max(1, BLOCK_POINTS // n_t) whole t rows
+#: lattice points evaluated by one re_F call of a walk and reduced to their
+#: maximum at once: a call holds at most max(1, BLOCK_POINTS // n_t) t rows
 BLOCK_POINTS = 4096
+
+#: a walk whose t lattice passes the coarse gate first evaluates every
+#: COARSE_STEP-th t value (see ``_walk``)
+COARSE_STEP = 8
 
 #: second-order slack ``budget_grid`` spends per unit of the least
 #: coefficient sum k1 + k2 + k3 of a group, shared among its coordinates
@@ -248,54 +260,124 @@ def _fold_max(best: float, block: np.ndarray) -> float:
     return max(best, hi)
 
 
+def _lattice_error(p: SupProblem) -> float:
+    """(k1 + k2 + k3) (2e-10 + 1e-12 F(-s12)), the error budget of one
+    lattice value of A: per term, the lattice kernel and ``F`` each keep the
+    1e-10 closed-form budget, plus rounding relative to |Re F(-s+it)| <=
+    F(-s) <= F(-s12).  It bounds the distance of a lattice value from
+    ``A_eval``'s, and so from A; ``_walk`` allows it once for each of the
+    two values it compares."""
+    return (p.k1 + p.k2 + p.k3) * (2e-10 + 1e-12 * p.kernel.F_real(-p.s12))
+
+
 def grid_max(problem: SupProblem, grid: GridSpec) -> float:
-    """Exact maximum of A over the (s1, s2, t) lattice.  Raises
-    FloatingPointError if a lattice value is not finite."""
+    """Exact maximum of A over the (s1, s2, t) lattice, by ``_walk``, which
+    evaluates only the t columns that can hold it.  Raises
+    FloatingPointError if a value the walk evaluates is not finite."""
+    return _grid_max(problem, grid, curvature_bounds(problem)[2])
+
+
+def _grid_max(problem: SupProblem, grid: GridSpec, mtt: float) -> float:
+    """``grid_max`` with Mtt, the bound on |d^2A/dt^2|, given."""
     return _walk(problem, _lattice(problem.s11, problem.s12, grid.ds1),
-                 _lattice(problem.s21, problem.s22, grid.ds2), _lattice(0.0, grid.x1, grid.dt))
+                 _lattice(problem.s21, problem.s22, grid.ds2), _lattice(0.0, grid.x1, grid.dt),
+                 grid.dt, mtt)
 
 
-def _s3_max(problem: SupProblem, grid: GridSpec) -> float:
+def _s3_max(problem: SupProblem, grid: GridSpec, mtt: float) -> float:
     """Exact maximum of A = -k2 Re F(-s3+it) over the (s3, t) lattice, s3 on
     [s11 - s22, s12 - s21] with spacing max(ds1, ds2), for a problem that
-    depends on s3 alone.
+    depends on s3 alone, with Mtt = k2 M2(s32) given.  Raises
+    FloatingPointError if a value the walk evaluates is not finite.
 
     It is ``_walk`` on s3 x {0} x t: the base is 0, and s3 - 0.0 is s3
     exactly.  The s3 range may reach below 0, where SupProblem.s31 clamps.
     """
     return _walk(problem, _lattice(problem.s11 - problem.s22, problem.s12 - problem.s21,
                                    max(grid.ds1, grid.ds2)),
-                 np.zeros(1), _lattice(0.0, grid.x1, grid.dt))
+                 np.zeros(1), _lattice(0.0, grid.x1, grid.dt), grid.dt, mtt)
 
 
-def _walk(p: SupProblem, s1_vals: np.ndarray, s2_vals: np.ndarray,
-          t_vals: np.ndarray) -> float:
-    """Maximum of k1 Re F(-s1+it) - k2 Re F(-(s1-s2)+it) - k3 Re F(it) over
-    the lattice s1_vals x s2_vals x t_vals, in blocks of whole t rows.
+def _walk(p: SupProblem, s1_vals: np.ndarray, s2_vals: np.ndarray, t_vals: np.ndarray,
+          dt: float, mtt: float) -> float:
+    """Maximum of A = k1 Re F(-s1+it) - k2 Re F(-(s1-s2)+it) - k3 Re F(it)
+    over the lattice s1_vals x s2_vals x t_vals, t_vals spaced dt, with
+    |d^2A/dt^2| <= mtt.
 
-    A block holds max(1, BLOCK_POINTS // n_t) values of s1 by all n_t values
-    of t; it exceeds BLOCK_POINTS points only when n_t does.  Per s1 block
-    the walk builds the base k1 Re F(-s1+it) - k3 Re F(it) and, without a
-    k2 term, folds it; otherwise, per s2 value, it folds base - k2 Re
-    F(-(s1-s2)+it).  The trigonometric factors of the t lattice and the k3
-    row are computed once per call, in one LatticeWork.  Raises
-    FloatingPointError if a lattice value is not finite.
+    When the coarse lattice, every COARSE_STEP-th t, keeps the t slack
+    within the budget, mtt (COARSE_STEP dt)^2/8 <= SLACK_BUDGET (k1 + k2 +
+    k3), the walk takes two passes.  The coarse pass evaluates every s row
+    on t_vals[::COARSE_STEP] and the last t, and keeps each column's
+    maximum.  On a segment of width h between neighbouring coarse columns,
+    every row of A lies below the larger of its two end values plus h^2/8
+    mtt, and each computed value within ``_lattice_error`` of the true one;
+    so where the larger column maximum plus h^2/8 mtt + 2 ``_lattice_error``
+    stays below the coarse maximum, no value inside the segment can reach
+    it, and the segment is pruned: its points are never evaluated.  The
+    second pass evaluates the interior columns of the other segments, and
+    the maximum is that of both passes.  Otherwise one pass evaluates the
+    whole lattice.  Either way each lattice point is evaluated at most
+    once, by the same elementwise operations, so the maximum is the
+    lattice's, bit for bit.
+
+    Each pass runs ``_blocks``, and every block it evaluates goes through
+    ``_fold_max``: raises FloatingPointError if a value the walk evaluates
+    is not finite.
     """
-    rows = max(1, BLOCK_POINTS // t_vals.size)
     work = LatticeWork(p.kernel, t_vals)
-    f3 = work.re_F(np.zeros(1))[0] * p.k3 if p.k3 else None
     best = -math.inf
+    if mtt * (COARSE_STEP * dt) ** 2 / 8.0 <= SLACK_BUDGET * (p.k1 + p.k2 + p.k3):
+        coarse = np.arange(0, t_vals.size, COARSE_STEP)
+        if coarse[-1] != t_vals.size - 1:
+            coarse = np.append(coarse, t_vals.size - 1)
+        col = np.full(coarse.size, -math.inf)
+        for block in _blocks(p, work.take(coarse), s1_vals, s2_vals):
+            best = _fold_max(best, block)
+            np.maximum(col, block.reshape(-1, coarse.size).max(axis=0), out=col)
+        h = np.diff(t_vals[coarse])
+        reach = np.maximum(col[:-1], col[1:]) + h * h / 8.0 * mtt + 2.0 * _lattice_error(p)
+        # column k lies in the segment that starts at the last coarse column
+        # <= k; a NaN reach keeps its segment
+        inside = np.repeat(~(reach < best), np.diff(coarse))
+        inside[coarse[:-1]] = False
+        kept = np.flatnonzero(inside)
+        if not kept.size:
+            return best
+        work = work.take(kept)
+    for block in _blocks(p, work, s1_vals, s2_vals):
+        best = _fold_max(best, block)
+    return best
+
+
+def _blocks(p: SupProblem, work: LatticeWork, s1_vals: np.ndarray, s2_vals: np.ndarray):
+    """A over s1_vals x s2_vals x the t values of ``work``, as blocks whose
+    last axis is t.
+
+    With n_t t values, an s1 block holds rows = max(1, BLOCK_POINTS // n_t)
+    values of s1.  Per s1 block the base k1 Re F(-s1+it) - k3 Re F(it) is
+    built once and, without a k2 term, is the block; otherwise each block
+    takes a chunk of max(1, rows // (values in the s1 block)) s2 values, and
+    one ``re_F`` call evaluates its rows s1 - s2 for all of them, so a call
+    holds at most BLOCK_POINTS points unless one t row alone is longer.  The
+    block, of shape (s2 chunk, s1 block, n_t), is the base, broadcast, minus
+    k2 times those rows.  The k3 row is evaluated once per pass.
+    """
+    n_t = work.size
+    rows = max(1, BLOCK_POINTS // n_t)
+    f3 = work.re_F(np.zeros(1))[0] * p.k3 if p.k3 else None
     for i in range(0, s1_vals.size, rows):
         s1 = s1_vals[i:i + rows]
-        base = work.re_F(s1) * p.k1 if p.k1 else np.zeros((s1.size, t_vals.size))
+        base = work.re_F(s1) * p.k1 if p.k1 else np.zeros((s1.size, n_t))
         if p.k3:
             base -= f3
         if not p.k2:
-            best = _fold_max(best, base)
+            yield base
             continue
-        for s2 in s2_vals:
-            best = _fold_max(best, base - work.re_F(s1 - s2) * p.k2)
-    return best
+        chunk = max(1, rows // s1.size)
+        for j in range(0, s2_vals.size, chunk):
+            s2 = s2_vals[j:j + chunk]
+            yield base - (work.re_F((s1 - s2[:, None]).ravel()) * p.k2).reshape(
+                s2.size, s1.size, n_t)
 
 
 def _depends_on_s3(p: SupProblem) -> bool:
@@ -380,7 +462,7 @@ def sup_bounds(problems: Sequence[SupProblem],
         tail = tail_bound(p, grid.x1)
         m11, m22, mtt = curvature_bounds(p)
         on_s3 = _depends_on_s3(p)
-        m0 = (_s3_max if on_s3 else grid_max)(p, grid)
+        m0 = (_s3_max if on_s3 else _grid_max)(p, grid, mtt)
         if on_s3:
             # |d^2A/ds3^2| <= M22 = M11 and ds3^2 <= ds1^2 + ds2^2: the slack
             # is never above the (s1, s2) walk's

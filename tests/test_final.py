@@ -299,6 +299,18 @@ def test_warm_verify_all_does_only_per_parameter_work(monkeypatch, fresh_tables)
     assert _bits(warm) == _bits(cold)
 
 
+def test_shipped_equal_set_reads_the_memos_by_identity(monkeypatch, fresh_tables):
+    # a new LinnikParams() equal to the shipped set takes its place, so each
+    # memo hit finds the warm key by identity and compares no fields
+    shipped = _bits(verify_all())
+    real_eq, compared = LinnikParams.__eq__, []
+    monkeypatch.setattr(LinnikParams, "__eq__",
+                        lambda a, b: compared.append(b) or real_eq(a, b))
+    report = verify_all(LinnikParams())
+    assert len(compared) <= 1 and report.params is final.SHIPPED
+    assert _bits(report) == shipped
+
+
 def test_memos_keep_every_parameter_apart():
     # each set differs from the one before it in L, in c1 and c2, or in K: a
     # memo keyed without one of them hands a set the values of the set run

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from linnik import supbound, tables
 from linnik.kernel import SMALL_Z_RADIUS, LatticeWork, WeightKernel
-from linnik.supbound import (BLOCK_POINTS, SLACK_BUDGET, A_eval, GridSpec, SupProblem,
-                             _lattice, budget_grid, curvature_bounds, domination_check,
-                             domination_checks, grid_max, sup_bound, sup_bounds, tail_bound)
+from linnik.supbound import (BLOCK_POINTS, COARSE_STEP, SLACK_BUDGET, A_eval, GridSpec,
+                             SupProblem, _lattice, _lattice_error, budget_grid,
+                             curvature_bounds, domination_check, domination_checks, grid_max,
+                             sup_bound, sup_bounds, tail_bound)
 
 KERN = WeightKernel(0.93)
 
@@ -46,6 +47,10 @@ S3_CASES = [
     # through 0 to 0.4, so rows near z = 0 take the series value
     (SupProblem(WeightKernel(1.1), k1=0.0, k2=0.8, k3=0.0,
                 s11=0.2, s12=0.5, s21=0.1, s22=0.45), GridSpec(0.01, 0.015, 0.015, 7.0)),
+    # the first case on a fine t lattice, n_t = 1751, where the coarse gate
+    # opens and the maximum lies between two coarse columns
+    (SupProblem(WeightKernel(0.94), k1=0.0, k2=0.25, k3=0.0,
+                s11=0.903, s12=1.69, s21=0.34, s22=0.52), GridSpec(0.015, 0.007, 0.004, 7.0)),
 ]
 
 
@@ -298,7 +303,12 @@ box_width = st.one_of(st.just(0.0), st.floats(0.01, 0.3))
 @given(gamma=st.floats(0.5, 1.3), k1=coefficient, k2=coefficient, k3=coefficient,
        s11=box_start, w1=box_width, s21=st.floats(0.0, 1.0), w2=box_width,
        ds1=st.floats(0.03, 0.2), ds2=st.floats(0.03, 0.2),
-       x1=st.one_of(st.just(0.0), st.floats(0.1, 8.0)), dt=st.floats(0.01, 0.1))
+       x1=st.one_of(st.just(0.0), st.floats(0.1, 8.0)),
+       # fine spacings, on which the coarse gate of a small-curvature problem opens
+       dt=st.one_of(st.floats(0.01, 0.1), st.floats(0.002, 0.005)))
+# the gate opens, and the maximum, at t = 4.329, lies between coarse columns
+@example(gamma=0.9, k1=0.2, k2=1.0, k3=0.0, s11=0.5, w1=0.1, s21=0.1, w2=0.1, ds1=0.05,
+         ds2=0.05, x1=8.0, dt=0.003)
 def test_grid_max_equals_brute_force_lattice_max(gamma, k1, k2, k3, s11, w1, s21, w2,
                                                  ds1, ds2, x1, dt):
     s12 = min(4.0, s11 + w1)
@@ -309,37 +319,53 @@ def test_grid_max_equals_brute_force_lattice_max(gamma, k1, k2, k3, s11, w1, s21
                 for a in _lattice(prob.s11, prob.s12, grid.ds1)
                 for b in _lattice(prob.s21, prob.s22, grid.ds2))
     # per term, the lattice kernel and F each keep the 1e-10 closed-form budget
-    # plus rounding relative to |Re F| <= F(-s12)
-    tol = (k1 + k2 + k3) * (2e-10 + 1e-12 * prob.kernel.F_real(-prob.s12))
+    # plus rounding relative to |Re F| <= F(-s12): the walk's error budget
+    tol = _lattice_error(prob)
     m0 = grid_max(prob, grid)
     assert abs(m0 - brute) <= tol
 
 
-# rows per s1 block is max(1, BLOCK_POINTS // n_t); n_t is 468 at x1 = 7,
-# dt = 0.015, so 8 rows; per s1 block the walk folds the base of a problem
-# without a k2 term, else one block per s2 value
+# a walk whose coarse gate opens (``_gate_open``) takes a coarse and a
+# kept-columns pass; the others walk all n_t values of t in one pass, in s1
+# blocks of rows = max(1, BLOCK_POINTS // n_t) values, and, with a k2 term,
+# s2 chunks of max(1, rows // s1 block) values.  n_t is 468 at x1 = 7 and
+# dt = 0.015, so rows is 8; per s1 block the walk folds the base of a
+# problem without a k2 term, else one block per s2 chunk
 FULL_LATTICE_CASES = list(zip(PROBLEMS, GRIDS)) + [
-    # n_t = 5001 > BLOCK_POINTS: one s1 value per block, blocks wider than BLOCK_POINTS
-    (SupProblem(WeightKernel(1.0), k1=0.8, k2=1.3, k3=0.6,
-                s11=0.7, s12=0.72, s21=0.3, s22=0.31), GridSpec(0.01, 0.005, 0.003, 15.0)),
-    # 11 s1 values and no k2 term: the last s1 block has 3 rows, and its
-    # base holds the maximum
-    (SupProblem(WeightKernel(0.9), k1=0.9, k2=0.0, k3=1.2,
+    # gate closed, n_t = 4668 > BLOCK_POINTS: one s1 value and one s2 value
+    # per block, blocks wider than BLOCK_POINTS
+    (SupProblem(WeightKernel(1.1), k1=0.8, k2=1.3, k3=0.6,
+                s11=0.7, s12=0.72, s21=0.3, s22=0.31), GridSpec(0.01, 0.005, 0.015, 70.0)),
+    # gate closed, 11 s1 values and no k2 term: the last s1 block has 3
+    # rows, and its base holds the maximum
+    (SupProblem(WeightKernel(1.1), k1=0.9, k2=0.0, k3=1.2,
                 s11=0.5, s12=0.6, s21=0.0, s22=0.0), GridSpec(0.01, 0.0, 0.015, 7.0)),
-    # 15 s1 values by 3 s2 values: the last s1 block has 7 rows, and the
-    # block of its last s2 value holds the maximum
-    (SupProblem(WeightKernel(0.9), k1=1.0, k2=0.2, k3=0.3,
+    # gate closed, 15 s1 values by 3 s2 values: the last s1 block has 7
+    # rows and takes one s2 value per block, and the block of its last s2
+    # value holds the maximum
+    (SupProblem(WeightKernel(1.1), k1=1.0, k2=0.2, k3=0.3,
                 s11=0.5, s12=0.64, s21=0.1, s22=0.12), GridSpec(0.01, 0.01, 0.015, 7.0)),
-    # one s1 value: s1 - s2 runs 0.30 down to 0 over 31 s2 values, so the
-    # rows below SMALL_Z_RADIUS, s = 0 included, are the blocks of the last
-    # s2 values, one row each
+    # gate closed, one s1 value: s1 - s2 runs 0.30 down to 0 over 31 s2
+    # values, 8 per block, and the rows below SMALL_Z_RADIUS, s = 0
+    # included, fill the last two blocks, of 8 and 7 rows
     (SupProblem(WeightKernel(1.1), k1=0.5, k2=0.8, k3=0.0,
                 s11=0.5, s12=0.5, s21=0.2, s22=0.5), GridSpec(0.0, 0.01, 0.015, 7.0)),
-    # 11 s1 values by 11 s2 values, more s2 values than rows per block: the
-    # maximum is in the block of the last s2 value of the 3-row last s1 block
-    (SupProblem(WeightKernel(0.9), k1=1.0, k2=0.3, k3=0.2,
+    # gate closed, 11 s1 values by 11 s2 values: the 3-row last s1 block
+    # takes its s2 values 2 at a time, and the maximum is in its short last
+    # block, of the last s2 value alone
+    (SupProblem(WeightKernel(1.1), k1=1.0, k2=0.3, k3=0.2,
                 s11=0.5, s12=0.6, s21=0.0, s22=0.1), GridSpec(0.01, 0.01, 0.015, 7.0)),
+    # gate open on a fine t lattice, n_t = 5001: the coarse pass walks 627
+    # columns, and the maximum lies between two of them
+    (SupProblem(WeightKernel(1.0), k1=0.8, k2=1.3, k3=0.6,
+                s11=0.7, s12=0.72, s21=0.3, s22=0.31), GridSpec(0.01, 0.005, 0.003, 15.0)),
 ]
+
+
+def _gate_open(prob, grid) -> bool:
+    """Whether the walk of prob on grid takes the coarse pass."""
+    return (curvature_bounds(prob)[2] * (COARSE_STEP * grid.dt) ** 2 / 8.0
+            <= SLACK_BUDGET * (prob.k1 + prob.k2 + prob.k3))
 
 
 def _full_lattice(prob, grid):
@@ -424,28 +450,59 @@ def test_group_must_share_kernel_and_box():
     assert sup_bounds((), grid) == ()
 
 
-def test_full_lattice_cases_cover_the_block_edges():
+def test_full_lattice_cases_cover_the_block_edges(monkeypatch):
     def layout(prob, grid):
+        # the one-pass walk: s1 blocks of `rows` values, and the s2 chunk of
+        # the last, possibly short, s1 block
         n1 = _lattice(prob.s11, prob.s12, grid.ds1).size
         n2 = _lattice(prob.s21, prob.s22, grid.ds2).size
         n_t = _lattice(0.0, grid.x1, grid.dt).size
+        rows = max(1, BLOCK_POINTS // n_t)
+        chunk = max(1, rows // (n1 - (n1 - 1) // rows * rows))
         lattice = _full_lattice(prob, grid)
         top = np.unravel_index(np.argmax(lattice), lattice.shape)[:2]
-        return n1, n2, n_t, max(1, BLOCK_POINTS // n_t), top
+        return n1, n2, n_t, rows, chunk, top
 
-    wide, short, short_k2, disk, long_k2 = FULL_LATTICE_CASES[3:]
-    n1, n2, n_t, rows, top = layout(*wide)
-    assert n_t > BLOCK_POINTS and rows == 1
+    wide, short, short_k2, disk, long_k2 = FULL_LATTICE_CASES[3:8]
+    assert not any(_gate_open(*case) for case in FULL_LATTICE_CASES[3:8])
+    n1, n2, n_t, rows, chunk, top = layout(*wide)
+    assert n_t > BLOCK_POINTS and rows == chunk == 1
     # no k2 term, fewer s2 values than rows per block, and more of them
     assert short[0].k2 == 0.0 and layout(*short_k2)[1] < 8 < layout(*long_k2)[1]
     for case in (short, short_k2, long_k2):
-        n1, n2, n_t, rows, top = layout(*case)
+        n1, n2, n_t, rows, chunk, top = layout(*case)
         # the maximum is at the last s2 value of a short last s1 block
         assert rows == 8 and n1 % rows != 0 and top == (n1 - 1, n2 - 1)
-    n1, n2, n_t, rows, top = layout(*disk)
+    # one s2 value per block of the short last s1 block, and a chunk of two
+    # whose last block holds the last s2 value alone
+    assert layout(*short_k2)[4] == 1
+    n1, n2, n_t, rows, chunk, top = layout(*long_k2)
+    assert chunk == 2 and n2 % chunk == 1
+    n1, n2, n_t, rows, chunk, top = layout(*disk)
     s3 = disk[0].s11 - _lattice(disk[0].s21, disk[0].s22, disk[1].ds2)
     inside = np.flatnonzero(np.abs(s3) < SMALL_Z_RADIUS)
     assert n1 == 1 and inside.min() > 0 and inside.max() == n2 - 1 and s3[-1] == 0.0
+    # the disk rows fill the last two blocks, the last of them short
+    assert chunk == 8 and inside.min() == n2 - n2 % chunk - chunk and n2 % chunk
+
+    # the walk hands re_F these blocks: after the k3 row, per s1 block its k1
+    # rows and then its s1 - s2 rows, one chunk of s2 values per call
+    calls = []
+    real = LatticeWork.re_F
+    monkeypatch.setattr(LatticeWork, "re_F", lambda self, s: calls.append(len(s)) or real(self, s))
+    grid_max(*long_k2)
+    assert calls == [1] + [8] + [8] * 11 + [3] + [6] * 5 + [3]
+
+
+@pytest.mark.parametrize("prob,grid", [FULL_LATTICE_CASES[-1], S3_CASES[-1]])
+def test_fine_lattice_cases_open_the_gate_off_the_coarse_columns(prob, grid):
+    # a walk that kept only the coarse columns would miss these maxima, which
+    # the full lattice tests pin
+    t = _lattice(0.0, grid.x1, grid.dt)
+    lattice = _s3_full_lattice(prob, grid) if prob.k1 == 0.0 else _full_lattice(prob, grid)
+    column = np.unravel_index(np.argmax(lattice), lattice.shape)[-1]
+    assert _gate_open(prob, grid) and t.size > 1000
+    assert column % COARSE_STEP and column != t.size - 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -480,8 +537,115 @@ def test_non_finite_lattice_value_refuses_certificate(monkeypatch, bad, case, ta
     assert hits
 
 
+def _record_passes(monkeypatch) -> list:
+    """Patch LatticeWork.take to record the t columns of each pass the walks
+    take after it: the coarse columns, then the kept columns."""
+    passes = []
+    real = LatticeWork.take
+
+    def recorded(self, cols):
+        passes.append(cols)
+        return real(self, cols)
+
+    monkeypatch.setattr(LatticeWork, "take", recorded)
+    return passes
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("prob,grid", [FULL_LATTICE_CASES[-1], S3_CASES[-1]], ids=["box", "s3"])
+def test_non_finite_value_in_the_kept_columns_refuses_certificate(monkeypatch, prob, grid, bad):
+    # the coarse pass is clean: only the first re_F call of the second pass
+    # is corrupted, the k3 row of the box case and the first s3 rows
+    passes = _record_passes(monkeypatch)
+    sup_bound(prob, grid)
+    assert len(passes) == 2
+    passes.clear()
+    real = LatticeWork.re_F
+    hits = []
+
+    def corrupted(self, s):
+        out = real(self, s)
+        if len(passes) == 2 and not hits:
+            hits.append(out.shape)
+            out[0, out.shape[1] // 2] = bad
+        return out
+
+    monkeypatch.setattr(LatticeWork, "re_F", corrupted)
+    with pytest.raises(FloatingPointError):
+        sup_bound(prob, grid)
+    assert hits
+
+
+def _raw_points(prob, grid) -> int:
+    """The points of prob's lattice rows, each evaluated once by a walk
+    that prunes nothing."""
+    n_t = _lattice(0.0, grid.x1, grid.dt).size
+    if prob.k1 == prob.k3 == 0.0 < prob.k2 and prob.s11 < prob.s12:
+        return n_t * _s3_lattice(prob, grid).size
+    n1 = _lattice(prob.s11, prob.s12, grid.ds1).size
+    n2 = _lattice(prob.s21, prob.s22, grid.ds2).size
+    return n_t * (n1 * bool(prob.k1) + n1 * n2 * bool(prob.k2) + bool(prob.k3))
+
+
+#: the cases whose gate opens, and the re_F points each walks, of 26 257,
+#: 26 257, 126 360, 65 013 and 115 566 lattice row points
+FINE_CASES = list(zip(PROBLEMS, GRIDS)) + [FULL_LATTICE_CASES[-1], S3_CASES[-1]]
+FINE_POINTS = (3682, 3619, 23760, 13598, 15444)
+
+
+def test_pruned_walks_evaluate_a_fixed_share_of_their_lattices(monkeypatch):
+    real = LatticeWork.re_F
+    counts = []
+
+    def counted(self, s):
+        out = real(self, s)
+        counts.append(out.size)
+        return out
+
+    monkeypatch.setattr(LatticeWork, "re_F", counted)
+
+    def points(prob, grid):
+        counts.clear()
+        sup_bound(prob, grid)
+        return sum(counts)
+
+    walked = tuple(points(*case) for case in FINE_CASES)
+    assert all(_gate_open(*case) for case in FINE_CASES)
+    assert all(n < _raw_points(*case) for n, case in zip(walked, FINE_CASES))
+    assert walked == FINE_POINTS
+    assert tuple(points(*case) for case in FINE_CASES) == walked
+
+
+def test_segment_within_the_error_budget_of_the_coarse_maximum_is_walked(monkeypatch):
+    # Mtt raised, still a bound, until the reach of one segment falls short of
+    # the coarse maximum by half the error term: values the kernel computes
+    # up to that far above A could still hold the maximum, so it is walked
+    prob, grid = FULL_LATTICE_CASES[-1]
+    t = _lattice(0.0, grid.x1, grid.dt)
+    coarse = np.unique(np.append(np.arange(0, t.size, COARSE_STEP), t.size - 1))
+    col = _full_lattice(prob, grid)[:, :, coarse].max(axis=(0, 1))
+    h = np.diff(t[coarse])
+    eps = 2.0 * _lattice_error(prob)
+    mtt = curvature_bounds(prob)[2]
+    gap = col.max() - np.maximum(col[:-1], col[1:]) - h * h / 8.0 * mtt
+    j = np.flatnonzero(gap > eps)[np.argmin(gap[gap > eps])]
+    mtt += (gap[j] - eps / 2.0) / (h[j] * h[j] / 8.0)
+    assert mtt * (COARSE_STEP * grid.dt) ** 2 / 8.0 <= SLACK_BUDGET * (prob.k1 + prob.k2 + prob.k3)
+    passes = _record_passes(monkeypatch)
+    assert supbound._grid_max(prob, grid, mtt) == np.max(_full_lattice(prob, grid))
+    assert np.array_equal(passes[0], coarse)
+    assert set(range(coarse[j] + 1, coarse[j + 1])) <= set(passes[1].tolist())
+
+
 def _s3_lattice(prob, grid):
     return _lattice(prob.s11 - prob.s22, prob.s12 - prob.s21, max(grid.ds1, grid.ds2))
+
+
+def _s3_full_lattice(prob, grid):
+    """A over the whole (s3, t) lattice of prob, evaluated in one piece, with
+    the walk's operations: 0 - k2 Re F(-s3+it)."""
+    t = _lattice(0.0, grid.x1, grid.dt)
+    return np.zeros(1) - LatticeWork(prob.kernel, t).re_F(_s3_lattice(prob, grid)) * prob.k2
 
 
 @pytest.mark.parametrize("prob,grid", S3_CASES)
@@ -494,6 +658,11 @@ def test_s3_walk_equals_brute_force_s3_lattice_max(prob, grid):
     slack = cert.ds3 * cert.ds3 / 8.0 * cert.m22 + grid.dt * grid.dt / 8.0 * cert.mtt
     assert cert.m11 == cert.m22 == cert.mtt
     assert cert.bound == max(cert.tail, cert.m0 + slack)
+
+
+@pytest.mark.parametrize("prob,grid", S3_CASES)
+def test_s3_walk_equals_one_full_lattice_evaluation(prob, grid):
+    assert sup_bound(prob, grid).m0 == np.max(_s3_full_lattice(prob, grid))
 
 
 @pytest.mark.parametrize("prob,grid", S3_CASES)
