@@ -13,8 +13,8 @@ malformed row and computes its hash, lambda3*, Lambda grid and ``w``
 arguments once.  Per case and counting-table regeneration, ``n0_schedule``
 reads the counting column and refuses one that is not monotone or ends below
 4; the tables keep only a column that passes.  ``verify_all`` and
-``compute_W`` do only per-parameter-set arithmetic: once per set the batch
-of ``w`` integrals and the penalty, once per (set, Lambda) the terms of
+``compute_W`` do only per-parameter-set arithmetic, kept in the set: once per
+set the ``w`` batch and the penalty, once per (set, Lambda) the terms of
 ``_at_split``, once per (set, grid) the ``_C_column`` of C values, and the
 rest of each case's ``W``, every value rounded as when each case computed it.
 ``load_registry`` and ``verify_all`` name each fault of a case after it by
@@ -27,13 +27,13 @@ import math
 import numbers
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from . import _data
 from .density import regenerated_tables
-from .kernel import LinnikParams, _require_finite
+from .kernel import LinnikParams, _require_finite, per_set
 
 #: a case is certified only if W stays below 1 by this margin
 W_MARGIN = 1e-4
@@ -269,7 +269,7 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-@lru_cache(maxsize=64)
+@per_set
 def _at_split(params: LinnikParams, Lambda: float) -> Tuple[float, float]:
     """(base, ratio_L) at split point Lambda, once per (parameter set, Lambda):
     W's base term penalty / (c1 c2^2) e^{-(L-2K) Lambda} B(Lambda) / w(Lambda)
@@ -279,7 +279,7 @@ def _at_split(params: LinnikParams, Lambda: float) -> Tuple[float, float]:
     return scale * damp * b / params.w(Lambda), damp * b
 
 
-@lru_cache(maxsize=64)
+@per_set
 def _C_column(params: LinnikParams, grid: Tuple[float, ...]) -> Tuple[float, ...]:
     """C(Lambda_0, Lambda_r), r = 1 .. s, along a case's grid, once per
     (parameter set, grid): the cases that share a grid share its column."""
@@ -370,13 +370,12 @@ def verify_all(params: Optional[LinnikParams] = None) -> Report:
     ``params`` are the shipped parameters, the only ones it was published for.
     A fault of a counting-table cell keeps the cell's name; any other fault
     met in a case is named after it, a QuadratureError keeping its fields.
-    A set equal to ``SHIPPED`` is replaced by ``SHIPPED`` itself, so that its
-    memo hits match their keys by identity rather than by field comparison.
+    Every per-set value is computed on a copy of the set, so none outlives
+    the call; the report holds the caller's set.
     """
-    params = params or SHIPPED
-    shipped = params == SHIPPED
-    if shipped:
-        params = SHIPPED
+    caller = params or SHIPPED
+    shipped = caller == SHIPPED
+    params = replace(caller)
     cases = load_registry()
     # every case's w integrals in one batch, from the registry's list (an
     # argument missing there is integrated when first read, to the same
@@ -392,4 +391,4 @@ def verify_all(params: Optional[LinnikParams] = None) -> Report:
         except _data.FAULTS as exc:
             raise _data.named(f"case {case.id}", exc)
         results.append(res)
-    return Report(params=params, results=results)
+    return Report(params=caller, results=results)

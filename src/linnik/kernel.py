@@ -20,19 +20,13 @@ of whole t rows at a time.  All three switch to the
 same series inside SMALL_Z_RADIUS.
 
 All real arithmetic is double precision, and ``H2`` of a real runs in it
-too, with the bits of the real part of its complex value.  The penalty integral,
-``xf_moments`` (M2(c) = int x^2 f(x) e^{cx} dx, which bounds the second
-derivatives of the sup certificates), ``damped_ratio`` and ``C`` memoise
-their values in the method itself, a bounded ``lru_cache`` keyed on the
-frozen instance, so equal parameter sets or kernels share entries, and each
-value is computed once per kernel or parameter set while its memo holds it:
-M2 once per (kernel, c), the penalty once per set, ``damped_ratio`` once per
-(set, s) and ``C`` once per (set, Lambda, lam).
-A ``LinnikParams`` takes its hash once, when it is built, since every memo
-hit hashes it.  ``w`` reads a per-parameter-set memo of its integrals that
-``prime_w`` fills in one batch, all missing arguments in one vectorised
-pass; a ``w`` read that misses runs the batch of one.  ``w`` and the
-penalty are one integral split at v (``LinnikParams._split_integral``).
+too, with the bits of the real part of its complex value.  ``xf_moments``
+(M2(c) = int x^2 f(x) e^{cx} dx, which bounds the second derivatives of the
+sup certificates) is memoised per process, once per (kernel, c).  A
+parameter set owns the memos of what depends on it: :func:`per_set` keeps
+the penalty integral, ``damped_ratio`` and ``C``, and ``prime_w`` fills the
+memo of ``w``'s integrals in one vectorised batch.  ``w`` and the penalty
+are one integral split at v (``LinnikParams._split_integral``).
 Each uses one fixed Gauss-Legendre rule (:func:`_gauss_legendre`, one row
 per integral) on pieces whose integrand is a polynomial times an
 exponential, an entire function on which the rule converges geometrically:
@@ -55,7 +49,7 @@ import copy
 import math
 import numbers
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Optional, Union
 
 import numpy as np
@@ -154,6 +148,23 @@ def _checked(values, faults) -> float:
     if faults[0] is not None:
         raise faults[0]
     return values[0]
+
+
+def per_set(fn):
+    """``fn(params)``, ``fn(params, a)`` or ``fn(params, a, b)`` memoised in the
+    set's own memo, once per (set, arguments); a value that is not finite, or a
+    tuple holding one, is returned unstored.  No ``*args``: a read is a plain call."""
+    unset = object()  # the default of an argument fn does not take
+    @wraps(fn)
+    def memoised(params, a=unset, b=unset):
+        key = (fn, a, b)
+        value = params._memo.get(key)
+        if value is None:
+            value = fn(params) if a is unset else fn(params, a) if b is unset else fn(params, a, b)
+            if all(map(math.isfinite, value)) if type(value) is tuple else math.isfinite(value):
+                params._memo[key] = value
+        return value
+    return memoised
 
 
 def _require_finite(record) -> None:
@@ -423,12 +434,9 @@ class LinnikParams:
         if not self.L - 2.0 * self.K > max(3.0, 2.0 * self.x):
             raise ValueError(
                 f"need L - 2K > max(3, 2x): {self.L - 2 * self.K} vs {max(3.0, 2.0 * self.x)}")
-        # the dataclass hash, taken once: every memoised method hashes self
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name)
-                                                      for f in fields(self))))
-
-    def __hash__(self) -> int:
-        return self._hash
+        # the set's own memos, not fields: w's integrals and per_set's values
+        object.__setattr__(self, "_w_integrals", {})
+        object.__setattr__(self, "_memo", {})
 
     @property
     def u(self) -> float:
@@ -507,17 +515,11 @@ class LinnikParams:
         m = min(t - self.u + W1_OFFSET, self.v - self.u + W1_OFFSET)
         return math.exp(-self.theta * t / 2.0) * m**0.25
 
-    @lru_cache(maxsize=16)
-    def _w_integrals(self) -> dict:
-        """The memo of ``w`` for this parameter set: s -> int_u^x w1(t)^2
-        e^{2st} dt, holding only integrals that passed their checks."""
-        return {}
-
     def prime_w(self, arguments) -> dict:
         """Integrate, in one batch, every finite argument of ``w`` that its memo
         lacks, and store the integrals that pass their checks; returns
         {s: fault} for those that fail, which are not stored."""
-        memo = self._w_integrals()
+        memo = self._w_integrals
         todo = list(dict.fromkeys(s for s in arguments if s is not None and s not in memo))
         if not todo:
             return {}
@@ -534,14 +536,13 @@ class LinnikParams:
         sentinel s=None means +infinity and returns 0 exactly."""
         if s is None:
             return 0.0
-        memo = self._w_integrals()
-        if s not in memo:
+        if s not in self._w_integrals:
             faults = self.prime_w((s,))
             if faults:
                 raise faults[s]
-        return 1.0 / memo[s]
+        return 1.0 / self._w_integrals[s]
 
-    @lru_cache(maxsize=64)
+    @per_set
     def penalty_integral(self) -> float:
         """int_u^x w1(t)^{-2} min(t-u, v-u) dt, computed once per parameter set."""
         return _checked(*self._split_integral(
@@ -567,7 +568,7 @@ class LinnikParams:
         return ([r + flat * e for r, e in zip(rise, level)],
                 [f or g for f, g in zip(rise_faults, level_faults)])
 
-    @lru_cache(maxsize=64)
+    @per_set
     def damped_ratio(self, s: float) -> float:
         """e^{-(L-2K)s} B(s) / w(s), computed once per (parameter set, s);
         nonincreasing in s because L - 2K > 2x."""
@@ -575,8 +576,7 @@ class LinnikParams:
 
     # -- the C coefficient ----------------------------------------------
 
-    # a parameter set's 46 cases read C at about 150 distinct (Lambda, lam)
-    @lru_cache(maxsize=256)
+    @per_set
     def C(self, Lambda: float, lam: Optional[float]) -> float:
         """w(lam) * (ratio(lam) - ratio(Lambda)), computed once per (parameter
         set, Lambda, lam); C(None) = 0 by convention."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import pytest
 
@@ -11,22 +12,6 @@ from linnik.final import (DensityRef, FinalCase, c_star, compute_W,
 from linnik.kernel import LinnikParams, QuadratureError
 
 PARAMS = LinnikParams()
-
-#: every memo of a value that depends on the parameter set
-PARAMETER_MEMOS = (LinnikParams._w_integrals, LinnikParams.penalty_integral, LinnikParams.C,
-                   LinnikParams.damped_ratio, final._at_split, final._C_column)
-
-
-@pytest.fixture
-def fresh_parameter_memos():
-    """Empty parameter memos before and after the test, for tests that patch
-    a per-parameter function: a value computed under the patch must not
-    leak out, and one computed earlier must not hide the patch."""
-    for memo in PARAMETER_MEMOS:
-        memo.cache_clear()
-    yield
-    for memo in PARAMETER_MEMOS:
-        memo.cache_clear()
 
 
 #: a counting column for built cases whose lambda3 is below Lambda
@@ -164,13 +149,29 @@ def test_c_star_nonnegative_across_registry():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
 @pytest.mark.parametrize("method", ["H2", "B", "w"])
-def test_non_finite_input_refuses_every_case(monkeypatch, fresh_parameter_memos, method, bad):
+def test_non_finite_input_refuses_every_case(monkeypatch, method, bad):
     # max(0.0, c_lp, nan) returns a finite value and `nan < -1e-12` is False,
-    # so a NaN or inf must be refused explicitly
+    # so a NaN or inf must be refused explicitly.  The set is the test's own:
+    # a finite value computed under the patch (e^{-x} B / inf = 0) dies with it
+    params = LinnikParams()
     monkeypatch.setattr(LinnikParams, method, lambda self, *args: bad)
     for case in load_registry():
         with pytest.raises(FloatingPointError):
-            compute_W(case, PARAMS)
+            compute_W(case, params)
+
+
+def test_a_non_finite_value_is_never_kept(monkeypatch):
+    # a NaN met under a patched B is returned but never stored: once B is
+    # restored, the same set gives the bits of a cold one
+    params, cases = LinnikParams(theta=1.17), load_registry()
+    with monkeypatch.context() as patch:
+        patch.setattr(LinnikParams, "B", lambda self, lam: math.nan)
+        for case in cases:
+            with pytest.raises(FloatingPointError):
+                compute_W(case, params)
+    cold = LinnikParams(theta=1.17)
+    assert _bits([compute_W(case, params) for case in cases]) \
+        == _bits([compute_W(case, cold) for case in cases])
 
 
 def test_W_spec_rows():
@@ -231,27 +232,28 @@ def _count_rows(monkeypatch) -> list:
 
 
 def test_each_w_and_penalty_integral_computed_once(monkeypatch):
-    # verify_all integrates the 95 distinct finite w arguments of the
-    # registry in one batch and the penalty once, each integral in two pieces
-    # (on [u, v] and [v, x]); a new but equal parameter set reads both memos
-    # and integrates nothing
-    LinnikParams._w_integrals.cache_clear()
-    LinnikParams.penalty_integral.cache_clear()
+    # each verify_all call integrates the 95 distinct finite w arguments of
+    # the registry in one batch and the penalty once, each integral in two
+    # pieces (on [u, v] and [v, x]): its values die with the call, so the
+    # same set called again integrates them again.  A set's own w memo is
+    # read again without an integral
+    params = LinnikParams(L=5.3)
     rows = _count_rows(monkeypatch)
-    verify_all(LinnikParams(L=5.3))
-    assert rows == [95, 95, 1, 1]
-    verify_all(LinnikParams(L=5.3))
-    assert rows == [95, 95, 1, 1]
+    for calls in (1, 2):
+        verify_all(params)
+        assert rows == [95, 95, 1, 1] * calls
+    rows.clear()
+    for _ in range(2):
+        params.w(1.3)
+    assert rows == [1, 1]
 
 
 def test_primed_w_memo_leaves_no_case_an_integral(monkeypatch):
     # after verify_all's batch no compute_W integrates w: FinalCase.w_arguments
     # lists every argument a case reads, through C, damped_ratio and the
-    # per-Lambda terms too
+    # per-Lambda terms too.  The first case integrates the penalty, one row
+    # in each of its two pieces
     params = LinnikParams(L=5.25)
-    for memo in PARAMETER_MEMOS:
-        memo.cache_clear()
-    params.penalty_integral()
     rows = _count_rows(monkeypatch)
     per_case = []
     real = final.compute_W
@@ -264,13 +266,13 @@ def test_primed_w_memo_leaves_no_case_an_integral(monkeypatch):
 
     monkeypatch.setattr(final, "compute_W", compute)
     verify_all(params)
-    assert rows == [95, 95]
-    assert per_case == [0] * 46
+    assert rows == [95, 95, 1, 1]
+    assert per_case == [2] + [0] * 45
 
 
-def _bits(report) -> list:
+def _bits(results) -> list:
     return [(r.case.id, r.W.hex(), r.margin.hex(), {k: v.hex() for k, v in r.terms.items()},
-             [(lam.hex(), n0) for lam, n0 in r.schedule]) for r in report.results]
+             [(lam.hex(), n0) for lam, n0 in r.schedule]) for r in results]
 
 
 def test_warm_verify_all_does_only_per_parameter_work(monkeypatch, fresh_tables):
@@ -292,23 +294,28 @@ def test_warm_verify_all_does_only_per_parameter_work(monkeypatch, fresh_tables)
 
     _data.final_cases.cache_clear()
     density.regenerated_tables.cache_clear()
-    for memo in PARAMETER_MEMOS:
-        memo.cache_clear()
     cold = verify_all(LinnikParams(L=5.3))
     assert len(built) == 46 and len(looked_up) > 0
-    assert _bits(warm) == _bits(cold)
+    assert _bits(warm.results) == _bits(cold.results)
 
 
-def test_shipped_equal_set_reads_the_memos_by_identity(monkeypatch, fresh_tables):
-    # a new LinnikParams() equal to the shipped set takes its place, so each
-    # memo hit finds the warm key by identity and compares no fields
-    shipped = _bits(verify_all())
-    real_eq, compared = LinnikParams.__eq__, []
-    monkeypatch.setattr(LinnikParams, "__eq__",
-                        lambda a, b: compared.append(b) or real_eq(a, b))
-    report = verify_all(LinnikParams())
-    assert len(compared) <= 1 and report.params is final.SHIPPED
-    assert _bits(report) == shipped
+def test_equal_set_gives_the_shipped_bits_and_keeps_the_callers_set():
+    # verify_all computes on a copy: the report holds the caller's own set,
+    # with its memos left empty, and an equal set is judged as the shipped one
+    params = LinnikParams()
+    report = verify_all(params)
+    assert report.params is params and report.passed
+    assert params._memo == {} and params._w_integrals == {}
+    assert _bits(report.results) == _bits(verify_all().results)
+
+
+def test_verify_all_keeps_no_reference_to_a_set():
+    # no structure that outlives the call holds the set or its copy
+    params = LinnikParams(L=5.35)
+    ref = weakref.ref(params)
+    verify_all(params)
+    del params
+    assert ref() is None
 
 
 def test_memos_keep_every_parameter_apart():
@@ -318,11 +325,8 @@ def test_memos_keep_every_parameter_apart():
     a = LinnikParams(L=5.3)
     b = dataclasses.replace(a, c1=0.112, c2=0.272)
     c = dataclasses.replace(b, K=0.33)
-    runs = []
-    for order in ((a, b, c), (c, b, a)):
-        for memo in PARAMETER_MEMOS:
-            memo.cache_clear()
-        runs.append({params: _bits(verify_all(params)) for params in order})
+    runs = [{params: _bits(verify_all(params).results) for params in order}
+            for order in ((a, b, c), (c, b, a))]
     assert runs[0] == runs[1]
 
 

@@ -489,23 +489,21 @@ def test_w_batch_is_bitwise_one_row_at_a_time():
     # the registry's w arguments under a parameter set, with two that fail:
     # past s ~ 31 the rules disagree, and at 1e3 e^{2st} overflows
     from linnik.final import load_registry
-    params = LinnikParams(theta=1.2, c1=0.1)
+    alone, params = LinnikParams(theta=1.2, c1=0.1), LinnikParams(theta=1.2, c1=0.1)
     args = [s for case in load_registry() for s in case.w_arguments] + [100.0, 1e3]
     finite = list(dict.fromkeys(s for s in args[:-2] if s is not None))
-    LinnikParams._w_integrals.cache_clear()
-    one_by_one = [params.w(s) for s in finite]
-    LinnikParams._w_integrals.cache_clear()
+    one_by_one = [alone.w(s) for s in finite]
     faults = params.prime_w(args)
     assert sorted(faults) == [100.0, 1e3]
     assert isinstance(faults[100.0], QuadratureError)
     assert isinstance(faults[1e3], FloatingPointError)
-    assert len(params._w_integrals()) == len(finite)
+    assert len(params._w_integrals) == len(finite)
     assert [params.w(s) for s in finite] == one_by_one
     assert params.prime_w(args[:-2]) == {}
     # a failed row is not stored: each read integrates it again and raises
     with pytest.raises(QuadratureError):
         params.w(100.0)
-    assert 100.0 not in params._w_integrals()
+    assert 100.0 not in params._w_integrals
 
 
 def test_xf_exp_moment_against_mpmath_oracle():
