@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Optional
 
 from . import _data
-from .kernel import WeightKernel, classic_density_bound
+from .kernel import WeightKernel, _require_finite, classic_density_bound
 
 __all__ = ["DensityQuery", "DensityBound", "density_gamma", "quadratic_N_bound",
            "gen_density_tables", "DensityTables",
@@ -37,7 +37,8 @@ EPSILON = 1e-7
 
 @dataclass(frozen=True)
 class DensityQuery:
-    """Inputs of one counting-bound evaluation."""
+    """Inputs of one counting-bound evaluation; a field that is not a finite
+    number is refused."""
 
     lam: float
     lambda11: float
@@ -45,6 +46,7 @@ class DensityQuery:
     n0: int = 0
 
     def __post_init__(self):
+        _require_finite(self)
         if not (0.0 < self.lam < 2.0):
             raise ValueError("lam must lie in (0, 2)")
         if self.lambda11 <= 0:

@@ -24,7 +24,6 @@ rest of each case's ``W``, every value rounded as when each case computed it.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
@@ -89,17 +88,10 @@ class DensityRef:
                           n_lo=branch.get("n_lo", 0), n_hi=branch.get("n_hi"))
 
 
-#: the number fields of a case, and those of them whose null is a sentinel:
-#: an unbounded window and a missing second-zero bound
-CASE_NUMBERS = ("lambda1_lo", "lambda1_hi", "lambda_prime_lo", "lambda2_lo",
-                "lambda3_lo", "Lambda", "published_W")
-CASE_NULLABLE = ("lambda1_hi", "lambda_prime_lo")
-
-
 @dataclass(frozen=True)
 class FinalCase:
     """One row of the case registry.  It refuses a number field that is not
-    a finite real (a bool included), a null outside ``CASE_NULLABLE``, an
+    a finite real (a bool included), a null outside ``Optional``, an
     empty lambda1 window, a counting table's Lambda off the density grid and
     a row with no counting table whose lambda3 is below Lambda (its density
     terms vanish only by C(lambda3*) = C(Lambda) = 0); ``from_json`` refuses
@@ -120,13 +112,7 @@ class FinalCase:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown case family {self.family}")
-        for name in CASE_NUMBERS:
-            value = getattr(self, name)
-            if value is None and name in CASE_NULLABLE:
-                continue
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        _require_finite(self)
         if self.density is not None:
             steps = self.Lambda / DENSITY_GRID
             if abs(steps - round(steps)) > 1e-9:

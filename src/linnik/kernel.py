@@ -167,16 +167,29 @@ def per_set(fn):
     return memoised
 
 
+@lru_cache(maxsize=None)
+def _number_fields(cls) -> tuple:
+    """(name, nullable) for each field of the dataclass cls annotated
+    ``float`` or ``int``, bare or in ``Optional[...]`` (nullable).  Every
+    module postpones its annotations, so each one is read as a string."""
+    kinds = {"float": False, "int": False, "Optional[float]": True, "Optional[int]": True}
+    return tuple((f.name, kinds[f.type]) for f in fields(cls) if f.type in kinds)
+
+
 def _require_finite(record) -> None:
-    """Raise ValueError naming the first number field of a dataclass that
-    is NaN or infinite, or a bool."""
-    for f in fields(record):
-        value = getattr(record, f.name)
-        try:
-            if isinstance(value, bool) or not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        except TypeError:  # not a number: None, a string, a kernel
-            pass
+    """Refuse the first number field (``_number_fields``) of a dataclass
+    that is a bool, not a number, NaN or infinite, or null outside
+    ``Optional``, with a ValueError that names it."""
+    for name, nullable in _number_fields(type(record)):
+        value = getattr(record, name)
+        if value is None and nullable:
+            continue
+        # a float or an int first: the ABC check costs ~0.5 us a field, and
+        # the counting tables build a DensityQuery per cell
+        number = type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                                 and not isinstance(value, bool))
+        if not (number and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -343,8 +356,8 @@ class LatticeWork:
         self._b = 8.0 * g**3 / 3.0
         self._c = 4.0 * g * g
         self._d = 8.0 * g
-        t = np.asarray(t, dtype=float)
-        self._t = t
+        #: the t values, the columns of every :meth:`re_F` block
+        self.t = t = np.asarray(t, dtype=float)
         self._phase = np.empty(t.size, dtype=complex)
         self._phase.real = np.cos(self._two_g * t)
         self._phase.imag = np.sin(-self._two_g * t)
@@ -356,14 +369,14 @@ class LatticeWork:
     @property
     def size(self) -> int:
         """The number of t values, the length of every row of :meth:`re_F`."""
-        return self._t.size
+        return self.t.size
 
     def take(self, cols: np.ndarray) -> "LatticeWork":
         """The workspace of the t values at the indices ``cols``: its factors
         are this one's, indexed rather than recomputed, so each value of its
         :meth:`re_F` is bit for bit the value at the same (s, t) here."""
         part = copy.copy(self)
-        part._t = t = self._t[cols]
+        part.t = t = self.t[cols]
         part._phase = self._phase[cols]
         part._t2 = self._t2[cols]
         part._neg_t = self._neg_t[cols]
@@ -422,11 +435,7 @@ class LinnikParams:
     epsilon: float = 1e-7
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        _require_finite(self)
         if self.c1 <= 0 or self.c2 <= 0 or self.K <= 0:
             raise ValueError("K, c1, c2 must be positive")
         if self.epsilon < 0:

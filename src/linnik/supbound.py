@@ -48,27 +48,27 @@ F term that one of its certificates reads once, and each certificate gets
 the record it would get alone; ``domination_check`` is the group of one.
 
 M0 is computed by ``_walk``, one walk per problem, on the s1, s2 and t
-values of ``grid_max`` or on s3, {0} and t for the (s3, t) lattice of
-``_s3_max``.  When the t lattice is fine enough that every COARSE_STEP-th
-t alone would keep the t slack within the budget, Mtt (COARSE_STEP
-dt)^2/8 <= SLACK_BUDGET (k1 + k2 + k3), the walk first evaluates those
-coarse columns and then only the columns between them that the bound
-|d^2A/dt^2| <= Mtt, plus an error budget, cannot rule out; the points of
-a pruned segment are never evaluated.  The lattices ``budget_grid``
-chooses for the tables do not pass this gate, so their walks evaluate
-every point.  Each pass runs one block loop: per block of s1 rows the
-base k1 F(-s1+it) - k3 F(it) is built once, and the k2 rows
-F(-(s1-s2)+it) of a chunk of s2 values are evaluated in one call, at most
-BLOCK_POINTS points unless one t row alone is longer, and subtracted from
-the broadcast base; each block is reduced to its maximum at once, so no
-lattice-sized array is built.  One ``kernel.LatticeWork`` per walk
-computes the trigonometric factors of the t lattice once, and the k3 row
-is evaluated once per pass, on that pass's columns.
+values of the (s1, s2, t) lattice or on s3, {0} and t for the (s3, t)
+lattice; ``sup_bounds`` picks them and ``grid_max`` walks the former.  When
+the t lattice is fine enough that every COARSE_STEP-th t alone would keep
+the t slack within the budget, Mtt (COARSE_STEP dt)^2/8 <= SLACK_BUDGET (k1
++ k2 + k3), the walk first evaluates those coarse columns and then only the
+columns between them that the bound |d^2A/dt^2| <= Mtt, plus an error
+budget, cannot rule out; the points of a pruned segment are never
+evaluated.  The lattices ``budget_grid`` chooses for the tables do not pass
+this gate, so their walks evaluate every point.  Each pass runs one block
+loop: per block of s1 rows the base k1 F(-s1+it) - k3 F(it) is built once,
+and the k2 rows F(-(s1-s2)+it) of a chunk of s2 values are evaluated in one
+call, at most BLOCK_POINTS points unless one t row alone is longer, and
+subtracted from the broadcast base; each block is reduced to its maximum at
+once, so no lattice-sized array is built.  One ``kernel.LatticeWork`` per
+group computes the trigonometric factors of the t lattice once, and the k3
+row is evaluated once per pass, on that pass's columns.
 
-Certification fails closed: ``SupProblem`` and ``GridSpec`` refuse a NaN
-or infinite field with a ValueError that names it, and a NaN or inf
-anywhere the walk evaluates, in the tail or in the slack raises
-FloatingPointError, and no certificate is produced.
+Certification fails closed: ``SupProblem`` and ``GridSpec`` refuse a
+number field that is not a finite number with a ValueError that names it,
+and a NaN or inf anywhere the walk evaluates, in the tail or in the slack
+raises FloatingPointError, and no certificate is produced.
 """
 
 from __future__ import annotations
@@ -274,35 +274,17 @@ def grid_max(problem: SupProblem, grid: GridSpec) -> float:
     """Exact maximum of A over the (s1, s2, t) lattice, by ``_walk``, which
     evaluates only the t columns that can hold it.  Raises
     FloatingPointError if a value the walk evaluates is not finite."""
-    return _grid_max(problem, grid, curvature_bounds(problem)[2])
-
-
-def _grid_max(problem: SupProblem, grid: GridSpec, mtt: float) -> float:
-    """``grid_max`` with Mtt, the bound on |d^2A/dt^2|, given."""
     return _walk(problem, _lattice(problem.s11, problem.s12, grid.ds1),
-                 _lattice(problem.s21, problem.s22, grid.ds2), _lattice(0.0, grid.x1, grid.dt),
-                 grid.dt, mtt)
+                 _lattice(problem.s21, problem.s22, grid.ds2),
+                 LatticeWork(problem.kernel, _lattice(0.0, grid.x1, grid.dt)), grid.dt,
+                 curvature_bounds(problem)[2])
 
 
-def _s3_max(problem: SupProblem, grid: GridSpec, mtt: float) -> float:
-    """Exact maximum of A = -k2 Re F(-s3+it) over the (s3, t) lattice, s3 on
-    [s11 - s22, s12 - s21] with spacing max(ds1, ds2), for a problem that
-    depends on s3 alone, with Mtt = k2 M2(s32) given.  Raises
-    FloatingPointError if a value the walk evaluates is not finite.
-
-    It is ``_walk`` on s3 x {0} x t: the base is 0, and s3 - 0.0 is s3
-    exactly.  The s3 range may reach below 0, where SupProblem.s31 clamps.
-    """
-    return _walk(problem, _lattice(problem.s11 - problem.s22, problem.s12 - problem.s21,
-                                   max(grid.ds1, grid.ds2)),
-                 np.zeros(1), _lattice(0.0, grid.x1, grid.dt), grid.dt, mtt)
-
-
-def _walk(p: SupProblem, s1_vals: np.ndarray, s2_vals: np.ndarray, t_vals: np.ndarray,
+def _walk(p: SupProblem, s1_vals: np.ndarray, s2_vals: np.ndarray, work: LatticeWork,
           dt: float, mtt: float) -> float:
     """Maximum of A = k1 Re F(-s1+it) - k2 Re F(-(s1-s2)+it) - k3 Re F(it)
-    over the lattice s1_vals x s2_vals x t_vals, t_vals spaced dt, with
-    |d^2A/dt^2| <= mtt.
+    over the lattice s1_vals x s2_vals x t_vals, with ``work`` the workspace
+    of the t lattice t_vals, spaced dt, and |d^2A/dt^2| <= mtt.
 
     When the coarse lattice, every COARSE_STEP-th t, keeps the t slack
     within the budget, mtt (COARSE_STEP dt)^2/8 <= SLACK_BUDGET (k1 + k2 +
@@ -324,17 +306,16 @@ def _walk(p: SupProblem, s1_vals: np.ndarray, s2_vals: np.ndarray, t_vals: np.nd
     ``_fold_max``: raises FloatingPointError if a value the walk evaluates
     is not finite.
     """
-    work = LatticeWork(p.kernel, t_vals)
     best = -math.inf
     if mtt * (COARSE_STEP * dt) ** 2 / 8.0 <= SLACK_BUDGET * (p.k1 + p.k2 + p.k3):
-        coarse = np.arange(0, t_vals.size, COARSE_STEP)
-        if coarse[-1] != t_vals.size - 1:
-            coarse = np.append(coarse, t_vals.size - 1)
+        coarse = np.arange(0, work.size, COARSE_STEP)
+        if coarse[-1] != work.size - 1:
+            coarse = np.append(coarse, work.size - 1)
         col = np.full(coarse.size, -math.inf)
         for block in _blocks(p, work.take(coarse), s1_vals, s2_vals):
             best = _fold_max(best, block)
             np.maximum(col, block.reshape(-1, coarse.size).max(axis=0), out=col)
-        h = np.diff(t_vals[coarse])
+        h = np.diff(work.t[coarse])
         reach = np.maximum(col[:-1], col[1:]) + h * h / 8.0 * mtt + 2.0 * _lattice_error(p)
         # column k lies in the segment that starts at the last coarse column
         # <= k; a NaN reach keeps its segment
@@ -396,11 +377,12 @@ def _two_digits_down(x: float) -> float:
     return math.floor(x * scale) / scale if e >= 0 else math.floor(x / scale) * scale
 
 
-def budget_grid(problems: Sequence[SupProblem], x1: float) -> GridSpec:
+def budget_grid(problems: Sequence[SupProblem], x1: float,
+                bounds: Sequence[Tuple[float, float, float]]) -> GridSpec:
     """A lattice with tail cutoff x1, as coarse as an equal split of the
     budget allows, on which the second-order slack of each problem of a
     group that shares kernel and box stays within SLACK_BUDGET min_p(k1 +
-    k2 + k3).
+    k2 + k3); ``bounds`` holds each problem's ``curvature_bounds``.
 
     The walks step along t over [0, x1] and along s1 and s2 where the box is
     not a point; when every problem depends on s3 alone (``_depends_on_s3``)
@@ -415,7 +397,7 @@ def budget_grid(problems: Sequence[SupProblem], x1: float) -> GridSpec:
     if x1 < 4.0:
         raise ValueError("tail bounds require x1 >= 4")
     p = problems[0]
-    m11, m22, mtt = (max(m) for m in zip(*map(curvature_bounds, problems)))
+    m11, m22, mtt = (max(m) for m in zip(*bounds))
     on_s3 = all(map(_depends_on_s3, problems))
     if on_s3:
         coords = ((p.s12 - p.s21) - (p.s11 - p.s22), m22), (x1, mtt)
@@ -430,18 +412,24 @@ def budget_grid(problems: Sequence[SupProblem], x1: float) -> GridSpec:
     return GridSpec(ds1=h[0], ds2=h[1], dt=h[2], x1=x1)
 
 
+def _group_key(p: SupProblem) -> tuple:
+    """What the problems of a supremum group share: kernel and (s1, s2) box."""
+    return p.kernel, p.s11, p.s12, p.s21, p.s22
+
+
 def sup_bounds(problems: Sequence[SupProblem],
                grid: Union[GridSpec, float]) -> Tuple[SupCertificate, ...]:
     """Certify an upper bound for sup A over box x [0, inf) for each problem
     of a group that shares kernel and box.
 
     ``grid`` is a GridSpec, or a tail cutoff x1 for which ``budget_grid``
-    chooses the lattice.  Each problem is walked alone on one of two
-    lattices, by its own coefficients and box whatever its group: a problem
-    that depends on s3 = s1 - s2 alone (``_depends_on_s3``) on the (s3, t)
-    lattice of ``_s3_max`` with ds3 = max(ds1, ds2), every other on the
-    (s1, s2, t) lattice of ``grid_max``.  Each bound is max(tail, M0 +
-    sum_i h_i^2/8 M_ii).
+    chooses the lattice.  Each problem's ``curvature_bounds`` are computed
+    once, and the group's t lattice and its ``kernel.LatticeWork`` once.
+    Each problem is walked alone by ``_walk`` on one of two lattices, by its
+    own coefficients and box whatever its group: a problem that depends on
+    s3 = s1 - s2 alone (``_depends_on_s3``) on s3 x {0} x t with ds3 =
+    max(ds1, ds2), every other on the (s1, s2, t) lattice of ``grid_max``.
+    Each bound is max(tail, M0 + sum_i h_i^2/8 M_ii).
 
     Raises ValueError when the problems differ in kernel or box, or (from
     tail_bound) when x1 < 4, and FloatingPointError instead of certifying
@@ -452,25 +440,28 @@ def sup_bounds(problems: Sequence[SupProblem],
     problems = tuple(problems)
     if not problems:
         return ()
-    shared = [(p.kernel, p.s11, p.s12, p.s21, p.s22) for p in problems]
-    if any(key != shared[0] for key in shared):
+    if len(set(map(_group_key, problems))) > 1:
         raise ValueError("a supremum group must share its kernel and (s1, s2) box")
+    bounds = [curvature_bounds(p) for p in problems]
     if not isinstance(grid, GridSpec):
-        grid = budget_grid(problems, grid)
+        grid = budget_grid(problems, grid, bounds)
+    work = LatticeWork(problems[0].kernel, _lattice(0.0, grid.x1, grid.dt))
     certs = []
-    for p in problems:
+    for p, (m11, m22, mtt) in zip(problems, bounds):
         tail = tail_bound(p, grid.x1)
-        m11, m22, mtt = curvature_bounds(p)
-        on_s3 = _depends_on_s3(p)
-        m0 = (_s3_max if on_s3 else _grid_max)(p, grid, mtt)
-        if on_s3:
+        if _depends_on_s3(p):
+            # A = -k2 Re F(-s3+it) on s3 x {0}: the base is 0, s3 - 0.0 is s3
+            # exactly, and the s3 range may reach below 0, where s31 clamps.
             # |d^2A/ds3^2| <= M22 = M11 and ds3^2 <= ds1^2 + ds2^2: the slack
             # is never above the (s1, s2) walk's
             ds3 = max(grid.ds1, grid.ds2)
+            s_vals = _lattice(p.s11 - p.s22, p.s12 - p.s21, ds3), np.zeros(1)
             steps = ((ds3, m22), (grid.dt, mtt))
         else:
             ds3 = None
+            s_vals = _lattice(p.s11, p.s12, grid.ds1), _lattice(p.s21, p.s22, grid.ds2)
             steps = ((grid.ds1, m11), (grid.ds2, m22), (grid.dt, mtt))
+        m0 = _walk(p, *s_vals, work, grid.dt, mtt)
         slack = sum(h * h / 8.0 * m for h, m in steps)
         if not (math.isfinite(tail) and math.isfinite(slack)):
             raise FloatingPointError(f"non-finite sup bound: tail {tail!r}, "
@@ -506,8 +497,7 @@ def domination_checks(certs: Sequence[SupCertificate], samples: int = 100_000,
     certs = tuple(certs)
     groups = {}
     for i, cert in enumerate(certs):
-        p = cert.problem
-        groups.setdefault((p.kernel, p.s11, p.s12, p.s21, p.s22, cert.grid.x1), []).append(i)
+        groups.setdefault((*_group_key(cert.problem), cert.grid.x1), []).append(i)
     excess = [None] * len(certs)
     for members in groups.values():
         for i, worst in zip(members, _sampled_excess([certs[i] for i in members],

@@ -82,6 +82,10 @@ PUBLISHED_C_SLACK = 1e-4
 #: the delta-stepping split needs 2k - (k^2 + 1/2) >= 0
 STEP_K_RANGE = (0.3, 1.7)
 
+#: the lower end of the first lambda1 window of tables 2, 3, 4, 5 and 7; each
+#: later window starts at the previous row's cap
+FIRST_WINDOW_LO = 0.34
+
 
 @dataclass(frozen=True)
 class TableRow:
@@ -314,7 +318,7 @@ def gen_table2():
     (s1, k3) form.
     """
     lam_star_map = _data.hb92_map("lambda_star_table2")
-    for pub, lo in _chained(2, 0.34):
+    for pub, lo in _chained(2, FIRST_WINDOW_LO):
         cap = pub["lambda1_hi"]
         gamma = 1.13 - cap / 5.0
         k = 0.75 + cap / 7.0
@@ -343,7 +347,7 @@ def gen_table2():
 
 def gen_table3():
     """Second-zero bounds, character order 2..4 (19 rows, two suprema each)."""
-    for pub, lo in _chained(3, 0.34):
+    for pub, lo in _chained(3, FIRST_WINDOW_LO):
         cap = pub["lambda1_hi"]
         gamma = 1.21 - 5.0 * cap / 12.0
         k = 0.77 + cap / 10.0
@@ -374,10 +378,10 @@ HB92_LAMBDA2_ALT_MAX = 0.70
 #: has k1 = 1/4, k2 = k (column C1), B has k2 = 1/4 (column C2)
 _SECOND_CHARACTER = {
     # cases 1, 2, 3, 4, 6, 8
-    4: (0.34, lambda cap: (0.42 + cap, 0.59 + 0.4 * cap),
+    4: (FIRST_WINDOW_LO, lambda cap: (0.42 + cap, 0.59 + 0.4 * cap),
         7.0, ("A", "B"), (1, 2), (3, 4, 6, 8)),
     # case 5
-    5: (0.34, lambda cap: (0.76 + cap / 2.0, 0.84),
+    5: (FIRST_WINDOW_LO, lambda cap: (0.76 + cap / 2.0, 0.84),
         7.0, ("B",), (5,), ()),
     # case 7 (real leading character, complex zero): rows start at lambda1 >= 0.50
     6: (0.50, lambda cap: (0.61 + cap / 2.0, 0.81),
@@ -440,7 +444,7 @@ def gen_table7():
     # imported order-2 first-zero bound, so its column joins the minimum only
     # for caps beyond it
     case7_floor = _data.hb92()["lambda1_old_by_ord"]["values"]["2"]
-    for pub, lo in _chained(7, 0.34):
+    for pub, lo in _chained(7, FIRST_WINDOW_LO):
         cap = pub["lambda1_hi"]
         if pub["lambda2_new"] is None:
             if cap < HB92_LAMBDA2_ALT_MAX:
@@ -468,7 +472,7 @@ def gen_table8():
     """
     # chained coverage: each row's bound must be implied for smaller lambda1,
     # below 0.50 by table 7 down to its first window
-    prev = _window_rows(7, 0.34, 0.50)
+    prev = _window_rows(7, FIRST_WINDOW_LO, 0.50)
     for pub, lo in _chained(8, 0.50):
         cap = pub["lambda1_hi"]
         rows2, rows4, rows6, rows7 = (_window_rows(m, lo, cap) for m in (2, 4, 6, 7))

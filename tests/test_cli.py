@@ -602,8 +602,7 @@ DATA_FAULTS = {
     "table12-blank-lam": (
         ["table", "12"], lambda mp: _patch_published(
             mp, 12, lambda i, r: {**r, "lam": None} if i == 1 else r),
-        "FAILED: table 12 cell lambda11=0.4 lam=None: "
-        "'<' not supported between instances of 'float' and 'NoneType'"),
+        "FAILED: table 12 cell lambda11=0.4 lam=None: lam must be a finite number, got None"),
     "table12-non-numeric": (
         ["table", "12"], lambda mp: _patch_csv(mp, 12, "0.40,,,0.900,11", "0.40,,x,0.900,11"),
         "FAILED: table 12: could not convert string to float: 'x'"),
@@ -773,7 +772,7 @@ def test_non_finite_branch_field_fails_its_case(tmp_path, monkeypatch, capsys, f
     params.write_text(json.dumps({"L": 5.2000001}))
     err = _run_shipped_fault(["verify-final", "--params", str(params)], tmp_path / "out",
                              capsys)
-    assert err == [f"FAILED: case 16.5c: {field} must be finite, got {bad!r}"]
+    assert err == [f"FAILED: case 16.5c: {field} must be a finite number, got {bad!r}"]
 
 
 def _patch_column(monkeypatch, table, column, bound):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from linnik.density import DensityQuery
 from linnik.kernel import (SMALL_Z_RADIUS, W1_OFFSET, LatticeWork, LinnikParams,
                            QuadratureError, WeightKernel, _GL16, _GL32,
                            _gauss_legendre, classic_density_bound)
+from linnik.supbound import GridSpec
 from oracles import F_quadrature, mp_laplace
 
 PARAMS = LinnikParams()
@@ -58,8 +60,23 @@ def test_gamma_floor_enforced():
 def test_non_finite_gamma_is_refused_by_name(gamma):
     # inf passes the floor check gamma >= 0.5; unrefused, a sup certificate
     # on it would fail late in a quadrature with a message naming no field
-    with pytest.raises(ValueError, match="gamma must be finite"):
+    with pytest.raises(ValueError, match="gamma must be a finite number"):
         WeightKernel(gamma)
+
+
+@pytest.mark.parametrize("build,field,value", [
+    (lambda: DensityQuery(lam=1.0, lambda11=math.nan), "lambda11", math.nan),
+    (lambda: DensityQuery(lam=1.0, lambda11=0.5, n0=True), "n0", True),
+    (lambda: GridSpec(ds1="0.1", ds2=0.0, dt=0.1, x1=7.0), "ds1", "0.1"),
+    (lambda: WeightKernel("1.0"), "gamma", "1.0"),
+    (lambda: LinnikParams(K=None), "K", None),
+], ids=["nan-lambda11", "bool-n0", "str-ds1", "str-gamma", "null-K"])
+def test_every_record_refuses_a_field_that_is_not_a_finite_number(build, field, value):
+    # one rule, read from the field annotations: a NaN and a bool passed a
+    # DensityQuery, and a string failed late, with a TypeError from a
+    # comparison, in GridSpec and WeightKernel
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {value!r}$"):
+        build()
 
 
 # ---------------------------------------------------------------- F --------

@@ -418,7 +418,8 @@ def _budget_groups():
 
 @pytest.mark.parametrize("group", _budget_groups())
 def test_budget_grid_keeps_each_problem_within_the_budget(group):
-    grid = budget_grid(group, 7.0)
+    bounds = [curvature_bounds(p) for p in group]
+    grid = budget_grid(group, 7.0, bounds)
     first = group[0]
     widths = (first.s12 - first.s11, first.s22 - first.s21, grid.x1)
     assert grid.x1 == 7.0
@@ -437,7 +438,7 @@ def test_budget_grid_keeps_each_problem_within_the_budget(group):
         # one (s3, t) walk, spaced ds3 = ds1 = ds2
         assert grid.ds1 == grid.ds2 == max(grid.ds1, grid.ds2)
     with pytest.raises(ValueError):
-        budget_grid(group, 3.9)
+        budget_grid(group, 3.9, bounds)
 
 
 def test_group_must_share_kernel_and_box():
@@ -632,7 +633,9 @@ def test_segment_within_the_error_budget_of_the_coarse_maximum_is_walked(monkeyp
     mtt += (gap[j] - eps / 2.0) / (h[j] * h[j] / 8.0)
     assert mtt * (COARSE_STEP * grid.dt) ** 2 / 8.0 <= SLACK_BUDGET * (prob.k1 + prob.k2 + prob.k3)
     passes = _record_passes(monkeypatch)
-    assert supbound._grid_max(prob, grid, mtt) == np.max(_full_lattice(prob, grid))
+    assert supbound._walk(prob, _lattice(prob.s11, prob.s12, grid.ds1),
+                          _lattice(prob.s21, prob.s22, grid.ds2), LatticeWork(prob.kernel, t),
+                          grid.dt, mtt) == np.max(_full_lattice(prob, grid))
     assert np.array_equal(passes[0], coarse)
     assert set(range(coarse[j] + 1, coarse[j + 1])) <= set(passes[1].tolist())
 
@@ -748,5 +751,5 @@ def test_problem_validation():
 def test_non_finite_input_is_refused_by_name(record, field, bad):
     # refused when built, not later as a lattice error, a NaN-to-int
     # conversion or an overflow
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
         dataclasses.replace(record, **{field: bad})

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linnik import _data, density, tables
+from linnik import _data, density, supbound, tables
 from linnik.cli import main
 from linnik.kernel import LatticeWork, WeightKernel
 from linnik.supbound import _lattice
@@ -376,13 +376,29 @@ def test_each_table_certified_once(monkeypatch, fresh_tables):
 
 def test_each_xf_moment_integrated_once(fresh_tables):
     # the two problems of a shared supremum group ask for the same moments:
-    # 171 distinct (gamma, c) over tables 2-11, for 460 requests of M2 (M11,
-    # M22, Mtt), 230 in budget_grid and again 230 in sup_bounds
+    # 171 distinct (gamma, c) over tables 2-11, for 230 requests of M2 (M11,
+    # M22, Mtt), made once per problem by sup_bounds for budget_grid and the
+    # slack alike
     WeightKernel.xf_moments.cache_clear()
     for n in range(2, 12):
         tables.generate_table(n)
     info = WeightKernel.xf_moments.cache_info()
-    assert (info.misses, info.hits + info.misses) == (171, 460)
+    assert (info.misses, info.hits + info.misses) == (171, 230)
+
+
+def test_each_curvature_bound_and_t_workspace_built_once_per_group(monkeypatch, fresh_tables):
+    # 132 problems in 94 non-empty groups over tables 2-11: each problem's
+    # (M11, M22, Mtt) is computed once, and each group's t lattice workspace
+    # once, since a group shares its kernel and its t lattice
+    curvature, workspaces = [], []
+    real_bounds, real_init = supbound.curvature_bounds, LatticeWork.__init__
+    monkeypatch.setattr(supbound, "curvature_bounds",
+                        lambda p: curvature.append(p) or real_bounds(p))
+    monkeypatch.setattr(LatticeWork, "__init__",
+                        lambda self, kern, t: workspaces.append(t) or real_init(self, kern, t))
+    for n in range(2, 12):
+        tables.generate_table(n)
+    assert (len(curvature), len(workspaces)) == (132, 94)
 
 
 def test_each_raw_lattice_row_evaluated_once_per_walk(monkeypatch, fresh_tables):
