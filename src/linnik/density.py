@@ -9,7 +9,9 @@ is clamped to the kernel's validity floor 0.5.
 
 The published tables 12 and 13 are regenerated once per process
 (``regenerated_tables``): the CLI writes them from those records and the
-final verification looks its cells up in the same object.
+final verification looks its cells up in the same object.  The tables keep
+nothing of their readers; a reader that keeps what it read keeps the object
+too, and reads again once ``regenerated_tables`` returns another.
 """
 
 from __future__ import annotations
@@ -172,22 +174,19 @@ def gen_density_tables():
 
 
 class DensityTables:
-    """Regenerated counting-table cells, keyed for the final verification.
+    """Regenerated counting-table cells, looked up by table, column,
+    assumption n0 and lambda.
 
     ``records`` holds the cell records of one gen_density_tables() run as
     read-only mappings.  Lookup raises KeyError naming the column and the
     missing lambda value, so a broken schedule is loud, never silently
     padded, and RuntimeError for a printed cell whose bound vanished.
-    ``schedules`` keeps each final case's counting schedule that
-    ``final.n0_schedule`` read from these cells and checked, so it is
-    dropped with them; a schedule that fails its checks is never kept.
     """
 
     def __init__(self):
         self.records = tuple(MappingProxyType(rec) for rec in gen_density_tables())
         self._cells = {(rec["table"], rec["lambda1"], rec["n0"] or 0, round(rec["lam"], 3)):
                        rec["computed"] for rec in self.records if rec["published"] != "-"}
-        self.schedules = {}
 
     def lookup(self, table: int, column: float, lam: float, n0: int = 0) -> int:
         key = (table, column, n0, round(lam, 3))

@@ -8,11 +8,13 @@ the headline exponent L reduces to.
 
 What does not depend on the parameters is built and checked once.  Per
 object the registry loader returns, ``load_registry`` builds the cases and
-lists the distinct ``w`` arguments they read; each ``FinalCase`` refuses a
-malformed row and computes its hash, lambda3*, Lambda grid and ``w``
-arguments once.  Per case and counting-table regeneration, ``n0_schedule``
-reads the counting column and refuses one that is not monotone or ends below
-4; the tables keep only a column that passes.  ``verify_all`` and
+lists the distinct ``w`` arguments they read, and refuses a registry whose
+``both_real`` windows do not reach down to HB92's ``lambda1_min_both_real``;
+each ``FinalCase`` refuses a malformed row and computes its lambda3*, Lambda
+grid and ``w`` arguments once.  Per case and counting-table regeneration,
+``n0_schedule`` reads the counting column and refuses one that is not
+monotone or ends below 4; the case keeps only a column that passes, so a
+dropped case takes its schedule with it.  ``verify_all`` and
 ``compute_W`` do only per-parameter-set arithmetic, kept in the set: once per
 set the ``w`` batch and the penalty, once per (set, Lambda) the terms of
 ``_at_split``, once per (set, grid) the ``_C_column`` of C values, and the
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import List, Optional, Tuple
 
@@ -122,12 +124,6 @@ class FinalCase:
                              f"{self.lambda1_hi!r}]")
         if self.density is None and self.lambda3_lo < self.Lambda:
             raise ValueError("density-free row needs lambda3 >= Lambda")
-        # the dataclass hash, taken once: each n0_schedule lookup hashes self
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name)
-                                                      for f in fields(self))))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @cached_property
     def l3_star(self) -> float:
@@ -190,7 +186,8 @@ def load_registry() -> Tuple[FinalCase, ...]:
     """The case rows, built once per object ``_data.final_cases()`` returns;
     a row with a missing field or a value its case refuses raises
     RuntimeError named after the case by ``_data.named``, and a registry that
-    does not parse or has no cases raises RuntimeError."""
+    does not parse, has no cases, or whose ``both_real`` windows do not start
+    at or below HB92's ``lambda1_min_both_real`` raises RuntimeError."""
     global _registry
     try:
         source = _data.final_cases()
@@ -207,6 +204,13 @@ def load_registry() -> Tuple[FinalCase, ...]:
             raise _data.named(f"case {obj.get('id')}", exc)
     if not cases:
         raise RuntimeError("the case registry has no cases")
+    try:
+        start = _data.hb92()["lambda1_min_both_real"]
+        if not any(c.lambda1_lo <= start for c in cases if c.family == "both_real"):
+            raise RuntimeError(f"no both_real window starts at or below "
+                               f"lambda1_min_both_real = {start}")
+    except _data.FAULTS as exc:
+        raise _data.named("the case registry", exc)
     cases = tuple(cases)
     _registry = (source, cases, tuple(dict.fromkeys(
         s for case in cases for s in case.w_arguments if s is not None)))
@@ -215,9 +219,12 @@ def load_registry() -> Tuple[FinalCase, ...]:
 
 def n0_schedule(case: FinalCase) -> Tuple[int, ...]:
     """Counting bounds N0(Lambda_r) along the case's grid, read once per case
-    from the counting tables and kept by them as a tuple.  A column that is
-    not monotone or ends below the floor of 4 raises RuntimeError; neither
-    it nor a failed lookup is kept, so each call raises again.
+    and counting-table regeneration: the case keeps the checked tuple in its
+    ``__dict__``, as ``cached_property`` does, with the tables it read, and
+    reads the cells again once ``regenerated_tables()`` returns other tables.
+    A column that is not monotone or ends below the floor of 4 raises
+    RuntimeError; neither it nor a failed lookup is kept, so each call raises
+    again.
 
     Branch semantics: above lambda0 the column regenerated under the branch's
     lower hypothesis applies; at or below lambda0 the unconditional column is
@@ -226,9 +233,9 @@ def n0_schedule(case: FinalCase) -> Tuple[int, ...]:
     if case.density is None:
         raise ValueError(f"case {case.id} uses no counting table")
     tables = regenerated_tables()
-    out = tables.schedules.get(case)
-    if out is not None:
-        return out
+    kept = case.__dict__.get("_n0_schedule")
+    if kept is not None and kept[0] is tables:
+        return kept[1]
     ref = case.density
     out = []
     for lam in case.grid:
@@ -243,7 +250,8 @@ def n0_schedule(case: FinalCase) -> Tuple[int, ...]:
         raise RuntimeError("counting schedule not monotone")
     if out[-1] < 4:
         raise RuntimeError("schedule end below the floor of 4")
-    out = tables.schedules[case] = tuple(out)
+    out = tuple(out)
+    case.__dict__["_n0_schedule"] = (tables, out)
     return out
 
 

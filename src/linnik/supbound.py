@@ -183,18 +183,30 @@ class SupCertificate:
         }
 
 
+def _A_sum(problem: SupProblem, t: np.ndarray, f1, f2, f3):
+    """A = k1 f1 - k2 f2 - k3 f3 over t, summed from zero in that order, of
+    f1 = Re F(-s1+it), f2 = Re F(-(s1-s2)+it) and f3 = Re F(it); a term whose
+    coefficient is zero is skipped, and its f is not read."""
+    val = np.zeros_like(t)
+    if problem.k1:
+        val = val + problem.k1 * f1
+    if problem.k2:
+        val = val - problem.k2 * f2
+    if problem.k3:
+        val = val - problem.k3 * f3
+    return val
+
+
 def A_eval(problem: SupProblem, s1, s2, t) -> np.ndarray:
     """A at a box point, vectorized over t (and over s1, s2 of t's shape)."""
     kern = problem.kernel
     t_arr = np.asarray(t, dtype=float)
-    s3 = s1 - s2
-    val = np.zeros_like(t_arr)
-    if problem.k1:
-        val = val + problem.k1 * np.real(kern.F(-s1 + 1j * t_arr))
-    if problem.k2:
-        val = val - problem.k2 * np.real(kern.F(-s3 + 1j * t_arr))
-    if problem.k3:
-        val = val - problem.k3 * np.real(kern.F(1j * t_arr))
+    it = 1j * t_arr
+    # a zero coefficient's term is 0 and its F is never evaluated
+    val = _A_sum(problem, t_arr,
+                 problem.k1 and np.real(kern.F(-s1 + it)),
+                 problem.k2 and np.real(kern.F(-(s1 - s2) + it)),
+                 problem.k3 and np.real(kern.F(it)))
     if np.isscalar(t):
         return float(val)
     return val
@@ -477,8 +489,8 @@ def sup_bound(problem: SupProblem, grid: Union[GridSpec, float]) -> SupCertifica
     return sup_bounds((problem,), grid)[0]
 
 
-def domination_checks(certs: Sequence[SupCertificate], samples: int = 100_000,
-                      seed: int = 0) -> Tuple[dict, ...]:
+def domination_checks(certs: Sequence[SupCertificate], samples: int,
+                      seed: int) -> Tuple[dict, ...]:
     """Monte-Carlo audit that each certified bound dominates sampled values
     over box x [0, 3 x1]: one record per certificate, in input order.
 
@@ -486,8 +498,8 @@ def domination_checks(certs: Sequence[SupCertificate], samples: int = 100_000,
     shares its samples: its s1, s2 and t are drawn once, by three
     ``uniform`` calls on a fresh generator seeded ``seed``, and each term
     Re F(-s1+it), Re F(-(s1-s2)+it) and Re F(it) that some member reads is
-    evaluated once.  Each member then sums its terms as ``A_eval`` does, so
-    its record is the one it would get alone.
+    evaluated once.  Each member then sums its terms with ``_A_sum``, as
+    ``A_eval`` does, so its record is the one it would get alone.
 
     A record gives the worst excess A - bound over the sample (negative =
     all dominated).  The certificate is the proof; a positive excess refutes
@@ -524,21 +536,11 @@ def _sampled_excess(group: Sequence[SupCertificate], samples: int, seed: int) ->
     f1 = kern.F(-s1 + it).real.copy() if any(p.k1 for p in probs) else None
     f2 = kern.F(-(s1 - s2) + it).real.copy() if any(p.k2 for p in probs) else None
     f3 = kern.F(it).real.copy() if any(p.k3 for p in probs) else None
-    excess = []
-    for cert, p in zip(group, probs):
-        val = np.zeros_like(t)
-        if p.k1:
-            val = val + p.k1 * f1
-        if p.k2:
-            val = val - p.k2 * f2
-        if p.k3:
-            val = val - p.k3 * f3
-        excess.append(float(np.max(val - cert.bound)))
-    return excess
+    return [float(np.max(_A_sum(p, t, f1, f2, f3) - cert.bound))
+            for cert, p in zip(group, probs)]
 
 
-def domination_check(cert: SupCertificate, samples: int = 100_000,
-                     seed: int = 0) -> dict:
+def domination_check(cert: SupCertificate, samples: int, seed: int) -> dict:
     """Monte-Carlo audit of one certificate: the group of one,
     ``domination_checks((cert,), samples, seed)[0]``."""
     return domination_checks((cert,), samples, seed)[0]

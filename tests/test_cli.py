@@ -552,6 +552,13 @@ def _patch_case(monkeypatch, case_id, change):
     monkeypatch.setattr(_data, "final_cases", lambda: {**real, "cases": cases})
 
 
+def _patch_cases(monkeypatch, keep):
+    """Keep only the shipped cases for which keep(case) is true."""
+    real = _data.final_cases()
+    cases = [c for c in real["cases"] if keep(c)]
+    monkeypatch.setattr(_data, "final_cases", lambda: {**real, "cases": cases})
+
+
 def _with_branch(case, **fields):
     """case, a copy, whose counting branch also has the given fields."""
     density = case["density"]
@@ -635,6 +642,21 @@ DATA_FAULTS = {
         ["verify-final"], lambda mp: mp.setattr(
             _data, "final_cases", lambda real=_data.final_cases(): {**real, "cases": []}),
         "FAILED: the case registry has no cases"),
+    # unrefused, lambda1_min_both_real was read by no code: the both_real
+    # windows start at HB92's first-zero bound for real characters
+    "hb92-both-real-start": (
+        ["verify-final"], lambda mp: _patch_json(
+            mp, '"lambda1_min_both_real": 0.348', '"lambda1_min_both_real": 0.30'),
+        "FAILED: the case registry: no both_real window starts at or below "
+        "lambda1_min_both_real = 0.3"),
+    "registry-no-14.1": (
+        ["verify-final"], lambda mp: _patch_cases(mp, lambda c: c["id"] != "14.1"),
+        "FAILED: the case registry: no both_real window starts at or below "
+        "lambda1_min_both_real = 0.348"),
+    "registry-no-both_real": (
+        ["verify-final"], lambda mp: _patch_cases(mp, lambda c: c["family"] != "both_real"),
+        "FAILED: the case registry: no both_real window starts at or below "
+        "lambda1_min_both_real = 0.348"),
     "case-null-Lambda": (
         ["verify-final"], lambda mp: _patch_case(mp, "14.6", lambda c: {**c, "Lambda": None}),
         "FAILED: case 14.6: Lambda must be a finite number, got None"),

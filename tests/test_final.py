@@ -114,15 +114,34 @@ def test_schedules_kept_per_case_are_not_edited_by_a_caller():
 ], ids=["not-monotone", "below-floor"])
 def test_failed_counting_column_is_never_kept(monkeypatch, fresh_tables, bound, message):
     # n0_schedule checks a column when it reads it, and keeps only one that
-    # passes: each call reads the cells again and raises again
-    real = density.DensityTables.lookup
-    monkeypatch.setattr(density.DensityTables, "lookup", lambda tables, t, c, lam, n0=0: (
-        bound(lam) if c == 0.62 else real(tables, t, c, lam, n0)))
+    # passes: each call reads the cells again and raises again, and once the
+    # column is mended the next call reads it and keeps it
+    real, broken, reads = density.DensityTables.lookup, [True], []
+
+    def lookup(tables, t, c, lam, n0=0):
+        reads.append(lam)
+        return bound(lam) if broken and c == 0.62 else real(tables, t, c, lam, n0)
+
+    monkeypatch.setattr(density.DensityTables, "lookup", lookup)
     case = _registry_case("15.1")
     for _ in range(2):
         with pytest.raises(RuntimeError, match=f"^{message}$"):
             n0_schedule(case)
-    assert density.regenerated_tables().schedules == {}
+    assert len(reads) == 2 * len(case.grid)
+    broken.clear()
+    kept = n0_schedule(case)
+    assert n0_schedule(case) is kept and len(reads) == 3 * len(case.grid)
+
+
+def test_a_derived_case_reads_its_own_schedule_and_is_freed():
+    # a case built from a registry case keeps its schedule itself, so the
+    # counting tables hold no case: dropped, it is freed
+    case = _registry_case("16.4b")
+    derived = dataclasses.replace(case, lambda2_lo=case.lambda2_lo + 1e-3)
+    assert n0_schedule(derived) == n0_schedule(case)
+    ref = weakref.ref(derived)
+    del derived
+    assert ref() is None
 
 
 def test_n0_schedule_requires_density():
@@ -354,7 +373,14 @@ def test_next_verify_all_sees_patched_registry_and_tables(monkeypatch, fresh_tab
             verify_all()
         with pytest.raises(RuntimeError, match="bound vanished"):
             n0_schedule(case)
-    assert density.regenerated_tables().schedules == {}
+    # nothing was kept: a further call reads the cells again, and the first
+    # one it reads has vanished
+    reads, real = [], density.DensityTables.lookup
+    monkeypatch.setattr(density.DensityTables, "lookup",
+                        lambda tables, *args: reads.append(args) or real(tables, *args))
+    with pytest.raises(RuntimeError, match="bound vanished"):
+        n0_schedule(case)
+    assert len(reads) == 1
 
 
 def test_failure_names_its_case_and_keeps_its_class():
